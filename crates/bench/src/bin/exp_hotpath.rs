@@ -1,8 +1,9 @@
 //! E25 — scalar vs. bitset hot-path kernels on the same seeded ladder:
 //! how much wall time the word-parallel rewrites of phase 2 (lazy
 //! bucket-queue connector selection) and the prune post-pass
-//! (incremental cover counts + masked Tarjan) buy, with byte-identical
-//! output asserted in-process.
+//! (incremental cover counts + local cut-vertex certificates over one
+//! masked Tarjan pass) buy, with byte-identical output asserted
+//! in-process.
 //!
 //! One seeded disk graph per `n` (same recipe as E19: giant component of
 //! a uniform deployment, side grows as `√n` to hold average degree near
@@ -175,8 +176,8 @@ fn main() {
              every rung and cut the hot phases (max-gain connectors + prune) \
              by {:.1}x at the n >= 50k rungs -- the lazy bucket queue \
              replaces the Theta(|C| x n) rescan with amortized exact \
-             refreshes, and incremental cover counts replace the per-candidate \
-             full domination sweep.",
+             refreshes, and incremental cover counts plus local cut-vertex \
+             certificates replace the per-candidate full CDS re-check.",
             worst_hot
         );
     } else {

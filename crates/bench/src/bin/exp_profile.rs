@@ -7,9 +7,9 @@
 //! solved with `GreedyConnect` (prune + verify on).  Per-phase wall time
 //! comes from [`Solver::timings`]; alongside it the experiment reports
 //! the `mcds-obs` counters recorded by the instrumented solver —
-//! connector candidates scanned, connectors selected, prune removals —
-//! which are deterministic and explain the wall-clock shape (the phase-2
-//! scan is `Θ(|C|·n)` candidate visits).
+//! connector candidates scanned, connectors selected, prune removals,
+//! the prune's global articulation passes — which are deterministic and
+//! explain the wall-clock shape.
 //!
 //! The `*_ms` columns make `exp_profile.csv` a **timing-only artifact**
 //! (DESIGN.md §8–9): the counter columns are byte-stable across runs,
@@ -31,17 +31,17 @@ use mcds_rng::SeedableRng;
 use mcds_udg::gen;
 
 /// One row of the `BENCH_profile.json` trajectory entry:
-/// `(n, giant, edges, cds, solve_ms, scanned, selected, pruned)`.
-type ProfilePoint = (usize, usize, usize, usize, f64, u64, u64, u64);
+/// `(n, giant, edges, cds, solve_ms, scanned, selected, pruned, passes)`.
+type ProfilePoint = (usize, usize, usize, usize, f64, u64, u64, u64, u64);
 
 fn main() {
     let cfg = ExpConfig::from_args();
-    // The phase-2 scan is ~quadratic, so quick mode stays small while the
-    // full sweep covers the 1k-50k range of the README performance table.
+    // Quick mode stays in test-suite range; the full sweep reaches the
+    // million-node full solve (prune on) of the README performance table.
     let sizes: &[usize] = if cfg.quick {
         &[500, 1_000, 2_000]
     } else {
-        &[1_000, 5_000, 10_000, 20_000, 50_000, 100_000]
+        &[1_000, 5_000, 10_000, 20_000, 50_000, 100_000, 1_000_000]
     };
 
     // This experiment *is* the observability demo: turn the subscriber on
@@ -60,6 +60,7 @@ fn main() {
         "verify_ms",
         "prune_ms",
         "scanned",
+        "passes",
         "p2 share %",
     ]);
     let mut csv = cfg.csv("exp_profile");
@@ -77,6 +78,7 @@ fn main() {
             "candidates_scanned",
             "connectors_selected",
             "prune_removed",
+            "prune_global_passes",
         ]);
     }
 
@@ -105,6 +107,7 @@ fn main() {
         let scanned = mcds_obs::counter_value("connectors.candidates_scanned");
         let selected = mcds_obs::counter_value("connectors.selected");
         let pruned = mcds_obs::counter_value("prune.removed");
+        let passes = mcds_obs::counter_value("prune.global_passes");
         let solve_total = (t.phase1 + t.phase2 + t.verify + t.prune).as_secs_f64();
         let p2_share = 100.0 * t.phase2.as_secs_f64() / solve_total.max(1e-9);
         points.push((
@@ -116,6 +119,7 @@ fn main() {
             scanned,
             selected,
             pruned,
+            passes,
         ));
 
         table.row(&[
@@ -129,6 +133,7 @@ fn main() {
             ms(t.verify),
             ms(t.prune),
             scanned.to_string(),
+            passes.to_string(),
             f2(p2_share),
         ]);
         if let Some(w) = csv.as_mut() {
@@ -145,6 +150,7 @@ fn main() {
                 scanned.to_string(),
                 selected.to_string(),
                 pruned.to_string(),
+                passes.to_string(),
             ]);
         }
     }
@@ -158,13 +164,13 @@ fn main() {
         println!("\nwrote {}", path.display());
     }
 
+    let &(n, .., solve_ms, _, _, _, passes) = points.last().expect("at least one rung");
     println!();
     println!(
-        "RESULT: the superlinear passes -- phase 2 (max-gain connector \
-         selection) and the pruning post-pass -- dominate solve time at \
-         every size, exactly as the candidates-scanned counter predicts: \
-         every merge step rescans all non-CDS nodes, so scan work is \
-         ~|C| x n while phase 1 and verification stay near-linear."
+        "RESULT: at n = {n} the full solve (prune + verify on) takes {solve_ms:.0} ms \
+         with {passes} global articulation pass(es) in the prune: local cut-vertex \
+         certificates decide the other candidates, so no phase rescans the \
+         backbone per removal."
     );
 }
 
@@ -177,14 +183,14 @@ fn to_bench_json(seed: u64, points: &[ProfilePoint]) -> String {
     out.push_str("{\n  \"bench\": \"profile\",\n");
     out.push_str(&format!("  \"schema\": 1,\n  \"seed\": {seed},\n"));
     out.push_str("  \"points\": [\n");
-    for (i, &(n, giant, edges, cds, solve_ms, scanned, selected, pruned)) in
+    for (i, &(n, giant, edges, cds, solve_ms, scanned, selected, pruned, passes)) in
         points.iter().enumerate()
     {
         out.push_str(&format!(
             "    {{\"n\": {n}, \"giant\": {giant}, \"edges\": {edges}, \
              \"cds_size\": {cds}, \"solve_ms\": {solve_ms:.3}, \
              \"candidates_scanned\": {scanned}, \"connectors_selected\": {selected}, \
-             \"prune_removed\": {pruned}}}{}\n",
+             \"prune_removed\": {pruned}, \"prune_global_passes\": {passes}}}{}\n",
             if i + 1 == points.len() { "" } else { "," }
         ));
     }

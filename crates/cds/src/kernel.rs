@@ -8,7 +8,8 @@
 //! * **Scalar** — the original adjacency-list loops, cheapest below a few
 //!   hundred nodes where setup cost dominates,
 //! * **Bitset** — incremental algorithms over [`bitgraph::BitSet`] masks
-//!   (cover counts + masked Tarjan for prune, a lazy bucket queue for
+//!   (cover counts plus one up-front masked Tarjan pass kept valid by
+//!   local cut-vertex certificates for prune, a lazy bucket queue for
 //!   connectors), with packed [`bitgraph::BitRows`] adjacency used
 //!   underneath while the row storage stays small
 //!   ([`ROWS_MAX_NODES`]; above it the same algorithms run row-free —

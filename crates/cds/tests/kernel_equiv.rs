@@ -5,8 +5,12 @@
 //!
 //! The bitset kernels (`mcds_cds::kernel`) are pure accelerators: a lazy
 //! bucket queue for the phase-2 argmax and incremental cover counts +
-//! masked Tarjan for the prune scan.  Anything short of bit-equality
-//! here is a bug, not a tolerance.
+//! local cut-vertex certificates for the prune scan.  The prune scan is
+//! also diffed against [`prune_global_pass`], a reference that reruns
+//! the masked Tarjan pass after every accepted removal, on every case
+//! here and on hostile families built to make its certificates and
+//! refreshes fire.  Anything short of bit-equality here is a bug, not a
+//! tolerance.
 
 use std::sync::Mutex;
 
@@ -16,8 +20,9 @@ use mcds_cds::prune::prune_cds_with;
 use mcds_cds::{Algorithm, CdsError, Solver};
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
+use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds_graph::traversal::largest_component;
-use mcds_graph::Graph;
+use mcds_graph::{Graph, RandomAccessGraph};
 use mcds_mis::BfsMis;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
@@ -40,6 +45,58 @@ impl Forced {
 impl Drop for Forced {
     fn drop(&mut self) {
         kernel::set_override(None);
+    }
+}
+
+/// Reference prune: the bitset kernel's cover counts and `(degree, id)`
+/// order, with the cut vertices recomputed by a masked Tarjan pass over
+/// all of `G[S]` after every accepted removal.
+fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+    mcds_cds::check_cds(g, set)?;
+    let current = mcds_graph::node_set(set.iter().copied());
+    let mut order = current.clone();
+    order.sort_by_key(|&v| (g.degree(v), v));
+    let n = g.num_nodes();
+    let mut in_set = BitSet::from_nodes(n, &current);
+    let mut size = current.len();
+    let mut cover = vec![0u32; n];
+    for &v in &current {
+        g.successors(v).for_each(|u| cover[u] += 1);
+    }
+    let mut scratch = ArticulationScratch::new();
+    let mut cut = BitSet::new(n);
+    masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
+    for &v in &order {
+        if size <= 1 {
+            break;
+        }
+        if !in_set.contains(v) || cover[v] == 0 || cut.contains(v) {
+            continue;
+        }
+        if !g.successors(v).all(|u| in_set.contains(u) || cover[u] >= 2) {
+            continue;
+        }
+        in_set.remove(v);
+        size -= 1;
+        g.successors(v).for_each(|u| cover[u] -= 1);
+        masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
+    }
+    Ok(in_set.to_nodes())
+}
+
+/// The bitset prune of `set` must match the reference removal for
+/// removal, and the scalar kernel too when `with_scalar` (it re-checks
+/// the whole graph per candidate, too slow for the largest cases).
+fn assert_prune_agrees(g: &Graph, set: &[usize], with_scalar: bool, label: &str) {
+    let bitset = prune_cds_with(g, set, Kernel::Bitset);
+    assert_eq!(
+        bitset,
+        prune_global_pass(g, set),
+        "{label}: prune diverged from the global-pass reference"
+    );
+    if with_scalar {
+        let scalar = prune_cds_with(g, set, Kernel::Scalar);
+        assert_eq!(scalar, bitset, "{label}: prune kernels diverged");
     }
 }
 
@@ -70,13 +127,9 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
     // Prune from a lean input (the greedy CDS) and from the fattest
     // possible input (every vertex, if V is connected-dominating).
     let cds = mcds_cds::greedy_cds(g).expect("connected instance solves");
-    let a = prune_cds_with(g, cds.nodes(), Kernel::Scalar);
-    let b = prune_cds_with(g, cds.nodes(), Kernel::Bitset);
-    assert_eq!(a, b, "{label}: prune_cds diverged on greedy CDS");
+    assert_prune_agrees(g, cds.nodes(), true, &format!("{label} greedy CDS"));
     let all: Vec<usize> = (0..g.num_nodes()).collect();
-    let a = prune_cds_with(g, &all, Kernel::Scalar);
-    let b = prune_cds_with(g, &all, Kernel::Bitset);
-    assert_eq!(a, b, "{label}: prune_cds diverged on V");
+    assert_prune_agrees(g, &all, true, &format!("{label} V"));
 }
 
 /// The giant-component UDG of a seeded deployment, or `None` if it is
@@ -146,6 +199,13 @@ fn solver_solutions_identical_on_200_udg_instances() {
                     scalar, bitset,
                     "{family} seed {seed} n {n} {alg:?}: solutions diverged"
                 );
+                if let Ok(unpruned) = Solver::new(alg).solve(g) {
+                    assert_eq!(
+                        bitset.map(|s| s.nodes().to_vec()),
+                        prune_global_pass(g, unpruned.nodes()),
+                        "{family} seed {seed} n {n} {alg:?}: prune diverged from the reference"
+                    );
+                }
             }
         }
     }
@@ -218,4 +278,70 @@ fn forced_override_matches_scalar_on_public_entry_points() {
     };
     assert_eq!(scalar_prune, bitset_prune);
     drop(guard);
+}
+
+/// A spine path of `spine` nodes, each carrying a dangling path (tooth)
+/// of `tooth` nodes.
+fn comb(spine: usize, tooth: usize) -> Graph {
+    let n = spine * (tooth + 1);
+    let mut edges: Vec<(usize, usize)> = (1..spine).map(|i| (i - 1, i)).collect();
+    for i in 0..spine {
+        let mut prev = i;
+        for t in 0..tooth {
+            let node = spine + i * tooth + t;
+            edges.push((prev, node));
+            prev = node;
+        }
+    }
+    Graph::from_edges(n, edges)
+}
+
+/// Two `k`-cliques joined through a chain of `chain` nodes.
+fn clusters_on_a_chain(k: usize, chain: usize) -> Graph {
+    let n = 2 * k + chain;
+    let mut edges = Vec::new();
+    for base in [0, k + chain] {
+        for a in base..base + k {
+            edges.extend((a + 1..base + k).map(|b| (a, b)));
+        }
+    }
+    // Clique node k-1, then the chain k..k+chain, then clique node k+chain.
+    edges.extend((k - 1..k + chain).map(|i| (i, i + 1)));
+    Graph::from_edges(n, edges)
+}
+
+/// Topologies built to make the bitset prune's local certificates and
+/// refreshes fire — long paths and cycles pruned from `V`, combs with
+/// long dangling teeth, clusters joined by a chain, thin corridors —
+/// must prune exactly as the global-pass reference does, above the
+/// scalar threshold and (for the row-free tier) above the packed-row one.
+#[test]
+fn hostile_families_match_the_global_pass_reference() {
+    let mut cases: Vec<(Graph, String)> = Vec::new();
+    for n in [600, 9_000] {
+        cases.push((Graph::path(n), format!("path{n}")));
+        cases.push((Graph::cycle(n), format!("cycle{n}")));
+    }
+    cases.push((comb(40, 30), "comb40x30".into()));
+    cases.push((comb(300, 2), "comb300x2".into()));
+    cases.push((clusters_on_a_chain(30, 500), "clusters30+chain500".into()));
+    for (seed, n) in [(1u64, 600), (2, 800)] {
+        let mut rng = StdRng::from_stream(seed, 0xc0dd);
+        // Width 0.6 < radius: nodes meet only along the corridor, ten
+        // per unit of length (dense enough to keep one giant component).
+        let points = gen::corridor(&mut rng, n, n as f64 / 10.0, 0.6);
+        let sub = giant_graph(points).expect("corridor has a giant component");
+        cases.push((sub.graph().clone(), format!("corridor seed {seed} n {n}")));
+    }
+    for (g, label) in &cases {
+        // The scalar prune and the greedy solve are too slow for the
+        // 9 000-node cases in unoptimized test builds.
+        let small = g.num_nodes() <= 2_000;
+        let all: Vec<usize> = (0..g.num_nodes()).collect();
+        assert_prune_agrees(g, &all, small, &format!("{label} V"));
+        if small {
+            let cds = mcds_cds::greedy_cds(g).expect("connected family solves");
+            assert_prune_agrees(g, cds.nodes(), true, &format!("{label} greedy CDS"));
+        }
+    }
 }

@@ -341,9 +341,10 @@ impl BitRows {
 
 /// Reusable `disc`/`low` buffers for [`masked_articulation_points`].
 ///
-/// The incremental prune kernel recomputes articulation points after
-/// every accepted removal; the scratch avoids an `O(n)` allocation per
-/// call (only the mask's members are reset between calls).
+/// The incremental prune kernel reruns the pass on a shrinking mask
+/// whenever its local cut-vertex certificates would cost more than a
+/// pass; the scratch avoids an `O(n)` allocation per call (only the
+/// mask's members are reset between calls).
 #[derive(Debug, Default)]
 pub struct ArticulationScratch {
     disc: Vec<usize>,

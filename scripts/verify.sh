@@ -96,15 +96,21 @@ fi
 
 if want tracing; then
   echo "== tracing: schema-valid JSONL, identical solve output on vs off =="
-  cargo run --quiet --release -p mcds-cli -- gen --n 200 --side 7.9 --seed 7 \
-    --connected -o "$det_dir/trace.udg" > /dev/null
-  cargo run --quiet --release -p mcds-cli -- solve "$det_dir/trace.udg" \
-    --alg all --prune > "$det_dir/solve_plain.txt"
-  cargo run --quiet --release -p mcds-cli -- solve "$det_dir/trace.udg" \
-    --alg all --prune --trace "$det_dir/trace.jsonl" --quiet > "$det_dir/solve_traced.txt"
-  diff "$det_dir/solve_plain.txt" "$det_dir/solve_traced.txt"
-  cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/trace.jsonl"
-  cargo run --quiet --release -p mcds-cli -- trace summarize "$det_dir/trace.jsonl" \
+  # n=1500 is above the scalar threshold (512 nodes), so the bitset
+  # prune and its counters run under tracing too.
+  for spec in "200 7.9 7" "1500 21.7 32"; do
+    read -r tn tside tseed <<< "$spec"
+    cargo run --quiet --release -p mcds-cli -- gen --n "$tn" --side "$tside" \
+      --seed "$tseed" --connected -o "$det_dir/trace_$tn.udg" > /dev/null
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/trace_$tn.udg" \
+      --alg all --prune > "$det_dir/solve_plain_$tn.txt"
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/trace_$tn.udg" \
+      --alg all --prune --trace "$det_dir/trace_$tn.jsonl" --quiet \
+      > "$det_dir/solve_traced_$tn.txt"
+    diff "$det_dir/solve_plain_$tn.txt" "$det_dir/solve_traced_$tn.txt"
+    cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/trace_$tn.jsonl"
+  done
+  cargo run --quiet --release -p mcds-cli -- trace summarize "$det_dir/trace_200.jsonl" \
     > "$det_dir/summary.txt"
   # The phase spans must account for >= 95% of root-span wall time.
   coverage=$(awk 'END { gsub(/%/, "", $NF); print $NF }' "$det_dir/summary.txt")
@@ -114,7 +120,7 @@ if want tracing; then
   # Flame attribution: per-label self times must reconstruct >= 99% of
   # root-span wall time (the folding identity), and both the collapsed
   # stacks and the SVG must materialize.
-  cargo run --quiet --release -p mcds-cli -- trace flame "$det_dir/trace.jsonl" \
+  cargo run --quiet --release -p mcds-cli -- trace flame "$det_dir/trace_200.jsonl" \
     --folded "$det_dir/trace.folded" --svg "$det_dir/trace.svg" \
     > "$det_dir/flame.txt"
   [[ -s "$det_dir/trace.folded" && -s "$det_dir/trace.svg" ]] || {
@@ -208,19 +214,23 @@ if want kernel; then
   # above the auto-selection threshold (512 nodes), and the full
   # solve --json output — every algorithm, prune on — must not differ
   # by a byte.
-  for spec in "200 7.9 31" "1500 21.7 32"; do
-    read -r kn kside kseed <<< "$spec"
-    cargo run --quiet --release -p mcds-cli -- gen --n "$kn" --side "$kside" \
-      --seed "$kseed" --connected -o "$det_dir/kernel_$kn.udg" > /dev/null
-    MCDS_KERNEL=scalar cargo run --quiet --release -p mcds-cli -- solve \
-      "$det_dir/kernel_$kn.udg" --alg all --prune --json \
-      > "$det_dir/kernel_${kn}_scalar.json"
-    MCDS_KERNEL=bitset cargo run --quiet --release -p mcds-cli -- solve \
-      "$det_dir/kernel_$kn.udg" --alg all --prune --json \
-      > "$det_dir/kernel_${kn}_bitset.json"
-    diff "$det_dir/kernel_${kn}_scalar.json" "$det_dir/kernel_${kn}_bitset.json"
-  done
-  echo "solve --json byte-identical under both kernels at n=200 and n=1500"
+  kernel_case() { # NAME GEN-ARGS...
+    local name=$1
+    shift
+    cargo run --quiet --release -p mcds-cli -- gen "$@" -o "$det_dir/$name.udg" > /dev/null
+    for k in scalar bitset; do
+      MCDS_KERNEL=$k cargo run --quiet --release -p mcds-cli -- solve \
+        "$det_dir/$name.udg" --alg all --prune --json > "$det_dir/${name}_$k.json"
+    done
+    diff "$det_dir/${name}_scalar.json" "$det_dir/${name}_bitset.json"
+  }
+  kernel_case uniform_200 --n 200 --side 7.9 --seed 31 --connected
+  kernel_case uniform_1500 --n 1500 --side 21.7 --seed 32 --connected
+  # Backbones that are chains of cut vertices, where the bitset prune's
+  # leaf rule and pass refreshes fire.
+  kernel_case chain_1500 --n 1500 --kind chain
+  kernel_case grid_1500 --n 1500 --kind grid
+  echo "solve --json byte-identical under both kernels (uniform n=200/1500, chain, grid)"
 fi
 
 if want bench; then
