@@ -56,7 +56,6 @@ pub struct TrajectoryEntry {
 pub fn field_map(bench: &str) -> Option<(&'static str, &'static str, f64)> {
     match bench {
         "profile" => Some(("n", "solve_ms", 1.0)),
-        "hotpath" => Some(("n", "solve_ms", 1.0)),
         "serve" => Some(("clients", "wall_p50_us", 1e-3)),
         "fault" => Some(("m", "wall_us_mean", 1e-3)),
         "substrate" => Some(("n", "solve_compact_ms", 1.0)),
@@ -390,14 +389,6 @@ mod tests {
         assert_eq!(name, "profile");
         assert_eq!(points[0].key, "n=1000");
         assert_eq!(points[0].wall_ms, 16.9);
-        // The hotpath ladder tracks the bitset-kernel solve curve; the
-        // scalar column rides along untracked (it is diagnostic only).
-        let hotpath = r#"{"bench":"hotpath","schema":1,"points":[
-            {"n":5000,"solve_ms":42.5,"scalar_ms":310.2,"hot_speedup":8.1}]}"#;
-        let (name, points) = parse_bench_file(hotpath).unwrap();
-        assert_eq!(name, "hotpath");
-        assert_eq!(points[0].key, "n=5000");
-        assert_eq!(points[0].wall_ms, 42.5);
         // Microsecond fields scale to milliseconds.
         let serve = r#"{"bench":"serve","schema":1,"points":[
             {"clients":4,"wall_p50_us":27,"wall_p99_us":2929}]}"#;
@@ -442,6 +433,13 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].bench, "profile");
         assert_eq!(d[0].matched_keys, 1);
+        // A bench present only in the previous entry (retired since) is
+        // skipped, not flagged.
+        let retired = entry("aaa", &[("hotpath", &[10.0]), ("profile", &[10.0])]);
+        let d = compare_entries(&retired, &entry("bbb", &[("profile", &[11.0])]));
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].bench, "profile");
+        assert!(!d[0].regressed(1.25));
         // Zero previous wall times are skipped, not divided by.
         let zero = entry("aaa", &[("profile", &[0.0])]);
         let d = compare_entries(&zero, &entry("bbb", &[("profile", &[5.0])]));

@@ -25,9 +25,9 @@
 //!   greedy grow,
 //!
 //! plus a validity-preserving [`prune`] post-pass (an extension beyond the
-//! paper), the generic connector routines in [`connect`] — both with
-//! size-selected scalar/word-parallel-bitset hot-path implementations
-//! ([`kernel`]) proven byte-identical —
+//! paper), the generic connector routines in [`connect`] — both run
+//! incremental word-parallel bitset kernels, diffed against the original
+//! scalar loops kept as test oracles —
 //! backbone-routing stretch measurement in [`routing`], and the
 //! fault-tolerant `(k,m)` backbone family in [`fault`] — m-fold
 //! domination and 2-connectivity augmentation reachable through
@@ -85,7 +85,6 @@ pub mod accounting;
 pub mod algorithms;
 pub mod connect;
 pub mod fault;
-pub mod kernel;
 pub mod prune;
 pub mod routing;
 

@@ -7,26 +7,21 @@
 //! redundant ones — and removes greedily.  The result is a minimal — not
 //! minimum — CDS contained in the input.
 //!
-//! Two kernels implement the same scan (see [`crate::kernel`]):
-//!
-//! * **scalar** — the original per-candidate re-check: rebuild the set
-//!   minus `v` and re-run the full domination + connectivity scan,
-//! * **bitset** — incremental: maintain `cover[u] = |N(u) ∩ S|` counts
-//!   and a set of known cut vertices of `G[S]`, seeded by one masked
-//!   Tarjan pass over a [`mcds_graph::bitgraph::BitSet`] and extended by
-//!   exact local searches around each candidate (`CutVertices`), so a
-//!   candidate is accepted or rejected in `O(deg v)` plus a search near
-//!   `v`, and state is patched instead of rebuilt.
-//!
-//! Both accept exactly the same removals in the same order, so the
-//! output is byte-identical (`tests/kernel_equiv.rs`, which also diffs
-//! the bitset scan against a reference that reruns the masked Tarjan
-//! pass after every accepted removal).
+//! The scan is incremental: it maintains `cover[u] = |N(u) ∩ S|` counts
+//! and a set of known cut vertices of `G[S]`, seeded by one masked
+//! Tarjan pass over a [`mcds_graph::bitgraph::BitSet`] and extended by
+//! exact local searches around each candidate (`CutVertices`), so a
+//! candidate is accepted or rejected in `O(deg v)` plus a search near
+//! `v`, and state is patched instead of rebuilt.  It accepts exactly the
+//! removals, in the same order, of the original per-candidate re-check
+//! (rebuild the set minus `v`, re-run the full domination +
+//! connectivity scan) and of a scan that reruns the masked Tarjan pass
+//! after every accepted removal; `tests/kernel_equiv.rs` keeps both as
+//! oracles and diffs against them.
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
-use mcds_graph::{node_mask, subsets, RandomAccessGraph};
+use mcds_graph::RandomAccessGraph;
 
-use crate::kernel::{self, Kernel};
 use crate::CdsError;
 
 /// Greedily removes redundant nodes from a valid CDS.
@@ -39,60 +34,16 @@ use crate::CdsError;
 /// Returns the typed violation (from [`crate::check_cds`]) if `set` is
 /// not a valid CDS of `g` to begin with.
 pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
-    prune_cds_with(g, set, kernel::select(g.num_nodes()))
-}
-
-/// [`prune_cds`] with an explicit kernel choice (tests and benches; the
-/// public entry point selects automatically).
-///
-/// # Errors
-///
-/// Same as [`prune_cds`].
-pub fn prune_cds_with<G: RandomAccessGraph>(
-    g: &G,
-    set: &[usize],
-    kernel: Kernel,
-) -> Result<Vec<usize>, CdsError> {
     crate::check_cds(g, set)?;
     let current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    let order = scan_order(g, &current);
-    match kernel {
-        Kernel::Scalar => Ok(prune_scalar(g, current, &order)),
-        Kernel::Bitset => {
-            let (kept, stats) = prune_bitset(g, &current, &order);
-            stats.flush();
-            Ok(kept)
-        }
-    }
+    let (kept, stats) = prune_bitset(g, &current);
+    stats.flush();
+    Ok(kept)
 }
 
-/// The candidate order both kernels scan: ascending `(degree, id)`.
-fn scan_order<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
-    let mut order = set.to_vec();
-    order.sort_by_key(|&v| (g.degree(v), v));
-    order
-}
-
-/// Original per-candidate re-check: `O(n + m)` per attempted removal.
-fn prune_scalar<G: RandomAccessGraph>(
-    g: &G,
-    mut current: Vec<usize>,
-    order: &[usize],
-) -> Vec<usize> {
-    for &v in order {
-        if current.len() <= 1 {
-            break;
-        }
-        let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
-        if is_cds_fast(g, &candidate) {
-            current = candidate;
-        }
-    }
-    current
-}
-
-/// Incremental kernel: a removal of `v` from the valid CDS `S` keeps it
-/// a CDS iff
+/// The incremental scan of the sorted CDS `current`, candidates in
+/// ascending `(degree, id)` order: a removal of `v` from the valid CDS
+/// `S` keeps it a CDS iff
 ///
 /// 1. `cover[v] ≥ 1` — `v` itself stays dominated,
 /// 2. every non-member neighbor `u` of `v` has `cover[u] ≥ 2` — `u`
@@ -100,51 +51,42 @@ fn prune_scalar<G: RandomAccessGraph>(
 /// 3. `v` is not an articulation point of `G[S]` — connectivity holds
 ///    (member neighbors stay dominated by membership).
 ///
-/// These are exactly the conditions the scalar full re-scan tests, so
-/// scanning the same order yields the identical set.  `cover` is patched
-/// in `O(deg v)` per removal; condition 3, the only non-local one, is
-/// asked last and answered by [`CutVertices`].
-fn prune_bitset<G: RandomAccessGraph>(
-    g: &G,
-    current: &[usize],
-    order: &[usize],
-) -> (Vec<usize>, PruneStats) {
+/// These are exactly the conditions a full CDS re-check of `S − v`
+/// tests, so the scan keeps the same removals.  `cover` is patched in
+/// `O(deg v)` per removal; condition 3, the only non-local one, is asked
+/// last and answered by [`CutVertices`].
+fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize]) -> (Vec<usize>, PruneStats) {
     let n = g.num_nodes();
-    let rows = kernel::maybe_rows(g);
-    let rows = rows.as_ref();
+    let mut order = current.to_vec();
+    order.sort_by_key(|&v| (g.degree(v), v));
     let mut in_set = BitSet::from_nodes(n, current);
     let mut size = current.len();
     let mut cover = vec![0u32; n];
     for &v in current {
-        kernel::for_each_neighbor(g, rows, v, |u| cover[u] += 1);
+        g.successors(v).for_each(|u| cover[u] += 1);
     }
     let mut cuts = CutVertices::new(g, &in_set);
-    for &v in order {
+    for v in order {
         if size <= 1 {
             break;
         }
         if cover[v] == 0 || cuts.known_cut(v) {
             continue;
         }
-        let mut dominated = true;
-        kernel::for_each_neighbor(g, rows, v, |u| {
-            if dominated && !in_set.contains(u) && cover[u] < 2 {
-                dominated = false;
-            }
-        });
+        let dominated = g.successors(v).all(|u| in_set.contains(u) || cover[u] >= 2);
         if !dominated || cuts.is_cut(&in_set, v) {
             continue;
         }
         in_set.remove(v);
         size -= 1;
-        kernel::for_each_neighbor(g, rows, v, |u| cover[u] -= 1);
+        g.successors(v).for_each(|u| cover[u] -= 1);
         cuts.removed(&in_set, v, cover[v]);
-        debug_assert!(is_cds_fast(g, &in_set.to_nodes()));
+        debug_assert!(crate::check_cds(g, &in_set.to_nodes()).is_ok());
     }
     (in_set.to_nodes(), cuts.stats)
 }
 
-/// Work counters of one bitset prune scan, flushed once per call to the
+/// Work counters of one prune scan, flushed once per call to the
 /// `prune.*` counters of [`mcds_obs`].
 #[derive(Debug, Default)]
 struct PruneStats {
@@ -396,66 +338,6 @@ impl LocalSearch {
     }
 }
 
-/// CDS check without the diagnostic string machinery (hot path).
-///
-/// Early-exits on the first uncovered vertex; the number of scan steps
-/// taken is flushed to the `prune.scan_steps` counter so the
-/// short-circuit is observable.
-pub(crate) fn is_cds_fast<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
-    let (ok, steps) = is_cds_fast_counted(g, set);
-    mcds_obs::counter!("prune.scan_steps", steps);
-    ok
-}
-
-/// [`is_cds_fast`] returning the number of domination-scan steps it
-/// performed before deciding (for the short-circuit regression test).
-///
-/// Scalar semantics: one step per vertex inspected in id order, stopping
-/// at the first uncovered vertex.  Above the kernel threshold the
-/// domination side runs as a word-parallel coverage mask instead — OR
-/// the closed neighborhood of every member into a
-/// [`mcds_graph::bitgraph::BitSet`] (one step per member row), then find
-/// the first gap with [`BitSet::first_unset`].
-pub(crate) fn is_cds_fast_counted<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
-    if set.is_empty() {
-        return (g.num_nodes() == 0, 0);
-    }
-    match kernel::select(g.num_nodes()) {
-        Kernel::Scalar => is_cds_fast_scalar(g, set),
-        Kernel::Bitset => is_cds_fast_bitset(g, set),
-    }
-}
-
-fn is_cds_fast_scalar<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
-    let mask = node_mask(g.num_nodes(), set);
-    let mut steps = 0u64;
-    for v in 0..g.num_nodes() {
-        steps += 1;
-        if !mask[v] && !g.successors(v).any(|u| mask[u]) {
-            return (false, steps);
-        }
-    }
-    (subsets::is_connected_subset(g, &mask), steps)
-}
-
-fn is_cds_fast_bitset<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
-    let n = g.num_nodes();
-    // Row-OR coverage mask: members cover themselves and their rows.
-    let mut covered = BitSet::from_nodes(n, set);
-    let mut steps = 0u64;
-    for &v in set {
-        steps += 1;
-        for u in g.successors(v) {
-            covered.insert(u);
-        }
-    }
-    if covered.first_unset().is_some() {
-        return (false, steps);
-    }
-    let mask = node_mask(n, set);
-    (subsets::is_connected_subset(g, &mask), steps)
-}
-
 /// How many nodes pruning saved on `set` (convenience for experiments).
 ///
 /// # Errors
@@ -483,7 +365,7 @@ mod tests {
         for &v in &pruned {
             let smaller: Vec<usize> = pruned.iter().copied().filter(|&u| u != v).collect();
             assert!(
-                !is_cds_fast(&g, &smaller) || smaller.is_empty() && g.num_nodes() == 0,
+                crate::check_cds(&g, &smaller).is_err(),
                 "node {v} still redundant"
             );
         }
@@ -529,11 +411,6 @@ mod tests {
             let pruned = prune_cds(&g, cds.nodes()).unwrap();
             assert!(crate::check_cds(&g, &pruned).is_ok());
         }
-    }
-
-    /// The bitset scan of `set` with its per-call work counters.
-    fn bitset_scan(g: &Graph, set: &[usize]) -> (Vec<usize>, PruneStats) {
-        prune_bitset(g, set, &scan_order(g, set))
     }
 
     /// Seeded giant-component UDGs, around average degree 10.
@@ -602,8 +479,7 @@ mod tests {
         // side; that work outgrows one pass and triggers the second.
         let g = Graph::cycle(64);
         let all: Vec<usize> = (0..64).collect();
-        let (kept, stats) = bitset_scan(&g, &all);
-        assert_eq!(kept, prune_scalar(&g, all.clone(), &scan_order(&g, &all)));
+        let (_, stats) = prune_bitset(&g, &all);
         assert_eq!(stats.global_passes, 2);
         assert!(stats.certified_cut > 0, "{stats:?}");
         // One pass over the 62 members left visits 3 successors each.
@@ -615,7 +491,7 @@ mod tests {
         // K8 from V: the first removal is answered by the up-front pass,
         // the next six by a search whose sources all meet at once.
         let g = Graph::complete(8);
-        let (kept, stats) = bitset_scan(&g, &(0..8).collect::<Vec<_>>());
+        let (kept, stats) = prune_bitset(&g, &(0..8).collect::<Vec<_>>());
         assert_eq!(kept, vec![7]);
         assert_eq!(stats.global_passes, 1);
         assert_eq!(stats.certified_noncut, 6);
@@ -647,59 +523,11 @@ mod tests {
             let n = g.num_nodes();
             let greedy = greedy_cds(g).unwrap().nodes().to_vec();
             for set in [(0..n).collect::<Vec<_>>(), greedy] {
-                let (kept, stats) = bitset_scan(g, &set);
+                let (kept, stats) = prune_bitset(g, &set);
                 let removed = (set.len() - kept.len()) as u64;
                 assert!(stats.global_passes <= 1 + removed, "n {n}: {stats:?}");
-                assert_eq!(kept, prune_scalar(g, set.clone(), &scan_order(g, &set)));
             }
         }
-    }
-
-    #[test]
-    fn kernels_agree_on_structured_graphs() {
-        for (g, set) in [
-            (Graph::path(10), (0..10).collect::<Vec<_>>()),
-            (Graph::complete(8), (0..8).collect()),
-            (Graph::cycle(12), (0..12).collect()),
-            (
-                Graph::from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]),
-                (0..7).collect(),
-            ),
-        ] {
-            let a = prune_cds_with(&g, &set, Kernel::Scalar).unwrap();
-            let b = prune_cds_with(&g, &set, Kernel::Bitset).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn domination_scan_short_circuits() {
-        // Set {98, 99} on P100: vertex 0 is uncovered, so the scalar scan
-        // must stop after inspecting it — one step, not one hundred.
-        let g = Graph::path(100);
-        let (ok, steps) = is_cds_fast_scalar(&g, &[98, 99]);
-        assert!(!ok);
-        assert_eq!(steps, 1, "scan did not short-circuit");
-        // A valid CDS scans everything exactly once.
-        let interior: Vec<usize> = (1..99).collect();
-        let (ok, steps) = is_cds_fast_scalar(&g, &interior);
-        assert!(ok);
-        assert_eq!(steps, 100);
-        // The bitset coverage mask agrees on both verdicts.
-        assert!(!is_cds_fast_bitset(&g, &[98, 99]).0);
-        assert!(is_cds_fast_bitset(&g, &interior).0);
-    }
-
-    #[test]
-    fn scan_steps_reach_the_obs_counter() {
-        mcds_obs::enable();
-        let g = Graph::path(50);
-        let before = mcds_obs::counter_value("prune.scan_steps");
-        let _ = is_cds_fast(&g, &[48, 49]);
-        let after = mcds_obs::counter_value("prune.scan_steps");
-        // Other parallel tests may bump the counter too; the short-circuit
-        // contract is that this call added at least its own single step.
-        assert!(after > before, "counter did not move: {before} -> {after}");
     }
 
     #[test]
@@ -714,9 +542,9 @@ mod tests {
             "prune.search_visits",
         ];
         let before = names.map(mcds_obs::counter_value);
-        prune_cds_with(&g, &all, Kernel::Bitset).unwrap();
+        prune_cds(&g, &all).unwrap();
         let after = names.map(mcds_obs::counter_value);
-        let (_, stats) = bitset_scan(&g, &all);
+        let (_, stats) = prune_bitset(&g, &all);
         let own = [
             stats.global_passes,
             stats.certified_noncut,

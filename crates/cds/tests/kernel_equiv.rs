@@ -1,61 +1,175 @@
-//! Differential kernel suite: the scalar and bitset hot-path kernels
-//! must be *byte-identical* — same `Solution`s, same connector
-//! sequences, same gain traces, same pruned sets, same errors — on every
-//! oracle-scale instance and on 200+ seeded UDG deployments.
+//! Differential kernel suite: the production phase-2 and prune kernels
+//! must be *byte-identical* to reference oracles — same `Solution`s,
+//! same connector sequences, same gain traces, same pruned sets, same
+//! errors — on every oracle-scale instance and on 200+ seeded UDG
+//! deployments.
 //!
-//! The bitset kernels (`mcds_cds::kernel`) are pure accelerators: a lazy
-//! bucket queue for the phase-2 argmax and incremental cover counts +
-//! local cut-vertex certificates for the prune scan.  The prune scan is
-//! also diffed against [`prune_global_pass`], a reference that reruns
-//! the masked Tarjan pass after every accepted removal, on every case
-//! here and on hostile families built to make its certificates and
-//! refreshes fire.  Anything short of bit-equality here is a bug, not a
-//! tolerance.
+//! The oracles are the original scalar loops, kept here as they ran in
+//! production: [`merge_scalar`] rescans every candidate per max-gain
+//! selection and [`prune_scalar`] re-checks the whole set per removal
+//! candidate.  The production kernels are pure accelerators of them: a
+//! lazy bucket queue for the phase-2 argmax, and incremental cover
+//! counts + local cut-vertex certificates for the prune scan.  The prune
+//! scan is also diffed against [`prune_global_pass`], which reruns the
+//! masked Tarjan pass after every accepted removal, on every case here
+//! and on hostile families built to make its certificates and refreshes
+//! fire.  Anything short of bit-equality here is a bug, not a tolerance.
 
-use std::sync::Mutex;
-
-use mcds_cds::connect::{gain_trace, max_gain_connectors_with, max_gain_then_paths_with};
-use mcds_cds::kernel::{self, Kernel};
-use mcds_cds::prune::prune_cds_with;
-use mcds_cds::{Algorithm, CdsError, Solver};
+use mcds_cds::connect::{gain_trace, max_gain_connectors, max_gain_then_paths, path_connectors};
+use mcds_cds::prune::prune_cds;
+use mcds_cds::{Algorithm, Cds, CdsError, Solution, Solver};
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds_graph::traversal::largest_component;
-use mcds_graph::{Graph, RandomAccessGraph};
+use mcds_graph::{node_mask, properties, subsets, Graph, RandomAccessGraph};
 use mcds_mis::BfsMis;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::{gen, Udg};
 
-/// Serializes tests that flip the process-global kernel override.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII: forces a kernel, restores auto selection on drop (even if the
-/// assertion in between panics, so later tests aren't poisoned).
-struct Forced;
-
-impl Forced {
-    fn new(k: Kernel) -> Forced {
-        kernel::set_override(Some(k));
-        Forced
-    }
+/// Outcome of the oracle merge loop: the selections made and the number
+/// of components left (1 unless the seed stalled).
+struct MergeRun {
+    connectors: Vec<usize>,
+    remaining: usize,
 }
 
-impl Drop for Forced {
-    fn drop(&mut self) {
-        kernel::set_override(None);
-    }
+fn stall_error(q: usize) -> CdsError {
+    CdsError::Stalled(format!(
+        "{q} components remain but no node touches two of them \
+         (seed lacks the 2-hop separation property)"
+    ))
 }
 
-/// Reference prune: the bitset kernel's cover counts and `(degree, id)`
-/// order, with the cut vertices recomputed by a masked Tarjan pass over
-/// all of `G[S]` after every accepted removal.
+/// Oracle phase 2: one full candidate scan per selection.
+fn merge_scalar<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+    allow_stall: bool,
+) -> Result<MergeRun, CdsError> {
+    let mut mask = node_mask(g.num_nodes(), seed);
+    let mut dsu = subsets::components_dsu(g, &mask);
+    let mut q = subsets::count_components(g, &mask);
+    let mut connectors = Vec::new();
+
+    while q > 1 {
+        // Find the node with the largest number of distinct adjacent
+        // components (gain = that count − 1), ties toward smaller id.
+        let mut best: Option<(usize, usize)> = None; // (count, node)
+        for w in 0..g.num_nodes() {
+            if mask[w] {
+                continue;
+            }
+            let adj = subsets::adjacent_components(g, &mask, &mut dsu, w);
+            if adj.len() >= 2 {
+                match best {
+                    Some((c, _)) if c >= adj.len() => {}
+                    _ => best = Some((adj.len(), w)),
+                }
+            }
+        }
+        let Some((count, w)) = best else {
+            if allow_stall {
+                return Ok(MergeRun {
+                    connectors,
+                    remaining: q,
+                });
+            }
+            return Err(stall_error(q));
+        };
+        mask[w] = true;
+        for u in g.successors(w) {
+            if mask[u] {
+                dsu.union(w, u);
+            }
+        }
+        q = q + 1 - count; // w joins `count` components and itself
+        connectors.push(w);
+        debug_assert_eq!(q, subsets::count_components(g, &mask));
+    }
+    Ok(MergeRun {
+        connectors,
+        remaining: q,
+    })
+}
+
+/// The graph errors both phase-2 entry points return before merging.
+fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+    if g.num_nodes() == 0 {
+        return Err(CdsError::EmptyGraph);
+    }
+    if !g.is_connected() {
+        return Err(CdsError::DisconnectedGraph);
+    }
+    Ok(())
+}
+
+/// Oracle for [`max_gain_connectors`].
+fn oracle_max_gain_connectors<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
+    check_graph(g)?;
+    Ok(merge_scalar(g, seed, false)?.connectors)
+}
+
+/// Oracle for [`max_gain_then_paths`].
+fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
+    check_graph(g)?;
+    let mut run = merge_scalar(g, seed, true)?;
+    if run.remaining > 1 {
+        let mut grown: Vec<usize> = seed.to_vec();
+        grown.extend(run.connectors.iter().copied());
+        run.connectors.extend(path_connectors(g, &grown)?);
+    }
+    Ok(run.connectors)
+}
+
+/// The candidate order every prune scans: ascending `(degree, id)`.
+fn scan_order<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
+    let mut order = set.to_vec();
+    order.sort_by_key(|&v| (g.degree(v), v));
+    order
+}
+
+/// Oracle prune scan: a full CDS re-check per candidate, `O(n + m)` per
+/// attempted removal.
+fn prune_scalar<G: RandomAccessGraph>(
+    g: &G,
+    mut current: Vec<usize>,
+    order: &[usize],
+) -> Vec<usize> {
+    for &v in order {
+        if current.len() <= 1 {
+            break;
+        }
+        let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
+        if properties::is_connected_dominating_set(g, &candidate) {
+            current = candidate;
+        }
+    }
+    current
+}
+
+/// Oracle for [`prune_cds`].
+fn oracle_prune<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+    mcds_cds::check_cds(g, set)?;
+    let current = mcds_graph::node_set(set.iter().copied());
+    let order = scan_order(g, &current);
+    Ok(prune_scalar(g, current, &order))
+}
+
+/// Reference prune: the production scan's cover counts and order, with
+/// the cut vertices recomputed by a masked Tarjan pass over all of
+/// `G[S]` after every accepted removal.
 fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     mcds_cds::check_cds(g, set)?;
     let current = mcds_graph::node_set(set.iter().copied());
-    let mut order = current.clone();
-    order.sort_by_key(|&v| (g.degree(v), v));
+    let order = scan_order(g, &current);
     let n = g.num_nodes();
     let mut in_set = BitSet::from_nodes(n, &current);
     let mut size = current.len();
@@ -84,32 +198,36 @@ fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<u
     Ok(in_set.to_nodes())
 }
 
-/// The bitset prune of `set` must match the reference removal for
-/// removal, and the scalar kernel too when `with_scalar` (it re-checks
-/// the whole graph per candidate, too slow for the largest cases).
+/// The production prune of `set` must match the global-pass reference
+/// removal for removal, and the scalar oracle too when `with_scalar` (it
+/// re-checks the whole graph per candidate, too slow for the largest
+/// cases).
 fn assert_prune_agrees(g: &Graph, set: &[usize], with_scalar: bool, label: &str) {
-    let bitset = prune_cds_with(g, set, Kernel::Bitset);
+    let production = prune_cds(g, set);
     assert_eq!(
-        bitset,
+        production,
         prune_global_pass(g, set),
         "{label}: prune diverged from the global-pass reference"
     );
     if with_scalar {
-        let scalar = prune_cds_with(g, set, Kernel::Scalar);
-        assert_eq!(scalar, bitset, "{label}: prune kernels diverged");
+        assert_eq!(
+            production,
+            oracle_prune(g, set),
+            "{label}: prune diverged from the scalar oracle"
+        );
     }
 }
 
-/// Runs both phase-2 routines and the prune post-pass on `g` through both
-/// kernels with explicit dispatch and asserts identical results.
+/// Runs both phase-2 routines and the prune post-pass on `g` through the
+/// production kernels and the oracles and asserts identical results.
 fn assert_kernels_agree(g: &Graph, label: &str) {
     if g.num_nodes() < 2 {
         return;
     }
     // Phase 2 from the paper's BFS-first-fit MIS seed.
     let mis = BfsMis::compute(g, 0).mis().to_vec();
-    let a = max_gain_connectors_with(g, &mis, Kernel::Scalar);
-    let b = max_gain_connectors_with(g, &mis, Kernel::Bitset);
+    let a = max_gain_connectors(g, &mis);
+    let b = oracle_max_gain_connectors(g, &mis);
     assert_eq!(a, b, "{label}: max_gain_connectors diverged");
     if let Ok(conn) = &a {
         assert_eq!(
@@ -121,8 +239,8 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
     // The stall-tolerant variant from a weaker seed (set-cover
     // dominators can sit 3 hops apart and force the path fallback).
     let weak = mcds_cds::chvatal_dominating_set(g);
-    let a = max_gain_then_paths_with(g, &weak, Kernel::Scalar);
-    let b = max_gain_then_paths_with(g, &weak, Kernel::Bitset);
+    let a = max_gain_then_paths(g, &weak);
+    let b = oracle_max_gain_then_paths(g, &weak);
     assert_eq!(a, b, "{label}: max_gain_then_paths diverged");
     // Prune from a lean input (the greedy CDS) and from the fattest
     // possible input (every vertex, if V is connected-dominating).
@@ -130,6 +248,58 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
     assert_prune_agrees(g, cds.nodes(), true, &format!("{label} greedy CDS"));
     let all: Vec<usize> = (0..g.num_nodes()).collect();
     assert_prune_agrees(g, &all, true, &format!("{label} V"));
+}
+
+/// What `Solver::new(alg).prune(true).verify(true).solve(g)` returns,
+/// rebuilt from `unpruned` (the same solve without prune) through the
+/// oracles: its phase-1 dominators, oracle connectors for the two
+/// max-gain algorithms (the other phase-2 rules share no kernel), and
+/// the oracle prune.  Returns the CDS and `pruned_from`.
+fn oracle_solution(g: &Graph, unpruned: &Solution) -> (Cds, Option<usize>) {
+    let dominators = unpruned.cds().dominators().to_vec();
+    let connectors = match unpruned.algorithm() {
+        Algorithm::GreedyConnect => oracle_max_gain_connectors(g, &dominators),
+        Algorithm::ArbitraryMis => oracle_max_gain_then_paths(g, &dominators),
+        _ => Ok(unpruned.cds().connectors().to_vec()),
+    }
+    .expect("oracle phase 2 connects a connected graph");
+    let cds = Cds::new(dominators, connectors);
+    let kept = oracle_prune(g, cds.nodes()).expect("phase 2 yields a CDS");
+    if kept.len() == cds.len() {
+        return (cds, None);
+    }
+    let keep = |v: &&usize| kept.binary_search(v).is_ok();
+    let pruned = Cds::new(
+        cds.dominators().iter().filter(keep).copied().collect(),
+        cds.connectors().iter().filter(keep).copied().collect(),
+    );
+    (pruned, Some(cds.len()))
+}
+
+/// Solves `g` with `alg` (prune and verify on) and asserts the
+/// `Solution` — CDS nodes, phase roles, `pruned_from`, algorithm — is
+/// the oracles' and the pruned set the global-pass reference's.
+fn assert_solution_agrees(g: &Graph, alg: Algorithm, label: &str) {
+    let production = Solver::new(alg)
+        .prune(true)
+        .verify(true)
+        .solve(g)
+        .expect("connected instance solves");
+    let unpruned = Solver::new(alg)
+        .solve(g)
+        .expect("connected instance solves");
+    let (cds, pruned_from) = oracle_solution(g, &unpruned);
+    assert_eq!(production.algorithm(), alg);
+    assert_eq!(
+        (production.cds(), production.pruned_from()),
+        (&cds, pruned_from),
+        "{label} {alg:?}: solution diverged from the oracles"
+    );
+    assert_eq!(
+        Ok(production.nodes().to_vec()),
+        prune_global_pass(g, unpruned.nodes()),
+        "{label} {alg:?}: prune diverged from the global-pass reference"
+    );
 }
 
 /// The giant-component UDG of a seeded deployment, or `None` if it is
@@ -141,7 +311,7 @@ fn giant_graph(points: Vec<mcds_geom::Point>) -> Option<Udg> {
 }
 
 /// Every `mcds-check` oracle case (the ≤18-node instances the exact
-/// differential suite uses) agrees across kernels on connectors, gain
+/// differential suite uses) agrees with the oracles on connectors, gain
 /// traces, stall behavior, and pruning.
 #[test]
 fn oracle_cases_agree_across_kernels() {
@@ -160,12 +330,10 @@ fn oracle_cases_agree_across_kernels() {
 }
 
 /// 200+ seeded uniform/clustered/corridor deployments at realistic sizes
-/// run through the full `Solver` (all five constructions, prune on)
-/// under each forced kernel; the `Solution` values — CDS nodes, phase
-/// roles, pruned_from, algorithm — must be byte-identical.
+/// run through the full `Solver` (all five constructions, prune on); the
+/// `Solution` values must be the oracles'.
 #[test]
 fn solver_solutions_identical_on_200_udg_instances() {
-    let guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut checked = 0usize;
     for family in ["uniform", "clustered", "corridor"] {
         for seed in 0..70u64 {
@@ -184,100 +352,115 @@ fn solver_solutions_identical_on_200_udg_instances() {
             let Some(sub) = giant_graph(points) else {
                 continue;
             };
-            let g = sub.graph();
             checked += 1;
             for alg in Algorithm::ALL {
-                let scalar = {
-                    let _f = Forced::new(Kernel::Scalar);
-                    Solver::new(alg).prune(true).verify(true).solve(g)
-                };
-                let bitset = {
-                    let _f = Forced::new(Kernel::Bitset);
-                    Solver::new(alg).prune(true).verify(true).solve(g)
-                };
-                assert_eq!(
-                    scalar, bitset,
-                    "{family} seed {seed} n {n} {alg:?}: solutions diverged"
-                );
-                if let Ok(unpruned) = Solver::new(alg).solve(g) {
-                    assert_eq!(
-                        bitset.map(|s| s.nodes().to_vec()),
-                        prune_global_pass(g, unpruned.nodes()),
-                        "{family} seed {seed} n {n} {alg:?}: prune diverged from the reference"
-                    );
-                }
+                assert_solution_agrees(sub.graph(), alg, &format!("{family} seed {seed} n {n}"));
             }
         }
     }
     assert!(checked >= 200, "only {checked} usable instances");
-    drop(guard);
 }
 
-/// The stall diagnostic is part of the contract: a seed without the
-/// 2-hop separation property must produce the identical `Stalled` error
-/// from both kernels, and the path fallback must pick identical nodes.
+/// The four instances `mcds-cli gen` builds for the verify.sh `kernel`
+/// stage's former cross-process diff, built in process the same way:
+/// uniform n = 200 and 1500, a 1500-node chain and a 1500-node perturbed
+/// grid.  The last two have backbones that are chains of cut vertices,
+/// where the prune's leaf rule and pass refreshes fire.
 #[test]
-fn stall_and_error_cases_agree() {
-    let g = Graph::path(7);
-    let a = max_gain_connectors_with(&g, &[0, 6], Kernel::Scalar).unwrap_err();
-    let b = max_gain_connectors_with(&g, &[0, 6], Kernel::Bitset).unwrap_err();
-    assert!(matches!(a, CdsError::Stalled(_)));
-    assert_eq!(a, b);
-    let a = max_gain_then_paths_with(&g, &[0, 6], Kernel::Scalar).unwrap();
-    let b = max_gain_then_paths_with(&g, &[0, 6], Kernel::Bitset).unwrap();
-    assert_eq!(a, b);
-    // Three-hop arbitrary MIS: merge partially, then path out.
-    let g = Graph::path(6);
-    let a = max_gain_then_paths_with(&g, &[0, 3, 5], Kernel::Scalar).unwrap();
-    let b = max_gain_then_paths_with(&g, &[0, 3, 5], Kernel::Bitset).unwrap();
-    assert_eq!(a, b);
-}
-
-/// Hostile structured topologies: hubs, cliques, cycles, and word-
-/// boundary sizes (63/64/65 nodes) where a bitset padding bug would bite.
-#[test]
-fn structured_graphs_agree_across_kernels() {
-    let star = Graph::from_edges(65, (1..65).map(|v| (0, v)).collect::<Vec<_>>());
-    for (g, label) in [
-        (Graph::path(63), "path63"),
-        (Graph::path(64), "path64"),
-        (Graph::path(65), "path65"),
-        (Graph::cycle(64), "cycle64"),
-        (Graph::complete(20), "k20"),
-        (star, "star65"),
+fn cli_gen_instances_agree_across_kernels() {
+    let mut cases: Vec<(Udg, &str)> = Vec::new();
+    for (n, side, seed, label) in [
+        (200, 7.9, 31, "uniform200"),
+        (1500, 21.7, 32, "uniform1500"),
     ] {
-        assert_kernels_agree(&g, label);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let udg = gen::connected_uniform(&mut rng, n, side, 100).expect("connected instance");
+        cases.push((udg, label));
+    }
+    cases.push((Udg::build(gen::linear_chain(1500, 1.0)), "chain1500"));
+    let cols = (1500f64).sqrt().ceil() as usize;
+    let rows = 1500usize.div_ceil(cols);
+    let mut rng = StdRng::seed_from_u64(1);
+    let grid = gen::perturbed_grid(&mut rng, rows, cols, 0.8, 0.1);
+    cases.push((Udg::build(grid), "grid1500"));
+    for (udg, label) in &cases {
+        for alg in Algorithm::ALL {
+            assert_solution_agrees(udg.graph(), alg, label);
+        }
     }
 }
 
-/// The threshold-zero route: with the override pinned to bitset, the
-/// public (auto-selecting) entry points run the bitset kernels even far
-/// below the size threshold and still match forced-scalar output.
+/// The at-scale identity E25 used to assert: E19's recipe (giant
+/// component of a uniform deployment at average degree ≈ 10, seed
+/// 20080617) at n = 5 000 and 10 000, `GreedyConnect` with prune.  The
+/// scalar oracle takes seconds here even in release builds.
 #[test]
-fn forced_override_matches_scalar_on_public_entry_points() {
-    let guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let g = Graph::cycle(30);
-    let mis = BfsMis::compute(&g, 0).mis().to_vec();
-    let scalar_conn = {
-        let _f = Forced::new(Kernel::Scalar);
-        mcds_cds::connect::max_gain_connectors(&g, &mis).unwrap()
-    };
-    let bitset_conn = {
-        let _f = Forced::new(Kernel::Bitset);
-        mcds_cds::connect::max_gain_connectors(&g, &mis).unwrap()
-    };
-    assert_eq!(scalar_conn, bitset_conn);
-    let all: Vec<usize> = (0..30).collect();
-    let scalar_prune = {
-        let _f = Forced::new(Kernel::Scalar);
-        mcds_cds::prune::prune_cds(&g, &all).unwrap()
-    };
-    let bitset_prune = {
-        let _f = Forced::new(Kernel::Bitset);
-        mcds_cds::prune::prune_cds(&g, &all).unwrap()
-    };
-    assert_eq!(scalar_prune, bitset_prune);
-    drop(guard);
+#[ignore = "release-scale scalar oracle; run with --include-ignored"]
+fn e19_ladder_agrees_across_kernels_at_scale() {
+    for n in [5_000usize, 10_000] {
+        let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+        let mut rng = StdRng::seed_from_u64(20_080_617 ^ n as u64);
+        let udg = gen::giant_component_instance(&mut rng, n, side);
+        assert_solution_agrees(udg.graph(), Algorithm::GreedyConnect, &format!("E19 n {n}"));
+    }
+}
+
+/// The stall diagnostic is part of the contract: a seed without the
+/// 2-hop separation property must produce the oracle's `Stalled` error,
+/// and the path fallback must pick the oracle's nodes.
+#[test]
+fn stall_and_error_cases_agree() {
+    let g = Graph::path(7);
+    let a = max_gain_connectors(&g, &[0, 6]).unwrap_err();
+    let b = oracle_max_gain_connectors(&g, &[0, 6]).unwrap_err();
+    assert!(matches!(a, CdsError::Stalled(_)));
+    assert_eq!(a, b);
+    let a = max_gain_then_paths(&g, &[0, 6]).unwrap();
+    let b = oracle_max_gain_then_paths(&g, &[0, 6]).unwrap();
+    assert_eq!(a, b);
+    // Three-hop arbitrary MIS: merge partially, then path out.
+    let g = Graph::path(6);
+    let a = max_gain_then_paths(&g, &[0, 3, 5]).unwrap();
+    let b = oracle_max_gain_then_paths(&g, &[0, 3, 5]).unwrap();
+    assert_eq!(a, b);
+    // An empty seed has no components to connect.
+    assert_eq!(max_gain_connectors(&g, &[]), Ok(Vec::new()));
+    assert_eq!(oracle_max_gain_connectors(&g, &[]), Ok(Vec::new()));
+}
+
+/// Hostile structured topologies: hubs, cliques, paths, cycles, and
+/// word-boundary sizes (63/64/65 nodes) where a bitset padding bug
+/// would bite; plus the 12 seeded UDGs of 60–280 nodes the prune unit
+/// tests use.
+#[test]
+fn structured_graphs_agree_across_kernels() {
+    let star = |n: usize| Graph::from_edges(n, (1..n).map(|v| (0, v)).collect::<Vec<_>>());
+    let mut cases = vec![
+        (Graph::path(9), "path9".to_string()),
+        (Graph::path(10), "path10".into()),
+        (Graph::path(40), "path40".into()),
+        (Graph::path(63), "path63".into()),
+        (Graph::path(64), "path64".into()),
+        (Graph::path(65), "path65".into()),
+        (Graph::cycle(12), "cycle12".into()),
+        (Graph::cycle(30), "cycle30".into()),
+        (Graph::cycle(64), "cycle64".into()),
+        (Graph::complete(8), "k8".into()),
+        (Graph::complete(12), "k12".into()),
+        (Graph::complete(20), "k20".into()),
+        (star(7), "star7".into()),
+        (star(65), "star65".into()),
+    ];
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 60 + 20 * seed as usize;
+        let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+        let udg = gen::giant_component_instance(&mut rng, n, side);
+        cases.push((udg.graph().clone(), format!("udg seed {seed} n {n}")));
+    }
+    for (g, label) in &cases {
+        assert_kernels_agree(g, label);
+    }
 }
 
 /// A spine path of `spine` nodes, each carrying a dangling path (tooth)
@@ -310,11 +493,11 @@ fn clusters_on_a_chain(k: usize, chain: usize) -> Graph {
     Graph::from_edges(n, edges)
 }
 
-/// Topologies built to make the bitset prune's local certificates and
-/// refreshes fire — long paths and cycles pruned from `V`, combs with
-/// long dangling teeth, clusters joined by a chain, thin corridors —
-/// must prune exactly as the global-pass reference does, above the
-/// scalar threshold and (for the row-free tier) above the packed-row one.
+/// Topologies built to make the prune's local certificates and refreshes
+/// fire — long paths and cycles pruned from `V`, combs with long
+/// dangling teeth, clusters joined by a chain, thin corridors — must
+/// prune exactly as the global-pass reference does, and as the scalar
+/// oracle on the cases of at most 2 000 nodes.
 #[test]
 fn hostile_families_match_the_global_pass_reference() {
     let mut cases: Vec<(Graph, String)> = Vec::new();

@@ -1,19 +1,15 @@
-//! Word-parallel bitset kernels — packed `u64` node sets and adjacency
-//! rows for the hot inner loops of phase 2 and the prune post-pass.
+//! Word-parallel bitset kernels — packed `u64` node sets for the hot
+//! inner loops of phase 2 and the prune post-pass.
 //!
 //! The paper's greedy connector phase and the pruning post-pass both
 //! reduce to repeated set queries over node subsets: "which neighbors of
-//! `w` are in the current set?", "is every vertex covered?", "does
-//! removing `v` disconnect `G[S]`?".  This module provides the packed
-//! representations those queries vectorize over:
+//! `w` are in the current set?", "does removing `v` disconnect `G[S]`?".
+//! This module provides the packed representations those queries run
+//! over:
 //!
 //! * [`BitSet`] — a fixed-capacity node set, one bit per node, with
-//!   word-parallel union ([`BitSet::or_assign`]), intersection popcount
-//!   ([`BitSet::and_count`]) and first-gap search
-//!   ([`BitSet::first_unset`]),
-//! * [`BitRows`] — packed adjacency rows (`n × ⌈n/64⌉` words) built once
-//!   from any [`RandomAccessGraph`] backend, so a neighborhood is a word
-//!   slice that ORs/ANDs against a [`BitSet`] without pointer chasing,
+//!   word-parallel union ([`BitSet::or_assign`]) and intersection
+//!   popcount ([`BitSet::and_count`]),
 //! * [`masked_articulation_points`] — iterative Tarjan restricted to a
 //!   [`BitSet`] mask with reusable scratch, the connectivity side of the
 //!   incremental prune kernel (no induced subgraph is materialized).
@@ -143,20 +139,6 @@ impl BitSet {
             .sum()
     }
 
-    /// Smallest id `< capacity` that is *not* in the set, scanning a word
-    /// (64 candidates) at a time — the early-exit "first uncovered
-    /// vertex" query of the domination check.
-    pub fn first_unset(&self) -> Option<usize> {
-        for (k, &w) in self.words.iter().enumerate() {
-            if w != u64::MAX {
-                let i = k * WORD_BITS + (!w).trailing_zeros() as usize;
-                // The gap may be in the zero padding past `nbits`.
-                return (i < self.nbits).then_some(i);
-            }
-        }
-        None
-    }
-
     /// Iterates set bits in ascending order.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -201,141 +183,6 @@ impl Iterator for Ones<'_> {
             }
             self.current = self.words[self.word_idx];
         }
-    }
-}
-
-/// Decodes the set bits of a word slice in ascending order.
-fn for_each_word_one<F: FnMut(usize)>(words: &[u64], mut f: F) {
-    for (k, &w) in words.iter().enumerate() {
-        let mut w = w;
-        while w != 0 {
-            let tz = w.trailing_zeros() as usize;
-            w &= w - 1;
-            f(k * WORD_BITS + tz);
-        }
-    }
-}
-
-/// Packed `u64` adjacency rows: row `v` is the neighborhood `N(v)` as a
-/// `⌈n/64⌉`-word bit vector.
-///
-/// Built once from any [`RandomAccessGraph`] backend; neighborhood
-/// queries against a [`BitSet`] then run word-parallel.  Storage is
-/// `n · ⌈n/64⌉ · 8` bytes (see [`BitRows::bytes_for`]), so rows are only
-/// materialized below a size threshold — the kernel layers above pick
-/// row-free variants of the same algorithms past it.
-///
-/// ```
-/// use mcds_graph::{bitgraph::BitRows, Graph};
-/// let g = Graph::path(5);
-/// let rows = BitRows::build(&g);
-/// assert_eq!(rows.edges(), vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BitRows {
-    n: usize,
-    wpr: usize,
-    words: Vec<u64>,
-}
-
-impl BitRows {
-    /// Packs every adjacency row of `g`.
-    pub fn build<G: RandomAccessGraph>(g: &G) -> Self {
-        let n = g.num_nodes();
-        let wpr = n.div_ceil(WORD_BITS);
-        let mut words = vec![0u64; n * wpr];
-        for v in 0..n {
-            let base = v * wpr;
-            for u in g.successors(v) {
-                words[base + u / WORD_BITS] |= 1 << (u % WORD_BITS);
-            }
-        }
-        BitRows { n, wpr, words }
-    }
-
-    /// Number of nodes (rows).
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Words per row (`⌈n/64⌉`).
-    pub fn words_per_row(&self) -> usize {
-        self.wpr
-    }
-
-    /// Storage cost of packed rows for an `n`-node graph, in bytes.
-    pub fn bytes_for(n: usize) -> usize {
-        n * n.div_ceil(WORD_BITS) * std::mem::size_of::<u64>()
-    }
-
-    /// The packed row `N(v)`.
-    pub fn row(&self, v: usize) -> &[u64] {
-        &self.words[v * self.wpr..(v + 1) * self.wpr]
-    }
-
-    /// Word-parallel row OR: `out |= N(v)` — one step of building a
-    /// coverage mask from closed neighborhoods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` was not sized for this graph.
-    pub fn or_row_into(&self, v: usize, out: &mut BitSet) {
-        assert_eq!(out.nbits, self.n, "bitset capacity mismatch");
-        for (a, b) in out.words.iter_mut().zip(self.row(v)) {
-            *a |= b;
-        }
-    }
-
-    /// Word-parallel masked degree: `|N(v) ∩ mask|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` was not sized for this graph.
-    pub fn row_and_count(&self, v: usize, mask: &BitSet) -> usize {
-        assert_eq!(mask.nbits, self.n, "bitset capacity mismatch");
-        self.row(v)
-            .iter()
-            .zip(&mask.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Visits the neighbors of `v` in ascending order (the same order a
-    /// backend's sorted successor iterator yields).
-    pub fn for_each_one<F: FnMut(usize)>(&self, v: usize, f: F) {
-        for_each_word_one(self.row(v), f);
-    }
-
-    /// Visits `N(v) ∩ mask` in ascending order via a word-parallel AND.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` was not sized for this graph.
-    pub fn for_each_and<F: FnMut(usize)>(&self, v: usize, mask: &BitSet, mut f: F) {
-        assert_eq!(mask.nbits, self.n, "bitset capacity mismatch");
-        for (k, (a, b)) in self.row(v).iter().zip(&mask.words).enumerate() {
-            let mut w = a & b;
-            while w != 0 {
-                let tz = w.trailing_zeros() as usize;
-                w &= w - 1;
-                f(k * WORD_BITS + tz);
-            }
-        }
-    }
-
-    /// Decodes the rows back to a sorted `(u, v)` edge list with `u < v`
-    /// — the round-trip counterpart of [`BitRows::build`], used by the
-    /// equivalence tests.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for v in 0..self.n {
-            for_each_word_one(self.row(v), |u| {
-                if v < u {
-                    out.push((v, u));
-                }
-            });
-        }
-        out
     }
 }
 
@@ -462,19 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn first_unset_respects_padding() {
-        // All 65 bits set: the only gaps are padding, which must not leak.
-        let all: Vec<usize> = (0..65).collect();
-        let s = BitSet::from_nodes(65, &all);
-        assert_eq!(s.first_unset(), None);
-        let mut s = s;
-        s.remove(64);
-        assert_eq!(s.first_unset(), Some(64));
-        s.remove(0);
-        assert_eq!(s.first_unset(), Some(0));
-    }
-
-    #[test]
     fn word_parallel_ops_match_naive() {
         let a = BitSet::from_nodes(130, &[0, 1, 63, 64, 65, 128]);
         let b = BitSet::from_nodes(130, &[1, 64, 127, 129]);
@@ -483,21 +317,6 @@ mod tests {
         u.or_assign(&b);
         assert_eq!(u.to_nodes(), vec![0, 1, 63, 64, 65, 127, 128, 129]);
         assert_eq!(u.count_ones(), 8);
-    }
-
-    #[test]
-    fn rows_roundtrip_and_masked_queries() {
-        let g = Graph::from_edges(70, [(0, 69), (0, 1), (63, 64), (2, 65)]);
-        let rows = BitRows::build(&g);
-        assert_eq!(rows.edges(), vec![(0, 1), (0, 69), (2, 65), (63, 64)]);
-        let mask = BitSet::from_nodes(70, &[1, 64, 69]);
-        assert_eq!(rows.row_and_count(0, &mask), 2);
-        let mut seen = Vec::new();
-        rows.for_each_and(0, &mask, |u| seen.push(u));
-        assert_eq!(seen, vec![1, 69]);
-        let mut cov = BitSet::new(70);
-        rows.or_row_into(63, &mut cov);
-        assert_eq!(cov.to_nodes(), vec![64]);
     }
 
     #[test]

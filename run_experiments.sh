@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every experiment artifact of the reproduction (E1-E25),
+# Regenerates every experiment artifact of the reproduction (E1-E24),
 # then appends the run to the perf-trajectory ledger.
 # Usage: ./run_experiments.sh [--quick] [--skip-verify] [outdir]
 # (default outdir: results)
@@ -23,7 +23,7 @@ exps=(exp_fig1 exp_fig2 exp_bounds exp_waf_ratio exp_greedy_ratio exp_compare
       exp_distributed exp_conjecture exp_lemmas exp_area exp_root_ablation
       exp_broadcast exp_routing exp_mobility exp_election exp_anatomy
       exp_churn exp_build_scaling exp_profile exp_fault exp_serve
-      exp_substrate exp_hotpath)
+      exp_substrate)
 for e in "${exps[@]}"; do
   echo "### $e"
   cargo run --quiet --release -p mcds-bench --bin "$e" -- $quick --out "$out"

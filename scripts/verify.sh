@@ -96,8 +96,8 @@ fi
 
 if want tracing; then
   echo "== tracing: schema-valid JSONL, identical solve output on vs off =="
-  # n=1500 is above the scalar threshold (512 nodes), so the bitset
-  # prune and its counters run under tracing too.
+  # n=1500 makes the prune's local searches and pass refreshes (and
+  # their counters) run under tracing too.
   for spec in "200 7.9 7" "1500 21.7 32"; do
     read -r tn tside tseed <<< "$spec"
     cargo run --quiet --release -p mcds-cli -- gen --n "$tn" --side "$tside" \
@@ -208,29 +208,12 @@ if want grid; then
 fi
 
 if want kernel; then
-  echo "== kernel: forced-bitset solve --json byte-identical to forced-scalar =="
-  # Cross-process equivalence gate for the bitset hot-path kernels
-  # (DESIGN.md §14): the MCDS_KERNEL env var pins the kernel below and
-  # above the auto-selection threshold (512 nodes), and the full
-  # solve --json output — every algorithm, prune on — must not differ
-  # by a byte.
-  kernel_case() { # NAME GEN-ARGS...
-    local name=$1
-    shift
-    cargo run --quiet --release -p mcds-cli -- gen "$@" -o "$det_dir/$name.udg" > /dev/null
-    for k in scalar bitset; do
-      MCDS_KERNEL=$k cargo run --quiet --release -p mcds-cli -- solve \
-        "$det_dir/$name.udg" --alg all --prune --json > "$det_dir/${name}_$k.json"
-    done
-    diff "$det_dir/${name}_scalar.json" "$det_dir/${name}_bitset.json"
-  }
-  kernel_case uniform_200 --n 200 --side 7.9 --seed 31 --connected
-  kernel_case uniform_1500 --n 1500 --side 21.7 --seed 32 --connected
-  # Backbones that are chains of cut vertices, where the bitset prune's
-  # leaf rule and pass refreshes fire.
-  kernel_case chain_1500 --n 1500 --kind chain
-  kernel_case grid_1500 --n 1500 --kind grid
-  echo "solve --json byte-identical under both kernels (uniform n=200/1500, chain, grid)"
+  echo "== kernel: production phase 2 and prune identical to the scalar oracles =="
+  # The differential suite (DESIGN.md §14) in release, including the
+  # ignored at-scale case: every algorithm with prune on, on the oracle
+  # cases, 200+ deployments, the uniform n=200/1500, chain and grid
+  # instances `gen` builds, and E19's n=5k/10k rungs.
+  cargo test --quiet --release -p mcds-cds --test kernel_equiv -- --include-ignored
 fi
 
 if want bench; then
@@ -240,13 +223,11 @@ if want bench; then
   # entry must trip the gate.
   cargo run --quiet --release -p mcds-bench --bin exp_profile -- --quick \
     --out "$det_dir/bench" > /dev/null
-  cargo run --quiet --release -p mcds-bench --bin exp_hotpath -- --quick \
-    --out "$det_dir/bench" > /dev/null
   traj="$det_dir/bench/BENCH_trajectory.jsonl"
   cargo run --quiet --release -p mcds-bench --bin trajectory -- record \
     --dir "$det_dir/bench" --out "$traj" > /dev/null
-  grep -q '"hotpath"' "$traj" || {
-    echo "recorded trajectory line lacks the hotpath bench" >&2; exit 1; }
+  grep -q '"profile"' "$traj" || {
+    echo "recorded trajectory line lacks the profile bench" >&2; exit 1; }
   cargo run --quiet --release -p mcds-bench --bin trajectory -- record \
     --dir "$det_dir/bench" --out "$traj" > /dev/null
   cargo run --quiet --release -p mcds-bench --bin trajectory -- check \
