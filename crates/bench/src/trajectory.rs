@@ -23,7 +23,8 @@
 //! (DESIGN.md §8); this ledger is the one place they are tracked
 //! on purpose.
 
-use mcds_serve::json::Value;
+use mcds_obs::json::Value;
+use mcds_obs::trace::json_escape;
 
 /// Ledger schema version, bumped on breaking line-shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -144,46 +145,27 @@ pub fn render_entry(entry: &TrajectoryEntry) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"schema\":{SCHEMA_VERSION},\"rev\":\"{}\",\"recorded_s\":{},\"benches\":{{",
-        escape(&entry.rev),
+        json_escape(&entry.rev),
         entry.recorded_s
     ));
     for (i, (bench, points)) in entry.benches.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":[", escape(bench)));
+        out.push_str(&format!("\"{}\":[", json_escape(bench)));
         for (j, p) in points.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "{{\"key\":\"{}\",\"wall_ms\":{}}}",
-                escape(&p.key),
+                json_escape(&p.key),
                 p.wall_ms
             ));
         }
         out.push(']');
     }
     out.push_str("}}");
-    out
-}
-
-/// Minimal JSON string escaping for the rev/key strings the ledger
-/// writes (short identifiers; control characters are escaped anyway so
-/// hostile input cannot break the line grammar).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

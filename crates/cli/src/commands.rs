@@ -977,7 +977,7 @@ struct TopSnapshot {
 }
 
 fn parse_top_snapshot(line: &str) -> Result<TopSnapshot, CliError> {
-    use mcds_serve::json::Value;
+    use mcds_obs::json::Value;
     let doc = Value::parse(line).map_err(|e| CliError::Runtime(format!("metrics reply: {e}")))?;
     let section = |key: &str| -> Result<Vec<(String, Value)>, CliError> {
         match doc.get(key) {
@@ -1150,8 +1150,9 @@ pub fn trace(argv: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "summarize" => {
-            let (spans, root_ns) = mcds_obs::schema::summarize_spans(&text)
+            let profile = mcds_obs::profile::Profile::from_trace(&text)
                 .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+            let (spans, root_ns) = (profile.frames, profile.root_total_ns);
             if spans.is_empty() {
                 println!("{path}: no span records (was the traced run instrumented?)");
                 return Ok(());

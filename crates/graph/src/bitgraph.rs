@@ -8,7 +8,7 @@
 //! over:
 //!
 //! * [`BitSet`] — a fixed-capacity node set, one bit per node, with
-//!   word-parallel union ([`BitSet::or_assign`]) and intersection
+//!   word-parallel popcount ([`BitSet::count_ones`]) and intersection
 //!   popcount ([`BitSet::and_count`]),
 //! * [`masked_articulation_points`] — iterative Tarjan restricted to a
 //!   [`BitSet`] mask with reusable scratch, the connectivity side of the
@@ -113,18 +113,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Word-parallel union: `self |= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn or_assign(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Word-parallel intersection popcount: `|self ∩ other|`.
     ///
     /// # Panics
@@ -151,11 +139,6 @@ impl BitSet {
     /// The set as a sorted `Vec<usize>` (the workspace node-set shape).
     pub fn to_nodes(&self) -> Vec<usize> {
         self.iter_ones().collect()
-    }
-
-    /// The raw word storage (trailing padding bits are zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -313,10 +296,6 @@ mod tests {
         let a = BitSet::from_nodes(130, &[0, 1, 63, 64, 65, 128]);
         let b = BitSet::from_nodes(130, &[1, 64, 127, 129]);
         assert_eq!(a.and_count(&b), 2);
-        let mut u = a.clone();
-        u.or_assign(&b);
-        assert_eq!(u.to_nodes(), vec![0, 1, 63, 64, 65, 127, 128, 129]);
-        assert_eq!(u.count_ones(), 8);
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn popcount_and_membership_match_naive_model() {
 }
 
 #[test]
-fn intersection_and_union_match_naive_loops() {
-    Property::new("bitset_and_or_match_naive").cases(128).run(
+fn intersection_count_matches_naive_loop() {
+    Property::new("bitset_and_matches_naive").cases(128).run(
         &(
             usizes(1..=300),
             vecs(usizes(0..=1023), 0..=300),
@@ -67,12 +67,6 @@ fn intersection_and_union_match_naive_loops() {
                     "and_count {} != naive {naive_and}",
                     a.and_count(&b)
                 ));
-            }
-            let mut u = a.clone();
-            u.or_assign(&b);
-            let naive_or: Vec<usize> = (0..bits).filter(|&i| ma[i] || mb[i]).collect();
-            if u.to_nodes() != naive_or {
-                return TestResult::Fail("or_assign diverged".into());
             }
             TestResult::Pass
         },
@@ -93,9 +87,6 @@ fn hostile_patterns_are_exact() {
         assert_eq!(full.count_ones(), bits, "bits={bits}");
         assert_eq!(full.to_nodes(), all, "bits={bits}");
         assert_eq!(full.and_count(&empty), 0);
-        let mut u = empty.clone();
-        u.or_assign(&full);
-        assert_eq!(u, full);
     }
     for single in [63usize, 64, 65] {
         let s = BitSet::from_nodes(130, &[single]);

@@ -1,25 +1,29 @@
-//! A minimal JSON value model with a strict recursive-descent parser.
+//! A minimal JSON value model with a strict recursive-descent parser,
+//! the one JSON reader of the workspace.
 //!
-//! The wire protocol is one JSON object per line, so the parser only has
-//! to handle a single document with no framing concerns.  It is strict
-//! where a hand-written client could be sloppy — trailing garbage,
-//! unterminated strings, bad escapes, lone surrogates and over-deep
-//! nesting are all hard errors — because every rejected line is reported
-//! back to the client instead of being guessed at.
+//! Every document it reads is one line — a serve-protocol request or
+//! response, a JSONL trace record ([`crate::schema`], [`crate::profile`]),
+//! a perf-ledger entry — so the parser only has to handle a single
+//! document with no framing concerns.  It is strict where a hand-written
+//! writer could be sloppy — trailing garbage, unterminated strings, raw
+//! control characters, bad escapes, lone surrogates, non-finite numbers,
+//! duplicate keys and over-deep nesting are all hard errors — because a
+//! rejected line is reported back instead of being guessed at.
 //!
 //! Rendering goes the other way through [`Value::render`], which emits
 //! objects in insertion order; response builders always insert fields in
 //! a fixed order, so equal responses are byte-equal (the same
-//! deterministic-field-order convention as the `mcds-obs` trace export,
-//! whose [`mcds_obs::trace::json_escape`] this module reuses).
+//! deterministic-field-order convention as the trace export, whose
+//! [`crate::trace::json_escape`] this module reuses).
 
 use std::fmt;
 
-use mcds_obs::trace::json_escape;
+use crate::trace::json_escape;
 
-/// Maximum nesting depth the parser accepts; deeper documents are a
-/// protocol error (the wire format never legitimately nests beyond a
-/// request object holding an array of event objects).
+/// Maximum nesting depth the parser accepts; deeper documents are an
+/// error (nothing the workspace writes nests deeper than a request
+/// object holding an array of event objects, or a trace `hist` record
+/// holding its bucket pairs).
 const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.  Numbers are kept as `f64` (the grammar's only
@@ -442,6 +446,15 @@ mod tests {
         assert_eq!(v.get("op").unwrap().as_str(), Some("churn"));
         let events = v.get("events").unwrap().as_arr().unwrap();
         assert_eq!(events[0].get("node").unwrap().as_usize(), Some(3));
+        assert_eq!(
+            Value::parse(r#""héllo→""#).unwrap(),
+            Value::Str("héllo→".into())
+        );
+        let v = Value::parse(r#"{"type":"hist","name":"a b","buckets":[[1,2],[3,4]]}"#).unwrap();
+        assert_eq!(v.get("name").unwrap().as_str(), Some("a b"));
+        let buckets = v.get("buckets").unwrap().as_arr().unwrap();
+        assert_eq!(buckets.len(), 2);
+        assert_eq!(buckets[1].as_arr().unwrap()[1].as_u64(), Some(4));
     }
 
     #[test]
@@ -461,6 +474,10 @@ mod tests {
             "1e999",
             "{\"a\" 1}",
             "\u{1}",
+            "{oops}",
+            "[1,2",
+            "{\"a\":+3}",
+            "\"raw\ttab\"",
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -10,11 +10,15 @@
 //!   `span.<name>` and the trace buffer.
 //! * **JSONL traces** ([`trace`]) — a deterministic-field-order export
 //!   of spans, logs and metric snapshots; [`schema`] carries the
-//!   matching validator and span-tree summarizer.
+//!   matching validator.
+//! * **JSON** ([`json`]) — the workspace's one strict JSON value model
+//!   and parser, shared by the trace readers, the serve protocol and
+//!   the perf ledger.
 //! * **Profiles & exposition** ([`profile`], [`metrics_text`]) —
-//!   self-time folding of a trace's span tree into per-label stats and
-//!   collapsed stacks, plus Prometheus text-format rendering of the
-//!   registry for the serve daemon's `/metrics` endpoint.
+//!   the span-tree fold of a trace into per-path totals, self time,
+//!   per-label stats and collapsed stacks, plus Prometheus text-format
+//!   rendering of the registry for the serve daemon's `/metrics`
+//!   endpoint.
 //! * **Leveled logging** ([`log`], [`warn!`]/[`error!`]/[`info!`]) —
 //!   stderr diagnostics under a runtime threshold, captured into traces.
 //!
@@ -41,6 +45,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+pub mod json;
 pub mod log;
 pub mod profile;
 pub mod registry;

@@ -1,15 +1,17 @@
 //! Span-tree profile attribution: folding a JSONL trace into per-path
-//! *self* time (total minus direct children), per-label aggregates, and
-//! the collapsed-stack export flamegraph tooling consumes.
+//! totals and *self* time (total minus direct children), per-label
+//! aggregates, and the collapsed-stack export flamegraph tooling
+//! consumes.
 //!
-//! [`crate::schema::summarize_spans`] answers "how much wall time did
-//! each span *path* accumulate"; this module answers the profiling
-//! question behind ROADMAP item 3 — "where was the time actually
-//! *spent*" — by subtracting each span's direct children from its total,
-//! so a parent that merely waits on instrumented children attributes
-//! ~nothing to itself.  Summed self time over the whole forest equals
-//! the summed root (depth-0) wall time whenever the trace is well formed
-//! (every child nests inside a recorded parent), which is the identity
+//! Each [`Frame`] answers two questions.  `total_ns` is how much wall
+//! time each span *path* accumulated (the table `mcds-cli trace
+//! summarize` prints); `self_ns` is the profiling question behind
+//! ROADMAP item 3 — "where was the time actually *spent*" — answered by
+//! subtracting each span's direct children from its total, so a parent
+//! that merely waits on instrumented children attributes ~nothing to
+//! itself.  Summed self time over the whole forest equals the summed
+//! root (depth-0) wall time whenever the trace is well formed (every
+//! child nests inside a recorded parent), which is the identity
 //! `mcds-cli trace flame` reports as its attribution percentage and
 //! `scripts/verify.sh` gates at ≥ 99%.
 //!
@@ -19,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::schema::{parse, Json};
+use crate::json::Value;
 
 /// One span path of the trace, with its fold results.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,31 +71,42 @@ impl Profile {
     ///
     /// # Errors
     ///
-    /// Returns `line N: problem` for unparseable lines or span records
-    /// missing their schema fields (run the trace through
+    /// Returns `line N: problem` for unparseable lines, span records
+    /// missing their schema fields or holding a `depth`/`dur_ns` that is
+    /// not an integer in `0..=2^53`, and the span whose duration takes
+    /// the running sum past `u64::MAX` (run the trace through
     /// [`crate::schema::validate_trace`] first for a precise diagnosis).
     pub fn from_trace(text: &str) -> Result<Profile, String> {
         let mut agg: BTreeMap<String, (usize, u64, u64)> = BTreeMap::new();
+        // Every sum of durations below — path totals, child buckets, root
+        // and attributed time, label totals — is bounded by this one.
+        let mut span_ns = 0u64;
         for (i, line) in text.lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
-            let obj = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if obj.get("type").and_then(Json::as_str) != Some("span") {
+            let obj = Value::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            if obj.get("type").and_then(Value::as_str) != Some("span") {
                 continue;
             }
             let field = |key: &str| {
-                obj.get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("line {}: span missing numeric `{key}`", i + 1))
+                obj.get(key).and_then(Value::as_u64).ok_or_else(|| {
+                    format!(
+                        "line {}: span `{key}` missing or not an integer in 0..=2^53",
+                        i + 1
+                    )
+                })
             };
             let path = obj
                 .get("path")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| format!("line {}: span missing string `path`", i + 1))?
                 .to_string();
             let depth = field("depth")? as usize;
-            let dur = field("dur_ns")? as u64;
+            let dur = field("dur_ns")?;
+            span_ns = span_ns
+                .checked_add(dur)
+                .ok_or_else(|| format!("line {}: span durations overflow a u64", i + 1))?;
             let entry = agg.entry(path).or_insert((depth, 0, 0));
             entry.1 += 1;
             entry.2 += dur;
@@ -179,7 +192,7 @@ mod tests {
 
     const META: &str = "{\"type\":\"meta\",\"version\":1,\"clock\":\"monotonic-ns\"}\n";
 
-    fn span(seq: u64, depth: usize, name: &str, path: &str, dur: u64) -> String {
+    fn span(seq: u64, depth: usize, name: &str, path: &str, dur: impl std::fmt::Display) -> String {
         format!(
             "{{\"type\":\"span\",\"seq\":{seq},\"thread\":0,\"depth\":{depth},\
              \"name\":\"{name}\",\"path\":\"{path}\",\"dur_ns\":{dur}}}\n"
@@ -260,6 +273,20 @@ mod tests {
         let err = Profile::from_trace("{\"type\":\"span\"}\n").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
         assert!(Profile::from_trace("not json\n").is_err());
+        for bad in ["-5", "1.5", "1e19"] {
+            let t = format!("{META}{}", span(0, 0, "s", "s", bad));
+            let err = Profile::from_trace(&t).unwrap_err();
+            assert!(err.starts_with("line 2:"), "{bad}: {err}");
+        }
+        // 2^53 is the largest duration the schema admits; 2048 of them
+        // already sum past u64::MAX, so the 2048th span (line 2049)
+        // is the one reported.
+        let mut t = String::from(META);
+        for seq in 0..2049 {
+            t.push_str(&span(seq, 0, "s", "s", 1u64 << 53));
+        }
+        let err = Profile::from_trace(&t).unwrap_err();
+        assert!(err.starts_with("line 2049:"), "{err}");
         let empty = Profile::from_trace(META).unwrap();
         assert!(empty.frames.is_empty());
         assert_eq!(empty.attributed_ns(), 0);

@@ -1,225 +1,17 @@
-//! Trace-schema validation and span-tree summarization.
+//! Trace-schema validation.
 //!
-//! The workspace is hermetic (no serde), so this module carries a small
-//! recursive-descent JSON parser — enough to round-trip the trace schema
-//! of [`crate::trace`] — plus [`validate_trace`], the checker
-//! `scripts/verify.sh` and `mcds-cli trace check` run over emitted
-//! `.jsonl` files, and [`summarize_spans`], the aggregation behind
-//! `mcds-cli trace summarize`.
+//! [`validate_trace`] is the checker `scripts/verify.sh` and `mcds-cli
+//! trace check` run over emitted `.jsonl` files.  Every line is read by
+//! the strict [`crate::json`] parser (depth cap, duplicate-key
+//! rejection, full escapes) and must match a record shape
+//! [`crate::trace`] writes.  The writer's integer fields — span `seq`,
+//! `thread`, `depth` and `dur_ns`, log `seq`, histogram `count` and
+//! both members of each bucket pair — must be whole numbers in
+//! `0..=2^53` (durations stay below 2^53 ns ≈ 104 days), so a negative,
+//! fractional or oversized value fails the schema.  The span-tree fold
+//! behind `trace summarize` and `trace flame` is [`crate::profile`].
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value (objects preserve key order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (f64 holds every value the trace schema emits exactly;
-    /// durations stay below 2^53 ns ≈ 104 days).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, keys in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document.
-///
-/// # Errors
-///
-/// Returns a position-annotated message on malformed input or trailing
-/// garbage.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do byte-wise: continuation bytes never equal `"` or `\`).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
+use crate::json::Value;
 
 /// Counts of each record type seen by a successful [`validate_trace`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,15 +28,21 @@ pub struct TraceStats {
     pub hists: usize,
 }
 
-fn require_num(obj: &Json, key: &str) -> Result<f64, String> {
+fn require_num(obj: &Value, key: &str) -> Result<f64, String> {
     obj.get(key)
-        .and_then(Json::as_num)
+        .and_then(Value::as_f64)
         .ok_or_else(|| format!("missing numeric field `{key}`"))
 }
 
-fn require_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+fn require_u64(obj: &Value, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_str)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("field `{key}` missing or not an integer in 0..=2^53"))
+}
+
+fn require_str<'a>(obj: &'a Value, key: &str) -> Result<&'a str, String> {
+    obj.get(key)
+        .and_then(Value::as_str)
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
@@ -255,32 +53,32 @@ fn require_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
 ///
 /// Returns a description of the first schema violation.
 pub fn validate_line(line: &str) -> Result<String, String> {
-    let obj = parse(line)?;
+    let obj = Value::parse(line).map_err(|e| e.to_string())?;
     let ty = require_str(&obj, "type")?.to_string();
     match ty.as_str() {
         "meta" => {
-            let version = require_num(&obj, "version")?;
-            if version != crate::trace::SCHEMA_VERSION as f64 {
+            let version = require_u64(&obj, "version")?;
+            if version != crate::trace::SCHEMA_VERSION {
                 return Err(format!("unsupported schema version {version}"));
             }
             require_str(&obj, "clock")?;
         }
         "span" => {
-            require_num(&obj, "seq")?;
-            require_num(&obj, "thread")?;
-            let depth = require_num(&obj, "depth")?;
+            require_u64(&obj, "seq")?;
+            require_u64(&obj, "thread")?;
+            let depth = require_u64(&obj, "depth")?;
             let name = require_str(&obj, "name")?;
             let path = require_str(&obj, "path")?;
-            require_num(&obj, "dur_ns")?;
+            require_u64(&obj, "dur_ns")?;
             if path.split('/').next_back().is_none_or(|last| last != name) {
                 return Err(format!("path `{path}` does not end in name `{name}`"));
             }
-            if path.split('/').count() != depth as usize + 1 {
+            if path.split('/').count() as u64 != depth + 1 {
                 return Err(format!("path `{path}` disagrees with depth {depth}"));
             }
         }
         "log" => {
-            require_num(&obj, "seq")?;
+            require_u64(&obj, "seq")?;
             require_str(&obj, "level")?;
             require_str(&obj, "msg")?;
         }
@@ -290,21 +88,23 @@ pub fn validate_line(line: &str) -> Result<String, String> {
         }
         "hist" => {
             require_str(&obj, "name")?;
-            let count = require_num(&obj, "count")?;
+            let count = require_u64(&obj, "count")?;
             require_num(&obj, "sum")?;
             require_num(&obj, "max")?;
-            let Some(Json::Arr(buckets)) = obj.get("buckets") else {
-                return Err("missing array field `buckets`".into());
+            let buckets = obj
+                .get("buckets")
+                .and_then(Value::as_arr)
+                .ok_or("missing array field `buckets`")?;
+            // The count of an `[index, count]` integer pair.
+            let pair_count = |b: &Value| match b.as_arr()? {
+                [index, count] => index.as_u64().and(count.as_u64()),
+                _ => None,
             };
-            let mut total = 0.0;
+            let mut total = 0u64;
             for b in buckets {
-                let Json::Arr(pair) = b else {
-                    return Err("bucket entries must be [index, count] pairs".into());
-                };
-                if pair.len() != 2 || pair.iter().any(|x| x.as_num().is_none()) {
-                    return Err("bucket entries must be [index, count] pairs".into());
-                }
-                total += pair[1].as_num().unwrap_or(0.0);
+                let c =
+                    pair_count(b).ok_or("bucket entries must be [index, count] integer pairs")?;
+                total = total.checked_add(c).ok_or("bucket counts overflow a u64")?;
             }
             if total != count {
                 return Err(format!("bucket counts sum to {total}, header says {count}"));
@@ -347,94 +147,49 @@ pub fn validate_trace(text: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Per-path aggregate of the span records of a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSummary {
-    /// The nesting path (`a/b/c`).
-    pub path: String,
-    /// Nesting depth (`0` = root).
-    pub depth: usize,
-    /// Number of spans recorded at this path.
-    pub count: u64,
-    /// Summed wall time, nanoseconds.
-    pub total_ns: u64,
-}
-
-/// Aggregates a validated trace's span records by path, sorted by path —
-/// which groups children under their parents.  Also returns the summed
-/// wall time of root (depth-0) spans, the denominator for coverage
-/// percentages.
-pub fn summarize_spans(text: &str) -> Result<(Vec<SpanSummary>, u64), String> {
-    let mut agg: BTreeMap<String, SpanSummary> = BTreeMap::new();
-    let mut root_ns = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let obj = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if obj.get("type").and_then(Json::as_str) != Some("span") {
-            continue;
-        }
-        let path = require_str(&obj, "path")?.to_string();
-        let depth = require_num(&obj, "depth")? as usize;
-        let dur = require_num(&obj, "dur_ns")? as u64;
-        if depth == 0 {
-            root_ns += dur;
-        }
-        let entry = agg.entry(path.clone()).or_insert(SpanSummary {
-            path,
-            depth,
-            count: 0,
-            total_ns: 0,
-        });
-        entry.count += 1;
-        entry.total_ns += dur;
-    }
-    Ok((agg.into_values().collect(), root_ns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parser_round_trips_the_schema_shapes() {
-        let v = parse(r#"{"type":"span","seq":3,"name":"a b","buckets":[[1,2],[3,4]]}"#).unwrap();
-        assert_eq!(v.get("seq").unwrap().as_num(), Some(3.0));
-        assert_eq!(v.get("name").unwrap().as_str(), Some("a b"));
-        let Json::Arr(b) = v.get("buckets").unwrap() else {
-            panic!("not an array")
-        };
-        assert_eq!(b.len(), 2);
-        assert_eq!(parse("-1.5e2").unwrap(), Json::Num(-150.0));
-        assert_eq!(
-            parse(r#""q\"\\\nA""#).unwrap(),
-            Json::Str("q\"\\\nA".into())
-        );
-        assert_eq!(parse(r#""héllo→""#).unwrap(), Json::Str("héllo→".into()));
-        assert!(parse("{oops}").is_err());
-        assert!(parse("[1,2").is_err());
-        assert!(parse("1 2").is_err());
+    /// A span line with the given `seq`, `thread`, `depth` and `dur_ns`.
+    fn span_line([seq, thread, depth, dur]: [&str; 4]) -> String {
+        format!(
+            "{{\"type\":\"span\",\"seq\":{seq},\"thread\":{thread},\"depth\":{depth},\
+             \"name\":\"b\",\"path\":\"a/b\",\"dur_ns\":{dur}}}"
+        )
     }
 
     #[test]
     fn validate_line_enforces_shape() {
-        assert_eq!(
-            validate_line(
-                r#"{"type":"span","seq":0,"thread":0,"depth":1,"name":"b","path":"a/b","dur_ns":5}"#
-            ),
-            Ok("span".to_string())
-        );
+        let good = ["0", "0", "1", "5"];
+        assert_eq!(validate_line(&span_line(good)), Ok("span".to_string()));
         // Depth must match the path.
-        assert!(validate_line(
-            r#"{"type":"span","seq":0,"thread":0,"depth":3,"name":"b","path":"a/b","dur_ns":5}"#
-        )
-        .is_err());
+        assert!(validate_line(&span_line(["0", "0", "3", "5"])).is_err());
+        // Integer fields reject what the writer never emits: negative,
+        // fractional and past-2^53 values.
+        for i in 0..good.len() {
+            for bad in ["-5", "1.5", "1e19"] {
+                let mut fields = good;
+                fields[i] = bad;
+                let line = span_line(fields);
+                assert!(validate_line(&line).is_err(), "accepted {line}");
+            }
+        }
         // Histogram bucket counts must sum to the header count.
         assert!(validate_line(
             r#"{"type":"hist","name":"h","count":5,"sum":9,"max":4,"buckets":[[1,2]]}"#
         )
         .is_err());
+        assert!(validate_line(
+            r#"{"type":"hist","name":"h","count":2,"sum":9,"max":4,"buckets":[[1,2]]}"#
+        )
+        .is_ok());
+        for pair in ["[-5,2]", "[1,1.5]", "[1e19,2]", "[1]", "[1,2,3]", "3"] {
+            let line = format!(
+                r#"{{"type":"hist","name":"h","count":2,"sum":9,"max":4,"buckets":[{pair}]}}"#
+            );
+            assert!(validate_line(&line).is_err(), "accepted {line}");
+        }
         assert!(validate_line(r#"{"type":"wat"}"#).is_err());
         assert!(validate_line(r#"{"no_type":1}"#).is_err());
     }
@@ -448,20 +203,5 @@ mod tests {
         let bad = "{\"type\":\"counter\",\"name\":\"c\",\"value\":2}\n";
         assert!(validate_trace(bad).is_err());
         assert!(validate_trace("").is_err());
-    }
-
-    #[test]
-    fn summarize_aggregates_by_path() {
-        let text = "{\"type\":\"meta\",\"version\":1,\"clock\":\"monotonic-ns\"}\n\
-             {\"type\":\"span\",\"seq\":0,\"thread\":0,\"depth\":1,\"name\":\"p1\",\"path\":\"s/p1\",\"dur_ns\":10}\n\
-             {\"type\":\"span\",\"seq\":1,\"thread\":0,\"depth\":1,\"name\":\"p1\",\"path\":\"s/p1\",\"dur_ns\":30}\n\
-             {\"type\":\"span\",\"seq\":2,\"thread\":0,\"depth\":0,\"name\":\"s\",\"path\":\"s\",\"dur_ns\":50}\n";
-        let (summary, root_ns) = summarize_spans(text).unwrap();
-        assert_eq!(root_ns, 50);
-        assert_eq!(summary.len(), 2);
-        assert_eq!(summary[0].path, "s");
-        assert_eq!(summary[1].path, "s/p1");
-        assert_eq!(summary[1].count, 2);
-        assert_eq!(summary[1].total_ns, 40);
     }
 }

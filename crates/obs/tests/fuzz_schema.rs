@@ -15,7 +15,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mcds_check::gen::{usizes, vecs};
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};
-use mcds_obs::schema::{parse, summarize_spans, validate_line, validate_trace};
+use mcds_obs::json::Value;
+use mcds_obs::profile::Profile;
+use mcds_obs::schema::{validate_line, validate_trace};
 
 /// Records a deterministic, schema-valid base trace to mutate.
 fn base_trace() -> String {
@@ -107,10 +109,10 @@ fn validator_never_panics_on_mutated_traces() {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 // Every entry point must reject garbage gracefully.
                 let _ = validate_trace(&text);
-                let _ = summarize_spans(&text);
+                let _ = Profile::from_trace(&text);
                 for line in text.lines() {
                     let _ = validate_line(line);
-                    let _ = parse(line);
+                    let _ = Value::parse(line);
                 }
             }));
             prop_assert!(outcome.is_ok(), "validator panicked on mutated trace");
@@ -196,9 +198,9 @@ fn concurrent_nested_span_traces_round_trip() {
             };
             prop_assert_eq!(stats.spans as usize, threads * depth * reps);
             prop_assert_eq!(stats.counters, 1);
-            // Per-thread nesting survives the shared buffer: the summary
-            // exposes each thread's chain root intact.
-            prop_assert!(summarize_spans(&text).is_ok());
+            // Per-thread nesting survives the shared buffer: the fold
+            // accepts every thread's chain intact.
+            prop_assert!(Profile::from_trace(&text).is_ok());
             TestResult::Pass
         });
 }

@@ -10,7 +10,7 @@
 
 use mcds_check::gen::strings;
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};
-use mcds_obs::schema::Json;
+use mcds_obs::json::Value;
 use mcds_obs::{metrics_text, sanitize_metric_name};
 
 /// Splits a Prometheus exposition line into its metric-name token:
@@ -33,14 +33,14 @@ fn hostile_names_round_trip_through_metrics_json() {
             mcds_obs::counter(&name).incr();
             let expected = mcds_obs::counter_value(&name);
             let doc = format!("{{{}}}", mcds_obs::trace::metrics_json());
-            let parsed = match mcds_obs::schema::parse(&doc) {
+            let parsed = match Value::parse(&doc) {
                 Ok(j) => j,
                 Err(e) => return TestResult::Fail(format!("unparseable fragment: {e}")),
             };
             let got = parsed
                 .get("counters")
                 .and_then(|c| c.get(&name))
-                .and_then(Json::as_num);
+                .and_then(Value::as_f64);
             prop_assert!(
                 got == Some(expected as f64),
                 "counter {name:?} lost in metrics_json round-trip: {got:?}"

@@ -1,5 +1,9 @@
 //! End-to-end: record real spans/counters/logs, export JSONL, and check
-//! the emitted text against the in-tree schema validator and summarizer.
+//! the emitted text against the in-tree schema validator and the
+//! span-tree fold.
+
+use mcds_obs::profile::Profile;
+use mcds_obs::schema::validate_trace;
 
 #[test]
 fn emitted_trace_round_trips_through_the_schema_validator() {
@@ -24,7 +28,7 @@ fn emitted_trace_round_trips_through_the_schema_validator() {
         }
         let text = mcds_obs::trace::drain_jsonl();
 
-        let stats = mcds_obs::schema::validate_trace(&text).expect("trace must be schema-valid");
+        let stats = validate_trace(&text).expect("trace must be schema-valid");
         assert_eq!(stats.spans, 3);
         assert_eq!(stats.logs, 1);
         assert_eq!(stats.counters, 2);
@@ -32,20 +36,22 @@ fn emitted_trace_round_trips_through_the_schema_validator() {
         // rt.damage plus one span.* histogram per distinct span name.
         assert_eq!(stats.hists, 4);
 
-        let (summary, root_ns) = mcds_obs::schema::summarize_spans(&text).unwrap();
-        let paths: Vec<&str> = summary.iter().map(|s| s.path.as_str()).collect();
+        let profile = Profile::from_trace(&text).unwrap();
+        let paths: Vec<&str> = profile.frames.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(
             paths,
             ["rt.solve", "rt.solve/rt.phase1", "rt.solve/rt.phase2"]
         );
-        // Children are nested inside the root span, so the root's wall
-        // time bounds theirs from above.
-        let child_ns: u64 = summary[1..].iter().map(|s| s.total_ns).sum();
-        assert!(root_ns >= child_ns);
+        // One root path, so the root sum is its total; children are
+        // nested inside the root span, so the root's wall time bounds
+        // theirs from above.
+        assert_eq!(profile.root_total_ns, profile.frames[0].total_ns);
+        let child_ns: u64 = profile.frames[1..].iter().map(|f| f.total_ns).sum();
+        assert!(profile.root_total_ns >= child_ns);
 
         // Draining cleared the event buffer but kept the registry.
         let again = mcds_obs::trace::drain_jsonl();
-        let stats2 = mcds_obs::schema::validate_trace(&again).unwrap();
+        let stats2 = validate_trace(&again).unwrap();
         assert_eq!(stats2.spans, 0);
         assert_eq!(stats2.counters, 2);
 
@@ -64,9 +70,24 @@ fn flush_to_path_writes_a_valid_file() {
         let path = path.to_str().unwrap();
         mcds_obs::trace::flush_to_path(path).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
-        let stats = mcds_obs::schema::validate_trace(&text).unwrap();
+        let stats = validate_trace(&text).unwrap();
         assert_eq!(stats.spans, 1);
         std::fs::remove_file(path).ok();
         mcds_obs::reset();
     });
+}
+
+/// A hostile line nested far past the parser's depth cap is an error on
+/// line 2 from both readers, not a stack overflow.
+#[test]
+fn deeply_nested_lines_are_rejected_not_overflowed() {
+    let text = format!(
+        "{{\"type\":\"meta\",\"version\":1,\"clock\":\"monotonic-ns\"}}\n{}{}\n",
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let err = validate_trace(&text).unwrap_err();
+    assert!(err.starts_with("line 2:"), "{err}");
+    let err = Profile::from_trace(&text).unwrap_err();
+    assert!(err.starts_with("line 2:"), "{err}");
 }

@@ -14,18 +14,17 @@
 //!   resident state after each tick is independent of which client's
 //!   events arrived first (DESIGN.md §8 over the wire).
 //!
-//! The crate splits into [`json`] (a strict, deterministic JSON value
-//! model — the only parser in the workspace), [`proto`] (request
-//! parsing + fixed-field-order response rendering), [`server`] (the
-//! daemon: `mcds-pool` workers, one mutex-guarded engine), and
-//! [`client`] (blocking client + the load generator behind E21).
+//! The crate splits into [`proto`] (request parsing over the strict
+//! [`mcds_obs::json`] value model + fixed-field-order response
+//! rendering), [`server`] (the daemon: `mcds-pool` workers, one
+//! mutex-guarded engine), and [`client`] (blocking client + the load
+//! generator behind E21).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
 

@@ -25,9 +25,8 @@ use std::fmt;
 use mcds_cds::{Algorithm, WeightScheme};
 use mcds_geom::Point;
 use mcds_maintain::TopologyEvent;
+use mcds_obs::json::Value;
 use mcds_obs::trace::json_escape;
-
-use crate::json::Value;
 
 /// Default cap on request line length (bytes, newline included); longer
 /// lines are rejected and the connection closed, since framing can no

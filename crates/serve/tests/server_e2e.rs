@@ -6,9 +6,9 @@ use std::thread;
 
 use mcds_check::gen::{self, Gen};
 use mcds_geom::Point;
+use mcds_obs::json::Value;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
-use mcds_serve::json::Value;
 use mcds_serve::proto::{render_error, Request};
 use mcds_serve::{Client, ServeConfig, Server};
 

@@ -1,8 +1,6 @@
-//! Property tests for the UDG crate on the in-tree `mcds-check` engine.
-//!
-//! This suite ports `crates/udg/tests/proptests.rs` (the proptest-based
-//! variant, gated behind `ext-tests`) onto `mcds-check` so it runs in
-//! the default `cargo test -q` with deterministic seeds and shrinking.
+//! Property tests for the UDG crate on the in-tree `mcds-check` engine:
+//! generator invariants and parser robustness, run in the default
+//! `cargo test -q` with deterministic seeds and shrinking.
 
 use mcds_check::gen::{strings, u64s, usizes, vecs};
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};

@@ -130,6 +130,24 @@ if want tracing; then
   awk -v a="$attributed" 'BEGIN { exit !(a >= 99.0) }' || {
     echo "flame attribution $attributed% < 99%" >&2; exit 1; }
   echo "flame attribution $attributed% of root wall; folded + SVG written"
+  # Hostile traces: a line nested far past the parser's depth cap and a
+  # span with a negative duration must be rejected with exit 2 and a
+  # line-numbered message, not crash the checker or pass it.
+  meta='{"type":"meta","version":1,"clock":"monotonic-ns"}'
+  { echo "$meta"; head -c 100000 /dev/zero | tr '\0' '['
+    head -c 100000 /dev/zero | tr '\0' ']'; echo; } > "$det_dir/probe_deep.jsonl"
+  { echo "$meta"
+    echo '{"type":"span","seq":0,"thread":0,"depth":0,"name":"s","path":"s","dur_ns":-5}'
+  } > "$det_dir/probe_negative.jsonl"
+  for probe in deep negative; do
+    status=0
+    cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/probe_$probe.jsonl" \
+      > /dev/null 2> "$det_dir/probe_$probe.err" || status=$?
+    [[ $status -eq 2 ]] && grep -q ': line 2: ' "$det_dir/probe_$probe.err" || {
+      echo "trace check exited $status on the $probe probe (want 2, line 2):" >&2
+      cat "$det_dir/probe_$probe.err" >&2; exit 1; }
+  done
+  echo "hostile traces rejected: over-deep nesting and a negative duration exit 2"
 fi
 
 if want serve; then

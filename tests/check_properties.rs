@@ -1,7 +1,6 @@
 //! Workspace-wide property tests on the in-tree `mcds-check` engine.
 //!
-//! This suite ports `tests/proptests.rs` (the proptest-based variant,
-//! gated behind `ext-tests`) onto `mcds-check` so the same invariants
+//! The core invariants of the paper's objects on randomized point sets,
 //! run in the default `cargo test -q` with deterministic seeds and
 //! automatic counterexample shrinking.
 
