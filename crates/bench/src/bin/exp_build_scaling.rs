@@ -1,25 +1,22 @@
-//! E18 — UDG construction scaling: naive `Θ(n²)` vs the grid-bucketed
-//! build, sequential and pooled.
+//! E18 — UDG construction scaling: naive `Θ(n²)` vs the grid build.
 //!
 //! Regenerates the numbers behind the README "Performance" section.  For
-//! each `n` the same seeded point set is built three ways:
+//! each `n` the same seeded point set is built two ways:
 //!
 //! * `naive` — all-pairs distance test ([`Udg::build_naive`]),
-//! * `grid` — grid-bucketed pass on one thread,
-//! * `grid-pN` — the same pass fanned over an `N`-wide worker pool.
+//! * `grid` — the sorted cell table filling the CSR ([`Udg::with_radius`]).
 //!
-//! All three produce the identical [`mcds_graph::Graph`] (asserted here;
+//! Both produce the identical [`mcds_graph::Graph`] (asserted here;
 //! proven instance-by-instance in `crates/udg/tests/grid_equivalence.rs`),
 //! so this artifact is pure wall-clock.  The side grows as `√n` to hold
 //! average degree near 10, the paper's sparse-deployment regime.
 //!
-//! Usage: `exp_build_scaling [--quick] [--seed <u64>] [--out <dir>] [--threads <n>]`
+//! Usage: `exp_build_scaling [--quick] [--seed <u64>] [--out <dir>]`
 
 use std::time::{Duration, Instant};
 
 use mcds_bench::sweeps::ms;
 use mcds_bench::{ExpConfig, Table};
-use mcds_pool::ThreadPool;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::{gen, Udg};
@@ -39,31 +36,13 @@ fn main() {
     } else {
         &[1_000, 10_000, 50_000]
     };
-    let pool_width = cfg.threads.max(2);
-    let pool = ThreadPool::new(pool_width);
-    let pooled_label = format!("grid-p{pool_width}_ms");
 
-    println!("E18: UDG construction scaling, naive vs grid vs pooled grid\n");
-    let mut table = Table::new(&[
-        "n",
-        "side",
-        "edges",
-        "naive_ms",
-        "grid_ms",
-        &pooled_label,
-        "speedup",
-    ]);
+    println!("E18: UDG construction scaling, naive vs grid\n");
+    let header = ["n", "side", "edges", "naive_ms", "grid_ms", "speedup"];
+    let mut table = Table::new(&header);
     let mut csv = cfg.csv("exp_build_scaling");
     if let Some(w) = csv.as_mut() {
-        w.row(&[
-            "n",
-            "side",
-            "edges",
-            "naive_ms",
-            "grid_ms",
-            "grid_pooled_ms",
-            "pool_width",
-        ]);
+        w.row(&header[..5]);
     }
 
     for &n in sizes {
@@ -74,49 +53,31 @@ fn main() {
         let reps = if n <= 10_000 { 3 } else { 1 };
 
         let naive = Udg::build_naive(pts.clone(), 1.0);
-        let grid = Udg::with_radius_pooled(pts.clone(), 1.0, &ThreadPool::new(1));
-        let pooled = Udg::with_radius_pooled(pts.clone(), 1.0, &pool);
+        let grid = Udg::with_radius(pts.clone(), 1.0);
         assert_eq!(naive.graph(), grid.graph(), "grid build diverged at n={n}");
-        assert_eq!(
-            grid.graph(),
-            pooled.graph(),
-            "pooled build diverged at n={n}"
-        );
 
         let t_naive = time(reps, || Udg::build_naive(pts.clone(), 1.0));
-        let t_grid = time(reps, || {
-            Udg::with_radius_pooled(pts.clone(), 1.0, &ThreadPool::new(1))
-        });
-        let t_pooled = time(reps, || Udg::with_radius_pooled(pts.clone(), 1.0, &pool));
+        let t_grid = time(reps, || Udg::with_radius(pts.clone(), 1.0));
 
         let speedup = t_naive.as_secs_f64() / t_grid.as_secs_f64().max(1e-9);
-        table.row(&[
+        let row = [
             n.to_string(),
             format!("{side:.1}"),
             grid.graph().num_edges().to_string(),
             ms(t_naive),
             ms(t_grid),
-            ms(t_pooled),
             format!("{speedup:.0}x"),
-        ]);
+        ];
+        table.row(&row);
         if let Some(w) = csv.as_mut() {
-            w.row(&[
-                n.to_string(),
-                format!("{side:.1}"),
-                grid.graph().num_edges().to_string(),
-                ms(t_naive),
-                ms(t_grid),
-                ms(t_pooled),
-                pool_width.to_string(),
-            ]);
+            w.row(&row[..5]);
         }
     }
     table.print();
     println!();
     println!(
-        "RESULT: the grid-bucketed pass turns construction from Theta(n^2) into \
-         expected O(n + m); the pooled pass buys a further constant factor on \
-         large instances without changing a single edge (the three graphs are \
-         asserted identical above)."
+        "RESULT: the grid build turns construction from Theta(n^2) into \
+         expected O(n + m) without changing a single edge (the two graphs \
+         are asserted identical above)."
     );
 }

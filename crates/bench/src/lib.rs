@@ -1,5 +1,4 @@
-//! Shared harness utilities for the experiment binaries (`exp_*`) and the
-//! Criterion benchmarks.
+//! Shared harness utilities for the experiment binaries (`exp_*`).
 //!
 //! Every experiment binary in `src/bin/` regenerates one artifact of the
 //! paper (see DESIGN.md §3 / EXPERIMENTS.md): it prints an aligned table

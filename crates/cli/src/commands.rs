@@ -128,7 +128,6 @@ pub fn solve(argv: &[String]) -> Result<(), CliError> {
             "alg",
             "dot",
             "svg",
-            "threads",
             "m",
             "weights",
             "weight-seed",
@@ -151,7 +150,6 @@ pub fn solve(argv: &[String]) -> Result<(), CliError> {
             )))
         }
     };
-    configure_pool(&args)?;
     let algs = algorithms_for(args.value("alg").unwrap_or("greedy"))?;
     let show_timings = args.switch("timings");
     let m = parse_m(&args)?;
@@ -639,7 +637,6 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
             "speed-max",
             "pause",
             "dt",
-            "threads",
             "m",
             "fault-every",
             "fault-radius",
@@ -651,7 +648,6 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
     let side: f64 = args.parsed_or("side", 6.0)?;
     let seed: u64 = args.parsed_or("seed", 1)?;
     let events: usize = args.parsed_or("events", 200)?;
-    configure_pool(&args)?;
     let drift: f64 = args.parsed_or("drift", 1.75)?;
     let verbose = args.switch("verbose");
     let m = parse_m(&args)?;

@@ -5,7 +5,7 @@
 //!                 [--connected] -o inst.udg
 //! mcds-cli stats  inst.udg
 //! mcds-cli solve  inst.udg [--alg greedy|waf|chvatal|arb-mis|all] [--prune]
-//!                 [--timings] [--threads T] [--backend csr|compact] [--dot out.dot]
+//!                 [--timings] [--backend csr|compact] [--dot out.dot]
 //! mcds-cli sweep  [--alg NAME|all] [--n N] [--side S] [--trials T]
 //!                 [--seed S] [--threads T] [--out sizes.csv]
 //! mcds-cli exact  inst.udg [--budget STEPS]
@@ -118,7 +118,7 @@ usage:
                   [--connected] -o FILE
   mcds-cli stats  FILE
   mcds-cli solve  FILE [--alg greedy|waf|chvatal|arb-mis|gk-grow|all] [--prune]
-                  [--timings] [--m 1|2|3] [--biconnect] [--threads T]
+                  [--timings] [--m 1|2|3] [--biconnect]
                   [--weights unit|degree|random [--weight-seed S]] [--json]
                   [--backend csr|compact] [--dot FILE] [--svg FILE]
   mcds-cli sweep  [--alg NAME|all] [--n N] [--side S] [--trials T] [--seed SEED]
@@ -133,8 +133,7 @@ usage:
   mcds-cli broadcast FILE [--source S] [--alg NAME]
   mcds-cli churn  [--n N] [--side S] [--seed SEED] [--events E] [--drift F]
                   [--p-join P] [--p-leave P] [--move-radius R] [--m 1|2|3]
-                  [--fault-every K] [--fault-radius R] [--fault-kill B]
-                  [--threads T] [--verbose]
+                  [--fault-every K] [--fault-radius R] [--fault-kill B] [--verbose]
                   [--waypoint [--speed-min V] [--speed-max V] [--pause T] [--dt T]]
   mcds-cli serve  FILE [--addr HOST:PORT] [--m 1|2|3] [--threads T]
                   (daemon also answers raw HTTP GET /metrics on the same port)

@@ -15,9 +15,6 @@
 //!   `∂D_u`, including circle–circle intersection (used by the Fig.-1
 //!   construction),
 //! * [`hull`] — convex hulls and hull-based point-set diameters,
-//! * [`grid::GridIndex`] — an expected-`O(1)`-per-query spatial hash for
-//!   radius-bounded neighbor search (used to build UDGs in expected
-//!   `O(n + m)`),
 //! * [`packing`] — predicates on *independent* point sets (pairwise distance
 //!   `> 1`) and the classical packing constants (Wegner's 21-point bound,
 //!   the 5-points-per-disk bound) that Theorem 3 of the paper builds on.
@@ -54,7 +51,6 @@ mod disk;
 mod point;
 
 pub mod area;
-pub mod grid;
 pub mod hull;
 pub mod packing;
 

@@ -76,11 +76,16 @@ impl Graph {
         Graph::from_sorted_adjacency(offsets, targets)
     }
 
-    /// Assembles a graph from already-normalized CSR parts (sorted,
-    /// deduplicated, symmetric, self-loop-free).  Used by the compact
-    /// backend's [`crate::CompactGraph::to_graph`]; the invariants are
-    /// asserted in debug builds.
-    pub(crate) fn from_sorted_adjacency(offsets: Vec<usize>, targets: Vec<u32>) -> Self {
+    /// Assembles a graph from already-normalized CSR parts: node `v`'s
+    /// neighbors are `targets[offsets[v]..offsets[v + 1]]`, each row sorted
+    /// and deduplicated, the rows symmetric and free of self-loops.
+    ///
+    /// Used where rows come out normalized, so no edge list is needed: the
+    /// UDG build, induced subgraphs and
+    /// [`crate::CompactGraph::to_graph`].  Debug builds assert the offsets,
+    /// the row order, the range and the absence of self-loops; parts that
+    /// break an invariant give a graph whose queries are unspecified.
+    pub fn from_sorted_adjacency(offsets: Vec<usize>, targets: Vec<u32>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap(), targets.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));

@@ -122,7 +122,10 @@ pub fn closed_neighborhood<G: RandomAccessGraph>(g: &G, v: usize) -> Vec<usize> 
 ///
 /// `keep` need not be sorted; duplicates are ignored.  The returned
 /// `Vec<usize>` maps new index `i` to the original node id.  This is the
-/// generic engine behind [`Graph::induced_subgraph`].
+/// generic engine behind [`Graph::induced_subgraph`].  Kept nodes are
+/// relabelled in ascending order, which preserves the order of every
+/// sorted successor list, so each filtered row is written to the CSR as
+/// is.
 ///
 /// # Panics
 ///
@@ -130,25 +133,78 @@ pub fn closed_neighborhood<G: RandomAccessGraph>(g: &G, v: usize) -> Vec<usize> 
 pub fn induced_subgraph<G: RandomAccessGraph>(g: &G, keep: &[usize]) -> (Graph, Vec<usize>) {
     let keep = crate::node_set(keep.iter().copied());
     let n = g.num_nodes();
-    let mut new_id = vec![usize::MAX; n];
+    let mut new_id = vec![u32::MAX; n];
     for (i, &v) in keep.iter().enumerate() {
         assert!(v < n, "node {v} out of range");
-        new_id[v] = i;
+        new_id[v] = i as u32;
     }
-    let mut edges = Vec::new();
+    let mut offsets = Vec::with_capacity(keep.len() + 1);
+    offsets.push(0);
+    let mut targets = Vec::with_capacity(keep.iter().map(|&v| g.degree(v)).sum());
     for &v in &keep {
-        for u in g.successors(v) {
-            if u < v && new_id[u] != usize::MAX {
-                edges.push((new_id[u], new_id[v]));
-            }
-        }
+        targets.extend(
+            g.successors(v)
+                .map(|u| new_id[u])
+                .filter(|&u| u != u32::MAX),
+        );
+        offsets.push(targets.len());
     }
-    (Graph::from_edges(keep.len(), edges), keep)
+    (Graph::from_sorted_adjacency(offsets, targets), keep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompactGraph;
+    use mcds_rng::rngs::StdRng;
+    use mcds_rng::{Rng, SeedableRng};
+
+    /// The edge-list construction that [`induced_subgraph`] replaced: the
+    /// oracle its direct CSR rows are checked against.
+    fn induced_by_edge_list(g: &Graph, keep: &[usize]) -> (Graph, Vec<usize>) {
+        let keep = crate::node_set(keep.iter().copied());
+        let mut new_id = vec![usize::MAX; g.num_nodes()];
+        for (i, &v) in keep.iter().enumerate() {
+            new_id[v] = i;
+        }
+        let mut edges = Vec::new();
+        for &v in &keep {
+            for u in g.neighbors_iter(v) {
+                if u < v && new_id[u] != usize::MAX {
+                    edges.push((new_id[u], new_id[v]));
+                }
+            }
+        }
+        (Graph::from_edges(keep.len(), edges), keep)
+    }
+
+    #[test]
+    fn induced_subgraph_equals_edge_list_construction_on_both_backends() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for case in 0..300 {
+            let n = rng.gen_range(0..=40usize);
+            let p = rng.gen_range(0.0..=0.5);
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen_bool(p))
+                .collect();
+            let g = Graph::from_edges(n, edges);
+            // Unsorted, with duplicates: any order is accepted.
+            let keep: Vec<usize> = (0..n)
+                .rev()
+                .filter(|_| rng.gen_bool(0.5))
+                .flat_map(|v| [v, v])
+                .collect();
+            let want = induced_by_edge_list(&g, &keep);
+            assert_eq!(induced_subgraph(&g, &keep), want, "case {case}, CSR");
+            let compact = CompactGraph::from_graph(&g);
+            assert_eq!(
+                induced_subgraph(&compact, &keep),
+                want,
+                "case {case}, compact"
+            );
+        }
+    }
 
     #[test]
     fn component_counts_on_path() {

@@ -104,7 +104,9 @@ pub fn parse_instance(text: &str) -> Result<Udg, ParseInstanceError> {
         return Err(ParseInstanceError::new(hline, "trailing tokens in header"));
     }
 
-    let mut pts = Vec::with_capacity(n);
+    // The header's count is only a claim: reserve no more than the text
+    // can hold, at four bytes (`0 0` and a line break) per point.
+    let mut pts = Vec::with_capacity(n.min(text.len() / 4));
     for (lno, line) in lines {
         if pts.len() == n {
             return Err(ParseInstanceError::new(lno, "more points than declared"));
@@ -213,6 +215,14 @@ mod tests {
         assert!(e4.to_string().contains("trailing"));
         let e5 = parse_instance("udg 1 1.0\ninf 0").unwrap_err();
         assert!(e5.to_string().contains("non-finite"));
+        // A count no text could hold must not size an allocation.
+        for n in ["18446744073709551615", "1000000000000"] {
+            let e = parse_instance(&format!("udg {n} 1.0\n0 0")).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("line 0: declared {n} points but found 1")
+            );
+        }
     }
 
     #[test]

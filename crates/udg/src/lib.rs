@@ -7,15 +7,18 @@
 //! ([`mcds_geom`]) to the graph substrate ([`mcds_graph`]):
 //!
 //! * [`Udg`] — a point set together with its induced unit-disk graph,
-//!   built in expected `O(n + m)` via a spatial grid (with a naive
-//!   `O(n²)` reference used in tests),
+//!   built in expected `O(n + m)` from one sorted cell table that writes
+//!   the CSR directly (with a naive `O(n²)` reference used in tests);
+//!   sub-instances such as giant components relabel the graph instead
+//!   of rebuilding it,
 //! * [`gen`] — deterministic, seedable instance generators: uniform in a
 //!   square/disk, clustered, perturbed grid, linear chains, plus
 //!   connected-instance helpers (resampling and giant-component
 //!   extraction),
-//! * [`stream`] — a grid-sweep streaming builder that relabels nodes in
-//!   sweep order and feeds adjacencies straight into the gap-compressed
-//!   [`mcds_graph::CompactGraph`] backend (million-node instances),
+//! * [`stream`] — the streaming builder: the same cell table, with nodes
+//!   relabeled in sweep order and adjacencies fed straight into the
+//!   gap-compressed [`mcds_graph::CompactGraph`] backend (million-node
+//!   instances),
 //! * [`io`] — a minimal plain-text instance format for persisting and
 //!   sharing instances,
 //! * [`analysis`] — instance statistics (degree histograms, clustering,
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cells;
 mod model;
 
 pub mod analysis;

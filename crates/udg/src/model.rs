@@ -1,13 +1,10 @@
 //! The [`Udg`] type: points plus their induced unit-disk graph.
 
-use mcds_geom::{grid::GridIndex, Point};
+use mcds_geom::Point;
 use mcds_graph::Graph;
-use mcds_pool::ThreadPool;
 use std::fmt;
 
-/// Below this node count the parallel bucket pass is not worth the
-/// fan-out overhead; construction stays on the calling thread.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
+use crate::cells::CellTable;
 
 /// A unit-disk-graph instance: a planar point set and the undirected graph
 /// it induces under a fixed communication radius.
@@ -39,59 +36,38 @@ impl Udg {
 
     /// Builds the disk graph with communication radius `radius`.
     ///
-    /// Large instances use a parallel bucket pass over the process-wide
-    /// pool ([`mcds_pool::global`]); since that pool defaults to one
-    /// thread, library users get sequential construction unless a front
-    /// end opted in with `--threads`.  The produced graph is identical
-    /// either way (see [`Udg::with_radius_pooled`]).
+    /// Points are sorted into a grid of cells as wide as the edge test
+    /// `dist² ≤ r² + EPS` reaches, so each node tests only the 3×3 block
+    /// of cells around it — expected `O(n + m)` instead of the naive
+    /// `Θ(n²)`.  The CSR is filled in two passes over the cells, with no
+    /// edge list: the first counts each node's degree, the second writes
+    /// and sorts its row.
     ///
     /// # Panics
     ///
     /// Panics if `radius` is not strictly positive and finite, or if any
     /// point has non-finite coordinates.
     pub fn with_radius(points: Vec<Point>, radius: f64) -> Self {
-        let pool = mcds_pool::global::pool();
-        Udg::with_radius_pooled(points, radius, &pool)
-    }
-
-    /// Builds the disk graph with communication radius `radius`, running
-    /// the edge pass on `pool`.
-    ///
-    /// Points are hashed into a uniform grid of cell side `radius`, so
-    /// each node tests only the 3×3 block of cells around it — expected
-    /// `O(n + m)` instead of the naive `Θ(n²)`.  When `pool` is wider
-    /// than one thread and the instance is large enough to amortize the
-    /// fan-out, node ranges are scanned concurrently; each range reports
-    /// only its *forward* pairs `(i, j), i < j`, and ranges are collected
-    /// in index order, so the edge set — and therefore the normalized
-    /// [`Graph`] — is identical to the sequential build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is not strictly positive and finite, or if any
-    /// point has non-finite coordinates.
-    pub fn with_radius_pooled(points: Vec<Point>, radius: f64, pool: &ThreadPool) -> Self {
-        assert!(
-            radius.is_finite() && radius > 0.0,
-            "communication radius must be positive and finite, got {radius}"
-        );
-        let graph = if points.is_empty() {
-            Graph::empty(0)
-        } else {
-            let index = GridIndex::build(&points, radius);
-            if pool.threads() > 1 && points.len() >= PARALLEL_BUILD_THRESHOLD {
-                Graph::from_edges(
-                    points.len(),
-                    parallel_close_pairs(&points, &index, radius, pool),
-                )
-            } else {
-                Graph::from_edges(points.len(), index.close_pairs(radius))
+        let table = CellTable::new(&points, radius);
+        let order = table.order();
+        let mut offsets = vec![0usize; points.len() + 1];
+        table.for_each_row(|k, row| offsets[order[k] as usize + 1] = row.len());
+        for v in 0..points.len() {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut targets = vec![0u32; offsets[points.len()]];
+        table.for_each_row(|k, row| {
+            let v = order[k] as usize;
+            let out = &mut targets[offsets[v]..offsets[v + 1]];
+            for (t, &u) in out.iter_mut().zip(row) {
+                *t = order[u as usize];
             }
-        };
+            out.sort_unstable();
+        });
         Udg {
             points,
             radius,
-            graph,
+            graph: Graph::from_sorted_adjacency(offsets, targets),
         }
     }
 
@@ -143,59 +119,28 @@ impl Udg {
         self.points.is_empty()
     }
 
-    /// The sub-instance restricted to `keep` (sorted, deduplicated), with
-    /// the graph rebuilt over the surviving points.
+    /// The sub-instance restricted to `keep` (any order; duplicates are
+    /// ignored), with the points in ascending original index order.
+    ///
+    /// An edge of a unit-disk graph depends only on its two points and the
+    /// radius, so the subgraph induced on a point subset is that subset's
+    /// unit-disk graph: the graph is relabelled, not rebuilt.
     ///
     /// Used to extract giant components and to shrink instances for exact
     /// solvers.
     pub fn restricted_to(&self, keep: &[usize]) -> Udg {
-        let keep = mcds_graph::node_set(keep.iter().copied());
-        let pts: Vec<Point> = keep.iter().map(|&i| self.points[i]).collect();
-        Udg::with_radius(pts, self.radius)
+        let (graph, keep) = self.graph.induced_subgraph(keep);
+        Udg {
+            points: keep.iter().map(|&i| self.points[i]).collect(),
+            radius: self.radius,
+            graph,
+        }
     }
 
     /// Consumes the instance, returning its points.
     pub fn into_points(self) -> Vec<Point> {
         self.points
     }
-}
-
-/// The disk-graph edge set via concurrent scans of node ranges.
-///
-/// Every node `i` queries its 3×3 grid neighborhood and keeps the forward
-/// pairs `(i, j), i < j`, so each edge is reported exactly once and no
-/// cross-range coordination is needed.  `parallel_map` returns the ranges
-/// in index order, making the concatenated edge list a pure function of
-/// the input — independent of thread count and scheduling.
-fn parallel_close_pairs(
-    points: &[Point],
-    index: &GridIndex,
-    radius: f64,
-    pool: &ThreadPool,
-) -> Vec<(usize, usize)> {
-    // ~4 ranges per worker so stolen ranges rebalance skewed densities.
-    let chunk = points
-        .len()
-        .div_ceil(pool.threads() * 4)
-        .max(PARALLEL_BUILD_THRESHOLD / 8);
-    let ranges: Vec<std::ops::Range<usize>> = (0..points.len())
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(points.len()))
-        .collect();
-    pool.parallel_map(ranges, |_, range| {
-        let mut pairs = Vec::new();
-        for i in range {
-            index.for_each_within(points[i], radius, |j| {
-                if j > i {
-                    pairs.push((i, j));
-                }
-            });
-        }
-        pairs
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 impl fmt::Debug for Udg {
@@ -264,6 +209,19 @@ mod tests {
         assert_eq!(udg.graph().num_edges(), 1);
         let udg2 = Udg::build(vec![Point::ORIGIN, Point::new(1.0 + 1e-6, 0.0)]);
         assert_eq!(udg2.graph().num_edges(), 0);
+    }
+
+    #[test]
+    fn points_on_cell_boundaries_are_found() {
+        // Points exactly on integer cell boundaries must not be missed.
+        let udg = Udg::build(vec![
+            Point::new(1.0, 1.0),
+            Point::new(2.0, 1.0),
+            Point::new(1.0, 2.0),
+            Point::new(2.0, 2.0),
+        ]);
+        let edges: Vec<_> = udg.graph().edges().collect();
+        assert_eq!(edges, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
     }
 
     #[test]

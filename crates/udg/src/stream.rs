@@ -1,41 +1,32 @@
 //! Streaming construction of huge unit-disk graphs directly into the
 //! gap-compressed [`CompactGraph`] backend.
 //!
-//! [`Udg::build`](crate::Udg::build) materializes the whole edge list as
-//! `Vec<(usize, usize)>` before normalizing it into CSR — fine up to a few
-//! hundred thousand nodes, wasteful at millions.  [`stream_build`] avoids
-//! the intermediate entirely:
+//! [`stream_build`] relabels nodes in **grid-sweep order** — sorted by
+//! `(cell_y, cell_x, original index)` over cells as wide as the edge
+//! test reaches — so each grid row occupies a contiguous id range and
+//! geometric neighbors get nearby ids.  It then walks the same sorted
+//! cell table that [`Udg::with_radius`](crate::Udg::with_radius) fills
+//! its CSR from, and feeds each node's adjacency, gathered from the 3×3
+//! cell block around it, straight into the [`CompactGraphBuilder`]
+//! varint encoder.  In sweep order the block's cells ascend, so every
+//! adjacency comes out sorted.
 //!
-//! 1. points are bucketed into the same radius-sized grid cells the
-//!    [`GridIndex`](mcds_geom::grid::GridIndex) uses, and nodes are
-//!    **relabeled in grid-sweep order** — sorted by `(cell_y, cell_x,
-//!    original index)` — so each grid row occupies a contiguous id range
-//!    and geometric neighbors get nearby ids;
-//! 2. the sweep walks rows top to bottom keeping a **three-row sliding
-//!    window** of per-row cell tables resident, emits each node's full
-//!    sorted adjacency from the 3×3 cell block around it, and feeds it
-//!    straight into the [`CompactGraphBuilder`] varint encoder.
+//! No edge list ever exists; peak transient state is the reordered points
+//! plus the cell table.  The relabeling is also what makes the gap
+//! compression effective: consecutive neighbors within a row differ by
+//! small deltas, so most arcs cost one byte instead of the four a CSR
+//! target occupies (measured in experiment E23).
 //!
-//! No `Vec<(u32, u32)>` of edges ever exists; peak transient state is the
-//! reordered points plus three rows of cell ranges.  The relabeling is
-//! also what makes the gap compression effective: consecutive neighbors
-//! within a row differ by small deltas, so most arcs cost one byte
-//! instead of the four a CSR target occupies (measured in experiment E23).
-//!
-//! Edge semantics are identical to [`Udg`](crate::Udg): closed-ball
-//! adjacency `dist² ≤ r² + EPS` with the same grid-cell keying, so
-//! rebuilding a CSR [`Udg`] over [`StreamedUdg::points`] yields exactly
-//! the same graph (asserted by this module's tests and gated end-to-end
-//! by `scripts/verify.sh`).
-
-use std::collections::VecDeque;
-use std::ops::Range;
+//! Edge semantics are identical to [`Udg`](crate::Udg) because the edge
+//! test is the same code: closed-ball adjacency `dist² ≤ r² + EPS` over
+//! the same cells, so rebuilding a CSR [`Udg`](crate::Udg) over
+//! [`StreamedUdg::points`] yields exactly the same graph (asserted by
+//! this module's tests and gated end-to-end by `scripts/verify.sh`).
 
 use mcds_geom::Point;
 use mcds_graph::{CompactGraph, CompactGraphBuilder};
 
-/// Per-row cell table: ascending `(cell_x, id-range)` runs within a row.
-type CellTable = Vec<(i64, Range<usize>)>;
+use crate::cells::CellTable;
 
 /// A unit-disk instance built by [`stream_build`]: the gap-compressed
 /// graph, the grid-sweep-reordered points, and the relabeling that maps
@@ -119,106 +110,17 @@ pub fn stream_build_unit(points: Vec<Point>) -> StreamedUdg {
 /// Panics if `radius` is not strictly positive and finite, or if any
 /// point has non-finite coordinates.
 pub fn stream_build(points: Vec<Point>, radius: f64) -> StreamedUdg {
-    assert!(
-        radius.is_finite() && radius > 0.0,
-        "communication radius must be positive and finite, got {radius}"
-    );
-    let n = points.len();
-    // Same cell keying as GridIndex: coordinates floored at cell side
-    // `radius`, so the 3×3 block around a node covers its closed disk.
-    let key = |p: Point| -> (i64, i64) {
-        assert!(
-            p.x.is_finite() && p.y.is_finite(),
-            "point has non-finite coordinates: {p:?}"
-        );
-        ((p.x / radius).floor() as i64, (p.y / radius).floor() as i64)
-    };
-    let keys: Vec<(i64, i64)> = points.iter().map(|&p| key(p)).collect();
-
-    // Grid-sweep relabeling: sort node ids by (cell_y, cell_x, id).  Rows
-    // become contiguous id ranges, which both bounds the sliding window
-    // and keeps adjacency gaps small for the varint encoder.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&i| {
-        let (cx, cy) = keys[i as usize];
-        (cy, cx, i)
-    });
-    let pts: Vec<Point> = order.iter().map(|&i| points[i as usize]).collect();
-    let ks: Vec<(i64, i64)> = order.iter().map(|&i| keys[i as usize]).collect();
+    let table = CellTable::new(&points, radius);
     drop(points);
-    drop(keys);
-
-    // Row boundaries: maximal runs of equal cell_y in the new order.
-    let mut rows: Vec<(i64, Range<usize>)> = Vec::new();
-    let mut start = 0usize;
-    for v in 1..=n {
-        if v == n || ks[v].1 != ks[start].1 {
-            rows.push((ks[start].1, start..v));
-            start = v;
-        }
-    }
-
-    // Per-row cell table: maximal runs of equal cell_x, sorted by cell_x
-    // (the sweep order guarantees it).  Built lazily, three rows resident.
-    let cells_of = |row: &Range<usize>| -> CellTable {
-        let mut cells = Vec::new();
-        let mut s = row.start;
-        for v in (row.start + 1)..=row.end {
-            if v == row.end || ks[v].0 != ks[s].0 {
-                cells.push((ks[s].0, s..v));
-                s = v;
-            }
-        }
-        cells
-    };
-    let mut window: VecDeque<(usize, CellTable)> = VecDeque::new();
-
-    let mut b = CompactGraphBuilder::new(n);
-    let r_sq = radius * radius + mcds_geom::EPS;
-    let mut nbrs: Vec<u32> = Vec::new();
-    for ri in 0..rows.len() {
-        // Slide the window to rows ri−1 ..= ri+1.
-        while window.front().is_some_and(|&(i, _)| i + 1 < ri) {
-            window.pop_front();
-        }
-        let lo = ri.saturating_sub(1);
-        let hi = (ri + 1).min(rows.len() - 1);
-        for (i, row) in rows.iter().enumerate().take(hi + 1).skip(lo) {
-            if window.iter().all(|&(j, _)| j != i) {
-                window.push_back((i, cells_of(&row.1)));
-            }
-        }
-
-        let row_cy = rows[ri].0;
-        for v in rows[ri].1.clone() {
-            let (cx, _) = ks[v];
-            nbrs.clear();
-            // Window rows ascend in id range and cells ascend in cell_x,
-            // so pushing in this order yields a sorted adjacency — no
-            // per-node sort needed.
-            for &(rj, ref cells) in &window {
-                if (rows[rj].0 - row_cy).abs() > 1 {
-                    continue; // adjacent row index, but an empty band skipped ≥ 2 cells
-                }
-                for target in cx - 1..=cx + 1 {
-                    if let Ok(pos) = cells.binary_search_by_key(&target, |c| c.0) {
-                        for u in cells[pos].1.clone() {
-                            if u != v && pts[u].dist_sq(pts[v]) <= r_sq {
-                                nbrs.push(u as u32);
-                            }
-                        }
-                    }
-                }
-            }
-            b.push_adjacency(&nbrs);
-        }
-    }
-
-    let perm: Vec<usize> = order.into_iter().map(|i| i as usize).collect();
+    let mut b = CompactGraphBuilder::new(table.order().len());
+    table.for_each_row(|_, row| {
+        b.push_adjacency(row);
+    });
+    let (order, points) = table.into_sweep();
     StreamedUdg {
         graph: b.finish(),
-        points: pts,
-        perm,
+        points,
+        perm: order.into_iter().map(|i| i as usize).collect(),
         radius,
     }
 }

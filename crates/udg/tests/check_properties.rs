@@ -1,6 +1,7 @@
 //! Property tests for the UDG crate on the in-tree `mcds-check` engine:
-//! generator invariants and parser robustness, run in the default
-//! `cargo test -q` with deterministic seeds and shrinking.
+//! construction against a linear scan, generator invariants and parser
+//! robustness, run in the default `cargo test -q` with deterministic
+//! seeds and shrinking.
 
 use mcds_check::gen::{strings, u64s, usizes, vecs};
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};
@@ -8,6 +9,33 @@ use mcds_geom::{Aabb, Point};
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::{gen, io, Udg};
+
+#[test]
+fn csr_rows_equal_linear_scan() {
+    // Points on the 1/1000 lattice of [-4, 4]², ticks offset by 1000: up
+    // to 80 points plus one more, the query point of the grid-index
+    // property this replaces.
+    let ticks = (usizes(0..=2000), usizes(0..=2000));
+    let gen = (vecs(ticks.clone(), 0..=80), ticks);
+    Property::new("csr_rows_equal_linear_scan")
+        .cases(128)
+        .run(&gen, |(ts, q)| {
+            let at = |&(x, y): &(usize, usize)| {
+                Point::new((x as f64 - 1000.0) / 250.0, (y as f64 - 1000.0) / 250.0)
+            };
+            let pts: Vec<Point> = ts.iter().chain([q]).map(at).collect();
+            let udg = Udg::build(pts.clone());
+            for (v, &p) in pts.iter().enumerate() {
+                let scan: Vec<u32> = (0..pts.len() as u32)
+                    .filter(|&u| {
+                        u as usize != v && pts[u as usize].dist_sq(p) <= 1.0 + mcds_geom::EPS
+                    })
+                    .collect();
+                prop_assert_eq!(udg.graph().neighbors(v), scan.as_slice());
+            }
+            TestResult::Pass
+        });
+}
 
 #[test]
 fn parser_never_panics_on_arbitrary_text() {

@@ -9,8 +9,8 @@
 #   kernel bench
 #
 # Hermetic by design — no network, no external dependencies.  The
-# proptest/criterion targets are feature-gated (`ext-tests`) and excluded
-# here; see the workspace Cargo.toml for how to restore them.
+# proptest targets are feature-gated (`ext-tests`) and excluded here; see
+# the workspace Cargo.toml for how to restore them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -217,6 +217,19 @@ if want substrate; then
   # adjacency compression gate, at quick-ladder sizes.
   cargo run --quiet --release -p mcds-bench --bin exp_substrate -- --quick \
     > /dev/null
+  # Hostile headers: a declared count no text could hold must be reported
+  # as a count mismatch, not sized into an allocation (capacity overflow,
+  # or an abort on a 16 TB request).
+  for count in 18446744073709551615 1000000000000; do
+    printf 'udg %s 1.0\n0 0\n' "$count" > "$det_dir/probe_header.udg"
+    status=0
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/probe_header.udg" \
+      > /dev/null 2> "$det_dir/probe_header.err" || status=$?
+    [[ $status -eq 2 ]] && grep -q 'declared' "$det_dir/probe_header.err" || {
+      echo "solve exited $status on the header count $count (want 2, declared):" >&2
+      cat "$det_dir/probe_header.err" >&2; exit 1; }
+  done
+  echo "hostile headers rejected: huge declared counts exit 2"
 fi
 
 if want grid; then
