@@ -46,16 +46,32 @@ pub fn max_gain_connectors<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
+    check_graph(g)?;
+    max_gain_connectors_unchecked(g, seed)
+}
+
+/// [`max_gain_connectors`] on a graph the caller has already proved
+/// non-empty and connected (the solver's phase 1 does), without the
+/// second connectivity sweep.
+pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
+    let run = merge_bitset(g, seed, false)?;
+    mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
+    mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
+    Ok(run.connectors)
+}
+
+/// The input checks shared by the public connector entries.
+fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);
     }
     if !g.is_connected() {
         return Err(CdsError::DisconnectedGraph);
     }
-    let run = merge_bitset(g, seed, false)?;
-    mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
-    mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
-    Ok(run.connectors)
+    Ok(())
 }
 
 /// Max-gain merges while any node touches two components, then
@@ -73,18 +89,22 @@ pub fn max_gain_then_paths<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    if g.num_nodes() == 0 {
-        return Err(CdsError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(CdsError::DisconnectedGraph);
-    }
+    check_graph(g)?;
+    max_gain_then_paths_unchecked(g, seed)
+}
+
+/// [`max_gain_then_paths`] on a graph the caller has already proved
+/// non-empty and connected.
+pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
     let mut run = merge_bitset(g, seed, true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         let mut grown: Vec<usize> = seed.to_vec();
         grown.extend(run.connectors.iter().copied());
-        run.connectors.extend(path_connectors(g, &grown)?);
+        run.connectors.extend(path_connectors_unchecked(g, &grown));
     }
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -311,12 +331,13 @@ pub fn path_connectors<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    if g.num_nodes() == 0 {
-        return Err(CdsError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(CdsError::DisconnectedGraph);
-    }
+    check_graph(g)?;
+    Ok(path_connectors_unchecked(g, seed))
+}
+
+/// [`path_connectors`] on a graph the caller has already proved
+/// non-empty and connected.
+pub(crate) fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usize]) -> Vec<usize> {
     let mut mask = node_mask(g.num_nodes(), seed);
     let mut connectors = Vec::new();
     loop {
@@ -368,7 +389,7 @@ pub fn path_connectors<G: RandomAccessGraph>(
         }
     }
     connectors.sort_unstable();
-    Ok(connectors)
+    connectors
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! oracles and diffs against them.
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
+use mcds_graph::subsets::LocalSearch;
 use mcds_graph::RandomAccessGraph;
 
 use crate::CdsError;
@@ -171,7 +172,9 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
         }
         let budget = self.pass_cost.saturating_sub(self.spent);
         let mut work = 0;
-        let verdict = self.search.run(self.g, in_set, v, budget, &mut work);
+        let verdict = self
+            .search
+            .run(self.g, |u| in_set.contains(u), v, budget, &mut work);
         self.spent += work;
         self.stats.search_visits += work;
         match verdict {
@@ -210,131 +213,6 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
         let mut scratch = ArticulationScratch::new();
         bitgraph::masked_articulation_points(self.g, in_set, &mut scratch, &mut all);
         self.known.and_count(&all) == self.known.count_ones()
-    }
-}
-
-/// The exact local test for "is `v` a cut vertex of the connected
-/// `G[S]`": breadth-first searches of `G[S − v]` from every
-/// `S`-neighbour of `v`, interleaved through one FIFO queue and masked
-/// by membership as the global pass is, with union-find over the
-/// searches.  When all searches have merged, the `S`-neighbours share a
-/// component and `v` is not a cut vertex.  When one class of merged
-/// searches runs out of frontier first, its nodes form a whole component
-/// of `G[S − v]` that misses some `S`-neighbour, so `v` is one.
-///
-/// Memory is two `u32` arrays of at most `n` entries (visit stamps and
-/// the queue) plus two of at most `deg v` (classes and frontiers).
-struct LocalSearch {
-    /// `seen[u] − base` is the search that reached `u` in the test that
-    /// started at `base`; stamps below it are stale.
-    seen: Vec<u32>,
-    /// The first stamp of the next test.
-    next_base: u32,
-    queue: Vec<u32>,
-    /// Union-find parent of each search.
-    class: Vec<u32>,
-    /// Reached but unexpanded nodes of each class root.
-    frontier: Vec<u32>,
-}
-
-impl LocalSearch {
-    fn new(n: usize) -> Self {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "local cut search stores node ids as u32, got {n} nodes"
-        );
-        LocalSearch {
-            seen: vec![0; n],
-            next_base: 1,
-            queue: Vec::new(),
-            class: Vec::new(),
-            frontier: Vec::new(),
-        }
-    }
-
-    fn root(&mut self, mut s: usize) -> usize {
-        while self.class[s] as usize != s {
-            let up = self.class[self.class[s] as usize];
-            self.class[s] = up;
-            s = up as usize;
-        }
-        s
-    }
-
-    /// `Some(true)` if `v` is a cut vertex of the connected `G[in_set]`,
-    /// `Some(false)` if not, `None` once `work` (successor visits, added
-    /// to the caller's tally) would exceed `budget`.
-    fn run<G: RandomAccessGraph>(
-        &mut self,
-        g: &G,
-        in_set: &BitSet,
-        v: usize,
-        budget: u64,
-        work: &mut u64,
-    ) -> Option<bool> {
-        let k = g.degree(v) as u32;
-        if u32::MAX - self.next_base < k {
-            self.seen.fill(0);
-            self.next_base = 1;
-        }
-        let base = self.next_base;
-        self.next_base += k;
-        self.queue.clear();
-        self.class.clear();
-        self.frontier.clear();
-        for u in g.successors(v) {
-            *work += 1;
-            if in_set.contains(u) {
-                let s = self.class.len() as u32;
-                self.seen[u] = base + s;
-                self.queue.push(u as u32);
-                self.class.push(s);
-                self.frontier.push(1);
-            }
-        }
-        *work += 1;
-        let mut classes = self.class.len();
-        if classes < 2 {
-            // A leaf of a connected graph never disconnects it.
-            return Some(false);
-        }
-        let mut head = 0;
-        while let Some(&u) = self.queue.get(head) {
-            head += 1;
-            let u = u as usize;
-            let label = self.seen[u];
-            let c = self.root((label - base) as usize);
-            for w in g.successors(u) {
-                *work += 1;
-                if w == v || !in_set.contains(w) {
-                    continue;
-                }
-                if self.seen[w] < base {
-                    self.seen[w] = label;
-                    self.queue.push(w as u32);
-                    self.frontier[c] += 1;
-                    continue;
-                }
-                let d = self.root((self.seen[w] - base) as usize);
-                if d != c {
-                    self.class[d] = c as u32;
-                    self.frontier[c] += self.frontier[d];
-                    classes -= 1;
-                    if classes == 1 {
-                        return Some(false);
-                    }
-                }
-            }
-            *work += 1;
-            self.frontier[c] -= 1;
-            if self.frontier[c] == 0 {
-                return Some(true);
-            }
-            if *work > budget {
-                return None;
-            }
-        }
-        unreachable!("a class empties its frontier before the queue runs dry")
     }
 }
 
@@ -426,50 +304,6 @@ mod tests {
                     .clone()
             })
             .collect()
-    }
-
-    #[test]
-    fn local_search_agrees_with_tarjan_on_every_member() {
-        let mut graphs = udg_instances();
-        graphs.extend([
-            Graph::path(9),
-            Graph::cycle(12),
-            Graph::complete(6),
-            // Two triangles sharing the cut vertex 2, plus a pendant 5.
-            Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)]),
-        ]);
-        for g in &graphs {
-            let n = g.num_nodes();
-            let greedy = greedy_cds(g).unwrap().nodes().to_vec();
-            for set in [(0..n).collect::<Vec<_>>(), greedy] {
-                let in_set = BitSet::from_nodes(n, &set);
-                let mut cut = BitSet::new(n);
-                bitgraph::masked_articulation_points(
-                    g,
-                    &in_set,
-                    &mut ArticulationScratch::new(),
-                    &mut cut,
-                );
-                let mut search = LocalSearch::new(n);
-                for &v in &set {
-                    let verdict = search.run(g, &in_set, v, u64::MAX, &mut 0);
-                    assert_eq!(verdict, Some(cut.contains(v)), "n {n}, v {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn local_search_gives_up_past_its_budget() {
-        // Node 0 of C12 is not a cut vertex, but its two searches only
-        // meet at the far side, about 30 successor visits away.
-        let g = Graph::cycle(12);
-        let in_set = BitSet::from_nodes(12, &(0..12).collect::<Vec<_>>());
-        let mut search = LocalSearch::new(12);
-        let mut work = 0;
-        assert_eq!(search.run(&g, &in_set, 0, 10, &mut work), None);
-        assert!(work > 10);
-        assert_eq!(search.run(&g, &in_set, 0, u64::MAX, &mut 0), Some(false));
     }
 
     #[test]

@@ -351,14 +351,16 @@ impl Solver {
                 drop(p1);
                 timings.phase1 = watch.lap();
                 let p2 = mcds_obs::span("solve.phase2");
-                let connectors = connect::max_gain_connectors(g, &mis).map_err(|e| match e {
-                    // An MIS of a connected graph can never stall
-                    // (Lemma 9); surface any other error as-is.
-                    CdsError::Stalled(msg) => {
-                        CdsError::Stalled(format!("unexpected on MIS seed: {msg}"))
-                    }
-                    other => other,
-                })?;
+                // The spanning BFS tree above proved `g` connected.
+                let connectors =
+                    connect::max_gain_connectors_unchecked(g, &mis).map_err(|e| match e {
+                        // An MIS of a connected graph can never stall
+                        // (Lemma 9); surface any other error as-is.
+                        CdsError::Stalled(msg) => {
+                            CdsError::Stalled(format!("unexpected on MIS seed: {msg}"))
+                        }
+                        other => other,
+                    })?;
                 drop(p2);
                 timings.phase2 = watch.lap();
                 (mis, connectors)
@@ -376,7 +378,7 @@ impl Solver {
                 drop(p1);
                 timings.phase1 = watch.lap();
                 let p2 = mcds_obs::span("solve.phase2");
-                let connectors = connect::path_connectors(g, &ds)?;
+                let connectors = connect::path_connectors_unchecked(g, &ds);
                 drop(p2);
                 timings.phase2 = watch.lap();
                 (ds, connectors)
@@ -392,7 +394,7 @@ impl Solver {
                 drop(p1);
                 timings.phase1 = watch.lap();
                 let p2 = mcds_obs::span("solve.phase2");
-                let connectors = connect::max_gain_then_paths(g, &mis)?;
+                let connectors = connect::max_gain_then_paths_unchecked(g, &mis)?;
                 drop(p2);
                 timings.phase2 = watch.lap();
                 (mis, connectors)

@@ -21,7 +21,9 @@
 //! * [`DisjointSets`] — union–find, the engine behind the Section-IV greedy
 //!   connector's component counting,
 //! * [`subsets`] — induced-subgraph queries on node subsets: component
-//!   counts of `G[I ∪ U]`, connectivity of a subset, neighborhoods,
+//!   counts of `G[I ∪ U]`, connectivity of a subset, neighborhoods, and
+//!   the exact local cut-vertex search ([`subsets::LocalSearch`]) the
+//!   prune and the churn maintainer share,
 //! * [`bitgraph`] — packed `u64` bitset node sets and adjacency rows with
 //!   word-parallel popcount/intersect/union kernels, plus masked Tarjan
 //!   articulation points (the hot-path substrate of phase 2 and prune),

@@ -4,6 +4,9 @@
 //! components of `G[I ∪ U]` — and about which components a candidate
 //! connector is adjacent to.  These queries are provided here over a
 //! membership mask, without materializing the induced subgraph.
+//! [`LocalSearch`] answers the question the prune post-pass and the
+//! churn maintainer both ask of a connected `G[S]` — does dropping one
+//! member disconnect it? — near that member instead of over all of `S`.
 
 use crate::{DisjointSets, Graph, RandomAccessGraph};
 
@@ -152,6 +155,156 @@ pub fn induced_subgraph<G: RandomAccessGraph>(g: &G, keep: &[usize]) -> (Graph, 
     (Graph::from_sorted_adjacency(offsets, targets), keep)
 }
 
+/// The exact local test for "is `v` a cut vertex of the connected
+/// `G[S]`": breadth-first searches of `G[S − v]` from every
+/// `S`-neighbour of `v`, interleaved through one FIFO queue, with
+/// union-find over the searches.  When all searches have merged, the
+/// `S`-neighbours share a component and `v` is not a cut vertex.  When
+/// one class of merged searches runs out of frontier first, its nodes
+/// form a whole component of `G[S − v]` that misses some `S`-neighbour,
+/// so `v` is one.  Membership is any `Fn(usize) -> bool` (a
+/// [`BitSet`](crate::bitgraph::BitSet) or a `bool` mask); `v`'s own
+/// membership is never read.
+///
+/// Memory is two `u32` arrays of at most `n` entries (visit stamps and
+/// the queue) plus two of at most `deg v` (classes and frontiers), all
+/// reused across tests.
+///
+/// ```
+/// use mcds_graph::{subsets::LocalSearch, Graph};
+///
+/// // In the path 0 - 1 - 2 - 3, the interior nodes are cut vertices.
+/// let g = Graph::path(4);
+/// let mut search = LocalSearch::new(4);
+/// let member = |_: usize| true;
+/// assert_eq!(search.run(&g, member, 1, u64::MAX, &mut 0), Some(true));
+/// assert_eq!(search.run(&g, member, 3, u64::MAX, &mut 0), Some(false));
+/// ```
+#[derive(Debug, Clone)]
+pub struct LocalSearch {
+    /// `seen[u] − base` is the search that reached `u` in the test that
+    /// started at `base`; stamps below it are stale.
+    seen: Vec<u32>,
+    /// The first stamp of the next test.
+    next_base: u32,
+    queue: Vec<u32>,
+    /// Union-find parent of each search.
+    class: Vec<u32>,
+    /// Reached but unexpanded nodes of each class root.
+    frontier: Vec<u32>,
+}
+
+impl LocalSearch {
+    /// Search state for graphs of up to `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit in a `u32`.
+    pub fn new(n: usize) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "local cut search stores node ids as u32, got {n} nodes"
+        );
+        LocalSearch {
+            seen: vec![0; n],
+            next_base: 1,
+            queue: Vec::new(),
+            class: Vec::new(),
+            frontier: Vec::new(),
+        }
+    }
+
+    fn root(&mut self, mut s: usize) -> usize {
+        while self.class[s] as usize != s {
+            let up = self.class[self.class[s] as usize];
+            self.class[s] = up;
+            s = up as usize;
+        }
+        s
+    }
+
+    /// `Some(true)` if `v` is a cut vertex of the connected `G[S]`, where
+    /// `S = {u : member(u)} ∪ {v}`, `Some(false)` if not, `None` once
+    /// `work` (successor visits, added to the caller's tally) would
+    /// exceed `budget`.  With `budget = u64::MAX` the answer is always
+    /// given.
+    ///
+    /// `G[S]` must be connected; the verdict is then exactly whether
+    /// `G[S − v]` is disconnected.
+    pub fn run<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+        &mut self,
+        g: &G,
+        member: F,
+        v: usize,
+        budget: u64,
+        work: &mut u64,
+    ) -> Option<bool> {
+        let k = g.degree(v) as u32;
+        if u32::MAX - self.next_base < k {
+            self.seen.fill(0);
+            self.next_base = 1;
+        }
+        let base = self.next_base;
+        self.next_base += k;
+        self.queue.clear();
+        self.class.clear();
+        self.frontier.clear();
+        for u in g.successors(v) {
+            *work += 1;
+            if member(u) {
+                let s = self.class.len() as u32;
+                self.seen[u] = base + s;
+                self.queue.push(u as u32);
+                self.class.push(s);
+                self.frontier.push(1);
+            }
+        }
+        *work += 1;
+        let mut classes = self.class.len();
+        if classes < 2 {
+            // A leaf of a connected graph never disconnects it.
+            return Some(false);
+        }
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let label = self.seen[u];
+            let c = self.root((label - base) as usize);
+            for w in g.successors(u) {
+                *work += 1;
+                if w == v || !member(w) {
+                    continue;
+                }
+                if self.seen[w] < base {
+                    self.seen[w] = label;
+                    self.queue.push(w as u32);
+                    self.frontier[c] += 1;
+                    continue;
+                }
+                let d = self.root((self.seen[w] - base) as usize);
+                if d != c {
+                    self.class[d] = c as u32;
+                    self.frontier[c] += self.frontier[d];
+                    classes -= 1;
+                    if classes == 1 {
+                        return Some(false);
+                    }
+                }
+            }
+            *work += 1;
+            self.frontier[c] -= 1;
+            if self.frontier[c] == 0 {
+                return Some(true);
+            }
+            if *work > budget {
+                return None;
+            }
+        }
+        unreachable!("a class empties its frontier before the queue runs dry")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +357,99 @@ mod tests {
                 "case {case}, compact"
             );
         }
+    }
+
+    /// Connected geometric graphs around average degree 10 (the largest
+    /// component of seeded uniform points), plus small structured cases.
+    fn connected_instances() -> Vec<Graph> {
+        let mut graphs: Vec<Graph> = (0..12u64)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = 60 + 20 * seed as usize;
+                let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+                let pts: Vec<(f64, f64)> = (0..n)
+                    .map(|_| (rng.gen_range(0.0..=side), rng.gen_range(0.0..=side)))
+                    .collect();
+                let edges = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+                let near = |&(u, v): &(usize, usize)| {
+                    let (dx, dy) = (pts[u].0 - pts[v].0, pts[u].1 - pts[v].1);
+                    dx * dx + dy * dy <= 1.0
+                };
+                let g = Graph::from_edges(n, edges.filter(near).collect::<Vec<_>>());
+                induced_subgraph(&g, &crate::traversal::largest_component(&g)).0
+            })
+            .collect();
+        graphs.extend([
+            Graph::path(9),
+            Graph::cycle(12),
+            Graph::complete(6),
+            // Two triangles sharing the cut vertex 2, plus a pendant 5.
+            Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)]),
+        ]);
+        graphs
+    }
+
+    /// Connected member sets of `g`: all of `V`, and the interior of a
+    /// breadth-first spanning tree (a connected dominating set).
+    fn connected_sets(g: &Graph) -> Vec<Vec<usize>> {
+        let n = g.num_nodes();
+        let tree = crate::traversal::BfsTree::rooted_at(g, 0);
+        let mut interior: Vec<usize> = (0..n).filter_map(|v| tree.parent(v)).collect();
+        interior = crate::node_set(interior);
+        vec![(0..n).collect(), interior]
+    }
+
+    #[test]
+    fn local_search_agrees_with_tarjan_on_every_member() {
+        use crate::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
+        for g in &connected_instances() {
+            let n = g.num_nodes();
+            for set in connected_sets(g) {
+                let in_set = BitSet::from_nodes(n, &set);
+                let mut cut = BitSet::new(n);
+                masked_articulation_points(g, &in_set, &mut ArticulationScratch::new(), &mut cut);
+                let mut search = LocalSearch::new(n);
+                for &v in &set {
+                    let verdict = search.run(g, |u| in_set.contains(u), v, u64::MAX, &mut 0);
+                    assert_eq!(verdict, Some(cut.contains(v)), "n {n}, v {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn local_search_on_a_bool_mask_matches_component_counts() {
+        // The membership form of the churn maintainer's connector drops:
+        // a `bool` mask with the candidate already cleared.
+        for g in &connected_instances() {
+            let n = g.num_nodes();
+            for set in connected_sets(g) {
+                let mut mask = crate::node_mask(n, &set);
+                let mut search = LocalSearch::new(n);
+                for &v in &set {
+                    mask[v] = false;
+                    let verdict = search.run(g, |u| mask[u], v, u64::MAX, &mut 0);
+                    assert_eq!(
+                        verdict,
+                        Some(!is_connected_subset(g, &mask)),
+                        "n {n}, v {v}"
+                    );
+                    mask[v] = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn local_search_gives_up_past_its_budget() {
+        // Node 0 of C12 is not a cut vertex, but its two searches only
+        // meet at the far side, about 30 successor visits away.
+        let g = Graph::cycle(12);
+        let mut search = LocalSearch::new(12);
+        let mut work = 0;
+        assert_eq!(search.run(&g, |_| true, 0, 10, &mut work), None);
+        assert!(work > 10);
+        assert_eq!(search.run(&g, |_| true, 0, u64::MAX, &mut 0), Some(false));
     }
 
     #[test]

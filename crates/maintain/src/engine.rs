@@ -1,9 +1,12 @@
 //! The maintenance engine: incremental backbone repair under churn.
 //!
-//! [`Maintainer`] holds the live population (stable [`NodeId`]s with
-//! positions) and the current backbone (dominators + connectors, the
+//! [`Maintainer`] holds the live population as a resident
+//! [`Topology`] (stable [`NodeId`]s with positions and sorted neighbour
+//! rows) and the current backbone (dominators + connectors, the
 //! two-phased structure of the paper).  Each [`Maintainer::apply`] call
-//! mutates the topology by one [`TopologyEvent`] and repairs the backbone:
+//! patches the topology by one [`TopologyEvent`] in time proportional
+//! to the local degree, takes the giant component by relabelling the
+//! patched rows, and repairs the backbone:
 //!
 //! 1. **Local MIS re-election** — dominators are repaired first-fit
 //!    inside the event's 2-hop damage region only: adjacent dominator
@@ -13,7 +16,9 @@
 //!    localize the update.
 //! 2. **Confined connector patch** — if `G[I ∪ C]` fell apart, the
 //!    paper's Section-IV max-gain greedy runs with candidates confined to
-//!    the damaged region.
+//!    the damaged region, and connectors of the region that no longer
+//!    hold `G[I ∪ C]` together are dropped, each drop decided by the
+//!    exact local cut search ([`LocalSearch`]) around the connector.
 //! 3. **Fallback** — when the confined greedy stalls, the repaired set
 //!    fails verification, or its size drifts past
 //!    [`MaintainConfig::drift_threshold`] × the fresh
@@ -37,14 +42,14 @@
 //! compares across `m`.  Fallbacks to a full recompute are visible in
 //! the reason-tagged `maintain.recompute.*` counters of [`mcds_obs`].
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mcds_cds::{Algorithm, Solver};
 use mcds_geom::Point;
-use mcds_graph::{node_mask, properties, subsets, traversal, Graph};
+use mcds_graph::subsets::{self, LocalSearch};
+use mcds_graph::{node_mask, properties, Graph};
 use mcds_udg::mobility::survival_fraction;
-use mcds_udg::Udg;
+use mcds_udg::Topology;
 
 use crate::event::{NodeId, TopologyEvent};
 
@@ -177,8 +182,11 @@ pub struct RepairReport {
     /// Fraction of the previous backbone surviving into the new one
     /// (1.0 when there was no previous backbone).
     pub survival: f64,
-    /// Wall-clock time spent applying the event (repair + verification,
-    /// excluding the baseline solve).
+    /// Wall-clock time of the event from its start through the
+    /// verification of the maintained set: the topology patch, the
+    /// giant-component snapshot, the fresh baseline solve, the local
+    /// repair (or the recompute that replaced it) and the verification.
+    /// Only the role and survival accounting of this report comes after.
     pub wall: Duration,
     /// Whether the maintained set passed CDS verification on the new
     /// snapshot (always checked, even with `verify` off — `verify` only
@@ -229,7 +237,9 @@ impl RepairReport {
 pub struct Maintainer {
     cfg: MaintainConfig,
     next_id: NodeId,
-    nodes: BTreeMap<NodeId, Point>,
+    topology: Topology,
+    /// Giant-component size of the last snapshot.
+    giant: usize,
     /// Backbone roles as stable ids (sorted, disjoint).
     dominators: Vec<NodeId>,
     connectors: Vec<NodeId>,
@@ -277,7 +287,8 @@ impl Maintainer {
         Maintainer {
             cfg,
             next_id: 0,
-            nodes: BTreeMap::new(),
+            topology: Topology::new(cfg.radius),
+            giant: 0,
             dominators: Vec::new(),
             connectors: Vec::new(),
             events_applied: 0,
@@ -288,12 +299,10 @@ impl Maintainer {
     /// `0..points.len()`) and an initial backbone computed from scratch.
     pub fn with_population(cfg: MaintainConfig, points: Vec<Point>) -> Self {
         let mut engine = Maintainer::new(cfg);
-        for p in points {
-            let id = engine.next_id;
-            engine.next_id += 1;
-            engine.nodes.insert(id, p);
-        }
+        engine.next_id = points.len();
+        engine.topology = Topology::with_points(points, cfg.radius);
         if let Some(snap) = engine.snapshot() {
+            engine.giant = snap.ids.len();
             engine.adopt_fresh(&snap);
         }
         engine
@@ -307,24 +316,37 @@ impl Maintainer {
     /// Live nodes as `(stable id, position)`, ascending by id — the shape
     /// [`crate::ChurnGen::next_event`] consumes.
     pub fn alive(&self) -> Vec<(NodeId, Point)> {
-        self.nodes.iter().map(|(&id, &p)| (id, p)).collect()
+        self.topology.iter().collect()
     }
 
     /// Number of live nodes.
     pub fn population(&self) -> usize {
-        self.nodes.len()
+        self.topology.len()
+    }
+
+    /// The resident topology of the live population, patched by every
+    /// event.  [`Topology::graph`] gives the unit-disk graph of all live
+    /// nodes without rebuilding geometry.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Size of the giant component the backbone serves, as of the last
+    /// event (or the seeding), 0 with no nodes alive.
+    pub fn giant(&self) -> usize {
+        self.giant
     }
 
     /// Whether `node` is currently alive.  [`Maintainer::apply`] panics
     /// on a `Leave`/`Move` of a dead node, so admission layers (the
     /// `mcds-serve` churn queue) check here first and reject instead.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.contains_key(&node)
+        self.topology.contains(node)
     }
 
     /// The position of a live node, or `None` when it is dead.
     pub fn position(&self, node: NodeId) -> Option<Point> {
-        self.nodes.get(&node).copied()
+        self.topology.position(node)
     }
 
     /// The maintained backbone (dominators ∪ connectors) as sorted stable
@@ -347,22 +369,14 @@ impl Maintainer {
         &self.connectors
     }
 
-    /// Rebuilds the dense giant-component snapshot, or `None` when no
-    /// nodes are alive.
+    /// The dense giant-component snapshot, relabelled from the resident
+    /// rows, or `None` when no nodes are alive.
     fn snapshot(&self) -> Option<Snapshot> {
-        if self.nodes.is_empty() {
+        if self.topology.is_empty() {
             return None;
         }
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let pts: Vec<Point> = ids.iter().map(|id| self.nodes[id]).collect();
-        let udg = Udg::with_radius(pts, self.cfg.radius);
-        let giant = traversal::largest_component(udg.graph());
-        let giant_ids: Vec<NodeId> = giant.iter().map(|&i| ids[i]).collect();
-        let sub = udg.restricted_to(&giant);
-        Some(Snapshot {
-            ids: giant_ids,
-            graph: sub.graph().clone(),
-        })
+        let (ids, graph) = self.topology.giant();
+        Some(Snapshot { ids, graph })
     }
 
     /// Backbone nodes living on the snapshot's giant component.
@@ -394,19 +408,29 @@ impl Maintainer {
     /// Panics if a `Leave`/`Move` references a dead node, or a position is
     /// non-finite.
     pub fn apply(&mut self, event: TopologyEvent) -> RepairReport {
+        // Each step below is a direct child span of `maintain.apply`.
+        // The baseline's and a fallback's `solve` must stay direct
+        // children: the benchmark folds `maintain.apply/solve` into the
+        // per-event baseline time.
         let _apply_span = mcds_obs::span("maintain.apply");
         mcds_obs::counter!("maintain.events");
         let started = Instant::now();
-        let prev_backbone = self.backbone();
         let seq = self.events_applied;
         self.events_applied += 1;
 
-        // 1. Mutate the population, collecting the stable ids whose
+        // 1. Patch the topology, collecting the stable ids whose
         //    neighborhoods changed (the damage seeds).
+        let patch_span = mcds_obs::span("maintain.patch");
+        let prev_backbone = self.backbone();
         let (node, seeds) = self.mutate(&event);
+        drop(patch_span);
 
         // 2. Dense giant-component snapshot + fresh baseline.
-        let Some(snap) = self.snapshot() else {
+        let snapshot_span = mcds_obs::span("maintain.snapshot");
+        let snap = self.snapshot();
+        self.giant = snap.as_ref().map_or(0, |s| s.ids.len());
+        drop(snapshot_span);
+        let Some(snap) = snap else {
             // Population emptied out: the empty backbone is trivially
             // valid for the empty graph.
             self.dominators.clear();
@@ -438,44 +462,49 @@ impl Maintainer {
             .expect("giant component is connected and non-empty")
             .len();
 
+        // 3. Map the surviving backbone into the snapshot and repair.
+        let repair_span = mcds_obs::span("maintain.repair");
         // Coverage damage before repair: how many giant nodes the
         // surviving backbone leaves undominated.  Measured against plain
         // domination (m = 1) for every engine so E22 can compare the
         // same failure trace across m; a valid (1, m ≥ 2) backbone
         // absorbs any single death with zero violations.
         let violations = {
+            let _span = mcds_obs::span("maintain.violations");
             let mask = local_backbone_mask(&snap, &self.dominators, &self.connectors);
             coverage_violations(&snap.graph, &mask, 1)
         };
-
-        // 3. Map the surviving backbone into the snapshot and repair.
         let prev_dom: Vec<NodeId> = self.dominators.clone();
         let prev_con: Vec<NodeId> = self.connectors.clone();
         let had_backbone = !prev_backbone.is_empty();
-        let (decision, nodes_touched) = if !had_backbone {
-            (RepairDecision::Recomputed(RecomputeReason::ColdStart), 0)
+        let repaired = if had_backbone {
+            let _span = mcds_obs::span("maintain.local_repair");
+            self.repair_local(&snap, &seeds)
         } else {
-            match self.repair_local(&snap, &seeds) {
-                Ok(touched) => {
-                    // Drift is judged on the giant component only — the
-                    // baseline serves it alone, and backbone remnants
-                    // preserved for minor components must not count
-                    // against the repair.
-                    let giant_size = self.giant_backbone_size(&snap);
-                    let ratio = if baseline_size == 0 {
-                        1.0
-                    } else {
-                        giant_size as f64 / baseline_size as f64
-                    };
-                    if ratio > self.cfg.drift_threshold {
-                        (RepairDecision::Recomputed(RecomputeReason::Drift), touched)
-                    } else {
-                        (RepairDecision::Repaired, touched)
-                    }
-                }
-                Err(reason) => (RepairDecision::Recomputed(reason), 0),
-            }
+            Err(RecomputeReason::ColdStart)
         };
+        let (decision, nodes_touched) = match repaired {
+            Ok(touched) => {
+                let _span = mcds_obs::span("maintain.drift");
+                // Drift is judged on the giant component only — the
+                // baseline serves it alone, and backbone remnants
+                // preserved for minor components must not count against
+                // the repair.
+                let giant_size = self.giant_backbone_size(&snap);
+                let ratio = if baseline_size == 0 {
+                    1.0
+                } else {
+                    giant_size as f64 / baseline_size as f64
+                };
+                if ratio > self.cfg.drift_threshold {
+                    (RepairDecision::Recomputed(RecomputeReason::Drift), touched)
+                } else {
+                    (RepairDecision::Repaired, touched)
+                }
+            }
+            Err(reason) => (RepairDecision::Recomputed(reason), 0),
+        };
+        drop(repair_span);
         if let RepairDecision::Recomputed(_) = decision {
             self.adopt_fresh(&snap);
         }
@@ -488,6 +517,7 @@ impl Maintainer {
         }
 
         // 4. Always verify the maintained set against the snapshot.
+        let _verify_span = mcds_obs::span("maintain.verify");
         let backbone_local: Vec<usize> = self
             .backbone()
             .iter()
@@ -505,7 +535,7 @@ impl Maintainer {
             seq,
             event,
             node,
-            alive: self.nodes.len(),
+            alive: self.topology.len(),
             giant: snap.ids.len(),
             nodes_touched,
             violations,
@@ -526,56 +556,33 @@ impl Maintainer {
         }
     }
 
-    /// Applies the population mutation and returns `(event node id, seed
-    /// ids whose neighborhoods changed)`.
+    /// Patches the topology and returns `(event node id, seed ids whose
+    /// neighborhoods changed)`.
     fn mutate(&mut self, event: &TopologyEvent) -> (NodeId, Vec<NodeId>) {
         match *event {
             TopologyEvent::Join { pos } => {
                 assert!(pos.is_finite(), "join position must be finite");
                 let id = self.next_id;
                 self.next_id += 1;
-                self.nodes.insert(id, pos);
+                self.topology.insert(id, pos);
                 (id, vec![id])
             }
             TopologyEvent::Leave { node } => {
-                let pos = self
-                    .nodes
-                    .remove(&node)
-                    .unwrap_or_else(|| panic!("leave of dead node {node}"));
+                assert!(self.is_alive(node), "leave of dead node {node}");
+                // The departed node's old neighbors lost an edge each.
+                let seeds = self.topology.remove(node);
                 self.dominators.retain(|&v| v != node);
                 self.connectors.retain(|&v| v != node);
-                // The departed node's old neighbors lost an edge each.
-                let seeds = self.ids_within(pos, self.cfg.radius);
                 (node, seeds)
             }
             TopologyEvent::Move { node, to } => {
                 assert!(to.is_finite(), "move target must be finite");
-                let old = *self
-                    .nodes
-                    .get(&node)
-                    .unwrap_or_else(|| panic!("move of dead node {node}"));
+                assert!(self.is_alive(node), "move of dead node {node}");
                 // Damage spans both the detach site (old neighbors) and
                 // the attach site (new neighbors).
-                let mut seeds = self.ids_within(old, self.cfg.radius);
-                self.nodes.insert(node, to);
-                seeds.extend(self.ids_within(to, self.cfg.radius));
-                seeds.push(node);
-                seeds.sort_unstable();
-                seeds.dedup();
-                (node, seeds)
+                (node, self.topology.relocate(node, to))
             }
         }
-    }
-
-    /// Live ids within `radius` of `center` (including a node exactly at
-    /// `center`).
-    fn ids_within(&self, center: Point, radius: f64) -> Vec<NodeId> {
-        let r_sq = radius * radius + mcds_geom::EPS;
-        self.nodes
-            .iter()
-            .filter(|(_, &p)| p.dist_sq(center) <= r_sq)
-            .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Attempts the local repair on the snapshot.  On success stores the
@@ -711,9 +718,12 @@ impl Maintainer {
         }
 
         // Phase 3: drop connectors in the damage region that the repair
-        // made redundant (highest id first, re-checking connectivity
-        // after each removal), so local churn cannot ratchet the backbone
-        // size upward.
+        // made redundant (highest id first), so local churn cannot
+        // ratchet the backbone size upward.  Phase 2 left `G[mask]`
+        // connected and every accepted drop keeps it so, hence dropping
+        // `c` keeps it connected iff `c` is not a cut vertex of
+        // `G[mask]`, which the exact local search decides near `c`.
+        let mut search = LocalSearch::new(n);
         for &c in check_zone.iter().rev() {
             if !is_con[c] {
                 continue;
@@ -722,8 +732,8 @@ impl Maintainer {
             // For m ≥ 2 a connector also carries coverage: it may only
             // be dropped if it and its now-outside neighbors all keep
             // ≥ m backbone neighbors.
-            let droppable = subsets::is_connected_subset(g, &mask)
-                && (m == 1 || drop_keeps_coverage(g, &mask, c, m));
+            let droppable = (m == 1 || drop_keeps_coverage(g, &mask, c, m))
+                && search.run(g, |u| mask[u], c, u64::MAX, &mut 0) == Some(false);
             if droppable {
                 is_con[c] = false;
             } else {
@@ -745,7 +755,7 @@ impl Maintainer {
         let keep_outside = |ids: &[NodeId]| -> Vec<NodeId> {
             ids.iter()
                 .copied()
-                .filter(|id| giant_set.binary_search(id).is_err() && self.nodes.contains_key(id))
+                .filter(|id| giant_set.binary_search(id).is_err() && self.topology.contains(*id))
                 .collect()
         };
         let mut new_dom = keep_outside(&self.dominators);
@@ -826,11 +836,134 @@ fn backbone_valid(g: &Graph, set: &[usize], m: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{ChurnConfig, ChurnGen};
+    use mcds_graph::traversal;
+    use mcds_rng::{rngs::StdRng, Rng, SeedableRng};
+    use mcds_udg::Udg;
 
     fn chain(n: usize, spacing: f64) -> Vec<Point> {
         (0..n)
             .map(|i| Point::new(i as f64 * spacing, 0.0))
             .collect()
+    }
+
+    /// The snapshot as the engine took it before the resident topology:
+    /// a fresh unit-disk build of `alive()`, its largest component, and
+    /// the restriction to it.  Kept only as the oracle of `snapshot()`.
+    fn rebuilt_snapshot(engine: &Maintainer) -> Option<Snapshot> {
+        let alive = engine.alive();
+        if alive.is_empty() {
+            return None;
+        }
+        let pts: Vec<Point> = alive.iter().map(|&(_, p)| p).collect();
+        let udg = Udg::with_radius(pts, engine.cfg.radius);
+        let giant = traversal::largest_component(udg.graph());
+        Some(Snapshot {
+            ids: giant.iter().map(|&i| alive[i].0).collect(),
+            graph: udg.restricted_to(&giant).graph().clone(),
+        })
+    }
+
+    fn assert_snapshot_matches_rebuild(engine: &Maintainer, context: &str) {
+        let got = engine.snapshot();
+        let want = rebuilt_snapshot(engine);
+        assert_eq!(got.is_some(), want.is_some(), "{context}");
+        if let (Some(got), Some(want)) = (got, want) {
+            assert_eq!(got.ids, want.ids, "{context}: giant ids");
+            assert_eq!(got.graph, want.graph, "{context}: giant CSR");
+            assert_eq!(engine.giant(), want.ids.len(), "{context}: giant size");
+        } else {
+            assert_eq!(engine.giant(), 0, "{context}");
+        }
+    }
+
+    #[test]
+    fn snapshots_equal_the_rebuilt_giant_after_every_event() {
+        // Obs stays off and serialized, so the recomputes here cannot
+        // leak into `fallback_reasons_reach_the_counters`.
+        mcds_obs::test_support::with_enabled(false, snapshot_streams);
+    }
+
+    fn snapshot_streams() {
+        for (seed, m) in [(3u64, 1), (8, 1), (13, 2), (21, 2)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let side = 5.0;
+            let pts: Vec<Point> = (0..50)
+                .map(|_| Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side)))
+                .collect();
+            let cfg = MaintainConfig {
+                m,
+                ..MaintainConfig::default()
+            };
+            let mut engine = Maintainer::with_population(cfg, pts);
+            assert_snapshot_matches_rebuild(&engine, &format!("seed {seed}, seeding"));
+            let mut churn = ChurnGen::new(ChurnConfig {
+                region: mcds_geom::Aabb::square(side),
+                p_join: 0.25,
+                p_leave: 0.25,
+                move_radius: 1.5,
+                min_population: 4,
+            });
+            for step in 0..120 {
+                let event = churn.next_event(&mut rng, &engine.alive());
+                engine.apply(event);
+                assert_snapshot_matches_rebuild(&engine, &format!("seed {seed}, event {step}"));
+            }
+        }
+    }
+
+    #[test]
+    fn equal_components_resolve_to_the_smallest_member_id() {
+        // The giant flips cold-start the backbone; keep obs off and
+        // serialized as above.
+        mcds_obs::test_support::with_enabled(false, tied_components);
+    }
+
+    fn tied_components() {
+        // Two 3-node clusters far apart, ids interleaved: {0, 2, 4} on
+        // the left, {1, 3, 5} on the right.  Equal sizes go to the
+        // cluster holding the smallest id, exactly as the rebuild's
+        // `largest_component` breaks the tie.
+        let left = |k: f64| Point::new(k * 0.5, 0.0);
+        let right = |k: f64| Point::new(20.0 + k * 0.5, 0.0);
+        let pts = vec![
+            left(0.0),
+            right(0.0),
+            left(1.0),
+            right(1.0),
+            left(2.0),
+            right(2.0),
+        ];
+        let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
+        assert_snapshot_matches_rebuild(&engine, "seeding");
+        assert_eq!(engine.snapshot().unwrap().ids, vec![0, 2, 4]);
+        let events = [
+            // 2 v 3: the right cluster takes over.
+            TopologyEvent::Leave { node: 0 },
+            // 3 v 3 again; the right cluster holds the smaller id 1.
+            TopologyEvent::Join { pos: left(3.0) },
+            // Node 1 crosses over: 4 v 2.
+            TopologyEvent::Move {
+                node: 1,
+                to: left(1.5),
+            },
+            // 3 v 3, left {1, 4, 6} against right {3, 5, 7}.
+            TopologyEvent::Leave { node: 2 },
+            TopologyEvent::Join { pos: right(1.5) },
+        ];
+        let giants = [
+            vec![1, 3, 5],
+            vec![1, 3, 5],
+            vec![1, 2, 4, 6],
+            vec![1, 4, 6],
+            vec![1, 4, 6],
+        ];
+        for (step, (event, giant)) in events.into_iter().zip(giants).enumerate() {
+            let report = engine.apply(event);
+            assert!(report.valid, "step {step}");
+            assert_snapshot_matches_rebuild(&engine, &format!("step {step}"));
+            assert_eq!(engine.snapshot().unwrap().ids, giant, "step {step}");
+        }
     }
 
     fn assert_valid(engine: &Maintainer) {

@@ -162,25 +162,28 @@ impl Registry {
         m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// The handle called `name`, registered on first use.  A hit
+    /// allocates nothing: spans and counters fetch their handle on every
+    /// record, and the time they spend here shows in the caller's span as
+    /// time no child span covers.
+    fn fetch<T: Clone + Default>(m: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+        let mut map = Self::lock(m);
+        if let Some(handle) = map.get(name) {
+            return handle.clone();
+        }
+        map.entry(name.to_string()).or_default().clone()
+    }
+
     pub(crate) fn counter(&self, name: &str) -> Counter {
-        Self::lock(&self.counters)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        Self::fetch(&self.counters, name)
     }
 
     pub(crate) fn gauge(&self, name: &str) -> Gauge {
-        Self::lock(&self.gauges)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        Self::fetch(&self.gauges, name)
     }
 
     pub(crate) fn histogram(&self, name: &str) -> Histogram {
-        Self::lock(&self.histograms)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        Self::fetch(&self.histograms, name)
     }
 
     pub(crate) fn counter_snapshot(&self) -> Vec<(String, u64)> {

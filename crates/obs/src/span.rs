@@ -100,7 +100,7 @@ impl Drop for SpanGuard {
         crate::registry::registry()
             .histogram(&format!("span.{}", live.name))
             .observe_duration(dur);
-        trace::record_span(live.name, &live.path, live.depth, thread_id(), dur);
+        trace::record_span(live.name, live.path, live.depth, thread_id(), dur);
     }
 }
 

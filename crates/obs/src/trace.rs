@@ -71,7 +71,7 @@ fn next_seq() -> u64 {
 
 pub(crate) fn record_span(
     name: &'static str,
-    path: &str,
+    path: String,
     depth: usize,
     thread: u64,
     dur: Duration,
@@ -81,7 +81,7 @@ pub(crate) fn record_span(
         thread,
         depth,
         name,
-        path: path.to_string(),
+        path,
         dur,
     });
 }

@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use mcds_maintain::{MaintainConfig, Maintainer, NodeId, TopologyEvent};
 use mcds_pool::ThreadPool;
-use mcds_udg::Udg;
 
 use crate::proto::{
     self, ProtoError, QueryRequest, Request, SolveRequest, TickOutcome, MAX_LINE_BYTES,
@@ -423,7 +422,7 @@ fn respond(line: &str, shared: &Shared, cfg: ServeConfig) -> (String, bool) {
             mcds_obs::counter!("serve.bad_requests");
             (proto::render_error(&msg), false)
         }
-        Ok(Request::Solve(req)) => (handle_solve(shared, cfg, &req), false),
+        Ok(Request::Solve(req)) => (handle_solve(shared, &req), false),
         Ok(Request::Churn { events, admit: run }) => {
             let mut state = shared.lock();
             let queued = events.len();
@@ -443,18 +442,17 @@ fn respond(line: &str, shared: &Shared, cfg: ServeConfig) -> (String, bool) {
 
 /// Solves the resident topology from scratch, exactly the way the batch
 /// CLI does (same solver configuration, same renderer), mapping compact
-/// solver indices back to stable node ids.
-fn handle_solve(shared: &Shared, cfg: ServeConfig, req: &SolveRequest) -> String {
+/// solver indices back to stable node ids.  The graph is the engine's
+/// resident rows relabelled over the live nodes in id order, the graph a
+/// fresh build of the live points gives.
+fn handle_solve(shared: &Shared, req: &SolveRequest) -> String {
     let _span = mcds_obs::span("serve.solve");
     let state = shared.lock();
-    let alive = state.engine.alive();
-    if alive.is_empty() {
+    if state.engine.population() == 0 {
         return proto::render_error("no nodes alive");
     }
-    let ids: Vec<NodeId> = alive.iter().map(|&(id, _)| id).collect();
-    let pts: Vec<mcds_geom::Point> = alive.iter().map(|&(_, p)| p).collect();
-    let udg = Udg::with_radius(pts, cfg.radius);
-    let g = udg.graph();
+    let (ids, graph) = state.engine.topology().graph();
+    let g = &graph;
     let solution = mcds_cds::Solver::new(req.alg)
         .verify(true)
         .prune(req.prune)
@@ -477,18 +475,12 @@ fn handle_query(shared: &Shared, cfg: ServeConfig, q: QueryRequest) -> String {
     let engine = &state.engine;
     match q {
         QueryRequest::Stats => {
-            let alive = engine.alive();
-            let giant = if alive.is_empty() {
-                0
-            } else {
-                let pts: Vec<mcds_geom::Point> = alive.iter().map(|&(_, p)| p).collect();
-                let udg = Udg::with_radius(pts, cfg.radius);
-                mcds_graph::traversal::largest_component(udg.graph()).len()
-            };
+            // The giant of the engine's last snapshot: every event takes
+            // one, so it is current.
             proto::render_stats(
                 state.tick,
                 engine.population(),
-                giant,
+                engine.giant(),
                 engine.dominators().len(),
                 engine.connectors().len(),
             )

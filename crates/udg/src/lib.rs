@@ -11,6 +11,10 @@
 //!   the CSR directly (with a naive `O(n²)` reference used in tests);
 //!   sub-instances such as giant components relabel the graph instead
 //!   of rebuilding it,
+//! * [`Topology`] — the resident form of a [`Udg`] for churn: stable
+//!   node ids, sorted neighbour rows patched per join, leave or move in
+//!   time proportional to the local degree, and graphs (the whole
+//!   population or its giant component) taken by relabelling the rows,
 //! * [`gen`] — deterministic, seedable instance generators: uniform in a
 //!   square/disk, clustered, perturbed grid, linear chains, plus
 //!   connected-instance helpers (resampling and giant-component
@@ -48,6 +52,7 @@
 
 mod cells;
 mod model;
+mod resident;
 
 pub mod analysis;
 pub mod gen;
@@ -56,4 +61,5 @@ pub mod mobility;
 pub mod stream;
 
 pub use model::Udg;
+pub use resident::Topology;
 pub use stream::{stream_build, stream_build_unit, StreamedUdg};

@@ -117,6 +117,20 @@ if want tracing; then
   awk -v c="$coverage" 'BEGIN { exit !(c >= 95.0) }' || {
     echo "span coverage $coverage% < 95%" >&2; exit 1; }
   echo "solve output identical with tracing on; trace valid, coverage $coverage%"
+  # The maintainer's steps (patch, snapshot, baseline solve, repair,
+  # verify) must cover >= 95% of its events too: a churn trace at
+  # n = 2000, average degree ~10.
+  cargo run --quiet --release -p mcds-cli -- churn --n 2000 --side 25.1 --seed 5 \
+    --events 60 --trace "$det_dir/churn.jsonl" --quiet > /dev/null
+  cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/churn.jsonl"
+  cargo run --quiet --release -p mcds-cli -- trace summarize "$det_dir/churn.jsonl" \
+    > "$det_dir/churn_summary.txt"
+  grep -q '^maintain.apply ' "$det_dir/churn_summary.txt" || {
+    echo "churn trace has no maintain.apply spans" >&2; exit 1; }
+  churn_coverage=$(awk 'END { gsub(/%/, "", $NF); print $NF }' "$det_dir/churn_summary.txt")
+  awk -v c="$churn_coverage" 'BEGIN { exit !(c >= 95.0) }' || {
+    echo "churn span coverage $churn_coverage% < 95%" >&2; exit 1; }
+  echo "churn trace valid, coverage $churn_coverage%"
   # Flame attribution: per-label self times must reconstruct >= 99% of
   # root-span wall time (the folding identity), and both the collapsed
   # stacks and the SVG must materialize.
