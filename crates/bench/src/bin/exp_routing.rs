@@ -18,7 +18,7 @@ use mcds_bench::sweeps::{instances, Cell};
 use mcds_bench::{f2, f3, stats, ExpConfig, Table};
 use mcds_cds::algorithms::Algorithm;
 use mcds_cds::routing::stretch_stats;
-use mcds_graph::traversal;
+use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 
 fn main() {
     let cfg = ExpConfig::from_args();
@@ -71,6 +71,8 @@ fn main() {
     for cell in cells {
         type Metrics = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
         let mut per_alg: Vec<Metrics> = vec![Default::default(); Algorithm::ALL.len()];
+        let mut scratch = ArticulationScratch::new();
+        let mut cut = BitSet::new(0);
         for udg in instances(cell, cfg.seed) {
             let g = udg.graph();
             if g.num_nodes() < 2 {
@@ -79,8 +81,9 @@ fn main() {
             for (i, alg) in Algorithm::ALL.iter().enumerate() {
                 let cds = alg.run(g).expect("connected");
                 let s = stretch_stats(g, cds.nodes()).expect("CDS routes everything");
-                let (sub, _) = g.induced_subgraph(cds.nodes());
-                let cuts = traversal::articulation_points(&sub).len();
+                let backbone = BitSet::from_nodes(g.num_nodes(), cds.nodes());
+                masked_articulation_points(g, &backbone, &mut scratch, &mut cut);
+                let cuts = cut.count_ones();
                 per_alg[i].0.push(cds.len() as f64);
                 per_alg[i].1.push(s.mean);
                 per_alg[i].2.push(s.max);

@@ -73,20 +73,13 @@ pub struct Trial {
 }
 
 /// Generates the cell's instances and solves each with `alg`, fanning
-/// trials over the worker pool.  Timings are measured per trial
-/// (`gen`/`mis`/`connect`/`verify` map to [`PhaseTimings`]'s
-/// `build`/`phase1`/`phase2`/`verify`); sizes are deterministic, wall
-/// times of course are not.
-pub fn timed_trials(alg: Algorithm, cell: Cell, seed: u64) -> Vec<Trial> {
-    timed_family_trials(alg, cell, seed, 1, false, WeightScheme::Unit)
-}
-
-/// [`timed_trials`] for the fault-tolerant `(k, m)` family: each trial
-/// solves with `.m(m).biconnect(biconnect).weight_scheme(weights)`,
-/// adding the `augment` phase to the accounting.  With `m = 1`,
-/// `biconnect` off and unit weights this is exactly [`timed_trials`]
-/// (the builder defaults), preserving the bit-identical CSV contract of
-/// the classic path.
+/// trials over the worker pool: each trial solves with
+/// `.m(m).biconnect(biconnect).weight_scheme(weights)`.  Timings are
+/// measured per trial (`gen`/`mis`/`connect`/`augment`/`verify` map to
+/// [`PhaseTimings`]'s `build`/`phase1`/`phase2`/`augment`/`verify`);
+/// sizes are deterministic, wall times of course are not.  With `m = 1`,
+/// `biconnect` off and unit weights (the builder defaults) each trial is
+/// the classic two-phase solve.
 ///
 /// Instances the family cannot harden — `biconnect` requested but the
 /// instance has a cut vertex no augmentation can bypass — are skipped,
@@ -424,8 +417,17 @@ mod tests {
             side: 3.0,
             instances: 3,
         };
-        let a = timed_trials(Algorithm::GreedyConnect, cell, 9);
-        let b = timed_trials(Algorithm::GreedyConnect, cell, 9);
+        let trials = || {
+            timed_family_trials(
+                Algorithm::GreedyConnect,
+                cell,
+                9,
+                1,
+                false,
+                WeightScheme::Unit,
+            )
+        };
+        let (a, b) = (trials(), trials());
         assert_eq!(a.len(), 3);
         for (x, y) in a.iter().zip(&b) {
             // Sizes and node sets are pure functions of the seed; wall
@@ -433,32 +435,18 @@ mod tests {
             assert_eq!(x.solution.nodes(), y.solution.nodes());
             assert_eq!(x.n, y.n);
         }
+        // At the builder defaults each trial is the classic solve of its
+        // instance.
+        for (i, t) in a.iter().enumerate() {
+            let classic = Solver::new(Algorithm::GreedyConnect)
+                .solve(instance(cell, 9, i).graph())
+                .unwrap();
+            assert_eq!(t.solution.nodes(), classic.nodes());
+        }
         let m = mean_timings(&a);
         assert!(m.total() >= m.phase1);
         assert_eq!(mean_timings(&[]), PhaseTimings::default());
         assert_eq!(ms(Duration::from_millis(2)), "2.000");
-    }
-
-    #[test]
-    fn family_trials_match_classic_at_defaults() {
-        let cell = Cell {
-            n: 30,
-            side: 3.0,
-            instances: 3,
-        };
-        let classic = timed_trials(Algorithm::GreedyConnect, cell, 9);
-        let family = timed_family_trials(
-            Algorithm::GreedyConnect,
-            cell,
-            9,
-            1,
-            false,
-            WeightScheme::Unit,
-        );
-        assert_eq!(classic.len(), family.len());
-        for (a, b) in classic.iter().zip(&family) {
-            assert_eq!(a.solution.nodes(), b.solution.nodes());
-        }
         // The hardened variants run (skipping unharden-able instances)
         // and keep the m-fold contract.
         let hard = timed_family_trials(

@@ -93,8 +93,10 @@ pub fn max_gain_then_paths<G: RandomAccessGraph>(
     max_gain_then_paths_unchecked(g, seed)
 }
 
-/// [`max_gain_then_paths`] on a graph the caller has already proved
-/// non-empty and connected.
+/// [`max_gain_then_paths`] without the up-front graph checks: `g` is
+/// checked only if the merges stall, since the shortest-path fallback
+/// needs it connected.  Merges alone may connect a seed on a
+/// disconnected `g` (`fault::weighted_max_gain_connectors` returns them).
 pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
@@ -102,6 +104,7 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     let mut run = merge_bitset(g, seed, true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
+        check_graph(g)?;
         let mut grown: Vec<usize> = seed.to_vec();
         grown.extend(run.connectors.iter().copied());
         run.connectors.extend(path_connectors_unchecked(g, &grown));

@@ -14,7 +14,8 @@
 //!    paper's max-gain rule with component merges priced per unit of node
 //!    weight (cross-multiplied integer arithmetic; no floats, so
 //!    selection stays deterministic), falling back to shortest-path
-//!    connectors when only stepping stones remain.
+//!    connectors when only stepping stones remain.  Under equal positive
+//!    weights this is phase 2's kernel, [`connect::max_gain_then_paths`].
 //! 3. **2-connectivity augmentation** ([`biconnect_augment`]) — repeated
 //!    cut-vertex elimination: while the backbone has an articulation
 //!    point `c`, reconnect a fragment of `backbone − c` to the rest via a
@@ -31,18 +32,24 @@
 //!
 //! All entry points are also reachable through the [`crate::Solver`]
 //! builder (`.m(2)`, `.biconnect(true)`), which owns timing, verification
-//! ([`check_m_cds`]) and the m-aware pruning post-pass ([`prune_m_cds`]).
+//! ([`check_m_cds`]) and the m-aware pruning post-pass ([`prune_m_cds`],
+//! the prune's incremental scan).  Every biconnectivity test is one
+//! masked Tarjan pass ([`bitgraph::masked_articulation_points`]) over a
+//! membership mask; no induced subgraph is copied.  The loops these
+//! replaced live on as the oracles of `tests/fault_equiv.rs`.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
-use mcds_graph::{node_mask, subsets, traversal, RandomAccessGraph};
+use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
+use mcds_graph::{node_mask, subsets, RandomAccessGraph};
 
-use crate::{connect, Cds, CdsError};
+use crate::{connect, prune, Cds, CdsError};
 
 /// Elects an m-fold dominating set greedily with unit node weights:
 /// every node outside the returned set has ≥ `m` neighbors inside it.
 ///
-/// `m = 0` returns the empty set; `m = 1` is the classic greedy
+/// `m = 0` returns the empty set; `m = 1` is Chvátal's greedy
 /// dominating set.  Always feasible: a node nobody else can cover `m`
 /// times is eventually elected itself.
 pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
@@ -58,6 +65,13 @@ pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
 /// comparison `gain_a / w_a > gain_b / w_b` is evaluated as
 /// `gain_a · w_b > gain_b · w_a` in 128-bit integers, so the election is
 /// exact and deterministic.  Zero weights are allowed and sort first.
+///
+/// The election is lazy.  Electing a node only lowers deficits, so gains
+/// only fall and a queue entry's gain bounds its true one from above.
+/// The top entry is recomputed when popped: if its gain still holds, no
+/// other entry can beat it, even on ties, so it is the argmax a rescan
+/// would find; else it is requeued with its true gain.
+/// `mfold.candidates_scanned` counts the initial scan plus the pops.
 ///
 /// # Errors
 ///
@@ -78,56 +92,43 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
     if m == 0 || n == 0 {
         return Ok(Vec::new());
     }
-    let mut chosen = vec![false; n];
-    // cover[v] = number of elected neighbors of v.
-    let mut cover = vec![0usize; n];
-    // Remaining deficit of v: 0 once chosen, else max(0, m − cover[v]).
-    let deficit = |chosen: &[bool], cover: &[usize], v: usize| {
-        if chosen[v] {
-            0
-        } else {
-            m.saturating_sub(cover[v])
-        }
+    // Remaining deficit of v: 0 once elected, else max(0, m − elected
+    // neighbors of v).
+    let mut deficit = vec![m; n];
+    // Electing u erases u's own deficit and covers each unsatisfied
+    // non-member neighbor once more.
+    let gain = |deficit: &[usize], u: usize| {
+        deficit[u] + g.successors(u).filter(|&w| deficit[w] > 0).count()
     };
+    let mut queue: BinaryHeap<Candidate> = (0..n)
+        .map(|node| Candidate {
+            gain: gain(&deficit, node),
+            weight: weights[node],
+            node,
+        })
+        .filter(|c| c.gain > 0)
+        .collect();
+    let mut scanned = n as u64;
     let mut total: usize = n * m;
     let mut out = Vec::new();
-    let mut scanned = 0u64;
     while total > 0 {
-        let mut best: Option<(usize, usize)> = None; // (gain, node)
-        for u in 0..n {
-            if chosen[u] {
-                continue;
+        let top = queue
+            .pop()
+            .expect("positive total deficit implies a positive-gain candidate");
+        scanned += 1;
+        let u = top.node;
+        let now = gain(&deficit, u);
+        if now < top.gain {
+            if now > 0 {
+                queue.push(Candidate { gain: now, ..top });
             }
-            scanned += 1;
-            // Electing u erases u's own deficit and covers each
-            // unsatisfied non-member neighbor once more.
-            let mut gain = deficit(&chosen, &cover, u);
-            for w in g.successors(u) {
-                if deficit(&chosen, &cover, w) > 0 {
-                    gain += 1;
-                }
-            }
-            if gain == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bg, bu)) => {
-                    let lhs = gain as u128 * u128::from(weights[bu]);
-                    let rhs = bg as u128 * u128::from(weights[u]);
-                    lhs > rhs || (lhs == rhs && u < bu)
-                }
-            };
-            if better {
-                best = Some((gain, u));
-            }
+            continue;
         }
-        let (gain, u) = best.expect("positive total deficit implies a positive-gain candidate");
-        total -= gain;
-        chosen[u] = true;
+        total -= now;
+        deficit[u] = 0;
         out.push(u);
         for w in g.successors(u) {
-            cover[w] += 1;
+            deficit[w] = deficit[w].saturating_sub(1);
         }
     }
     mcds_obs::counter!("mfold.candidates_scanned", scanned);
@@ -135,6 +136,37 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
     out.sort_unstable();
     Ok(out)
 }
+
+/// A queue entry of the m-fold election: the greatest entry has the best
+/// gain per unit weight, then the smallest id.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    gain: usize,
+    weight: u64,
+    node: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let lhs = self.gain as u128 * u128::from(other.weight);
+        let rhs = other.gain as u128 * u128::from(self.weight);
+        lhs.cmp(&rhs).then(other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 /// Phase 2 for the fault-tolerant family: connects the components of
 /// `G[seed]` by repeatedly adding the non-seed node with the best
@@ -145,12 +177,19 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
 ///
 /// Returns the connectors only (sorted, disjoint from `seed`).
 ///
+/// Equal positive weights price every merge alike, so the rule is the
+/// unweighted one and [`connect::max_gain_then_paths`] runs it.  Only
+/// unequal or all-zero weights run the rescan below, the one
+/// implementation of the ratio rule (all-zero weights tie every
+/// candidate, so it picks the smallest id that merges, not the most).
+///
 /// # Errors
 ///
 /// * [`CdsError::EmptyGraph`] on the empty graph,
 /// * [`CdsError::InvalidSet`] if the weight vector is malformed or the
 ///   seed is empty,
-/// * [`CdsError::DisconnectedGraph`] if `g` cannot connect the seed.
+/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected and the
+///   merges stall before connecting the seed.
 pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
@@ -169,6 +208,11 @@ pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
     }
     if seed.is_empty() {
         return Err(CdsError::InvalidSet("empty seed set".into()));
+    }
+    if weights[0] > 0 && weights.iter().all(|&w| w == weights[0]) {
+        let mut connectors = connect::max_gain_then_paths_unchecked(g, seed)?;
+        connectors.sort_unstable();
+        return Ok(connectors);
     }
     let mut mask = node_mask(n, seed);
     let mut connectors: Vec<usize> = Vec::new();
@@ -227,16 +271,18 @@ pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
 /// cut-vertex elimination, returning the augmented set (sorted,
 /// superset of the input).
 ///
-/// While the induced backbone has an articulation point `c`: pick a
-/// fragment of `backbone − c`, find a shortest path in `G − c` from the
-/// fragment to the rest of the backbone, and absorb the path's interior
-/// nodes.  Each round strictly shrinks the number of fragments at `c`,
-/// and each absorbed path adds ≥ 1 new node, so the pass terminates in
-/// ≤ n augmentations.  Only *adds* nodes: every domination property of
-/// the input is preserved.
+/// While the induced backbone has an articulation point `c` (the
+/// smallest, by one masked Tarjan pass): pick a fragment of
+/// `backbone − c`, find a shortest path in `G − c` from the fragment to
+/// the rest of the backbone, and absorb the path's interior nodes.  Each
+/// round strictly shrinks the number of fragments at `c`, and each
+/// absorbed path adds ≥ 1 new node, so the pass terminates in ≤ n
+/// augmentations.  Only *adds* nodes: every domination property of the
+/// input is preserved.
 ///
-/// Sets of size ≤ 2 are biconnected by convention (matching
-/// `mcds_exact::is_biconnected`) and returned unchanged.
+/// Connected sets of size ≤ 2 have no cut vertex and are returned
+/// unchanged (biconnected by the convention of
+/// `mcds_exact::is_biconnected`).
 ///
 /// # Errors
 ///
@@ -255,84 +301,55 @@ pub fn biconnect_augment<G: RandomAccessGraph>(
     if set.is_empty() {
         return Err(CdsError::InvalidSet("empty backbone".into()));
     }
-    let mut backbone = mcds_graph::node_set(set.iter().copied());
-    if !subsets::is_connected_subset(g, &node_mask(n, &backbone)) {
+    let mut backbone = BitSet::from_nodes(n, set);
+    let mut scratch = ArticulationScratch::new();
+    let mut cut = BitSet::new(n);
+    if bitgraph::masked_articulation_points(g, &backbone, &mut scratch, &mut cut) > 1 {
         return Err(CdsError::NotConnected);
     }
     let mut added = 0u64;
     let mut paths = 0u64;
-    loop {
-        if backbone.len() <= 2 {
-            break; // Biconnected by convention.
-        }
-        let (sub, ids) = subsets::induced_subgraph(g, &backbone);
-        let cuts = traversal::articulation_points(&sub);
-        let Some(&cut_local) = cuts.first() else {
-            break;
-        };
-        let c = ids[cut_local];
-        // Fragments of the backbone with `c` removed; reconnect the one
-        // containing the smallest node to the rest, bypassing `c`.
-        let mut frag_mask = node_mask(n, &backbone);
-        frag_mask[c] = false;
-        let fragment = component_of(g, &frag_mask, *backbone.iter().find(|&&v| v != c).unwrap());
-        let path =
-            bfs_avoiding(g, c, &fragment, &frag_mask).ok_or(CdsError::NotBiconnected { cut: c })?;
+    while let Some(c) = cut.iter_ones().next() {
+        backbone.remove(c);
+        let path = bypass(g, &backbone, c).ok_or(CdsError::NotBiconnected { cut: c })?;
+        backbone.insert(c);
         paths += 1;
         for v in path {
-            if backbone.binary_search(&v).is_err() {
-                let at = backbone.binary_search(&v).unwrap_err();
-                backbone.insert(at, v);
+            if backbone.insert(v) {
                 added += 1;
             }
         }
+        bitgraph::masked_articulation_points(g, &backbone, &mut scratch, &mut cut);
     }
     mcds_obs::counter!("augment.paths", paths);
     mcds_obs::counter!("augment.added", added);
-    Ok(backbone)
+    Ok(backbone.to_nodes())
 }
 
-/// The masked component containing `start` (nodes of `mask` reachable
-/// from `start` through `mask`).
-fn component_of<G: RandomAccessGraph>(g: &G, mask: &[bool], start: usize) -> Vec<usize> {
-    debug_assert!(mask[start]);
-    let mut seen = vec![false; g.num_nodes()];
+/// Reconnects the fragments of `backbone` (a backbone with the cut
+/// vertex `c` removed): the shortest path in `G − c` from the fragment
+/// holding the smallest member to any other member, as its interior plus
+/// that far endpoint (already a member; re-adding it is harmless), or
+/// `None` if `c` cannot be bypassed.  Deterministic: the search visits
+/// neighbours in adjacency order from the fragment in ascending order.
+fn bypass<G: RandomAccessGraph>(g: &G, backbone: &BitSet, c: usize) -> Option<Vec<usize>> {
+    let n = g.num_nodes();
+    let start = backbone.iter_ones().next()?;
+    let mut fragment = vec![false; n];
+    fragment[start] = true;
     let mut queue = VecDeque::from([start]);
-    seen[start] = true;
-    let mut out = vec![start];
     while let Some(v) = queue.pop_front() {
         for u in g.successors(v) {
-            if mask[u] && !seen[u] {
-                seen[u] = true;
-                out.push(u);
+            if backbone.contains(u) && !fragment[u] {
+                fragment[u] = true;
                 queue.push_back(u);
             }
         }
     }
-    out.sort_unstable();
-    out
-}
-
-/// Shortest path (as its interior + endpoint node list) from any node of
-/// `sources` to any *other* masked node, through `g` minus `avoid`.
-/// Returns `None` when no such path exists.  Deterministic: BFS visits
-/// neighbors in adjacency order from sources in sorted order.
-fn bfs_avoiding<G: RandomAccessGraph>(
-    g: &G,
-    avoid: usize,
-    sources: &[usize],
-    target_mask: &[bool],
-) -> Option<Vec<usize>> {
-    let n = g.num_nodes();
-    let source_mask = node_mask(n, sources);
     let mut parent = vec![usize::MAX; n];
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        seen[s] = true;
-        queue.push_back(s);
-    }
-    seen[avoid] = true; // Never traverse the cut vertex.
+    let mut seen = fragment.clone();
+    seen[c] = true; // Never traverse the cut vertex.
+    let mut queue: VecDeque<usize> = (0..n).filter(|&v| fragment[v]).collect();
     while let Some(v) = queue.pop_front() {
         for u in g.successors(v) {
             if seen[u] {
@@ -340,13 +357,10 @@ fn bfs_avoiding<G: RandomAccessGraph>(
             }
             seen[u] = true;
             parent[u] = v;
-            if target_mask[u] && !source_mask[u] {
-                // Walk back, collecting the path's interior (the
-                // endpoint in the far fragment is already a backbone
-                // node; recording it is harmless — it deduplicates).
+            if backbone.contains(u) {
                 let mut path = vec![u];
                 let mut at = v;
-                while !source_mask[at] {
+                while !fragment[at] {
                     path.push(at);
                     at = parent[at];
                 }
@@ -396,22 +410,10 @@ pub fn check_m_cds<G: RandomAccessGraph>(g: &G, set: &[usize], m: usize) -> Resu
     Ok(())
 }
 
-/// Whether `G[set]` is biconnected, with the same degenerate-size
-/// conventions as `mcds_exact::is_biconnected` (kept local so `mcds-cds`
-/// does not depend on the exact solvers).
-pub(crate) fn is_biconnected_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
-    match set.len() {
-        0 => g.num_nodes() == 0,
-        1 => true,
-        _ => {
-            let (sub, _ids) = subsets::induced_subgraph(g, set);
-            sub.is_connected() && traversal::articulation_points(&sub).is_empty()
-        }
-    }
-}
-
-/// Typed variant of [`is_biconnected_set`] for verification paths:
-/// names a concrete cut vertex (or reports disconnection).
+/// Checks that `G[set]` is biconnected, with the degenerate-size
+/// conventions of `mcds_exact::is_biconnected` (a singleton or an
+/// adjacent pair counts), by one masked Tarjan pass; names a concrete
+/// cut vertex or reports disconnection.
 ///
 /// # Errors
 ///
@@ -419,7 +421,8 @@ pub(crate) fn is_biconnected_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> 
 /// * [`CdsError::NotConnected`] if `G[set]` is disconnected,
 /// * [`CdsError::NotBiconnected`] naming the smallest cut vertex.
 pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsError> {
-    if g.num_nodes() == 0 {
+    let n = g.num_nodes();
+    if n == 0 {
         return Ok(());
     }
     if set.is_empty() {
@@ -427,19 +430,14 @@ pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(
             "empty set on a non-empty graph".into(),
         ));
     }
-    if set.len() <= 2 {
-        return if subsets::is_connected_subset(g, &node_mask(g.num_nodes(), set)) {
-            Ok(())
-        } else {
-            Err(CdsError::NotConnected)
-        };
-    }
-    let (sub, ids) = subsets::induced_subgraph(g, set);
-    if !sub.is_connected() {
+    let mut cut = BitSet::new(n);
+    let mask = BitSet::from_nodes(n, set);
+    if bitgraph::masked_articulation_points(g, &mask, &mut ArticulationScratch::new(), &mut cut) > 1
+    {
         return Err(CdsError::NotConnected);
     }
-    match traversal::articulation_points(&sub).first() {
-        Some(&c) => Err(CdsError::NotBiconnected { cut: ids[c] }),
+    match cut.iter_ones().next() {
+        Some(cut) => Err(CdsError::NotBiconnected { cut }),
         None => Ok(()),
     }
 }
@@ -449,11 +447,16 @@ pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(
 /// (when `biconnect` is set) biconnected.  The output is 1-minimal for
 /// exactly that property set, so the pass is idempotent.
 ///
+/// After the entry checks this is the prune's incremental scan
+/// ([`crate::prune::prune_cds`]'s), with `m` in its coverage thresholds
+/// and, under `biconnect`, a masked Tarjan test of each removal and
+/// passes repeated until one removes nothing.
+///
 /// # Errors
 ///
-/// Propagates the [`check_m_cds`] violation (or
-/// [`CdsError::NotBiconnected`]) if `set` does not satisfy the contract
-/// to begin with.
+/// Propagates the [`check_m_cds`] violation (or the
+/// [`check_biconnected`] one) if `set` does not satisfy the contract to
+/// begin with.
 pub fn prune_m_cds<G: RandomAccessGraph>(
     g: &G,
     set: &[usize],
@@ -464,32 +467,7 @@ pub fn prune_m_cds<G: RandomAccessGraph>(
     if biconnect {
         check_biconnected(g, set)?;
     }
-    let mut current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    // Sweep to a fixpoint: a drop rejected early in a sweep (say, for
-    // biconnectivity) can become legal after later drops, so a single
-    // pass is not 1-minimal.  Each sweep either removes a node or ends
-    // the loop, so this terminates within |set| sweeps.
-    loop {
-        let mut changed = false;
-        let mut order = current.clone();
-        order.sort_by_key(|&v| (g.degree(v), v));
-        for v in order {
-            if current.len() <= 1 {
-                break;
-            }
-            let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
-            let ok = check_m_cds(g, &candidate, m).is_ok()
-                && (!biconnect || is_biconnected_set(g, &candidate));
-            if ok {
-                current = candidate;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(current)
+    Ok(prune::prune_valid(g, set, m, biconnect))
 }
 
 /// One-call construction of a fault-tolerant backbone: m-fold greedy
@@ -721,7 +699,7 @@ mod tests {
         for g in [gnarly(), Graph::cycle(9), Graph::complete(7)] {
             let cds = crate::greedy_cds(&g).unwrap();
             let aug = biconnect_augment(&g, cds.nodes()).unwrap();
-            assert!(is_biconnected_set(&g, &aug), "{g:?}");
+            assert!(check_biconnected(&g, &aug).is_ok(), "{g:?}");
             // Superset of the input: augmentation only adds.
             for v in cds.nodes() {
                 assert!(aug.binary_search(v).is_ok());
@@ -772,7 +750,7 @@ mod tests {
                     let pruned = prune_m_cds(&g, cds.nodes(), m, biconnect).unwrap();
                     assert!(check_m_cds(&g, &pruned, m).is_ok(), "m={m} {g:?}");
                     if biconnect {
-                        assert!(is_biconnected_set(&g, &pruned), "m={m} {g:?}");
+                        assert!(check_biconnected(&g, &pruned).is_ok(), "m={m} {g:?}");
                     }
                     let again = prune_m_cds(&g, &pruned, m, biconnect).unwrap();
                     assert_eq!(again, pruned, "prune not idempotent, m={m} {g:?}");
@@ -789,7 +767,7 @@ mod tests {
                 assert!(check_m_cds(&g, plain.nodes(), m).is_ok());
                 let hard = fault_tolerant_cds(&g, m, true).unwrap();
                 assert!(check_m_cds(&g, hard.nodes(), m).is_ok());
-                assert!(is_biconnected_set(&g, hard.nodes()));
+                assert!(check_biconnected(&g, hard.nodes()).is_ok());
                 // Hardening never shrinks the backbone.
                 assert!(hard.len() >= plain.len());
             }

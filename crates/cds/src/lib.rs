@@ -31,7 +31,8 @@
 //! backbone-routing stretch measurement in [`routing`], and the
 //! fault-tolerant `(k,m)` backbone family in [`fault`] — m-fold
 //! domination and 2-connectivity augmentation reachable through
-//! [`Solver::m`] and [`Solver::biconnect`].
+//! [`Solver::m`] and [`Solver::biconnect`], on the same kernels (its
+//! replaced loops are the oracles of `tests/fault_equiv.rs`).
 //!
 //! # The [`Solver`] entry point
 //!

@@ -18,6 +18,12 @@
 //! connectivity scan) and of a scan that reruns the masked Tarjan pass
 //! after every accepted removal; `tests/kernel_equiv.rs` keeps both as
 //! oracles and diffs against them.
+//!
+//! The same scan prunes the fault-tolerant family's `(k, m)` backbones
+//! ([`crate::fault::prune_m_cds`]): `m` raises the two coverage
+//! thresholds, and `biconnect` adds a masked Tarjan test of `S − v` after
+//! the local tests pass and repeats the pass until it removes nothing.
+//! `tests/fault_equiv.rs` keeps the family's old sweep as the oracle.
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
 use mcds_graph::subsets::LocalSearch;
@@ -36,28 +42,50 @@ use crate::CdsError;
 /// not a valid CDS of `g` to begin with.
 pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     crate::check_cds(g, set)?;
-    let current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    let (kept, stats) = prune_bitset(g, &current);
-    stats.flush();
-    Ok(kept)
+    Ok(prune_valid(g, set, 1, false))
 }
 
-/// The incremental scan of the sorted CDS `current`, candidates in
-/// ascending `(degree, id)` order: a removal of `v` from the valid CDS
-/// `S` keeps it a CDS iff
+/// [`prune_bitset`] on a `set` the caller has validated, flushing its
+/// counters.
+pub(crate) fn prune_valid<G: RandomAccessGraph>(
+    g: &G,
+    set: &[usize],
+    m: usize,
+    biconnect: bool,
+) -> Vec<usize> {
+    let current = mcds_graph::node_set(set.iter().copied());
+    let (kept, stats) = prune_bitset(g, &current, m, biconnect);
+    stats.flush();
+    kept
+}
+
+/// The incremental scan of the sorted, connected, m-fold dominating set
+/// `current`, candidates in ascending `(degree, id)` order: a removal of
+/// `v` from such a set `S` keeps it one iff
 ///
-/// 1. `cover[v] ≥ 1` — `v` itself stays dominated,
-/// 2. every non-member neighbor `u` of `v` has `cover[u] ≥ 2` — `u`
-///    keeps a dominator after losing `v`,
+/// 1. `cover[v] ≥ m` — `v` itself stays m-fold dominated,
+/// 2. every non-member neighbor `u` of `v` has `cover[u] ≥ m + 1` — `u`
+///    keeps `m` dominators after losing `v`,
 /// 3. `v` is not an articulation point of `G[S]` — connectivity holds
 ///    (member neighbors stay dominated by membership).
 ///
-/// These are exactly the conditions a full CDS re-check of `S − v`
-/// tests, so the scan keeps the same removals.  `cover` is patched in
-/// `O(deg v)` per removal; condition 3, the only non-local one, is asked
-/// last and answered by [`CutVertices`].
-fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize]) -> (Vec<usize>, PruneStats) {
+/// These are exactly the conditions a full re-check of `S − v` tests
+/// (`m = 1` is the CDS check), so the scan keeps the same removals.
+/// `cover` is patched in `O(deg v)` per removal; condition 3, the only
+/// non-local one, is asked last and answered by [`CutVertices`].
+///
+/// With `biconnect` (`S` is then biconnected too), `v` is removed only
+/// if a masked Tarjan pass finds no cut vertex in `S − v`, and the pass
+/// over the candidates is repeated until it removes nothing.  Without it
+/// one pass is a fixpoint for `m ≥ 1` (DESIGN.md §11); `m = 0` repeats.
+fn prune_bitset<G: RandomAccessGraph>(
+    g: &G,
+    current: &[usize],
+    m: usize,
+    biconnect: bool,
+) -> (Vec<usize>, PruneStats) {
     let n = g.num_nodes();
+    let m = u32::try_from(m).unwrap_or(u32::MAX);
     let mut order = current.to_vec();
     order.sort_by_key(|&v| (g.degree(v), v));
     let mut in_set = BitSet::from_nodes(n, current);
@@ -67,22 +95,32 @@ fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize]) -> (Vec<usize>, 
         g.successors(v).for_each(|u| cover[u] += 1);
     }
     let mut cuts = CutVertices::new(g, &in_set);
-    for v in order {
-        if size <= 1 {
+    loop {
+        let mut removed = false;
+        for &v in &order {
+            if size <= 1 {
+                break;
+            }
+            if !in_set.contains(v) || cover[v] < m || cuts.known_cut(v) {
+                continue;
+            }
+            let dominated = g.successors(v).all(|u| in_set.contains(u) || cover[u] > m);
+            if !dominated || cuts.is_cut(&in_set, v) {
+                continue;
+            }
+            if biconnect && !cuts.biconnected_without(&mut in_set, v) {
+                continue;
+            }
+            in_set.remove(v);
+            size -= 1;
+            removed = true;
+            g.successors(v).for_each(|u| cover[u] -= 1);
+            cuts.removed(&in_set, v, cover[v]);
+            debug_assert!(crate::fault::check_m_cds(g, &in_set.to_nodes(), m as usize).is_ok());
+        }
+        if !removed || (m > 0 && !biconnect) {
             break;
         }
-        if cover[v] == 0 || cuts.known_cut(v) {
-            continue;
-        }
-        let dominated = g.successors(v).all(|u| in_set.contains(u) || cover[u] >= 2);
-        if !dominated || cuts.is_cut(&in_set, v) {
-            continue;
-        }
-        in_set.remove(v);
-        size -= 1;
-        g.successors(v).for_each(|u| cover[u] -= 1);
-        cuts.removed(&in_set, v, cover[v]);
-        debug_assert!(crate::check_cds(g, &in_set.to_nodes()).is_ok());
     }
     (in_set.to_nodes(), cuts.stats)
 }
@@ -127,6 +165,8 @@ struct CutVertices<'g, G> {
     known: BitSet,
     exact: bool,
     scratch: ArticulationScratch,
+    /// The cut vertices of `G[S − v]` in `biconnected_without`.
+    probe: BitSet,
     /// Work of one global pass: `Σ_{u∈S}(deg u + 1)` successor visits.
     pass_cost: u64,
     /// Local-search successor visits since the last global pass.
@@ -144,6 +184,7 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
             known: BitSet::new(n),
             exact: false,
             scratch: ArticulationScratch::new(),
+            probe: BitSet::new(n),
             pass_cost: in_set.iter_ones().map(|u| g.degree(u) as u64 + 1).sum(),
             spent: 0,
             search: LocalSearch::new(n),
@@ -192,6 +233,14 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
                 self.known_cut(v)
             }
         }
+    }
+
+    /// Whether `G[S − v]` has no cut vertex (`in_set` is restored).
+    fn biconnected_without(&mut self, in_set: &mut BitSet, v: usize) -> bool {
+        in_set.remove(v);
+        bitgraph::masked_articulation_points(self.g, in_set, &mut self.scratch, &mut self.probe);
+        in_set.insert(v);
+        self.probe.iter_ones().next().is_none()
     }
 
     /// Records that the non-cut member `v`, which had `s_degree` member
@@ -313,7 +362,7 @@ mod tests {
         // side; that work outgrows one pass and triggers the second.
         let g = Graph::cycle(64);
         let all: Vec<usize> = (0..64).collect();
-        let (_, stats) = prune_bitset(&g, &all);
+        let (_, stats) = prune_bitset(&g, &all, 1, false);
         assert_eq!(stats.global_passes, 2);
         assert!(stats.certified_cut > 0, "{stats:?}");
         // One pass over the 62 members left visits 3 successors each.
@@ -325,7 +374,7 @@ mod tests {
         // K8 from V: the first removal is answered by the up-front pass,
         // the next six by a search whose sources all meet at once.
         let g = Graph::complete(8);
-        let (kept, stats) = prune_bitset(&g, &(0..8).collect::<Vec<_>>());
+        let (kept, stats) = prune_bitset(&g, &(0..8).collect::<Vec<_>>(), 1, false);
         assert_eq!(kept, vec![7]);
         assert_eq!(stats.global_passes, 1);
         assert_eq!(stats.certified_noncut, 6);
@@ -357,7 +406,7 @@ mod tests {
             let n = g.num_nodes();
             let greedy = greedy_cds(g).unwrap().nodes().to_vec();
             for set in [(0..n).collect::<Vec<_>>(), greedy] {
-                let (kept, stats) = prune_bitset(g, &set);
+                let (kept, stats) = prune_bitset(g, &set, 1, false);
                 let removed = (set.len() - kept.len()) as u64;
                 assert!(stats.global_passes <= 1 + removed, "n {n}: {stats:?}");
             }
@@ -378,7 +427,7 @@ mod tests {
         let before = names.map(mcds_obs::counter_value);
         prune_cds(&g, &all).unwrap();
         let after = names.map(mcds_obs::counter_value);
-        let (_, stats) = prune_bitset(&g, &all);
+        let (_, stats) = prune_bitset(&g, &all, 1, false);
         let own = [
             stats.global_passes,
             stats.certified_noncut,

@@ -1,50 +1,28 @@
 //! Baseline two-phased constructions: Chvátal set-cover dominators \[2\]
 //! and arbitrary-MIS dominators \[1\]/\[9\].
 
-use mcds_graph::{node_mask, RandomAccessGraph};
+use mcds_graph::RandomAccessGraph;
 
 use crate::{Algorithm, Cds, CdsError, Solution, Solver};
 
 /// Chvátal's greedy Set Cover applied to domination: repeatedly pick the
 /// node whose closed neighborhood covers the most still-uncovered nodes
-/// (ties toward smaller id).
+/// (ties toward smaller id).  Returned sorted.
 ///
 /// This is phase 1 of the Das–Bharghavan style algorithm \[2\]; its
 /// approximation ratio for *domination* is `H(Δ+1)` (logarithmic), which
 /// is why the paper's constant-ratio MIS-based algorithms supersede it.
 ///
+/// The rule is the m-fold election of [`crate::fault`] at `m = 1` with
+/// unit weights: an uncovered node has deficit 1 and a covered one 0, so
+/// a node's gain is the number of uncovered nodes in its closed
+/// neighborhood.  That election is the implementation (and so Chvátal
+/// runs bump the `mfold.*` counters).
+///
 /// The result is a dominating set but generally neither independent nor
 /// connected.
 pub fn chvatal_dominating_set<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
-    let n = g.num_nodes();
-    let mut covered = vec![false; n];
-    let mut remaining = n;
-    let mut ds = Vec::new();
-    while remaining > 0 {
-        let mut best = (0usize, usize::MAX); // (new coverage, node)
-        for v in 0..n {
-            let mut cover = usize::from(!covered[v]);
-            cover += g.successors(v).filter(|&u| !covered[u]).count();
-            if cover > best.0 || (cover == best.0 && v < best.1) {
-                best = (cover, v);
-            }
-        }
-        let (gain, v) = best;
-        debug_assert!(gain > 0, "some node must cover something new");
-        ds.push(v);
-        if !covered[v] {
-            covered[v] = true;
-            remaining -= 1;
-        }
-        for u in g.successors(v) {
-            if !covered[u] {
-                covered[u] = true;
-                remaining -= 1;
-            }
-        }
-    }
-    ds.sort_unstable();
-    ds
+    crate::fault::m_fold_dominators(g, 1)
 }
 
 /// The full Chvátal-based two-phase baseline: greedy set-cover dominators,
@@ -86,14 +64,6 @@ pub fn arbitrary_mis_cds<G: RandomAccessGraph>(g: &G) -> Result<Cds, CdsError> {
     Solver::new(Algorithm::ArbitraryMis)
         .solve(g)
         .map(Solution::into_cds)
-}
-
-/// Verifies the set-cover invariant used in tests: every node is covered
-/// by the returned set.
-#[allow(dead_code)]
-fn is_cover<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
-    let mask = node_mask(g.num_nodes(), set);
-    (0..g.num_nodes()).all(|v| mask[v] || g.successors(v).any(|u| mask[u]))
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 
 use crate::args::Args;
 use crate::CliError;
-use mcds_bench::sweeps::{mean_timings, ms, timed_family_trials, timed_trials, Cell};
+use mcds_bench::sweeps::{mean_timings, ms, timed_family_trials, Cell};
 use mcds_cds::algorithms::Algorithm;
 use mcds_cds::{Solver, WeightScheme};
+use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds_graph::{dot, properties, traversal};
 use mcds_maintain::{
     waypoint_epoch, ChurnConfig, ChurnGen, FaultConfig, FaultGen, MaintainConfig, Maintainer,
@@ -307,11 +308,7 @@ pub fn sweep(argv: &[String]) -> Result<(), CliError> {
     println!("sweep: {trials} trial(s) of n={n}, side={side}, seed={seed} on {threads} thread(s)");
     let mut rows: Vec<String> = vec!["alg,trial,n,size".into()];
     for alg in algs {
-        let ts = if m == 1 && !biconnect && weights == WeightScheme::Unit {
-            timed_trials(alg, cell, seed)
-        } else {
-            timed_family_trials(alg, cell, seed, m, biconnect, weights)
-        };
+        let ts = timed_family_trials(alg, cell, seed, m, biconnect, weights);
         if ts.is_empty() {
             println!("{:<8} no usable instances in this cell", alg.name());
             continue;
@@ -476,10 +473,11 @@ pub fn analyze(argv: &[String]) -> Result<(), CliError> {
         println!("mean clustering  {c:.3}");
     }
     let g = udg.graph();
-    println!(
-        "cut vertices     {}",
-        traversal::articulation_points(g).len()
-    );
+    let n = g.num_nodes();
+    let mut cut = BitSet::new(n);
+    let all = BitSet::from_nodes(n, &(0..n).collect::<Vec<_>>());
+    masked_articulation_points(g, &all, &mut ArticulationScratch::new(), &mut cut);
+    println!("cut vertices     {}", cut.count_ones());
     println!("bridges          {}", traversal::bridges(g).len());
     let hist = mcds_udg::analysis::degree_histogram(&udg);
     let peak = hist.iter().copied().max().unwrap_or(1).max(1);

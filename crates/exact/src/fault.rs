@@ -13,7 +13,7 @@
 //!   dominating) by iterative-deepening branch & bound, practical to
 //!   n ≈ 16.
 
-use mcds_graph::{node_mask, subsets, traversal, Graph};
+use mcds_graph::{node_mask, subsets, Graph};
 
 /// Whether `set` is an m-fold dominating set of `g`: every node *not* in
 /// `set` has at least `m` neighbors in `set`.  Set members dominate
@@ -43,15 +43,23 @@ pub fn is_m_dominating(g: &Graph, set: &[usize], m: usize) -> bool {
 ///
 /// These match the augmentation pass in `mcds-cds` and the `(2,m)`
 /// differential property — change all three together or none.
+///
+/// Cut vertices are found by removal (dropping one leaves more than one
+/// component), so this oracle shares no code with the production Tarjan.
 pub fn is_biconnected(g: &Graph, set: &[usize]) -> bool {
-    match set.len() {
-        0 => g.num_nodes() == 0,
-        1 => true,
-        _ => {
-            let (sub, _ids) = g.induced_subgraph(set);
-            sub.is_connected() && traversal::articulation_points(&sub).is_empty()
-        }
+    if set.is_empty() {
+        return g.num_nodes() == 0;
     }
+    let mut mask = node_mask(g.num_nodes(), set);
+    if subsets::count_components(g, &mask) != 1 {
+        return false;
+    }
+    set.iter().all(|&v| {
+        mask[v] = false;
+        let split = subsets::count_components(g, &mask) > 1;
+        mask[v] = true;
+        !split
+    })
 }
 
 /// Computes a minimum (1,2)-CDS exactly: a connected set `S` with every

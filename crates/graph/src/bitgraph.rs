@@ -11,8 +11,9 @@
 //!   word-parallel popcount ([`BitSet::count_ones`]) and intersection
 //!   popcount ([`BitSet::and_count`]),
 //! * [`masked_articulation_points`] — iterative Tarjan restricted to a
-//!   [`BitSet`] mask with reusable scratch, the connectivity side of the
-//!   incremental prune kernel (no induced subgraph is materialized).
+//!   [`BitSet`] mask with reusable scratch (no induced subgraph is
+//!   materialized): the connectivity side of the incremental prune and
+//!   every biconnectivity test of the fault-tolerant family.
 //!
 //! Trailing bits past the logical capacity are kept zero at all times;
 //! every word-parallel routine relies on that invariant.
@@ -189,15 +190,15 @@ impl ArticulationScratch {
 }
 
 /// Articulation points of the induced subgraph `G[mask]`, without
-/// materializing it.
+/// materializing it, and the number of its components.
 ///
 /// Iterative Tarjan lowlink over `g` restricted to `mask`: non-member
 /// successors are skipped in place, so the cost is `O(Σ_{v∈mask} deg v)`
 /// per call and no induced CSR is built.  Results land in `cut` (resized
-/// and cleared as needed); `scratch` carries the timestamp buffers
-/// across calls.  Node ids are in `g`'s numbering, exactly the set
-/// `crate::traversal::articulation_points` would report on the
-/// materialized induced subgraph mapped back through its node map.
+/// and cleared as needed), in `g`'s numbering: the members whose removal
+/// splits their component of `G[mask]`.  `scratch` carries the timestamp
+/// buffers across calls.  Returns the number of depth-first trees, one
+/// per component.  The workspace's only articulation-point routine.
 ///
 /// # Panics
 ///
@@ -207,7 +208,7 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
     mask: &BitSet,
     scratch: &mut ArticulationScratch,
     cut: &mut BitSet,
-) {
+) -> usize {
     let n = g.num_nodes();
     assert_eq!(mask.capacity(), n, "mask capacity mismatch");
     if scratch.disc.len() < n {
@@ -227,12 +228,14 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
     let disc = &mut scratch.disc;
     let low = &mut scratch.low;
     let mut timer = 0usize;
+    let mut components = 0usize;
     for root in mask.iter_ones() {
         if disc[root] != usize::MAX {
             continue;
         }
-        // Same frame layout as `traversal::articulation_points`: node,
-        // parent, live successor iterator (resumable across pushes).
+        components += 1;
+        // Each frame holds the node, its parent and its live successor
+        // iterator (resumable across pushes).
         let mut stack: Vec<(usize, usize, G::Successors<'_>)> =
             vec![(root, usize::MAX, g.successors(root))];
         let mut root_children = 0usize;
@@ -271,12 +274,13 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
             cut.insert(root);
         }
     }
+    components
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{subsets, traversal, Graph};
+    use crate::{node_mask, subsets, Graph};
 
     #[test]
     fn insert_remove_contains_roundtrip() {
@@ -298,23 +302,91 @@ mod tests {
         assert_eq!(a.and_count(&b), 2);
     }
 
+    /// The oracle, independent of any Tarjan: a member is a cut vertex of
+    /// `G[members]` iff dropping it raises the component count.
+    fn cuts_by_removal(g: &Graph, members: &[usize]) -> Vec<usize> {
+        let mut mask = node_mask(g.num_nodes(), members);
+        let base = subsets::count_components(g, &mask);
+        let mut out = Vec::new();
+        for &v in members {
+            mask[v] = false;
+            if subsets::count_components(g, &mask) > base {
+                out.push(v);
+            }
+            mask[v] = true;
+        }
+        out
+    }
+
+    /// The masked pass over all of `g`: its cut vertices and components.
+    fn articulation_points(g: &Graph) -> (Vec<usize>, usize) {
+        let n = g.num_nodes();
+        let all = BitSet::from_nodes(n, &(0..n).collect::<Vec<_>>());
+        let mut cut = BitSet::new(n);
+        let parts = masked_articulation_points(g, &all, &mut ArticulationScratch::new(), &mut cut);
+        (cut.to_nodes(), parts)
+    }
+
     #[test]
-    fn masked_articulation_matches_full_tarjan_on_full_mask() {
-        for g in [
-            Graph::path(9),
-            Graph::cycle(8),
-            Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6)]),
-        ] {
-            let full = BitSet::from_nodes(g.num_nodes(), &(0..g.num_nodes()).collect::<Vec<_>>());
-            let mut scratch = ArticulationScratch::new();
-            let mut cut = BitSet::new(g.num_nodes());
-            masked_articulation_points(&g, &full, &mut scratch, &mut cut);
-            assert_eq!(cut.to_nodes(), traversal::articulation_points(&g));
+    fn articulation_points_of_named_families() {
+        // Path: all interior nodes are cuts.
+        assert_eq!(articulation_points(&Graph::path(5)), (vec![1, 2, 3], 1));
+        assert_eq!(
+            articulation_points(&Graph::path(9)).0,
+            (1..8).collect::<Vec<_>>()
+        );
+        // Cycle: 2-connected, no cuts.
+        assert_eq!(articulation_points(&Graph::cycle(6)), (vec![], 1));
+        assert_eq!(articulation_points(&Graph::cycle(8)), (vec![], 1));
+        // Star: the hub.
+        assert_eq!(articulation_points(&Graph::star(5)), (vec![0], 1));
+        // Complete graph: none.
+        assert_eq!(articulation_points(&Graph::complete(5)), (vec![], 1));
+        // Two triangles sharing a vertex: the shared vertex.
+        let bowtie = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+        assert_eq!(articulation_points(&bowtie), (vec![2], 1));
+        // A triangle with a tail that forks.
+        let forked = Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6)]);
+        assert_eq!(articulation_points(&forked), (vec![2, 3, 4], 1));
+        // Disconnected graph: per-component cuts.
+        let two_paths = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        assert_eq!(articulation_points(&two_paths), (vec![1, 4], 2));
+        assert_eq!(articulation_points(&Graph::empty(3)), (vec![], 3));
+        assert_eq!(articulation_points(&Graph::empty(0)), (vec![], 0));
+    }
+
+    #[test]
+    fn articulation_matches_brute_force() {
+        let mut s = 777u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for _ in 0..25 {
+            let n = 10;
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if next() % 100 < 28 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let g = Graph::from_edges(n, edges);
+            let all: Vec<usize> = (0..n).collect();
+            let parts = subsets::count_components(&g, &vec![true; n]);
+            assert_eq!(
+                articulation_points(&g),
+                (cuts_by_removal(&g, &all), parts),
+                "{g:?}"
+            );
         }
     }
 
     #[test]
-    fn masked_articulation_matches_induced_subgraph_and_scratch_reuses() {
+    fn masked_articulation_matches_removal_and_scratch_reuses() {
         let g = Graph::from_edges(
             10,
             [
@@ -333,17 +405,17 @@ mod tests {
         );
         let mut scratch = ArticulationScratch::new();
         let mut cut = BitSet::new(g.num_nodes());
-        // Two different masks through the same scratch: stale timestamps
-        // from the first run must not poison the second.
-        for members in [vec![0, 1, 2, 3, 4, 5], vec![3, 4, 5, 6, 7, 8, 9]] {
+        // Three different masks through the same scratch: stale timestamps
+        // from one run must not poison the next.
+        for (members, parts) in [
+            (vec![0, 1, 2, 3, 4, 5], 1),
+            (vec![3, 4, 5, 6, 7, 8, 9], 1),
+            (vec![0, 1, 5, 6, 8], 3),
+        ] {
             let mask = BitSet::from_nodes(g.num_nodes(), &members);
-            masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
-            let (sub, map) = subsets::induced_subgraph(&g, &members);
-            let expect: Vec<usize> = traversal::articulation_points(&sub)
-                .into_iter()
-                .map(|v| map[v])
-                .collect();
-            assert_eq!(cut.to_nodes(), expect);
+            let found = masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
+            assert_eq!(found, parts, "{members:?}");
+            assert_eq!(cut.to_nodes(), cuts_by_removal(&g, &members), "{members:?}");
         }
     }
 }

@@ -24,9 +24,10 @@
 //!   counts of `G[I ∪ U]`, connectivity of a subset, neighborhoods, and
 //!   the exact local cut-vertex search ([`subsets::LocalSearch`]) the
 //!   prune and the churn maintainer share,
-//! * [`bitgraph`] — packed `u64` bitset node sets and adjacency rows with
-//!   word-parallel popcount/intersect/union kernels, plus masked Tarjan
-//!   articulation points (the hot-path substrate of phase 2 and prune),
+//! * [`bitgraph`] — packed `u64` bitset node sets with word-parallel
+//!   popcount/intersect kernels, plus the workspace's one articulation-
+//!   point routine (a masked Tarjan: the prune and every biconnectivity
+//!   test),
 //! * [`properties`] — the domination/independence predicates that define
 //!   the paper's objects (dominating set, CDS, MIS),
 //! * [`dot`] — Graphviz export for debugging and figures.

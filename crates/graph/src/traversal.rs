@@ -253,69 +253,12 @@ pub fn radius<G: RandomAccessGraph>(g: &G) -> Option<usize> {
     eccentricities(g).map(|e| e.into_iter().min().unwrap_or(0))
 }
 
-/// Articulation points (cut vertices) of the graph, sorted ascending —
-/// iterative Tarjan lowlink, `O(n + m)`.
-///
-/// In backbone terms these are the single points of failure: removing
-/// one disconnects its component.  The `node_failure` example and the
-/// robustness analyses use this.
-pub fn articulation_points<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
-    let n = g.num_nodes();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![usize::MAX; n];
-    let mut is_cut = vec![false; n];
-    let mut timer = 0usize;
-
-    for root in 0..n {
-        if disc[root] != usize::MAX {
-            continue;
-        }
-        // Iterative DFS: each frame stores the node, its parent, and its
-        // live successor iterator (resumable across pushes — the generic
-        // counterpart of the old CSR cursor).
-        let mut stack: Vec<(usize, usize, G::Successors<'_>)> =
-            vec![(root, usize::MAX, g.successors(root))];
-        let mut root_children = 0usize;
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
-        while let Some(top) = stack.last_mut() {
-            let (v, parent) = (top.0, top.1);
-            if let Some(u) = top.2.next() {
-                if disc[u] == usize::MAX {
-                    disc[u] = timer;
-                    low[u] = timer;
-                    timer += 1;
-                    if v == root {
-                        root_children += 1;
-                    }
-                    stack.push((u, v, g.successors(u)));
-                } else if u != parent {
-                    low[v] = low[v].min(disc[u]);
-                }
-            } else {
-                stack.pop();
-                if let Some(prev) = stack.last_mut() {
-                    let p = prev.0;
-                    low[p] = low[p].min(low[v]);
-                    if p != root && low[v] >= disc[p] {
-                        is_cut[p] = true;
-                    }
-                }
-            }
-        }
-        if root_children >= 2 {
-            is_cut[root] = true;
-        }
-    }
-    (0..n).filter(|&v| is_cut[v]).collect()
-}
-
 /// Bridges (cut edges) of the graph as `(u, v)` pairs with `u < v`,
 /// sorted — iterative Tarjan lowlink, `O(n + m)`.
 ///
 /// A bridge in a backbone is a link whose loss splits it; together with
-/// [`articulation_points`] this quantifies backbone fragility.
+/// the cut vertices of [`crate::bitgraph::masked_articulation_points`]
+/// this quantifies backbone fragility.
 pub fn bridges<G: RandomAccessGraph>(g: &G) -> Vec<(usize, usize)> {
     let n = g.num_nodes();
     let mut disc = vec![usize::MAX; n];
@@ -469,25 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn articulation_points_of_named_families() {
-        // Path: all interior nodes are cuts.
-        assert_eq!(articulation_points(&Graph::path(5)), vec![1, 2, 3]);
-        // Cycle: 2-connected, no cuts.
-        assert!(articulation_points(&Graph::cycle(6)).is_empty());
-        // Star: the hub.
-        assert_eq!(articulation_points(&Graph::star(5)), vec![0]);
-        // Complete graph: none.
-        assert!(articulation_points(&Graph::complete(5)).is_empty());
-        // Two triangles sharing a vertex: the shared vertex.
-        let bowtie = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
-        assert_eq!(articulation_points(&bowtie), vec![2]);
-        // Disconnected graph: per-component cuts.
-        let two_paths = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]);
-        assert_eq!(articulation_points(&two_paths), vec![1, 4]);
-        assert!(articulation_points(&Graph::empty(3)).is_empty());
-    }
-
-    #[test]
     fn bridges_of_named_families() {
         // Path: every edge is a bridge.
         assert_eq!(bridges(&Graph::path(4)), vec![(0, 1), (1, 2), (2, 3)]);
@@ -534,46 +458,6 @@ mod tests {
                         g.edges().filter(|&e| e != (u, v)).collect();
                     let h = Graph::from_edges(n, remaining);
                     connected_components(&h).len() > base
-                })
-                .collect();
-            assert_eq!(fast, brute, "{g:?}");
-        }
-    }
-
-    #[test]
-    fn articulation_matches_brute_force() {
-        // Brute force: v is a cut iff removing it increases the component
-        // count among the remaining nodes of its component.
-        let mut s = 777u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for _ in 0..25 {
-            let n = 10;
-            let mut edges = Vec::new();
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if next() % 100 < 28 {
-                        edges.push((u, v));
-                    }
-                }
-            }
-            let g = Graph::from_edges(n, edges);
-            let fast = articulation_points(&g);
-            let base_comps = connected_components(&g).len();
-            let brute: Vec<usize> = (0..n)
-                .filter(|&v| {
-                    if g.degree(v) == 0 {
-                        return false;
-                    }
-                    let keep: Vec<usize> = (0..n).filter(|&u| u != v).collect();
-                    let (sub, _) = g.induced_subgraph(&keep);
-                    // Removing v removes one node; if v was a cut, the
-                    // component count (ignoring v's own loss) grows.
-                    connected_components(&sub).len() > base_comps
                 })
                 .collect();
             assert_eq!(fast, brute, "{g:?}");

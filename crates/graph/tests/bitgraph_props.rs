@@ -2,12 +2,13 @@
 //! operation must agree with a naive bit-by-bit reference, including on
 //! hostile patterns — empty sets, all-ones, single bits at the 63/64/65
 //! word boundaries, capacities that are not multiples of 64 — and the
-//! masked articulation pass must match materialize-then-Tarjan.
+//! masked articulation pass must find the members whose removal raises
+//! the component count, no more and no fewer.
 
 use mcds_check::gen::{usizes, vecs};
 use mcds_check::{Property, TestResult};
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
-use mcds_graph::{subsets, traversal, Graph};
+use mcds_graph::{node_mask, subsets, Graph};
 
 /// Naive boolean-vector model of a [`BitSet`].
 fn model(bits: usize, nodes: &[usize]) -> Vec<bool> {
@@ -97,9 +98,9 @@ fn hostile_patterns_are_exact() {
     }
 }
 
-/// Masked Tarjan equals materialize-then-Tarjan on random subsets of
-/// random graphs, with the scratch reused across cases (stale timestamps
-/// must never leak between masks).
+/// Masked Tarjan equals the removal oracle on random subsets of random
+/// graphs: a member is a cut vertex iff dropping it raises the induced
+/// component count, which the pass also returns.
 #[test]
 fn masked_articulation_matches_induced_reference() {
     Property::new("masked_articulation_matches_induced")
@@ -122,15 +123,21 @@ fn masked_articulation_matches_induced_reference() {
                 let mask = BitSet::from_nodes(n, &members);
                 let mut scratch = ArticulationScratch::new();
                 let mut cut = BitSet::new(n);
-                masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
-                let (sub, map) = subsets::induced_subgraph(&g, &members);
-                let want: Vec<usize> = traversal::articulation_points(&sub)
-                    .into_iter()
-                    .map(|v| map[v])
-                    .collect();
-                if cut.to_nodes() != want {
+                let parts = masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
+                let mut bools = node_mask(n, &members);
+                let base = subsets::count_components(&g, &bools);
+                let mut want = Vec::new();
+                for &v in &members {
+                    bools[v] = false;
+                    if subsets::count_components(&g, &bools) > base {
+                        want.push(v);
+                    }
+                    bools[v] = true;
+                }
+                if cut.to_nodes() != want || parts != base {
                     return TestResult::Fail(format!(
-                        "cut set {:?} != induced reference {want:?}",
+                        "cut set {:?} in {parts} component(s) != removal reference \
+                         {want:?} in {base}",
                         cut.to_nodes()
                     ));
                 }

@@ -1,10 +1,11 @@
 //! Process-wide pool configuration.
 //!
-//! Library layers (UDG construction, the maintenance engine) should not
-//! thread a `&ThreadPool` through every signature just in case the caller
-//! wants parallelism.  Instead, entry points (`mcds-cli --threads`,
-//! experiment binaries' `--threads`) call [`configure`] once, and
-//! libraries pick the width up with [`pool`].
+//! Library layers (today the experiment harness's trial sweeps in
+//! `mcds-bench`) should not thread a `&ThreadPool` through every
+//! signature just in case the caller wants parallelism.  Instead, entry
+//! points (`mcds-cli sweep --threads`, experiment binaries' `--threads`)
+//! call [`configure`] once, and libraries pick the width up with
+//! [`pool`].
 //!
 //! The default width is **1** — sequential — so that nothing in the
 //! workspace changes behavior unless a front end opts in.  Sequential and
@@ -25,11 +26,6 @@ static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(1);
 /// unaffected by reconfiguration (each region snapshots its width).
 pub fn configure(threads: usize) {
     CONFIGURED_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// Sets the process-wide width to [`crate::default_parallelism`].
-pub fn configure_default() {
-    configure(crate::default_parallelism());
 }
 
 /// The currently configured process-wide width.

@@ -13,6 +13,7 @@
 //! Run with: `cargo run --example node_failure`
 
 use mcds::cds::connect;
+use mcds::graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds::prelude::*;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
@@ -60,8 +61,14 @@ fn main() -> Result<(), CdsError> {
 
     // How fragile is the backbone itself?  Articulation points of the
     // backbone-induced subgraph are its single points of failure.
-    let (bb_sub, bb_map) = g.induced_subgraph(backbone.nodes());
-    let cuts = mcds::graph::traversal::articulation_points(&bb_sub);
+    let mut cut = BitSet::new(g.num_nodes());
+    masked_articulation_points(
+        g,
+        &BitSet::from_nodes(g.num_nodes(), backbone.nodes()),
+        &mut ArticulationScratch::new(),
+        &mut cut,
+    );
+    let cuts = cut.to_nodes();
     println!(
         "backbone fragility: {} of {} backbone nodes are single points of failure",
         cuts.len(),
@@ -72,7 +79,6 @@ fn main() -> Result<(), CdsError> {
     // repair); fall back to highest-degree if the backbone is 2-connected.
     let &failed = cuts
         .iter()
-        .map(|&c| &bb_map[c])
         .chain(backbone.nodes().iter())
         .max_by_key(|&&v| g.degree(v))
         .expect("nonempty backbone");

@@ -8,9 +8,12 @@
 #   build test fmt clippy check fuzz pool tracing serve substrate grid
 #   kernel bench
 #
-# Hermetic by design — no network, no external dependencies.  The
-# proptest targets are feature-gated (`ext-tests`) and excluded here; see
-# the workspace Cargo.toml for how to restore them.
+# Hermetic by design — no network, no external dependencies.  The 4
+# remaining proptest suites (distsim, graph, mis, viz) are feature-gated
+# (`ext-tests`) and excluded here; see the workspace Cargo.toml for how
+# to restore them.  The `kernel` stage runs the two differential suites
+# of the production kernels, `kernel_equiv` (m = 1) and `fault_equiv`
+# (the fault-tolerant (k, m) family), in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -226,7 +229,19 @@ if want substrate; then
   cargo run --quiet --release -p mcds-cli -- solve "$det_dir/substrate.udg" \
     --alg all --prune --json --backend compact > "$det_dir/solve_compact.json"
   diff "$det_dir/solve_csr.json" "$det_dir/solve_compact.json"
-  echo "solve --json byte-identical on both backends"
+  # The (1,2) and (2,2) family on the same instance, where both solves
+  # succeed: a failing solve fails the stage, on either backend.
+  for family in "--m 2" "--m 2 --biconnect"; do
+    for backend in csr compact; do
+      # shellcheck disable=SC2086 # $family is two or three words
+      cargo run --quiet --release -p mcds-cli -- solve "$det_dir/substrate.udg" \
+        --alg all $family --prune --json --backend "$backend" \
+        > "$det_dir/solve_family_$backend.json" || {
+        echo "solve $family --backend $backend failed" >&2; exit 1; }
+    done
+    diff "$det_dir/solve_family_csr.json" "$det_dir/solve_family_compact.json"
+  done
+  echo "solve --json byte-identical on both backends (m = 1, m = 2, m = 2 biconnected)"
   # Bounded E23 smoke: streaming build + cross-backend solve + the >= 3x
   # adjacency compression gate, at quick-ladder sizes.
   cargo run --quiet --release -p mcds-bench --bin exp_substrate -- --quick \
@@ -253,12 +268,16 @@ if want grid; then
 fi
 
 if want kernel; then
-  echo "== kernel: production phase 2 and prune identical to the scalar oracles =="
-  # The differential suite (DESIGN.md §14) in release, including the
-  # ignored at-scale case: every algorithm with prune on, on the oracle
-  # cases, 200+ deployments, the uniform n=200/1500, chain and grid
-  # instances `gen` builds, and E19's n=5k/10k rungs.
+  echo "== kernel: production kernels identical to the oracles they replaced =="
+  # The differential suites (DESIGN.md §11, §14) in release, including
+  # the ignored at-scale cases.  kernel_equiv: every algorithm with prune
+  # on, on the oracle cases, 200+ deployments, the uniform n=200/1500,
+  # chain and grid instances `gen` builds, and E19's n=5k/10k rungs.
+  # fault_equiv: the (k, m) family at m = 1..3, biconnect on and off,
+  # under six weightings, on the oracle cases, 200+ deployments,
+  # structured, hostile and disconnected inputs, and E19's n=5k/10k rungs.
   cargo test --quiet --release -p mcds-cds --test kernel_equiv -- --include-ignored
+  cargo test --quiet --release -p mcds-cds --test fault_equiv -- --include-ignored
 fi
 
 if want bench; then
