@@ -15,6 +15,8 @@
 //!   pair of components along a shortest path.
 //! * [`max_gain_then_paths`] — greedy merges while possible, shortest
 //!   paths for whatever remains; total for any seed on a connected graph.
+//! * [`max_gain_connectors_within`] — the greedy merges with candidates
+//!   confined to a caller's zone: the churn maintainer's connector patch.
 //!
 //! The greedy merge loop keeps each candidate's merge count in a lazy
 //! bucket queue and only recomputes where a selection could have changed
@@ -57,7 +59,7 @@ pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let run = merge_bitset(g, seed, false)?;
+    let run = merge_bitset(g, seed, false, |_| true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -101,7 +103,7 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let mut run = merge_bitset(g, seed, true)?;
+    let mut run = merge_bitset(g, seed, true, |_| true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         check_graph(g)?;
@@ -111,6 +113,30 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     }
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
+}
+
+/// The max-gain merges of [`max_gain_connectors`] with candidates
+/// confined to the nodes `candidate` accepts; nodes it rejects are
+/// never scanned or selected.  Returns the connector sequence in
+/// selection order, ties on gain going to the smaller id.
+///
+/// `g` need not be connected, and nothing about it is checked.  No
+/// `connectors.*` counter is flushed: those count the solver's phase 2.
+///
+/// # Errors
+///
+/// [`CdsError::Stalled`] if no accepted node touches two components
+/// while more than one remains.
+pub fn max_gain_connectors_within<G, F>(
+    g: &G,
+    seed: &[usize],
+    candidate: F,
+) -> Result<Vec<usize>, CdsError>
+where
+    G: RandomAccessGraph,
+    F: Fn(usize) -> bool,
+{
+    Ok(merge_bitset(g, seed, false, candidate)?.connectors)
 }
 
 /// Outcome of a greedy merge loop: the selections made, the number of
@@ -148,11 +174,19 @@ fn stall_error(q: usize) -> CdsError {
 /// count, smallest id on ties) — stale entries are lazily demoted on
 /// pop.  Work per selection is `O(deg w · α)` for the refresh plus the
 /// lazy pops, instead of a full `O(n · deg)` rescan.
-fn merge_bitset<G: RandomAccessGraph>(
+///
+/// Only nodes `candidate` accepts are ever queued, so the loop is the
+/// rescan of those nodes alone; the solver's entries accept every node.
+fn merge_bitset<G, F>(
     g: &G,
     seed: &[usize],
     allow_stall: bool,
-) -> Result<MergeRun, CdsError> {
+    candidate: F,
+) -> Result<MergeRun, CdsError>
+where
+    G: RandomAccessGraph,
+    F: Fn(usize) -> bool,
+{
     const UNQUEUED: u32 = u32::MAX;
     let n = g.num_nodes();
     let mut mask = BitSet::from_nodes(n, seed);
@@ -187,7 +221,7 @@ fn merge_bitset<G: RandomAccessGraph>(
     let mut roots: Vec<usize> = Vec::new();
     let mut to_refresh: Vec<usize> = Vec::new();
     for w in 0..n {
-        if mask.contains(w) {
+        if mask.contains(w) || !candidate(w) {
             continue;
         }
         scanned += 1;
@@ -234,7 +268,7 @@ fn merge_bitset<G: RandomAccessGraph>(
         for u in g.successors(w) {
             if mask.contains(u) {
                 dsu.union(w, u);
-            } else {
+            } else if candidate(u) {
                 to_refresh.push(u);
             }
         }

@@ -6,8 +6,9 @@
 //!
 //! The oracles are the original scalar loops, kept here as they ran in
 //! production: [`merge_scalar`] rescans every candidate per max-gain
-//! selection and [`prune_scalar`] re-checks the whole set per removal
-//! candidate.  The production kernels are pure accelerators of them: a
+//! selection (confined to a candidate zone, it is the churn maintainer's
+//! former connector patch) and [`prune_scalar`] re-checks the whole set
+//! per removal candidate.  The production kernels are pure accelerators of them: a
 //! lazy bucket queue for the phase-2 argmax, and incremental cover
 //! counts + local cut-vertex certificates for the prune scan.  The prune
 //! scan is also diffed against [`prune_global_pass`], which reruns the
@@ -15,17 +16,20 @@
 //! and on hostile families built to make its certificates and refreshes
 //! fire.  Anything short of bit-equality here is a bug, not a tolerance.
 
-use mcds_cds::connect::{gain_trace, max_gain_connectors, max_gain_then_paths, path_connectors};
+use mcds_cds::connect::{
+    gain_trace, max_gain_connectors, max_gain_connectors_within, max_gain_then_paths,
+    path_connectors,
+};
 use mcds_cds::prune::prune_cds;
 use mcds_cds::{Algorithm, Cds, CdsError, Solution, Solver};
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
-use mcds_graph::traversal::largest_component;
+use mcds_graph::traversal::{bfs_distances, largest_component};
 use mcds_graph::{node_mask, properties, subsets, Graph, RandomAccessGraph};
 use mcds_mis::BfsMis;
 use mcds_rng::rngs::StdRng;
-use mcds_rng::SeedableRng;
+use mcds_rng::{Rng, SeedableRng};
 use mcds_udg::{gen, Udg};
 
 /// Outcome of the oracle merge loop: the selections made and the number
@@ -42,11 +46,13 @@ fn stall_error(q: usize) -> CdsError {
     ))
 }
 
-/// Oracle phase 2: one full candidate scan per selection.
+/// Oracle phase 2: one full scan of the candidates `in_zone` accepts
+/// per selection.
 fn merge_scalar<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
     allow_stall: bool,
+    in_zone: impl Fn(usize) -> bool,
 ) -> Result<MergeRun, CdsError> {
     let mut mask = node_mask(g.num_nodes(), seed);
     let mut dsu = subsets::components_dsu(g, &mask);
@@ -58,7 +64,7 @@ fn merge_scalar<G: RandomAccessGraph>(
         // components (gain = that count − 1), ties toward smaller id.
         let mut best: Option<(usize, usize)> = None; // (count, node)
         for w in 0..g.num_nodes() {
-            if mask[w] {
+            if mask[w] || !in_zone(w) {
                 continue;
             }
             let adj = subsets::adjacent_components(g, &mask, &mut dsu, w);
@@ -111,7 +117,7 @@ fn oracle_max_gain_connectors<G: RandomAccessGraph>(
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
-    Ok(merge_scalar(g, seed, false)?.connectors)
+    Ok(merge_scalar(g, seed, false, |_| true)?.connectors)
 }
 
 /// Oracle for [`max_gain_then_paths`].
@@ -120,7 +126,7 @@ fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
-    let mut run = merge_scalar(g, seed, true)?;
+    let mut run = merge_scalar(g, seed, true, |_| true)?;
     if run.remaining > 1 {
         let mut grown: Vec<usize> = seed.to_vec();
         grown.extend(run.connectors.iter().copied());
@@ -461,6 +467,68 @@ fn structured_graphs_agree_across_kernels() {
     for (g, label) in &cases {
         assert_kernels_agree(g, label);
     }
+}
+
+/// The churn maintainer's connector patch: the confined kernel must pick
+/// the zoned rescan's connector sequence, and stall where it stalls, on
+/// 400+ seeded giants.  Each case deletes the members of a greedy CDS
+/// within 1–2 hops of one or two sites and re-dominates first-fit, then
+/// confines the candidates to a 1–4-hop ball around the sites, as the
+/// maintainer does, or to a random subset of the nodes.
+#[test]
+fn confined_merges_agree_with_the_zoned_rescan() {
+    let (mut checked, mut stalls, mut patched) = (0usize, 0usize, 0usize);
+    for seed in 0..440u64 {
+        let mut rng = StdRng::from_stream(seed, 0xc0f1);
+        let n = 40 + (seed as usize % 9) * 20; // 40..200
+        let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+        let Some(sub) = giant_graph(gen::uniform_in_square(&mut rng, n, side)) else {
+            continue;
+        };
+        let g = sub.graph();
+        let n = g.num_nodes();
+        let cds = mcds_cds::greedy_cds(g).expect("connected instance solves");
+        let sites: Vec<usize> = (0..rng.gen_range(1..=2usize))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        let dists: Vec<Vec<usize>> = sites.iter().map(|&s| bfs_distances(g, s)).collect();
+        let hop: Vec<usize> = (0..n)
+            .map(|v| dists.iter().map(|d| d[v]).min().expect("one or two sites"))
+            .collect();
+        let cut = rng.gen_range(1..=2usize);
+        let mut kept = node_mask(n, cds.nodes());
+        for v in 0..n {
+            kept[v] &= hop[v] > cut;
+        }
+        // First-fit re-domination, as the maintainer's re-election does.
+        for v in 0..n {
+            if !kept[v] && !g.successors(v).any(|u| kept[u]) {
+                kept[v] = true;
+            }
+        }
+        let backbone: Vec<usize> = (0..n).filter(|&v| kept[v]).collect();
+        let zone: Vec<bool> = if seed % 2 == 0 {
+            let radius = rng.gen_range(1..=4usize);
+            hop.iter().map(|&h| h <= radius).collect()
+        } else {
+            let p = rng.gen_range(0.4..0.95);
+            (0..n).map(|_| rng.gen_bool(p)).collect()
+        };
+        let got = max_gain_connectors_within(g, &backbone, |w| zone[w]);
+        let want = merge_scalar(g, &backbone, false, |w| zone[w]).map(|run| run.connectors);
+        assert_eq!(got, want, "seed {seed} n {n}: confined merge diverged");
+        match got {
+            Err(_) => stalls += 1,
+            Ok(c) if !c.is_empty() => patched += 1,
+            Ok(_) => {}
+        }
+        checked += 1;
+    }
+    assert!(checked >= 400, "only {checked} usable giants");
+    assert!(
+        stalls >= 20 && patched >= 200,
+        "{stalls} stalls and {patched} non-empty patches in {checked} cases"
+    );
 }
 
 /// A spine path of `spine` nodes, each carrying a dangling path (tooth)

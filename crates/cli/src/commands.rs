@@ -652,18 +652,49 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
     let fault_every: usize = args.parsed_or("fault-every", 0)?;
     let fault_radius: f64 = args.parsed_or("fault-radius", 1.5)?;
     let fault_kill: usize = args.parsed_or("fault-kill", 3)?;
+    let p_join: f64 = args.parsed_or("p-join", 0.1)?;
+    let p_leave: f64 = args.parsed_or("p-leave", 0.1)?;
+    let move_radius: f64 = args.parsed_or("move-radius", 0.5)?;
+    let speed_min: f64 = args.parsed_or("speed-min", 0.5)?;
+    let speed_max: f64 = args.parsed_or("speed-max", 1.5)?;
+    let pause: f64 = args.parsed_or("pause", 0.2)?;
+    let dt: f64 = args.parsed_or("dt", 0.25)?;
     if fault_every > 0 && args.switch("waypoint") {
         return Err(CliError::Usage(
             "fault injection needs the synthetic churn mode (drop --waypoint)".into(),
         ));
     }
-    if args.value("fault-radius").is_some() && !(fault_radius.is_finite() && fault_radius > 0.0) {
-        return Err(CliError::Usage(
-            "--fault-radius must be positive and finite".into(),
-        ));
+    let usage = |problem: String| Err(CliError::Usage(problem));
+    for (flag, x) in [
+        ("side", side),
+        ("fault-radius", fault_radius),
+        ("move-radius", move_radius),
+        ("speed-min", speed_min),
+        ("dt", dt),
+    ] {
+        if !(x.is_finite() && x > 0.0) {
+            return usage(format!("--{flag} must be positive and finite"));
+        }
     }
-    if args.value("fault-kill").is_some() && fault_kill == 0 {
-        return Err(CliError::Usage("--fault-kill must be at least 1".into()));
+    for (flag, p) in [("p-join", p_join), ("p-leave", p_leave)] {
+        if !(0.0..=1.0).contains(&p) {
+            return usage(format!("--{flag} must be in [0, 1]"));
+        }
+    }
+    if p_join + p_leave > 1.0 {
+        return usage("--p-join + --p-leave must be at most 1".into());
+    }
+    if !(drift.is_finite() && drift >= 1.0) {
+        return usage("--drift must be finite and at least 1".into());
+    }
+    if !(speed_max.is_finite() && speed_max >= speed_min) {
+        return usage("--speed-max must be finite and at least --speed-min".into());
+    }
+    if !(pause.is_finite() && pause >= 0.0) {
+        return usage("--pause must be non-negative and finite".into());
+    }
+    if fault_kill == 0 {
+        return usage("--fault-kill must be at least 1".into());
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -679,10 +710,6 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
     if args.switch("waypoint") {
         // Random-waypoint mode: a fixed population moves; each epoch of
         // length --dt becomes a batch of move events.
-        let speed_min: f64 = args.parsed_or("speed-min", 0.5)?;
-        let speed_max: f64 = args.parsed_or("speed-max", 1.5)?;
-        let pause: f64 = args.parsed_or("pause", 0.2)?;
-        let dt: f64 = args.parsed_or("dt", 0.25)?;
         let mut walk = RandomWaypoint::new(&mut rng, n, region, (speed_min, speed_max), pause);
         engine = Maintainer::with_population(maintain_cfg, walk.positions().to_vec());
         let ids: Vec<usize> = (0..n).collect();
@@ -710,9 +737,9 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
         // Synthetic churn mode: joins, leaves and moves mixed by rate.
         let churn_cfg = ChurnConfig {
             region,
-            p_join: args.parsed_or("p-join", 0.1)?,
-            p_leave: args.parsed_or("p-leave", 0.1)?,
-            move_radius: args.parsed_or("move-radius", 0.5)?,
+            p_join,
+            p_leave,
+            move_radius,
             min_population: 4,
         };
         let mut source = ChurnGen::new(churn_cfg);
@@ -1553,6 +1580,26 @@ mod tests {
             churn(&sv(&["--fault-every", "2", "--fault-radius", "-1"])),
             Err(CliError::Usage(_))
         ));
+        // Every out-of-range churn flag is a usage error, not a panic or a
+        // silent empty run.
+        for bad in [
+            &["--side", "-3"][..],
+            &["--drift", "0.5"],
+            &["--drift", "nan"],
+            &["--move-radius", "0"],
+            &["--p-join", "0.8", "--p-leave", "0.5"],
+            &["--p-leave", "-0.1"],
+            &["--waypoint", "--speed-min", "0"],
+            &["--waypoint", "--speed-min", "2", "--speed-max", "1"],
+            &["--waypoint", "--pause", "-1"],
+            &["--waypoint", "--dt", "-1"],
+            &["--waypoint", "--dt", "0"],
+        ] {
+            assert!(
+                matches!(churn(&sv(bad)), Err(CliError::Usage(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -222,8 +222,7 @@ impl ExactSizeIterator for CompactSuccessors<'_> {}
 
 /// Incremental encoder accepting `(node, sorted neighbors)` in increasing
 /// node order — the write half of [`CompactGraph`], used by
-/// [`CompactGraph::from_sequential`], `GraphBuilder::build_compact`, and
-/// the streaming UDG builder (which never materializes an edge list).
+/// [`CompactGraph::from_sequential`] and the streaming UDG builder (which never materializes an edge list).
 ///
 /// The caller must push one adjacency list per node, in node order, and
 /// the lists must together describe an undirected graph (each edge

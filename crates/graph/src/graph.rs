@@ -4,30 +4,6 @@ use std::fmt;
 
 use crate::{RandomAccessGraph, SequentialGraph};
 
-/// Builds normalized adjacency lists from an edge iterator: validates
-/// range and self-loops, sorts each list, merges duplicates.
-///
-/// This is the single normalization path shared by [`Graph::from_edges`]
-/// and both `GraphBuilder` backends (`build`/`build_compact`), so the two
-/// representations can never disagree on what the canonical graph is.
-pub(crate) fn adjacency_from_edges<I>(n: usize, edges: I) -> Vec<Vec<u32>>
-where
-    I: IntoIterator<Item = (usize, usize)>,
-{
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (u, v) in edges {
-        assert!(u < n && v < n, "edge ({u}, {v}) out of range for n = {n}");
-        assert_ne!(u, v, "self-loop at node {u} is not allowed");
-        adj[u].push(v as u32);
-        adj[v].push(u as u32);
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
-    adj
-}
-
 /// An immutable, undirected, simple graph in compressed-sparse-row form.
 ///
 /// Nodes are `0..n`.  Neighbor lists are sorted, enabling `O(log d)`
@@ -65,11 +41,19 @@ impl Graph {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let adj = adjacency_from_edges(n, edges);
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (u, v) in edges {
+            assert!(u < n && v < n, "edge ({u}, {v}) out of range for n = {n}");
+            assert_ne!(u, v, "self-loop at node {u} is not allowed");
+            adj[u].push(v as u32);
+            adj[v].push(u as u32);
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut targets = Vec::new();
-        for list in &adj {
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
             targets.extend_from_slice(list);
             offsets.push(targets.len());
         }

@@ -10,8 +10,8 @@
 //!   algorithm is generic over: streamed `(node, sorted-successors)`
 //!   iteration, and per-node `successors`/`degree`/`has_edge` queries,
 //! * [`Graph`] — immutable undirected graph in compressed-sparse-row form
-//!   (the reference backend), with a [`GraphBuilder`] for incremental
-//!   construction of either backend,
+//!   (the reference backend), built from an edge list or from already
+//!   sorted rows,
 //! * [`CompactGraph`] — the gap-compressed adjacency backend ([`codec`]
 //!   varint/zig-zag byte codes with per-node offsets), convertible
 //!   from/to CSR and encodable in one streaming pass,
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod builder;
 mod compact;
 mod dsu;
 mod graph;
@@ -65,7 +64,6 @@ pub mod properties;
 pub mod subsets;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use compact::{CompactGraph, CompactGraphBuilder, CompactSuccessors};
 pub use dsu::DisjointSets;
 pub use graph::{Graph, SliceSuccessors};

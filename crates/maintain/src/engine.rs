@@ -16,19 +16,24 @@
 //!    localize the update.
 //! 2. **Confined connector patch** — if `G[I ∪ C]` fell apart, the
 //!    paper's Section-IV max-gain greedy runs with candidates confined to
-//!    the damaged region, and connectors of the region that no longer
-//!    hold `G[I ∪ C]` together are dropped, each drop decided by the
-//!    exact local cut search ([`LocalSearch`]) around the connector.
+//!    the damaged region (phase 2's own bucket-queue kernel,
+//!    [`connect::max_gain_connectors_within`]), and connectors of the
+//!    region that no longer hold `G[I ∪ C]` together are dropped, each
+//!    drop decided by the exact local cut search ([`LocalSearch`])
+//!    around the connector.
 //! 3. **Fallback** — when the confined greedy stalls, the repaired set
 //!    fails verification, or its size drifts past
-//!    [`MaintainConfig::drift_threshold`] × the fresh
-//!    [`mcds_cds::greedy_cds`] baseline, the engine recomputes from
-//!    scratch and adopts the fresh backbone.
+//!    [`MaintainConfig::drift_threshold`] × the event's baseline, the
+//!    engine adopts that baseline instead.  The baseline is
+//!    `Solver::new(Algorithm::GreedyConnect).m(m)` on the snapshot, solved
+//!    once per event.
 //!
 //! Every event yields a [`RepairReport`] (locality, role deltas,
-//! decision, size vs. baseline, wall time), and every maintained set is
-//! checked against
-//! [`mcds_graph::properties::is_connected_dominating_set`].
+//! decision, size vs. baseline, wall time).  Every maintained set is
+//! checked once against
+//! [`mcds_graph::properties::is_connected_dominating_set`] (the `(1, m)`
+//! contract for `m ≥ 2`): a repaired set before it is committed, an
+//! adopted baseline after adoption.
 //!
 //! # Fault tolerance
 //!
@@ -44,16 +49,17 @@
 
 use std::time::{Duration, Instant};
 
-use mcds_cds::{Algorithm, Solver};
+use mcds_cds::{connect, Algorithm, Cds, Solver};
 use mcds_geom::Point;
-use mcds_graph::subsets::{self, LocalSearch};
-use mcds_graph::{node_mask, properties, Graph};
+use mcds_graph::subsets::LocalSearch;
+use mcds_graph::{properties, Graph};
 use mcds_udg::mobility::survival_fraction;
 use mcds_udg::Topology;
 
 use crate::event::{NodeId, TopologyEvent};
 
-/// Tunables of the maintenance engine.
+/// Tunables of the maintenance engine.  Verification is not one of
+/// them: every maintained set is checked once per event.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintainConfig {
     /// Communication radius of the unit-disk model (the paper normalizes
@@ -63,10 +69,6 @@ pub struct MaintainConfig {
     /// exceeds this factor.  Values `≥ 1`; the differential test suite
     /// relies on this staying `≤ 2`.
     pub drift_threshold: f64,
-    /// Re-verify the maintained set after every event and fall back to a
-    /// recompute if verification fails (cheap; leave on outside of
-    /// benchmarks chasing the last microsecond).
-    pub verify: bool,
     /// Domination multiplicity of the maintained backbone: nodes outside
     /// it must keep at least `m` backbone neighbors (`1..=3`).  `1` is
     /// the paper's classic CDS; `2` and `3` are the fault-tolerant
@@ -79,7 +81,6 @@ impl Default for MaintainConfig {
         MaintainConfig {
             radius: 1.0,
             drift_threshold: 1.75,
-            verify: true,
             m: 1,
         }
     }
@@ -134,7 +135,9 @@ pub enum RepairDecision {
     /// Local repair succeeded; the previous backbone was patched in
     /// place.
     Repaired,
-    /// The engine recomputed from scratch with [`mcds_cds::greedy_cds`].
+    /// The engine adopted the event's baseline,
+    /// `Solver::new(Algorithm::GreedyConnect).m(m)` on the snapshot, in
+    /// place of the local repair.
     Recomputed(RecomputeReason),
 }
 
@@ -177,7 +180,9 @@ pub struct RepairReport {
     /// the baseline serves the giant alone, so this is the comparable
     /// number).
     pub cds_size: usize,
-    /// Fresh [`mcds_cds::greedy_cds`] size on the same snapshot.
+    /// Size of the event's baseline,
+    /// `Solver::new(Algorithm::GreedyConnect).m(m)` on the same snapshot
+    /// (the backbone a recompute adopts).
     pub baseline_size: usize,
     /// Fraction of the previous backbone surviving into the new one
     /// (1.0 when there was no previous backbone).
@@ -188,9 +193,10 @@ pub struct RepairReport {
     /// repair (or the recompute that replaced it) and the verification.
     /// Only the role and survival accounting of this report comes after.
     pub wall: Duration,
-    /// Whether the maintained set passed CDS verification on the new
-    /// snapshot (always checked, even with `verify` off — `verify` only
-    /// controls whether a failure triggers the fallback).
+    /// Whether the maintained set passed verification on the new
+    /// snapshot.  A repaired set is committed only once its check passes
+    /// (a failure falls back to the baseline), so this is `false` only
+    /// when the adopted baseline fails its check.
     pub valid: bool,
 }
 
@@ -261,6 +267,45 @@ impl Snapshot {
     }
 }
 
+/// A node's backbone role on one snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Out,
+    Dominator,
+    Connector,
+}
+
+/// The backbone roles mapped into one snapshot: a role per local index,
+/// and the role ids off its giant component.
+struct LocalRoles {
+    role: Vec<Role>,
+    off_dom: Vec<NodeId>,
+    off_con: Vec<NodeId>,
+}
+
+impl LocalRoles {
+    fn map(snap: &Snapshot, dominators: &[NodeId], connectors: &[NodeId]) -> Self {
+        let mut role = vec![Role::Out; snap.ids.len()];
+        let mut split = |ids: &[NodeId], r: Role| {
+            let mut off = Vec::new();
+            for &id in ids {
+                match snap.local(id) {
+                    Some(v) => role[v] = r,
+                    None => off.push(id),
+                }
+            }
+            off
+        };
+        let off_dom = split(dominators, Role::Dominator);
+        let off_con = split(connectors, Role::Connector);
+        LocalRoles {
+            role,
+            off_dom,
+            off_con,
+        }
+    }
+}
+
 impl Maintainer {
     /// Creates an engine with no nodes.
     ///
@@ -303,7 +348,8 @@ impl Maintainer {
         engine.topology = Topology::with_points(points, cfg.radius);
         if let Some(snap) = engine.snapshot() {
             engine.giant = snap.ids.len();
-            engine.adopt_fresh(&snap);
+            let cds = engine.baseline(&snap);
+            engine.adopt(&snap, &cds);
         }
         engine
     }
@@ -379,26 +425,20 @@ impl Maintainer {
         Some(Snapshot { ids, graph })
     }
 
-    /// Backbone nodes living on the snapshot's giant component.
-    fn giant_backbone_size(&self, snap: &Snapshot) -> usize {
-        self.backbone()
-            .iter()
-            .filter(|&&id| snap.local(id).is_some())
-            .count()
-    }
-
-    /// Replaces the backbone with a fresh greedy CDS of the snapshot
-    /// (the `(1, m)` variant when [`MaintainConfig::m`] is above 1),
-    /// returning its size.
-    fn adopt_fresh(&mut self, snap: &Snapshot) -> usize {
-        let cds = Solver::new(Algorithm::GreedyConnect)
+    /// A fresh greedy CDS of the snapshot (the `(1, m)` variant when
+    /// [`MaintainConfig::m`] is above 1), over its local indices.
+    fn baseline(&self, snap: &Snapshot) -> Cds {
+        Solver::new(Algorithm::GreedyConnect)
             .m(self.cfg.m)
             .solve(&snap.graph)
             .expect("giant component is connected and non-empty")
-            .into_cds();
+            .into_cds()
+    }
+
+    /// Replaces the backbone with `cds`, a backbone of the snapshot.
+    fn adopt(&mut self, snap: &Snapshot, cds: &Cds) {
         self.dominators = cds.dominators().iter().map(|&v| snap.ids[v]).collect();
         self.connectors = cds.connectors().iter().map(|&v| snap.ids[v]).collect();
-        cds.len()
     }
 
     /// Applies one topology event, repairs the backbone, and reports.
@@ -409,9 +449,8 @@ impl Maintainer {
     /// non-finite.
     pub fn apply(&mut self, event: TopologyEvent) -> RepairReport {
         // Each step below is a direct child span of `maintain.apply`.
-        // The baseline's and a fallback's `solve` must stay direct
-        // children: the benchmark folds `maintain.apply/solve` into the
-        // per-event baseline time.
+        // The baseline `solve` must stay a direct child: the benchmark
+        // folds `maintain.apply/solve` into the per-event baseline time.
         let _apply_span = mcds_obs::span("maintain.apply");
         mcds_obs::counter!("maintain.events");
         let started = Instant::now();
@@ -456,14 +495,12 @@ impl Maintainer {
                 valid: true,
             };
         };
-        let baseline_size = Solver::new(Algorithm::GreedyConnect)
-            .m(self.cfg.m)
-            .solve(&snap.graph)
-            .expect("giant component is connected and non-empty")
-            .len();
+        let baseline = self.baseline(&snap);
 
-        // 3. Map the surviving backbone into the snapshot and repair.
+        // 3. Map the surviving backbone into the snapshot once, then
+        //    count the damage and repair.
         let repair_span = mcds_obs::span("maintain.repair");
+        let roles = LocalRoles::map(&snap, &self.dominators, &self.connectors);
         // Coverage damage before repair: how many giant nodes the
         // surviving backbone leaves undominated.  Measured against plain
         // domination (m = 1) for every engine so E22 can compare the
@@ -471,59 +508,50 @@ impl Maintainer {
         // absorbs any single death with zero violations.
         let violations = {
             let _span = mcds_obs::span("maintain.violations");
-            let mask = local_backbone_mask(&snap, &self.dominators, &self.connectors);
-            coverage_violations(&snap.graph, &mask, 1)
+            coverage_violations(&snap.graph, |v| roles.role[v] != Role::Out, 1)
         };
         let prev_dom: Vec<NodeId> = self.dominators.clone();
         let prev_con: Vec<NodeId> = self.connectors.clone();
         let had_backbone = !prev_backbone.is_empty();
         let repaired = if had_backbone {
             let _span = mcds_obs::span("maintain.local_repair");
-            self.repair_local(&snap, &seeds)
+            self.repair_local(&snap, &seeds, roles)
         } else {
             Err(RecomputeReason::ColdStart)
         };
-        let (decision, nodes_touched) = match repaired {
-            Ok(touched) => {
-                let _span = mcds_obs::span("maintain.drift");
-                // Drift is judged on the giant component only — the
-                // baseline serves it alone, and backbone remnants
-                // preserved for minor components must not count against
-                // the repair.
-                let giant_size = self.giant_backbone_size(&snap);
-                let ratio = if baseline_size == 0 {
-                    1.0
-                } else {
-                    giant_size as f64 / baseline_size as f64
-                };
-                if ratio > self.cfg.drift_threshold {
-                    (RepairDecision::Recomputed(RecomputeReason::Drift), touched)
-                } else {
-                    (RepairDecision::Repaired, touched)
-                }
-            }
-            Err(reason) => (RepairDecision::Recomputed(reason), 0),
+        // Drift is judged on the giant component only — the baseline
+        // serves it alone, and backbone remnants preserved for minor
+        // components must not count against the repair.
+        let drifted = |size: usize| {
+            !baseline.is_empty() && size as f64 / baseline.len() as f64 > self.cfg.drift_threshold
+        };
+        let (decision, nodes_touched, repaired_size) = match repaired {
+            Ok((touched, size)) if drifted(size) => (
+                RepairDecision::Recomputed(RecomputeReason::Drift),
+                touched,
+                size,
+            ),
+            Ok((touched, size)) => (RepairDecision::Repaired, touched, size),
+            Err(reason) => (RepairDecision::Recomputed(reason), 0, 0),
         };
         drop(repair_span);
-        if let RepairDecision::Recomputed(_) = decision {
-            self.adopt_fresh(&snap);
-        }
-        match decision {
+
+        // 4. A repaired set was checked before it was committed; a
+        //    recompute adopts the baseline and checks it once.
+        let _verify_span = mcds_obs::span("maintain.verify");
+        let (cds_size, valid) = match decision {
             RepairDecision::Repaired => {
                 mcds_obs::counter!("maintain.repaired");
                 mcds_obs::observe("maintain.damage_region", nodes_touched as u64);
+                (repaired_size, true)
             }
-            RepairDecision::Recomputed(reason) => count_recompute(reason),
-        }
-
-        // 4. Always verify the maintained set against the snapshot.
-        let _verify_span = mcds_obs::span("maintain.verify");
-        let backbone_local: Vec<usize> = self
-            .backbone()
-            .iter()
-            .filter_map(|&id| snap.local(id))
-            .collect();
-        let valid = backbone_valid(&snap.graph, &backbone_local, self.cfg.m);
+            RepairDecision::Recomputed(reason) => {
+                count_recompute(reason);
+                self.adopt(&snap, &baseline);
+                let valid = backbone_valid(&snap.graph, baseline.nodes(), self.cfg.m);
+                (baseline.len(), valid)
+            }
+        };
         let wall = started.elapsed();
 
         let new_backbone = self.backbone();
@@ -544,8 +572,8 @@ impl Maintainer {
             connectors_added,
             connectors_removed,
             decision,
-            cds_size: self.giant_backbone_size(&snap),
-            baseline_size,
+            cds_size,
+            baseline_size: baseline.len(),
             survival: if had_backbone {
                 survival_fraction(&prev_backbone, &new_backbone)
             } else {
@@ -585,46 +613,40 @@ impl Maintainer {
         }
     }
 
-    /// Attempts the local repair on the snapshot.  On success stores the
-    /// repaired roles (stable ids) and returns the damage-region size; on
-    /// failure returns the reason and leaves roles untouched (the caller
-    /// recomputes).
+    /// Attempts the local repair of `roles` on the snapshot.  On success
+    /// stores the repaired roles (stable ids) and returns the
+    /// damage-region size and the repaired backbone's size on the giant;
+    /// on failure returns the reason and leaves roles untouched (the
+    /// caller adopts the baseline).
     fn repair_local(
         &mut self,
         snap: &Snapshot,
         seeds: &[NodeId],
-    ) -> Result<usize, RecomputeReason> {
+        roles: LocalRoles,
+    ) -> Result<(usize, usize), RecomputeReason> {
         let g = &snap.graph;
         let n = g.num_nodes();
         let m = self.cfg.m;
-
-        // Previous roles restricted to the giant component, local
-        // indices.
-        let mut is_dom = vec![false; n];
-        for id in &self.dominators {
-            if let Some(v) = snap.local(*id) {
-                is_dom[v] = true;
-            }
-        }
-        let mut is_con = vec![false; n];
-        for id in &self.connectors {
-            if let Some(v) = snap.local(*id) {
-                is_con[v] = true;
-            }
-        }
-        if !is_dom.iter().any(|&d| d) {
+        let LocalRoles {
+            mut role,
+            off_dom,
+            off_con,
+        } = roles;
+        if !role.contains(&Role::Dominator) {
             // The entire dominator set fell off this component; nothing
             // to repair locally.
             return Err(RecomputeReason::ColdStart);
         }
 
-        // Damage region: the 2-hop closed neighborhood of the seeds, then
-        // one more ring for domination checks (a demoted dominator
-        // undominates only its direct neighbors, which sit within one hop
-        // of the region).
+        // Damage zones, nested by hop distance from the seeds: the
+        // 2-hop closed neighborhood is the re-election region; one more
+        // ring is the check zone (a demoted dominator undominates only
+        // its direct neighbors, which sit within one hop of the region);
+        // one more again holds the connector candidates (so a bridge
+        // just outside the check zone is still reachable).
         let seed_local: Vec<usize> = seeds.iter().filter_map(|&id| snap.local(id)).collect();
-        let region = expand(g, &seed_local, 2);
-        let check_zone = expand(g, &region, 1);
+        let (ball, hop) = hop_ball(g, &seed_local, 4);
+        let check_zone: Vec<usize> = ball.iter().copied().filter(|&v| hop[v] <= 3).collect();
 
         // Phase 1a: resolve independence violations inside the region
         // toward the smaller id (new dominator adjacencies can only
@@ -634,116 +656,89 @@ impl Maintainer {
         // m ≥ 2: m-fold dominator sets are deliberately non-independent,
         // so there is no independence invariant to restore.
         if m == 1 {
-            for &v in &region {
-                if !is_dom[v] {
+            for &v in check_zone.iter().filter(|&&v| hop[v] <= 2) {
+                if role[v] != Role::Dominator {
                     continue;
                 }
                 let demote = g
                     .neighbors_iter(v)
-                    .any(|u| is_dom[u] && (u < v || region.binary_search(&u).is_err()));
+                    .any(|u| role[u] == Role::Dominator && (u < v || hop[u] > 2));
                 if demote {
-                    is_dom[v] = false;
+                    role[v] = Role::Out;
                 }
             }
         }
 
         // Phase 1b: first-fit re-election — promote under-covered nodes
-        // of the widened zone in ascending id order (the first-fit
+        // of the check zone in ascending id order (the first-fit
         // tie-break of the paper's phase 1).  For m ≥ 2 a node is covered
         // when it sits in the backbone or sees ≥ m backbone neighbors;
         // promotion to dominator self-satisfies it and feeds coverage to
         // later nodes of the pass.
         for &v in &check_zone {
             let covered = if m == 1 {
-                is_dom[v] || g.neighbors_iter(v).any(|u| is_dom[u])
+                role[v] == Role::Dominator
+                    || g.neighbors_iter(v).any(|u| role[u] == Role::Dominator)
             } else {
-                is_dom[v]
-                    || is_con[v]
+                role[v] != Role::Out
                     || g.neighbors_iter(v)
-                        .filter(|&u| is_dom[u] || is_con[u])
+                        .filter(|&u| role[u] != Role::Out)
                         .count()
                         >= m
             };
             if !covered {
-                is_dom[v] = true;
-                is_con[v] = false;
+                role[v] = Role::Dominator;
             }
         }
 
         // Coverage must hold on the whole component; a miss here means
         // the damage model was too small for this event — recompute.
         let coverage_ok = if m == 1 {
-            let dom_list: Vec<usize> = (0..n).filter(|&v| is_dom[v]).collect();
+            let dom_list: Vec<usize> = (0..n).filter(|&v| role[v] == Role::Dominator).collect();
             properties::is_dominating_set(g, &dom_list)
         } else {
-            let mask: Vec<bool> = (0..n).map(|v| is_dom[v] || is_con[v]).collect();
-            coverage_violations(g, &mask, m) == 0
+            coverage_violations(g, |v| role[v] != Role::Out, m) == 0
         };
         if !coverage_ok {
             return Err(RecomputeReason::Invalid);
         }
 
-        // Phase 2: patch connectivity of G[I ∪ C] with max-gain
-        // connectors confined to the damaged region (one extra ring so a
-        // bridge just outside the region is still reachable).
-        let mut mask: Vec<bool> = (0..n).map(|v| is_dom[v] || is_con[v]).collect();
-        let mut dsu = subsets::components_dsu(g, &mask);
-        let mut q = subsets::count_components(g, &mask);
-        let candidate_zone = expand(g, &check_zone, 1);
-        while q > 1 {
-            let mut best: Option<(usize, usize)> = None; // (count, node)
-            for &w in &candidate_zone {
-                if mask[w] {
-                    continue;
-                }
-                let adj = subsets::adjacent_components(g, &mask, &mut dsu, w);
-                if adj.len() >= 2 {
-                    match best {
-                        Some((c, _)) if c >= adj.len() => {}
-                        _ => best = Some((adj.len(), w)),
-                    }
-                }
-            }
-            let Some((count, w)) = best else {
-                return Err(RecomputeReason::Stalled);
-            };
-            mask[w] = true;
-            is_con[w] = true;
-            for u in g.neighbors_iter(w) {
-                if mask[u] {
-                    dsu.union(w, u);
-                }
-            }
-            q = q + 1 - count;
+        // Phase 2: patch connectivity of G[I ∪ C] with phase 2's max-gain
+        // kernel, its candidates confined to the connector zone.
+        let backbone: Vec<usize> = (0..n).filter(|&v| role[v] != Role::Out).collect();
+        let patch = connect::max_gain_connectors_within(g, &backbone, |w| hop[w] <= 4)
+            .map_err(|_| RecomputeReason::Stalled)?;
+        for w in patch {
+            role[w] = Role::Connector;
         }
 
-        // Phase 3: drop connectors in the damage region that the repair
+        // Phase 3: drop connectors in the check zone that the repair
         // made redundant (highest id first), so local churn cannot
-        // ratchet the backbone size upward.  Phase 2 left `G[mask]`
+        // ratchet the backbone size upward.  Phase 2 left `G[I ∪ C]`
         // connected and every accepted drop keeps it so, hence dropping
         // `c` keeps it connected iff `c` is not a cut vertex of
-        // `G[mask]`, which the exact local search decides near `c`.
+        // `G[I ∪ C]`, which the exact local search decides near `c`.
         let mut search = LocalSearch::new(n);
         for &c in check_zone.iter().rev() {
-            if !is_con[c] {
+            if role[c] != Role::Connector {
                 continue;
             }
-            mask[c] = false;
+            role[c] = Role::Out;
+            let in_backbone = |u: usize| role[u] != Role::Out;
             // For m ≥ 2 a connector also carries coverage: it may only
             // be dropped if it and its now-outside neighbors all keep
             // ≥ m backbone neighbors.
-            let droppable = (m == 1 || drop_keeps_coverage(g, &mask, c, m))
-                && search.run(g, |u| mask[u], c, u64::MAX, &mut 0) == Some(false);
-            if droppable {
-                is_con[c] = false;
-            } else {
-                mask[c] = true;
+            let droppable = (m == 1 || drop_keeps_coverage(g, in_backbone, c, m))
+                && search.run(g, in_backbone, c, u64::MAX, &mut 0) == Some(false);
+            if !droppable {
+                role[c] = Role::Connector;
             }
         }
 
-        // Verify before committing (cheap; guards analysis gaps).
-        let all_local: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
-        if self.cfg.verify && !backbone_valid(g, &all_local, m) {
+        // The one check of the repaired set, before it is committed:
+        // it guards the gaps of the damage model.
+        let all_local: Vec<usize> = (0..n).filter(|&v| role[v] != Role::Out).collect();
+        if !backbone_valid(g, &all_local, m) {
             return Err(RecomputeReason::Invalid);
         }
 
@@ -751,42 +746,44 @@ impl Maintainer {
         // backbone nodes that live outside this giant component (they
         // keep serving their own components and matter for survival
         // accounting if the components remerge).
-        let giant_set = &snap.ids;
-        let keep_outside = |ids: &[NodeId]| -> Vec<NodeId> {
-            ids.iter()
-                .copied()
-                .filter(|id| giant_set.binary_search(id).is_err() && self.topology.contains(*id))
-                .collect()
+        let commit = |mut off: Vec<NodeId>, r: Role| {
+            off.extend((0..n).filter(|&v| role[v] == r).map(|v| snap.ids[v]));
+            off.sort_unstable();
+            off
         };
-        let mut new_dom = keep_outside(&self.dominators);
-        new_dom.extend((0..n).filter(|&v| is_dom[v]).map(|v| snap.ids[v]));
-        new_dom.sort_unstable();
-        let mut new_con = keep_outside(&self.connectors);
-        new_con.extend((0..n).filter(|&v| is_con[v]).map(|v| snap.ids[v]));
-        new_con.sort_unstable();
-        self.dominators = new_dom;
-        self.connectors = new_con;
-        Ok(check_zone.len())
+        self.dominators = commit(off_dom, Role::Dominator);
+        self.connectors = commit(off_con, Role::Connector);
+        Ok((check_zone.len(), all_local.len()))
     }
 }
 
-/// The `hops`-hop closed neighborhood of `seed` in `g`, sorted.
-fn expand(g: &Graph, seed: &[usize], hops: usize) -> Vec<usize> {
-    let mut mask = node_mask(g.num_nodes(), seed);
-    let mut frontier: Vec<usize> = seed.to_vec();
-    for _ in 0..hops {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for u in g.neighbors_iter(v) {
-                if !mask[u] {
-                    mask[u] = true;
-                    next.push(u);
-                }
+/// The closed `hops`-hop neighborhood of `seeds` in `g`, ascending, and
+/// every node's hop distance from the nearest seed (`u8::MAX` beyond
+/// `hops`): one breadth-first search yields all the nested zones.
+fn hop_ball(g: &Graph, seeds: &[usize], hops: u8) -> (Vec<usize>, Vec<u8>) {
+    let mut hop = vec![u8::MAX; g.num_nodes()];
+    let mut ball = Vec::new();
+    for &s in seeds {
+        if hop[s] == u8::MAX {
+            hop[s] = 0;
+            ball.push(s);
+        }
+    }
+    let mut head = 0;
+    while let Some(&v) = ball.get(head) {
+        head += 1;
+        if hop[v] == hops {
+            continue;
+        }
+        for u in g.neighbors_iter(v) {
+            if hop[u] == u8::MAX {
+                hop[u] = hop[v] + 1;
+                ball.push(u);
             }
         }
-        frontier = next;
     }
-    (0..g.num_nodes()).filter(|&v| mask[v]).collect()
+    ball.sort_unstable();
+    (ball, hop)
 }
 
 /// How many elements of sorted `a` are missing from sorted `b`.
@@ -794,33 +791,25 @@ fn diff_count(a: &[NodeId], b: &[NodeId]) -> usize {
     a.iter().filter(|v| b.binary_search(v).is_err()).count()
 }
 
-/// Backbone membership over the snapshot's local indices.
-fn local_backbone_mask(snap: &Snapshot, dominators: &[NodeId], connectors: &[NodeId]) -> Vec<bool> {
-    let mut mask = vec![false; snap.graph.num_nodes()];
-    for id in dominators.iter().chain(connectors.iter()) {
-        if let Some(v) = snap.local(*id) {
-            mask[v] = true;
-        }
-    }
-    mask
-}
-
-/// Nodes of `g` outside `mask` with fewer than `m` neighbors inside it —
-/// the under-covered nodes of the `(1, m)` contract (`m = 1` recovers
-/// plain domination by the backbone).
-fn coverage_violations(g: &Graph, mask: &[bool], m: usize) -> usize {
+/// Nodes of `g` outside the backbone with fewer than `m` backbone
+/// neighbors — the under-covered nodes of the `(1, m)` contract (`m = 1`
+/// recovers plain domination by the backbone).
+fn coverage_violations(g: &Graph, in_backbone: impl Fn(usize) -> bool, m: usize) -> usize {
     (0..g.num_nodes())
-        .filter(|&v| !mask[v])
-        .filter(|&v| g.neighbors_iter(v).filter(|&u| mask[u]).count() < m)
+        .filter(|&v| !in_backbone(v))
+        .filter(|&v| g.neighbors_iter(v).filter(|&u| in_backbone(u)).count() < m)
         .count()
 }
 
-/// Whether the coverage contract survives dropping `c` (already cleared
-/// in `mask`): `c` itself and its now-outside neighbors must all retain
-/// ≥ `m` backbone neighbors.
-fn drop_keeps_coverage(g: &Graph, mask: &[bool], c: usize, m: usize) -> bool {
-    let covered = |v: usize| g.neighbors_iter(v).filter(|&u| mask[u]).count() >= m;
-    covered(c) && g.neighbors_iter(c).filter(|&u| !mask[u]).all(covered)
+/// Whether the coverage contract survives dropping `c` (already out of
+/// the backbone): `c` itself and its now-outside neighbors must all
+/// retain ≥ `m` backbone neighbors.
+fn drop_keeps_coverage(g: &Graph, in_backbone: impl Fn(usize) -> bool, c: usize, m: usize) -> bool {
+    let covered = |v: usize| g.neighbors_iter(v).filter(|&u| in_backbone(u)).count() >= m;
+    covered(c)
+        && g.neighbors_iter(c)
+            .filter(|&u| !in_backbone(u))
+            .all(covered)
 }
 
 /// m-aware validity: the classic CDS check for `m == 1`, the `(1, m)`
@@ -1098,9 +1087,9 @@ mod tests {
     #[test]
     fn coverage_violations_counts_under_covered_nodes() {
         let g = Graph::path(4);
-        let mask = vec![true, false, false, true];
-        assert_eq!(coverage_violations(&g, &mask, 1), 0);
-        assert_eq!(coverage_violations(&g, &mask, 2), 2);
+        let mask = [true, false, false, true];
+        assert_eq!(coverage_violations(&g, |v| mask[v], 1), 0);
+        assert_eq!(coverage_violations(&g, |v| mask[v], 2), 2);
     }
 
     #[test]

@@ -15,18 +15,20 @@
 //!   walk via [`waypoint_epoch`];
 //! * [`Maintainer`] — the engine: local first-fit MIS re-election
 //!   restricted to the event's 2-hop neighborhood, connector patching
-//!   with the Section-IV max-gain greedy confined to the damaged region,
-//!   and a full [`mcds_cds::greedy_cds`] recompute whenever repair
+//!   with the Section-IV max-gain greedy confined to the damaged region
+//!   (phase 2's own kernel, [`mcds_cds::connect::max_gain_connectors_within`]),
+//!   and adoption of the event's fresh baseline solve whenever repair
 //!   stalls, fails verification, or drifts past
-//!   [`MaintainConfig::drift_threshold`] × the fresh baseline;
+//!   [`MaintainConfig::drift_threshold`] × that baseline;
 //! * [`RepairReport`] / [`StabilityMetrics`] — per-event accounting
 //!   (locality, role deltas, decision, size ratio, wall time) and its
 //!   aggregation into the stability figures the churn experiments plot.
 //!
-//! Every maintained set is checked against
+//! Every maintained set is checked once per event against
 //! [`mcds_graph::properties::is_connected_dominating_set`] on the giant
-//! component of the live topology, so invalid intermediate states cannot
-//! survive an event unnoticed.  With [`MaintainConfig::m`] above 1 the
+//! component of the live topology (a repaired set before it is
+//! committed), so invalid intermediate states cannot survive an event
+//! unnoticed.  With [`MaintainConfig::m`] above 1 the
 //! engine maintains the fault-tolerant `(1, m)` backbone of
 //! [`mcds_cds::fault`] instead, and each [`RepairReport`] counts the
 //! nodes an event undominated before repair — the robustness metric the

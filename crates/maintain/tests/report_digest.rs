@@ -97,6 +97,35 @@ const STREAMS: [Stream; 6] = [
     },
 ];
 
+/// One-move streams (no joins, no leaves) on a 10 000-node uniform
+/// deployment at side 56.05, an average degree of about 10, at m = 1
+/// and m = 2.  [`STREAMS`] have at most 90 nodes, where the damage zone
+/// covers most of the giant; here it is a few dozen nodes of 10 000.
+const SCALE_STREAMS: [Stream; 2] = [
+    Stream {
+        seed: 3,
+        n: 10_000,
+        side: 56.05,
+        events: 200,
+        p_join: 0.0,
+        p_leave: 0.0,
+        move_radius: 0.5,
+        drift: 1.75,
+        m: 1,
+    },
+    Stream {
+        seed: 7,
+        n: 10_000,
+        side: 56.05,
+        events: 200,
+        p_join: 0.0,
+        p_leave: 0.0,
+        move_radius: 0.5,
+        drift: 1.75,
+        m: 2,
+    },
+];
+
 /// FNV-1a over a byte stream.
 struct Fnv(u64);
 
@@ -191,6 +220,26 @@ fn report_stream_matches_the_pinned_digest() {
     assert_eq!(
         digest.0, PINNED,
         "the report stream changed: digest {:016x}",
+        digest.0
+    );
+}
+
+/// The digest of the 400 reports (and two final backbones) of
+/// [`SCALE_STREAMS`], recorded on the engine whose connector patch
+/// rescanned its candidate zone per selection.
+const SCALE_PINNED: u64 = 0x5214_bb8e_53d0_d2ae;
+
+#[test]
+#[ignore = "10k-node streams; run in release with --include-ignored"]
+fn scale_stream_matches_the_pinned_digest() {
+    let mut digest = Fnv::new();
+    let mut reasons = [0usize; 4];
+    for s in &SCALE_STREAMS {
+        run(s, &mut digest, &mut reasons);
+    }
+    assert_eq!(
+        digest.0, SCALE_PINNED,
+        "the 10k report stream changed: digest {:016x}",
         digest.0
     );
 }

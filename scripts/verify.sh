@@ -8,12 +8,11 @@
 #   build test fmt clippy check fuzz pool tracing serve substrate grid
 #   kernel bench
 #
-# Hermetic by design — no network, no external dependencies.  The 4
-# remaining proptest suites (distsim, graph, mis, viz) are feature-gated
-# (`ext-tests`) and excluded here; see the workspace Cargo.toml for how
-# to restore them.  The `kernel` stage runs the two differential suites
-# of the production kernels, `kernel_equiv` (m = 1) and `fault_equiv`
-# (the fault-tolerant (k, m) family), in release.
+# Hermetic by design — no network, no external dependencies.  The
+# `kernel` stage runs the two differential suites of the production
+# kernels, `kernel_equiv` (m = 1, and the churn maintainer's confined
+# connector patch) and `fault_equiv` (the fault-tolerant (k, m) family),
+# plus the maintainer's tests with its 10k-node report digest, in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -272,12 +271,17 @@ if want kernel; then
   # The differential suites (DESIGN.md §11, §14) in release, including
   # the ignored at-scale cases.  kernel_equiv: every algorithm with prune
   # on, on the oracle cases, 200+ deployments, the uniform n=200/1500,
-  # chain and grid instances `gen` builds, and E19's n=5k/10k rungs.
-  # fault_equiv: the (k, m) family at m = 1..3, biconnect on and off,
-  # under six weightings, on the oracle cases, 200+ deployments,
-  # structured, hostile and disconnected inputs, and E19's n=5k/10k rungs.
+  # chain and grid instances `gen` builds, and E19's n=5k/10k rungs; and
+  # the maintainer's confined connector patch against the zoned rescan
+  # on 400+ giants.  fault_equiv: the (k, m) family at m = 1..3,
+  # biconnect on and off, under six weightings, on the oracle cases, 200+
+  # deployments, structured, hostile and disconnected inputs, and E19's
+  # n=5k/10k rungs.  mcds-maintain: every maintainer test, including the
+  # ignored report digest of 400 one-move events on a 10k-node giant at
+  # m = 1 and 2.
   cargo test --quiet --release -p mcds-cds --test kernel_equiv -- --include-ignored
   cargo test --quiet --release -p mcds-cds --test fault_equiv -- --include-ignored
+  cargo test --quiet --release -p mcds-maintain -- --include-ignored
 fi
 
 if want bench; then
