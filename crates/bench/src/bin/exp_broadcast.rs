@@ -15,7 +15,7 @@
 
 use mcds_bench::sweeps::{instances, Cell};
 use mcds_bench::{f2, stats, ExpConfig, Table};
-use mcds_cds::algorithms::Algorithm;
+use mcds_cds::{Algorithm, Solver};
 use mcds_distsim::protocols::run_broadcast;
 
 fn main() {
@@ -82,7 +82,7 @@ fn main() {
             tx[0].push(flood.stats.transmissions as f64);
             rounds[0].push(flood.stats.rounds as f64);
             for (i, alg) in Algorithm::ALL.iter().enumerate() {
-                let backbone = alg.run(g).expect("connected");
+                let backbone = Solver::new(*alg).solve(g).expect("connected");
                 let out = run_broadcast(g, source, backbone.nodes()).expect("valid protocol");
                 covered[i + 1] &= out.reached == g.num_nodes();
                 tx[i + 1].push(out.stats.transmissions as f64);

@@ -132,7 +132,6 @@ fn main() {
                 .map(|&alg| {
                     let mut solution = Solver::new(alg)
                         .verify(true)
-                        .timings(true)
                         .solve(g)
                         .expect("connected instance");
                     solution.set_build_time(gen_time);

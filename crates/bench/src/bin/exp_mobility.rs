@@ -18,7 +18,7 @@
 //! Usage: `exp_mobility [--quick] [--seed <u64>] [--out <dir>]`
 
 use mcds_bench::{f2, f3, stats, ExpConfig, Table};
-use mcds_cds::algorithms::Algorithm;
+use mcds_cds::{Algorithm, Solver};
 use mcds_geom::Aabb;
 use mcds_graph::properties;
 use mcds_rng::rngs::StdRng;
@@ -86,7 +86,7 @@ fn main() {
                 continue;
             }
             for (i, alg) in algs.iter().enumerate() {
-                let cds_local = alg.run(g).expect("connected giant");
+                let cds_local = Solver::new(*alg).solve(g).expect("connected giant");
                 // Map back to original node ids for cross-epoch identity.
                 let cds_global: Vec<usize> = cds_local.nodes().iter().map(|&v| giant[v]).collect();
                 if let Some(old) = &prev[i] {

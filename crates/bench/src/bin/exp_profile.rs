@@ -5,8 +5,8 @@
 //! One seeded disk graph per `n` (giant component of a uniform
 //! deployment; side grows as `√n` to hold average degree near 10) is
 //! solved with `GreedyConnect` (prune + verify on).  Per-phase wall time
-//! comes from [`Solver::timings`]; alongside it the experiment reports
-//! the `mcds-obs` counters recorded by the instrumented solver —
+//! comes from [`mcds_cds::Solution::timings`]; alongside it the
+//! experiment reports the `mcds-obs` counters recorded by the solver —
 //! connector candidates scanned, connectors selected, prune removals,
 //! the prune's global articulation passes — which are deterministic and
 //! explain the wall-clock shape.
@@ -99,7 +99,6 @@ fn main() {
         let solution = Solver::new(Algorithm::GreedyConnect)
             .prune(true)
             .verify(true)
-            .timings(true)
             .solve(g)
             .expect("giant component is connected");
         let t = solution.timings();

@@ -16,8 +16,8 @@
 
 use mcds_bench::sweeps::{instances, Cell};
 use mcds_bench::{f2, f3, stats, ExpConfig, Table};
-use mcds_cds::algorithms::Algorithm;
 use mcds_cds::routing::stretch_stats;
+use mcds_cds::{Algorithm, Solver};
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 
 fn main() {
@@ -79,7 +79,7 @@ fn main() {
                 continue;
             }
             for (i, alg) in Algorithm::ALL.iter().enumerate() {
-                let cds = alg.run(g).expect("connected");
+                let cds = Solver::new(*alg).solve(g).expect("connected");
                 let s = stretch_stats(g, cds.nodes()).expect("CDS routes everything");
                 let backbone = BitSet::from_nodes(g.num_nodes(), cds.nodes());
                 masked_articulation_points(g, &backbone, &mut scratch, &mut cut);

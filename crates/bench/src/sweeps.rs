@@ -99,7 +99,6 @@ pub fn timed_family_trials(
         let gen_time = gen_start.elapsed();
         match Solver::new(alg)
             .verify(true)
-            .timings(true)
             .m(m)
             .biconnect(biconnect)
             .weight_scheme(weights)

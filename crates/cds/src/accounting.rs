@@ -159,7 +159,12 @@ impl GreedyAccounting {
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::greedy_cds_rooted`].
+/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
+/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
+///
+/// # Panics
+///
+/// Panics if `root` is out of range.
 pub fn greedy_accounting(g: &Graph, root: usize) -> Result<GreedyAccounting, CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);

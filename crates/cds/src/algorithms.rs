@@ -1,39 +1,72 @@
 //! A uniform registry over all CDS constructions, for the experiment
 //! harness and examples.
 
-use mcds_graph::RandomAccessGraph;
-
-use crate::{Cds, CdsError, Solution, Solver};
-
-/// The CDS algorithms this crate implements, as data.
+/// The CDS algorithms this crate implements, as data; run one with
+/// [`crate::Solver`].
 ///
 /// `Algorithm::ALL` enumerates them in the order experiments report them.
 ///
 /// ```
 /// use mcds_graph::Graph;
-/// use mcds_cds::algorithms::Algorithm;
+/// use mcds_cds::{Algorithm, Solver};
 ///
 /// let g = Graph::cycle(12);
 /// for alg in Algorithm::ALL {
-///     let cds = alg.run(&g)?;
-///     assert!(cds.verify(&g).is_ok(), "{}", alg.name());
+///     let solution = Solver::new(alg).solve(&g)?;
+///     assert!(solution.cds().verify(&g).is_ok(), "{}", alg.name());
 /// }
 /// # Ok::<(), mcds_cds::CdsError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Wan–Alzoubi–Frieder \[10\], ratio ≤ 7⅓ (paper Section III).
+    ///
+    /// 1. `T` = BFS spanning tree of `G` rooted at the root (the elected
+    ///    leader, [`crate::Solver::root`]); `I` = first-fit MIS in the
+    ///    `(level, id)` order of `T` (so the root is in `I`).
+    /// 2. `s` = the neighbor of the root adjacent to the largest number of
+    ///    nodes of `I` (ties toward smaller id).
+    /// 3. `C = {s} ∪ { parent_T(u) : u ∈ I \ I(s) }`, where `I(s)` is the
+    ///    set of dominators adjacent to `s`.
+    ///
+    /// `I ∪ C` is a CDS with `|I ∪ C| ≤ 7⅓·γ_c(G)` (Theorem 8).  The size
+    /// inequality `|C| ≤ |I| − |I(s)| + 1` used in the proof is asserted
+    /// in debug builds.
     WafTree,
     /// The paper's new greedy-connector algorithm, ratio ≤ 6 7/18
     /// (Section IV).
+    ///
+    /// Phase 1 is [`Algorithm::WafTree`]'s: the BFS-ordered first-fit MIS
+    /// `I`.  Phase 2 selects connectors *"in a natural greedy manner"*:
+    /// while `G[I ∪ C]` has more than one connected component, add the
+    /// node `w` of maximum gain `Δ_w q(C) = q(C) − q(C ∪ {w})`.  Lemma 9
+    /// guarantees a node of gain ≥ 1 always exists, so the loop
+    /// terminates with a CDS; Theorem 10 bounds the result by
+    /// `6 7/18 · γ_c(G)`.
     GreedyConnect,
     /// Chvátal greedy set-cover dominators + shortest-path connectors
     /// \[2\]; logarithmic ratio.
+    ///
+    /// Set-cover dominators lack the 2-hop separation property (two
+    /// dominator components can be 3 hops apart), so the phase-2 rule is
+    /// [`crate::connect::path_connectors`] rather than the paper's
+    /// max-gain rule.
     ChvatalSetCover,
     /// Arbitrary (lexicographic) MIS + max-gain connectors \[1\]/\[9\].
+    ///
+    /// Unlike the paper's BFS-ordered MIS, an arbitrary MIS lacks the
+    /// 2-hop separation property — its components can be 3 hops apart,
+    /// where no single node merges two of them (e.g. `{0, 3, 5}` on a
+    /// 6-path).  The connector rule is therefore
+    /// [`crate::connect::max_gain_then_paths`].  This structural
+    /// difference is exactly the motivation for the special MIS in
+    /// \[4\]/\[8\]/\[10\].
     ArbitraryMis,
     /// Single-phase Guha–Khuller-style greedy growth; `O(log Δ)` ratio
     /// on general graphs.
+    ///
+    /// The whole grown set is reported as dominators (there is no phase
+    /// split in this algorithm) and no connectors.
     GreedyGrowth,
 }
 
@@ -86,15 +119,6 @@ impl Algorithm {
             Algorithm::ArbitraryMis => None,
             Algorithm::GreedyGrowth => None,
         }
-    }
-
-    /// Runs the algorithm on `g` with default [`Solver`] configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the algorithm's [`CdsError`].
-    pub fn run<G: RandomAccessGraph>(self, g: &G) -> Result<Cds, CdsError> {
-        Solver::new(self).solve(g).map(Solution::into_cds)
     }
 }
 
@@ -155,6 +179,7 @@ pub fn parse_selector(s: &str) -> Result<Vec<Algorithm>, UnknownAlgorithm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Solver;
     use mcds_graph::Graph;
 
     #[test]
@@ -176,8 +201,11 @@ mod tests {
             ],
         );
         for alg in Algorithm::ALL {
-            let cds = alg.run(&g).unwrap();
-            cds.verify(&g).unwrap_or_else(|e| panic!("{alg}: {e}"));
+            let solution = Solver::new(alg).solve(&g).unwrap();
+            solution
+                .cds()
+                .verify(&g)
+                .unwrap_or_else(|e| panic!("{alg}: {e}"));
             assert!(!alg.name().is_empty());
             assert!(!alg.description().is_empty());
         }

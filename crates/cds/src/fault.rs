@@ -44,7 +44,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
 use mcds_graph::{node_mask, subsets, RandomAccessGraph};
 
-use crate::{connect, prune, Cds, CdsError};
+use crate::{connect, prune, CdsError};
 
 /// Elects an m-fold dominating set greedily with unit node weights:
 /// every node outside the returned set has ≥ `m` neighbors inside it.
@@ -470,42 +470,6 @@ pub fn prune_m_cds<G: RandomAccessGraph>(
     Ok(prune::prune_valid(g, set, m, biconnect))
 }
 
-/// One-call construction of a fault-tolerant backbone: m-fold greedy
-/// dominators, weighted max-gain connectors, and (optionally) the
-/// 2-connectivity augmentation — the `(k,m)` analogue of
-/// [`crate::greedy_cds`].  Unit node weights; use the phase functions
-/// directly for weighted variants.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] / [`CdsError::DisconnectedGraph`] on
-///   invalid inputs,
-/// * [`CdsError::NotBiconnected`] when `biconnect` is requested but `g`
-///   itself has a cut vertex no augmentation can bypass.
-pub fn fault_tolerant_cds<G: RandomAccessGraph>(
-    g: &G,
-    m: usize,
-    biconnect: bool,
-) -> Result<Cds, CdsError> {
-    if g.num_nodes() == 0 {
-        return Err(CdsError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(CdsError::DisconnectedGraph);
-    }
-    let m = m.max(1);
-    let weights = vec![1u64; g.num_nodes()];
-    let dominators = weighted_m_fold_dominators(g, &weights, m)?;
-    let mut connectors = weighted_max_gain_connectors(g, &dominators, &weights)?;
-    if biconnect {
-        let mut nodes: Vec<usize> = dominators.iter().chain(&connectors).copied().collect();
-        nodes = biconnect_augment(g, &nodes)?;
-        let dom_mask = node_mask(g.num_nodes(), &dominators);
-        connectors = nodes.into_iter().filter(|&v| !dom_mask[v]).collect();
-    }
-    Ok(Cds::new(dominators, connectors))
-}
-
 /// Named node-weight assignments for the minimum-weight objective
 /// ([`weighted_m_fold_dominators`] / [`weighted_max_gain_connectors`]).
 ///
@@ -600,7 +564,17 @@ fn splitmix64(state: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Cds, Solver};
     use mcds_graph::Graph;
+
+    /// The `(k, m)` backbone the solver builds: `k = 2` with `biconnect`.
+    fn family(g: &Graph, m: usize, biconnect: bool) -> Result<Cds, CdsError> {
+        Solver::new(Algorithm::GreedyConnect)
+            .m(m)
+            .biconnect(biconnect)
+            .solve(g)
+            .map(|s| s.into_cds())
+    }
 
     fn gnarly() -> Graph {
         Graph::from_edges(
@@ -697,7 +671,7 @@ mod tests {
         // Cycles and chorded cycles are 2-connected, so augmentation
         // must succeed; start from a deliberately fragile seed.
         for g in [gnarly(), Graph::cycle(9), Graph::complete(7)] {
-            let cds = crate::greedy_cds(&g).unwrap();
+            let cds = family(&g, 1, false).unwrap();
             let aug = biconnect_augment(&g, cds.nodes()).unwrap();
             assert!(check_biconnected(&g, &aug).is_ok(), "{g:?}");
             // Superset of the input: augmentation only adds.
@@ -746,7 +720,7 @@ mod tests {
         for g in [gnarly(), Graph::cycle(12)] {
             for m in 1..=2 {
                 for biconnect in [false, true] {
-                    let cds = fault_tolerant_cds(&g, m, biconnect).unwrap();
+                    let cds = family(&g, m, biconnect).unwrap();
                     let pruned = prune_m_cds(&g, cds.nodes(), m, biconnect).unwrap();
                     assert!(check_m_cds(&g, &pruned, m).is_ok(), "m={m} {g:?}");
                     if biconnect {
@@ -760,12 +734,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_tolerant_cds_whole_family_on_named_graphs() {
+    fn whole_family_on_named_graphs() {
         for g in [gnarly(), Graph::cycle(10), Graph::complete(8)] {
             for m in 1..=3 {
-                let plain = fault_tolerant_cds(&g, m, false).unwrap();
+                let plain = family(&g, m, false).unwrap();
                 assert!(check_m_cds(&g, plain.nodes(), m).is_ok());
-                let hard = fault_tolerant_cds(&g, m, true).unwrap();
+                let hard = family(&g, m, true).unwrap();
                 assert!(check_m_cds(&g, hard.nodes(), m).is_ok());
                 assert!(check_biconnected(&g, hard.nodes()).is_ok());
                 // Hardening never shrinks the backbone.
@@ -773,11 +747,11 @@ mod tests {
             }
         }
         assert_eq!(
-            fault_tolerant_cds(&Graph::empty(0), 2, false),
+            family(&Graph::empty(0), 2, false),
             Err(CdsError::EmptyGraph)
         );
         assert_eq!(
-            fault_tolerant_cds(&Graph::from_edges(4, [(0, 1), (2, 3)]), 2, false),
+            family(&Graph::from_edges(4, [(0, 1), (2, 3)]), 2, false),
             Err(CdsError::DisconnectedGraph)
         );
     }
@@ -788,7 +762,7 @@ mod tests {
         // node of a (2,2) backbone and every surviving non-member is
         // still covered, and the survivors stay connected.
         let g = gnarly();
-        let cds = fault_tolerant_cds(&g, 2, true).unwrap();
+        let cds = family(&g, 2, true).unwrap();
         for &dead in cds.nodes() {
             let survivors: Vec<usize> =
                 cds.nodes().iter().copied().filter(|&v| v != dead).collect();

@@ -10,33 +10,14 @@
 
 use mcds_graph::RandomAccessGraph;
 
-use crate::{Algorithm, Cds, CdsError, Solution, Solver};
-
-/// Runs the greedy-growth construction.
+/// The growth loop proper; `g` must be non-empty and connected.  Returns
+/// the grown set in selection order.
 ///
 /// The seed is the maximum-degree node (ties toward the smaller id); each
 /// step adds the neighbor of the current set with the largest number of
 /// newly dominated nodes (ties toward the smaller id).  Progress is
 /// guaranteed on connected graphs: while some node is undominated, some
 /// candidate has positive gain.
-///
-/// The returned [`Cds`] reports the whole set as dominators (there is no
-/// phase split in this algorithm) and no connectors.  Thin wrapper over
-/// [`Solver`]; prefer `Solver::new(Algorithm::GreedyGrowth).solve(g)` in
-/// new code.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
-/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
-pub fn greedy_growth_cds<G: RandomAccessGraph>(g: &G) -> Result<Cds, CdsError> {
-    Solver::new(Algorithm::GreedyGrowth)
-        .solve(g)
-        .map(Solution::into_cds)
-}
-
-/// The growth loop proper; `g` must be non-empty and connected.  Returns
-/// the grown set in selection order.
 pub(crate) fn grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
     let n = g.num_nodes();
     let seed = (0..n)
@@ -104,8 +85,15 @@ pub(crate) fn grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Cds, CdsError, Solver};
     use mcds_graph::{properties, Graph};
+
+    fn grown(g: &Graph) -> Cds {
+        Solver::new(Algorithm::GreedyGrowth)
+            .solve(g)
+            .unwrap()
+            .into_cds()
+    }
 
     #[test]
     fn valid_on_named_families() {
@@ -118,15 +106,15 @@ mod tests {
             Graph::complete(6),
         ];
         for g in &graphs {
-            let cds = greedy_growth_cds(g).unwrap();
+            let cds = grown(g);
             cds.verify(g).unwrap_or_else(|e| panic!("{g:?}: {e}"));
         }
     }
 
     #[test]
     fn star_and_complete_take_one_node() {
-        assert_eq!(greedy_growth_cds(&Graph::star(9)).unwrap().len(), 1);
-        assert_eq!(greedy_growth_cds(&Graph::complete(7)).unwrap().len(), 1);
+        assert_eq!(grown(&Graph::star(9)).len(), 1);
+        assert_eq!(grown(&Graph::complete(7)).len(), 1);
     }
 
     #[test]
@@ -135,7 +123,7 @@ mod tests {
         // (it never needs the endpoints).
         for n in 3..20 {
             let g = Graph::path(n);
-            let cds = greedy_growth_cds(&g).unwrap();
+            let cds = grown(&g);
             assert_eq!(cds.len(), n - 2, "P_{n}");
         }
     }
@@ -161,18 +149,22 @@ mod tests {
                 (5, 8),
             ],
         );
-        let cds = greedy_growth_cds(&g).unwrap();
+        let cds = grown(&g);
         assert!(properties::is_connected_dominating_set(&g, cds.nodes()));
         assert!(cds.connectors().is_empty());
     }
 
     #[test]
     fn errors_on_bad_inputs() {
+        let solver = Solver::new(Algorithm::GreedyGrowth);
         assert_eq!(
-            greedy_growth_cds(&Graph::empty(0)),
-            Err(CdsError::EmptyGraph)
+            solver.solve(&Graph::empty(0)).err(),
+            Some(CdsError::EmptyGraph)
         );
         let split = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert_eq!(greedy_growth_cds(&split), Err(CdsError::DisconnectedGraph));
+        assert_eq!(
+            solver.solve(&split).err(),
+            Some(CdsError::DisconnectedGraph)
+        );
     }
 }

@@ -265,27 +265,21 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
     }
 }
 
-/// How many nodes pruning saved on `set` (convenience for experiments).
-///
-/// # Errors
-///
-/// Propagates the validity error from [`prune_cds`].
-pub fn pruning_savings<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<usize, CdsError> {
-    let pruned = prune_cds(g, set)?;
-    Ok(set.len() - pruned.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{greedy_cds, waf_cds};
+    use crate::{Algorithm, Solver};
     use mcds_graph::Graph;
+
+    fn solve(alg: Algorithm, g: &Graph) -> Vec<usize> {
+        Solver::new(alg).solve(g).unwrap().nodes().to_vec()
+    }
 
     #[test]
     fn pruned_set_is_valid_and_minimal() {
         let g = Graph::cycle(12);
-        let cds = waf_cds(&g).unwrap();
-        let pruned = prune_cds(&g, cds.nodes()).unwrap();
+        let cds = solve(Algorithm::WafTree, &g);
+        let pruned = prune_cds(&g, &cds).unwrap();
         assert!(crate::check_cds(&g, &pruned).is_ok());
         assert!(pruned.len() <= cds.len());
         // 1-minimality: removing any single node breaks the CDS.
@@ -312,7 +306,7 @@ mod tests {
     fn invalid_input_is_rejected() {
         let g = Graph::path(5);
         assert!(prune_cds(&g, &[0, 4]).is_err());
-        assert!(pruning_savings(&g, &[]).is_err());
+        assert!(prune_cds(&g, &[]).is_err());
     }
 
     #[test]
@@ -323,19 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn savings_reported() {
-        let g = Graph::complete(5);
-        let all: Vec<usize> = (0..5).collect();
-        assert_eq!(pruning_savings(&g, &all).unwrap(), 4);
-    }
-
-    #[test]
     fn algorithm_outputs_rarely_shrink_much() {
         // Pruning the paper's algorithms' outputs should stay valid; the
         // savings are usually zero or tiny (their outputs are lean).
         for g in [Graph::path(20), Graph::cycle(15)] {
-            let cds = greedy_cds(&g).unwrap();
-            let pruned = prune_cds(&g, cds.nodes()).unwrap();
+            let cds = solve(Algorithm::GreedyConnect, &g);
+            let pruned = prune_cds(&g, &cds).unwrap();
             assert!(crate::check_cds(&g, &pruned).is_ok());
         }
     }
@@ -404,7 +391,7 @@ mod tests {
         graphs.extend([Graph::cycle(64), Graph::path(40), Graph::complete(12)]);
         for g in &graphs {
             let n = g.num_nodes();
-            let greedy = greedy_cds(g).unwrap().nodes().to_vec();
+            let greedy = solve(Algorithm::GreedyConnect, g);
             for set in [(0..n).collect::<Vec<_>>(), greedy] {
                 let (kept, stats) = prune_bitset(g, &set, 1, false);
                 let removed = (set.len() - kept.len()) as u64;

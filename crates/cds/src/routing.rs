@@ -79,9 +79,9 @@ pub struct StretchStats {
 ///
 /// ```
 /// use mcds_graph::Graph;
-/// use mcds_cds::{greedy_cds, routing::stretch_stats};
+/// use mcds_cds::{routing::stretch_stats, Algorithm, Solver};
 /// let g = Graph::cycle(10);
-/// let cds = greedy_cds(&g)?;
+/// let cds = Solver::new(Algorithm::GreedyConnect).solve(&g)?;
 /// let s = stretch_stats(&g, cds.nodes()).expect("a CDS routes all pairs");
 /// assert_eq!(s.pairs, 90);
 /// assert!(s.mean >= 1.0);
@@ -160,7 +160,12 @@ fn constrained_distances(g: &Graph, backbone: &[usize], s: usize) -> Vec<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy_cds;
+    use crate::{Algorithm, Solver};
+
+    fn greedy(g: &Graph) -> Vec<usize> {
+        let solution = Solver::new(Algorithm::GreedyConnect).solve(g).unwrap();
+        solution.nodes().to_vec()
+    }
 
     #[test]
     fn route_length_on_path() {
@@ -176,8 +181,7 @@ mod tests {
     #[test]
     fn cds_backbone_routes_every_pair() {
         let g = Graph::cycle(12);
-        let cds = greedy_cds(&g).unwrap();
-        let stats = stretch_stats(&g, cds.nodes()).unwrap();
+        let stats = stretch_stats(&g, &greedy(&g)).unwrap();
         assert_eq!(stats.pairs, 12 * 11);
         assert!(stats.mean >= 1.0);
         assert!(stats.max >= stats.mean);
@@ -212,8 +216,7 @@ mod tests {
             10,
             (0..10).map(|v| (v, (v + 1) % 10)).chain([(0, 5), (2, 7)]),
         );
-        let cds = greedy_cds(&g).unwrap();
-        let stats = stretch_stats(&g, cds.nodes()).unwrap();
+        let stats = stretch_stats(&g, &greedy(&g)).unwrap();
         assert!(stats.max <= 4.0, "stretch {} too large", stats.max);
     }
 }

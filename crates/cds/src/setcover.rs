@@ -1,9 +1,7 @@
-//! Baseline two-phased constructions: Chvátal set-cover dominators \[2\]
-//! and arbitrary-MIS dominators \[1\]/\[9\].
+//! Phase 1 of the Chvátal baseline, [`crate::Algorithm::ChvatalSetCover`]:
+//! greedy Set Cover dominators \[2\].
 
 use mcds_graph::RandomAccessGraph;
-
-use crate::{Algorithm, Cds, CdsError, Solution, Solver};
 
 /// Chvátal's greedy Set Cover applied to domination: repeatedly pick the
 /// node whose closed neighborhood covers the most still-uncovered nodes
@@ -25,51 +23,15 @@ pub fn chvatal_dominating_set<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
     crate::fault::m_fold_dominators(g, 1)
 }
 
-/// The full Chvátal-based two-phase baseline: greedy set-cover dominators,
-/// then shortest-path connectors.
-///
-/// Set-cover dominators lack the 2-hop separation property (two dominator
-/// components can be 3 hops apart), so the phase-2 rule is
-/// [`crate::connect::path_connectors`] rather than the paper's max-gain
-/// rule.  Thin wrapper over [`Solver`]; prefer
-/// `Solver::new(Algorithm::ChvatalSetCover).solve(g)` in new code.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
-/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
-pub fn chvatal_cds<G: RandomAccessGraph>(g: &G) -> Result<Cds, CdsError> {
-    Solver::new(Algorithm::ChvatalSetCover)
-        .solve(g)
-        .map(Solution::into_cds)
-}
-
-/// The arbitrary-MIS two-phase baseline of \[1\]/\[9\]: a lexicographic
-/// first-fit MIS (oblivious to the topology) connected by max-gain
-/// merges with a shortest-path fallback.
-///
-/// Unlike the paper's BFS-ordered MIS, an arbitrary MIS lacks the 2-hop
-/// separation property — its components can be 3 hops apart, where no
-/// single node merges two of them (e.g. `{0, 3, 5}` on a 6-path).  The
-/// connector rule is therefore [`crate::connect::max_gain_then_paths`].
-/// This structural difference is exactly the motivation for the special
-/// MIS in \[4\]/\[8\]/\[10\].  Thin wrapper over [`Solver`]; prefer
-/// `Solver::new(Algorithm::ArbitraryMis).solve(g)` in new code.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
-/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
-pub fn arbitrary_mis_cds<G: RandomAccessGraph>(g: &G) -> Result<Cds, CdsError> {
-    Solver::new(Algorithm::ArbitraryMis)
-        .solve(g)
-        .map(Solution::into_cds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Cds, CdsError, Solver};
     use mcds_graph::{properties, Graph};
+
+    fn solve(alg: Algorithm, g: &Graph) -> Cds {
+        Solver::new(alg).solve(g).unwrap().into_cds()
+    }
 
     #[test]
     fn chvatal_ds_dominates() {
@@ -90,7 +52,7 @@ mod tests {
     fn chvatal_picks_hub_on_star() {
         let g = Graph::star(20);
         assert_eq!(chvatal_dominating_set(&g), vec![0]);
-        let cds = chvatal_cds(&g).unwrap();
+        let cds = solve(Algorithm::ChvatalSetCover, &g);
         assert_eq!(cds.nodes(), &[0]);
     }
 
@@ -98,7 +60,7 @@ mod tests {
     fn chvatal_cds_is_valid() {
         let graphs = [Graph::path(13), Graph::cycle(10), Graph::complete(4)];
         for g in &graphs {
-            let cds = chvatal_cds(g).unwrap();
+            let cds = solve(Algorithm::ChvatalSetCover, g);
             cds.verify(g).unwrap_or_else(|e| panic!("{g:?}: {e}"));
         }
     }
@@ -107,7 +69,7 @@ mod tests {
     fn arbitrary_mis_cds_is_valid() {
         let graphs = [Graph::path(13), Graph::cycle(10), Graph::star(8)];
         for g in &graphs {
-            let cds = arbitrary_mis_cds(g).unwrap();
+            let cds = solve(Algorithm::ArbitraryMis, g);
             cds.verify(g).unwrap_or_else(|e| panic!("{g:?}: {e}"));
             assert!(properties::is_maximal_independent_set(g, cds.dominators()));
         }
@@ -115,12 +77,18 @@ mod tests {
 
     #[test]
     fn baselines_error_on_bad_graphs() {
-        let empty = Graph::empty(0);
-        assert_eq!(chvatal_cds(&empty), Err(CdsError::EmptyGraph));
-        assert_eq!(arbitrary_mis_cds(&empty), Err(CdsError::EmptyGraph));
         let split = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert_eq!(chvatal_cds(&split), Err(CdsError::DisconnectedGraph));
-        assert_eq!(arbitrary_mis_cds(&split), Err(CdsError::DisconnectedGraph));
+        for alg in [Algorithm::ChvatalSetCover, Algorithm::ArbitraryMis] {
+            let solver = Solver::new(alg);
+            assert_eq!(
+                solver.solve(&Graph::empty(0)).err(),
+                Some(CdsError::EmptyGraph)
+            );
+            assert_eq!(
+                solver.solve(&split).err(),
+                Some(CdsError::DisconnectedGraph)
+            );
+        }
     }
 
     #[test]
@@ -129,7 +97,7 @@ mod tests {
         // are 4 hops apart -> needs the path connector fallback.
         let g = Graph::path(7);
         let ds = chvatal_dominating_set(&g);
-        let cds = chvatal_cds(&g).unwrap();
+        let cds = solve(Algorithm::ChvatalSetCover, &g);
         cds.verify(&g).unwrap();
         assert!(cds.len() >= ds.len());
     }

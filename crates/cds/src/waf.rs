@@ -4,54 +4,6 @@
 use mcds_graph::RandomAccessGraph;
 use mcds_mis::BfsMis;
 
-use crate::{Algorithm, Cds, CdsError, Solver};
-
-/// Runs the WAF algorithm rooted at the minimum-id node.
-///
-/// See [`waf_cds_rooted`] for the construction and guarantees.  Thin
-/// wrapper over [`Solver`]; prefer
-/// `Solver::new(Algorithm::WafTree).solve(g)` in new code.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
-/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
-pub fn waf_cds<G: RandomAccessGraph>(g: &G) -> Result<Cds, CdsError> {
-    waf_cds_rooted(g, 0)
-}
-
-/// Runs the WAF algorithm with an explicit root (the elected leader).
-///
-/// Construction (Section III of the paper):
-///
-/// 1. `T` = BFS spanning tree of `G` rooted at `root`; `I` = first-fit MIS
-///    in the `(level, id)` order of `T` (so `root ∈ I`).
-/// 2. `s` = the neighbor of the root adjacent to the largest number of
-///    nodes of `I` (ties toward smaller id).
-/// 3. `C = {s} ∪ { parent_T(u) : u ∈ I \ I(s) }`, where `I(s)` is the set
-///    of dominators adjacent to `s`.
-///
-/// `I ∪ C` is a CDS with `|I ∪ C| ≤ 7⅓·γ_c(G)` (Theorem 8).  The size
-/// inequality `|C| ≤ |I| − |I(s)| + 1` used in the proof is asserted in
-/// debug builds.
-///
-/// # Errors
-///
-/// * [`CdsError::EmptyGraph`] if `g` has no nodes,
-/// * [`CdsError::DisconnectedGraph`] if `g` is disconnected.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range (the [`Solver`] path reports
-/// [`CdsError::InvalidRoot`] instead).
-pub fn waf_cds_rooted<G: RandomAccessGraph>(g: &G, root: usize) -> Result<Cds, CdsError> {
-    match Solver::new(Algorithm::WafTree).root(root).solve(g) {
-        Ok(solution) => Ok(solution.into_cds()),
-        Err(CdsError::InvalidRoot { root, .. }) => panic!("root {root} out of range"),
-        Err(e) => Err(e),
-    }
-}
-
 /// Phase 2 of the WAF construction: the special neighbor `s` plus the
 /// BFS-tree parents of the dominators `s` does not cover.  `phase1` must
 /// be the BFS MIS of `g` rooted at `root`, spanning `g`.
@@ -104,19 +56,34 @@ pub(crate) fn waf_connectors<G: RandomAccessGraph>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Cds, CdsError, Solver};
     use mcds_graph::{properties, Graph};
+
+    fn waf(g: &Graph, root: usize) -> Cds {
+        Solver::new(Algorithm::WafTree)
+            .root(root)
+            .solve(g)
+            .unwrap()
+            .into_cds()
+    }
 
     #[test]
     fn errors_on_bad_inputs() {
-        assert_eq!(waf_cds(&Graph::empty(0)), Err(CdsError::EmptyGraph));
+        let solver = Solver::new(Algorithm::WafTree);
+        assert_eq!(
+            solver.solve(&Graph::empty(0)).err(),
+            Some(CdsError::EmptyGraph)
+        );
         let split = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert_eq!(waf_cds(&split), Err(CdsError::DisconnectedGraph));
+        assert_eq!(
+            solver.solve(&split).err(),
+            Some(CdsError::DisconnectedGraph)
+        );
     }
 
     #[test]
     fn singleton_graph() {
-        let cds = waf_cds(&Graph::empty(1)).unwrap();
+        let cds = waf(&Graph::empty(1), 0);
         assert_eq!(cds.nodes(), &[0]);
         assert!(cds.verify(&Graph::empty(1)).is_ok());
     }
@@ -132,7 +99,7 @@ mod tests {
             Graph::complete(7),
         ];
         for g in &graphs {
-            let cds = waf_cds(g).unwrap();
+            let cds = waf(g, 0);
             cds.verify(g).unwrap_or_else(|e| panic!("{g:?}: {e}"));
             assert!(
                 properties::is_maximal_independent_set(g, cds.dominators()),
@@ -159,7 +126,7 @@ mod tests {
             ],
         );
         for root in 0..9 {
-            let cds = waf_cds_rooted(&g, root).unwrap();
+            let cds = waf(&g, root);
             cds.verify(&g)
                 .unwrap_or_else(|e| panic!("root {root}: {e}"));
             assert!(cds.contains(root), "root {root} must be a dominator");
@@ -170,13 +137,13 @@ mod tests {
     fn star_is_near_optimal() {
         // On a star, root 0 is the hub: I = {0}, no connectors.
         let g = Graph::star(10);
-        let cds = waf_cds_rooted(&g, 0).unwrap();
+        let cds = waf(&g, 0);
         assert_eq!(cds.nodes(), &[0]);
         // Rooted at a leaf, the first-fit MIS is ALL the leaves (they are
         // pairwise non-adjacent), so the CDS balloons to leaves + hub.
         // K_{1,9} is not a unit-disk graph, so this does not contradict
         // Theorem 8 — it illustrates why the UDG hypothesis matters.
-        let cds_leaf = waf_cds_rooted(&g, 3).unwrap();
+        let cds_leaf = waf(&g, 3);
         cds_leaf.verify(&g).unwrap();
         assert_eq!(cds_leaf.dominators().len(), 9);
         assert_eq!(cds_leaf.len(), 10);
@@ -186,17 +153,11 @@ mod tests {
     fn connector_bound_holds_on_paths() {
         for n in 2..40 {
             let g = Graph::path(n);
-            let cds = waf_cds(&g).unwrap();
+            let cds = waf(&g, 0);
             let i = cds.dominators().len();
             let c = cds.connectors().len();
             assert!(c <= i, "n={n}: |C|={c} > |I|={i}");
             cds.verify(&g).unwrap();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_root_panics() {
-        let _ = waf_cds_rooted(&Graph::path(2), 5);
     }
 }

@@ -7,12 +7,16 @@
 //! `3 (max_n − 1)` endpoint pairs, reduced modulo the node count with
 //! self-loops dropped; every property runs on its largest component.
 
-use mcds_cds::algorithms::Algorithm;
-use mcds_cds::{connect, greedy_cds_rooted, prune, waf_cds_rooted};
+use mcds_cds::{connect, prune, Algorithm, Cds, Solver};
 use mcds_check::gen::{usizes, vecs, UsizeGen, VecGen};
 use mcds_check::{prop_assert, prop_assert_eq, prop_assume, Property, TestResult};
 use mcds_graph::{properties, traversal, Graph};
 use mcds_mis::BfsMis;
+
+/// `alg` on the connected `g`, at the default root 0.
+fn solve(alg: Algorithm, g: &Graph) -> Cds {
+    Solver::new(alg).solve(g).expect("connected").into_cds()
+}
 
 type GraphGen = (UsizeGen, VecGen<(UsizeGen, UsizeGen)>);
 
@@ -62,7 +66,7 @@ fn all_algorithms_valid_on_general_graphs() {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
             for alg in Algorithm::ALL {
-                let cds = alg.run(&g).expect("connected by construction");
+                let cds = solve(alg, &g);
                 prop_assert!(cds.verify(&g).is_ok(), "{} invalid", alg);
             }
             TestResult::Pass
@@ -78,7 +82,7 @@ fn waf_connector_inequality() {
             // stronger |CDS| ≤ 2|I| − 1 holds whenever |I(s)| ≥ 2.
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
-            let cds = waf_cds_rooted(&g, 0).expect("connected");
+            let cds = solve(Algorithm::WafTree, &g);
             let i = cds.dominators().len();
             prop_assert!(
                 cds.len() <= 2 * i + 1,
@@ -121,7 +125,7 @@ fn greedy_connectors_never_exceed_mis_minus_one() {
             // at |I|, so |C| ≤ |I| − 1.
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
-            let cds = greedy_cds_rooted(&g, 0).expect("connected");
+            let cds = solve(Algorithm::GreedyConnect, &g);
             prop_assert!(cds.connectors().len() <= cds.dominators().len().saturating_sub(1));
             TestResult::Pass
         });
@@ -134,7 +138,7 @@ fn pruning_is_idempotent() {
         .run(&graphs(22), |drawn| {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
-            let cds = greedy_cds_rooted(&g, 0).expect("connected");
+            let cds = solve(Algorithm::GreedyConnect, &g);
             let once = prune::prune_cds(&g, cds.nodes()).expect("valid");
             let twice = prune::prune_cds(&g, &once).expect("still valid");
             prop_assert_eq!(once, twice);
@@ -166,7 +170,7 @@ fn routing_over_cds_reaches_every_pair() {
         .run(&graphs(20), |drawn| {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
-            let cds = greedy_cds_rooted(&g, 0).expect("connected");
+            let cds = solve(Algorithm::GreedyConnect, &g);
             let stats =
                 mcds_cds::routing::stretch_stats(&g, cds.nodes()).expect("a CDS routes every pair");
             prop_assert_eq!(stats.pairs, g.num_nodes() * (g.num_nodes() - 1));
@@ -187,7 +191,7 @@ fn route_length_consistent_with_stretch() {
         .run(&graphs(16), |drawn| {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 3);
-            let cds = greedy_cds_rooted(&g, 0).expect("connected");
+            let cds = solve(Algorithm::GreedyConnect, &g);
             // Spot-check: per-pair route length is at least the true
             // distance.
             for s in 0..g.num_nodes().min(4) {

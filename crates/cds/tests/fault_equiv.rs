@@ -31,10 +31,7 @@ use mcds_cds::fault::{
     biconnect_augment, check_biconnected, check_m_cds, prune_m_cds, weighted_m_fold_dominators,
     weighted_max_gain_connectors,
 };
-use mcds_cds::{
-    chvatal_dominating_set, connect, fault_tolerant_cds, Algorithm, Cds, CdsError, Solver,
-    WeightScheme,
-};
+use mcds_cds::{chvatal_dominating_set, connect, Algorithm, Cds, CdsError, Solver, WeightScheme};
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::traversal::largest_component;
@@ -449,29 +446,6 @@ fn oracle_prune_m_cds<G: RandomAccessGraph>(
     Ok(current)
 }
 
-/// Oracle for [`fault_tolerant_cds`]: the oracle phases at unit weights.
-fn oracle_fault_tolerant_cds(g: &Graph, m: usize, biconnect: bool) -> Result<Cds, CdsError> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Err(CdsError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(CdsError::DisconnectedGraph);
-    }
-    let weights = vec![1u64; n];
-    let dominators = oracle_m_fold_dominators(g, &weights, m.max(1))?;
-    let mut connectors = oracle_connectors(g, &dominators, &weights)?;
-    if biconnect {
-        let nodes = node_set(dominators.iter().chain(&connectors).copied());
-        let dom_mask = node_mask(n, &dominators);
-        connectors = oracle_biconnect_augment(g, &nodes)?
-            .into_iter()
-            .filter(|&v| !dom_mask[v])
-            .collect();
-    }
-    Ok(Cds::new(dominators, connectors))
-}
-
 /// A solve's observable result: the roles and `pruned_from`.
 type Outcome = Result<(Cds, Option<usize>), CdsError>;
 
@@ -592,9 +566,9 @@ fn assert_prune_agrees(g: &Graph, set: &[usize], m: usize, biconnect: bool, labe
 }
 
 /// Every family configuration on the connected `g` agrees with the
-/// oracles: Chvátal's election, `fault_tolerant_cds` and the solver at
-/// every m, `biconnect` and weight scheme, and the phase functions under
-/// the explicit weights.
+/// oracles: Chvátal's election and the solver at every m, `biconnect`
+/// and weight scheme, and the phase functions under the explicit
+/// weights.
 fn assert_family_agrees(g: &Graph, seed: u64, label: &str) {
     assert_eq!(
         chvatal_dominating_set(g),
@@ -603,11 +577,6 @@ fn assert_family_agrees(g: &Graph, seed: u64, label: &str) {
     );
     for m in 1..=3 {
         for biconnect in [false, true] {
-            assert_eq!(
-                fault_tolerant_cds(g, m, biconnect),
-                oracle_fault_tolerant_cds(g, m, biconnect),
-                "{label} m={m} biconnect={biconnect}: fault_tolerant_cds diverged"
-            );
             for scheme in [
                 WeightScheme::Unit,
                 WeightScheme::Degree,
@@ -674,9 +643,12 @@ fn oracle_cases_agree_across_the_family() {
         assert_family_agrees(g, seed, &label);
         let all: Vec<usize> = (0..g.num_nodes()).collect();
         assert_set_agrees(g, &all, &label);
+        // The unit-weight family backbone at each m.
+        let unit = vec![1; g.num_nodes()];
         for m in 1..=3 {
-            let cds = fault_tolerant_cds(g, m, false).expect("connected case");
-            assert_set_agrees(g, cds.nodes(), &label);
+            let doms = weighted_m_fold_dominators(g, &unit, m).expect("unit weights");
+            let conns = weighted_max_gain_connectors(g, &doms, &unit).expect("connected case");
+            assert_set_agrees(g, &node_set(doms.into_iter().chain(conns)), &label);
         }
     }
     assert!(checked >= 100, "only {checked} usable oracle cases");
@@ -790,7 +762,9 @@ fn hostile_sets_report_the_oracle_errors() {
         sets.push((0..n).step_by(stride).collect());
         sets.push((0..n).filter(|v| v % stride != 0).collect());
     }
-    let cds = mcds_cds::greedy_cds(&g).expect("connected instance");
+    let cds = Solver::new(Algorithm::GreedyConnect)
+        .solve(&g)
+        .expect("connected instance");
     sets.push(cds.nodes().to_vec());
     // Drop each of the first few backbone members in turn.
     for &v in cds.nodes().iter().take(6) {
@@ -809,7 +783,7 @@ fn hostile_sets_report_the_oracle_errors() {
 /// the whole graph; the connectors stall into `DisconnectedGraph` (or
 /// finish by merges, or need nothing) as the oracle does; the checks,
 /// the augmentation and the prune reject split sets alike; and the
-/// solver and `fault_tolerant_cds` refuse the graph.
+/// solver refuses the graph.
 #[test]
 fn disconnected_inputs_agree() {
     let mut graphs = vec![
@@ -861,13 +835,6 @@ fn disconnected_inputs_agree() {
             for (name, weights) in explicit_weights(n) {
                 assert_phases_agree(g, &weights, m, &format!("{label} {name}"));
             }
-            for biconnect in [false, true] {
-                assert_eq!(
-                    fault_tolerant_cds(g, m, biconnect),
-                    oracle_fault_tolerant_cds(g, m, biconnect),
-                    "{label}"
-                );
-            }
         }
         // Seeds inside one component: merges suffice, or the seed is
         // connected already.
@@ -901,8 +868,8 @@ fn disconnected_inputs_agree() {
     assert_eq!(chvatal_dominating_set(&empty), oracle_chvatal(&empty));
     assert_set_agrees(&empty, &[], "empty graph");
     assert_eq!(
-        fault_tolerant_cds(&empty, 2, true),
-        oracle_fault_tolerant_cds(&empty, 2, true)
+        production_solve(&empty, 2, true, WeightScheme::Unit),
+        Err(CdsError::EmptyGraph)
     );
     // Malformed weight vectors.
     let g = Graph::path(4);

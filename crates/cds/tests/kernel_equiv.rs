@@ -250,7 +250,9 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
     assert_eq!(a, b, "{label}: max_gain_then_paths diverged");
     // Prune from a lean input (the greedy CDS) and from the fattest
     // possible input (every vertex, if V is connected-dominating).
-    let cds = mcds_cds::greedy_cds(g).expect("connected instance solves");
+    let cds = Solver::new(Algorithm::GreedyConnect)
+        .solve(g)
+        .expect("connected instance solves");
     assert_prune_agrees(g, cds.nodes(), true, &format!("{label} greedy CDS"));
     let all: Vec<usize> = (0..g.num_nodes()).collect();
     assert_prune_agrees(g, &all, true, &format!("{label} V"));
@@ -487,7 +489,9 @@ fn confined_merges_agree_with_the_zoned_rescan() {
         };
         let g = sub.graph();
         let n = g.num_nodes();
-        let cds = mcds_cds::greedy_cds(g).expect("connected instance solves");
+        let cds = Solver::new(Algorithm::GreedyConnect)
+            .solve(g)
+            .expect("connected instance solves");
         let sites: Vec<usize> = (0..rng.gen_range(1..=2usize))
             .map(|_| rng.gen_range(0..n))
             .collect();
@@ -591,7 +595,9 @@ fn hostile_families_match_the_global_pass_reference() {
         let all: Vec<usize> = (0..g.num_nodes()).collect();
         assert_prune_agrees(g, &all, small, &format!("{label} V"));
         if small {
-            let cds = mcds_cds::greedy_cds(g).expect("connected family solves");
+            let cds = Solver::new(Algorithm::GreedyConnect)
+                .solve(g)
+                .expect("connected family solves");
             assert_prune_agrees(g, cds.nodes(), true, &format!("{label} greedy CDS"));
         }
     }

@@ -18,7 +18,7 @@
 //!   which itself respects Corollary 7 (`α ≤ 11/3·γ_c + 1`),
 //! * pruning is idempotent and validity-preserving.
 
-use mcds_cds::{prune, Algorithm};
+use mcds_cds::{prune, Algorithm, Solver};
 use mcds_exact::brute;
 use mcds_geom::Point;
 use mcds_graph::{properties, traversal::largest_component, Graph};
@@ -219,8 +219,8 @@ pub fn check_oracle_case(case: &OracleCase) -> TestResult {
     }
 
     for alg in Algorithm::ALL {
-        let cds = match alg.run(g) {
-            Ok(cds) => cds,
+        let cds = match Solver::new(alg).solve(g) {
+            Ok(solution) => solution.into_cds(),
             Err(e) => {
                 return TestResult::Fail(format!(
                     "{:?}: {alg} errored on a connected instance: {e}",

@@ -28,6 +28,7 @@ pub fn gen(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv, &["n", "side", "seed", "kind"], &["connected"])?;
     let n: usize = args.parsed_or("n", 100)?;
     let side: f64 = args.parsed_or("side", 6.0)?;
+    require_positive("side", side)?;
     let seed: u64 = args.parsed_or("seed", 1)?;
     let kind = args.value("kind").unwrap_or("uniform");
     let out = args
@@ -54,7 +55,7 @@ pub fn gen(argv: &[String]) -> Result<(), CliError> {
         }
         "grid" => {
             let cols = (n as f64).sqrt().ceil() as usize;
-            let rows = n.div_ceil(cols);
+            let rows = n.div_ceil(cols.max(1));
             Udg::build(gen::perturbed_grid(&mut rng, rows, cols, 0.8, 0.1))
         }
         "chain" => Udg::build(gen::linear_chain(n, 1.0)),
@@ -84,6 +85,17 @@ pub fn stats(argv: &[String]) -> Result<(), CliError> {
         println!("diameter    {}", traversal::diameter(g).expect("connected"));
     }
     Ok(())
+}
+
+/// Rejects a `--FLAG` value that is not positive and finite.
+fn require_positive(flag: &str, x: f64) -> Result<(), CliError> {
+    if x.is_finite() && x > 0.0 {
+        Ok(())
+    } else {
+        Err(CliError::Usage(format!(
+            "--{flag} must be positive and finite"
+        )))
+    }
 }
 
 /// Resolves `--alg` via the registry's own parser ([`mcds_cds::parse_selector`]),
@@ -162,7 +174,6 @@ pub fn solve(argv: &[String]) -> Result<(), CliError> {
         let solver = Solver::new(*alg)
             .verify(true)
             .prune(args.switch("prune"))
-            .timings(show_timings)
             .m(m)
             .biconnect(biconnect)
             .weight_scheme(weights);
@@ -288,6 +299,7 @@ pub fn sweep(argv: &[String]) -> Result<(), CliError> {
     )?;
     let n: usize = args.parsed_or("n", 200)?;
     let side: f64 = args.parsed_or("side", 8.0)?;
+    require_positive("side", side)?;
     let trials: usize = args.parsed_or("trials", 10)?;
     let seed: u64 = args.parsed_or("seed", 1)?;
     if n == 0 || trials == 0 {
@@ -578,6 +590,9 @@ pub fn construct(argv: &[String]) -> Result<(), CliError> {
         .positional(0)
         .ok_or_else(|| CliError::Usage("construct needs two-star|three-star|chain".into()))?;
     let eps: f64 = args.parsed_or("eps", 0.02)?;
+    if !(eps > 0.0 && eps <= 0.05) {
+        return Err(CliError::Usage("--eps must be in (0, 0.05]".into()));
+    }
     let c = match which {
         "two-star" => mcds_mis::constructions::fig1_two_star(eps),
         "three-star" => mcds_mis::constructions::fig1_three_star(eps),
@@ -672,9 +687,7 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
         ("speed-min", speed_min),
         ("dt", dt),
     ] {
-        if !(x.is_finite() && x > 0.0) {
-            return usage(format!("--{flag} must be positive and finite"));
-        }
+        require_positive(flag, x)?;
     }
     for (flag, p) in [("p-join", p_join), ("p-leave", p_leave)] {
         if !(0.0..=1.0).contains(&p) {
@@ -1364,6 +1377,24 @@ mod tests {
             gen(&sv(&["--kind", "nope", "-o", &f])),
             Err(CliError::Usage(_))
         ));
+        // Out-of-range sides are usage errors, for every kind.
+        for side in ["inf", "nan", "-3", "0"] {
+            for kind in ["uniform", "clustered"] {
+                assert!(
+                    matches!(
+                        gen(&sv(&["--kind", kind, "--side", side, "-o", &f])),
+                        Err(CliError::Usage(_))
+                    ),
+                    "{kind} --side {side} must be rejected"
+                );
+            }
+        }
+        // n = 0 writes the empty instance, for every kind.
+        for kind in ["uniform", "clustered", "grid", "chain"] {
+            let f = tmp(&format!("empty_{kind}.udg"));
+            gen(&sv(&["--n", "0", "--kind", kind, "-o", &f])).unwrap();
+            assert_eq!(io::load_instance(&f).unwrap().len(), 0, "{kind}");
+        }
     }
 
     #[test]
@@ -1433,6 +1464,19 @@ mod tests {
         ));
         assert!(matches!(construct(&sv(&["wat"])), Err(CliError::Usage(_))));
         assert!(matches!(construct(&sv(&[])), Err(CliError::Usage(_))));
+        // --eps outside (0, 0.05] is a usage error, not a panic.
+        for bad in [
+            &["two-star", "--eps", "-1"][..],
+            &["two-star", "--eps", "nan"],
+            &["three-star", "--eps", "5"],
+            &["chain", "--n", "4", "--eps", "0"],
+            &["chain", "--n", "4", "--eps", "0.06"],
+        ] {
+            assert!(
+                matches!(construct(&sv(bad)), Err(CliError::Usage(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1486,6 +1530,12 @@ mod tests {
             sweep(&sv(&["--trials", "0"])),
             Err(CliError::Usage(_))
         ));
+        for side in ["inf", "nan", "-1"] {
+            assert!(
+                matches!(sweep(&sv(&["--side", side])), Err(CliError::Usage(_))),
+                "--side {side} must be rejected"
+            );
+        }
     }
 
     #[test]

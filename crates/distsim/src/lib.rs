@@ -18,7 +18,8 @@
 //! * [`protocols::WafConnectors`] — the WAF connector phase of Section
 //!   III as a constant-round synchronous protocol,
 //! * [`pipeline::run_waf_distributed`] — the three phases composed; its
-//!   output CDS equals the centralized [`mcds_cds::waf_cds_rooted`] run
+//!   output CDS equals the centralized
+//!   [`Algorithm::WafTree`](mcds_cds::Algorithm::WafTree) solve rooted
 //!   at the elected leader, and its [`pipeline::DistributedRun`] carries
 //!   per-phase round/transmission counts (experiment E7),
 //! * [`protocols::LubyMis`] — Luby's randomized MIS, the classic

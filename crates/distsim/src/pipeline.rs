@@ -81,10 +81,10 @@ impl From<SimError> for PipelineError {
 /// Runs the three-phase distributed WAF construction on `g`.
 ///
 /// The result's CDS equals the centralized
-/// [`mcds_cds::waf_cds_rooted`]`(g, min_id)` node-for-node — the
-/// distributed realization computes the same spanning tree (canonical
-/// parents), the same first-fit MIS (rank election) and the same
-/// connectors (same tie-breaks).
+/// [`Algorithm::WafTree`](mcds_cds::Algorithm::WafTree) solve rooted at
+/// the minimum id node-for-node — the distributed realization computes
+/// the same spanning tree (canonical parents), the same first-fit MIS
+/// (rank election) and the same connectors (same tie-breaks).
 ///
 /// # Errors
 ///
@@ -159,7 +159,7 @@ pub fn run_waf_distributed(g: &Graph) -> Result<DistributedRun, PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_cds::waf_cds_rooted;
+    use mcds_cds::{Algorithm, Solver};
 
     #[test]
     fn equals_centralized_on_families() {
@@ -190,7 +190,10 @@ mod tests {
         ];
         for g in &graphs {
             let run = run_waf_distributed(g).unwrap();
-            let centralized = waf_cds_rooted(g, run.root).unwrap();
+            let centralized = Solver::new(Algorithm::WafTree)
+                .root(run.root)
+                .solve(g)
+                .unwrap();
             assert_eq!(run.cds.nodes(), centralized.nodes(), "{g:?}");
             assert!(run.cds.verify(g).is_ok());
         }

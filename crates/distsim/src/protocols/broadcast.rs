@@ -103,8 +103,13 @@ pub fn run_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_cds::greedy_cds;
+    use mcds_cds::{Algorithm, Solver};
     use mcds_graph::Graph;
+
+    fn greedy(g: &Graph) -> Vec<usize> {
+        let solution = Solver::new(Algorithm::GreedyConnect).solve(g).unwrap();
+        solution.nodes().to_vec()
+    }
 
     #[test]
     fn flooding_reaches_everyone_and_costs_n() {
@@ -119,10 +124,10 @@ mod tests {
     #[test]
     fn backbone_broadcast_reaches_everyone_cheaper() {
         let g = Graph::path(20);
-        let backbone = greedy_cds(&g).unwrap();
+        let backbone = greedy(&g);
         let all: Vec<usize> = (0..20).collect();
         let flood = run_broadcast(&g, 0, &all).unwrap();
-        let cds = run_broadcast(&g, 0, backbone.nodes()).unwrap();
+        let cds = run_broadcast(&g, 0, &backbone).unwrap();
         assert_eq!(flood.reached, 20);
         assert_eq!(cds.reached, 20, "CDS relaying must still cover everyone");
         assert!(cds.stats.transmissions <= flood.stats.transmissions);
@@ -131,9 +136,9 @@ mod tests {
     #[test]
     fn broadcast_from_every_source_covers_with_cds() {
         let g = Graph::cycle(12);
-        let backbone = greedy_cds(&g).unwrap();
+        let backbone = greedy(&g);
         for s in 0..12 {
-            let out = run_broadcast(&g, s, backbone.nodes()).unwrap();
+            let out = run_broadcast(&g, s, &backbone).unwrap();
             assert_eq!(out.reached, 12, "source {s}");
         }
     }

@@ -169,12 +169,12 @@ pub fn run_verify_cds(g: &Graph, members: &[usize]) -> Result<VerifyReport, SimE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_cds::greedy_cds;
+    use mcds_cds::{Algorithm, Solver};
 
     #[test]
     fn valid_backbones_pass() {
         for g in [Graph::path(12), Graph::cycle(9), Graph::complete(5)] {
-            let cds = greedy_cds(&g).unwrap();
+            let cds = Solver::new(Algorithm::GreedyConnect).solve(&g).unwrap();
             let report = run_verify_cds(&g, cds.nodes()).unwrap();
             assert!(report.is_valid(), "{g:?}: {report:?}");
         }
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn stats_are_modest() {
         let g = Graph::cycle(20);
-        let cds = greedy_cds(&g).unwrap();
+        let cds = Solver::new(Algorithm::GreedyConnect).solve(&g).unwrap();
         let report = run_verify_cds(&g, cds.nodes()).unwrap();
         // Init: 2 broadcasts per member; min-id flooding re-broadcasts
         // once per improvement, at most k per member -> O(k²) worst case.

@@ -177,7 +177,9 @@ mod tests {
         ];
         for g in &graphs {
             let distributed = run_connectors(g);
-            let centralized = mcds_cds::waf_cds_rooted(g, 0).unwrap();
+            let centralized = mcds_cds::Solver::new(mcds_cds::Algorithm::WafTree)
+                .solve(g)
+                .unwrap();
             assert_eq!(distributed, centralized.nodes().to_vec(), "{g:?}");
             assert!(properties::is_connected_dominating_set(g, &distributed));
         }

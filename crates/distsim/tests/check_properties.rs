@@ -6,6 +6,7 @@
 //! `3 (max_n − 1)` endpoint pairs, reduced modulo the node count with
 //! self-loops dropped; most properties run on its largest component.
 
+use mcds_cds::{Algorithm, Solver};
 use mcds_check::gen::{u64s, usizes, vecs, UsizeGen, VecGen};
 use mcds_check::{prop_assert, prop_assert_eq, prop_assume, Property, TestResult};
 use mcds_distsim::pipeline::run_waf_distributed;
@@ -100,7 +101,9 @@ fn broadcast_over_cds_covers_everyone() {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
             let source = source_pick % g.num_nodes();
-            let cds = mcds_cds::greedy_cds(&g).expect("connected");
+            let cds = Solver::new(Algorithm::GreedyConnect)
+                .solve(&g)
+                .expect("connected");
             let out = mcds_distsim::protocols::run_broadcast(&g, source, cds.nodes())
                 .expect("valid protocol");
             prop_assert_eq!(out.reached, g.num_nodes());
@@ -164,7 +167,10 @@ fn pipeline_equals_centralized_waf() {
             let g = giant(drawn);
             prop_assume!(g.num_nodes() >= 2);
             let run = run_waf_distributed(&g).expect("connected");
-            let central = mcds_cds::waf_cds_rooted(&g, run.root).expect("connected");
+            let central = Solver::new(Algorithm::WafTree)
+                .root(run.root)
+                .solve(&g)
+                .expect("connected");
             prop_assert_eq!(run.cds.nodes(), central.nodes());
             prop_assert!(run.cds.verify(&g).is_ok());
             TestResult::Pass

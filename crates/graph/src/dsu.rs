@@ -80,12 +80,6 @@ impl DisjointSets {
     pub fn same_set(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
@@ -101,8 +95,6 @@ mod tests {
         assert!(d.union(1, 2));
         assert!(!d.union(0, 2)); // already merged
         assert_eq!(d.num_sets(), 3);
-        assert_eq!(d.set_size(2), 3);
-        assert_eq!(d.set_size(3), 1);
     }
 
     #[test]
@@ -134,7 +126,6 @@ mod tests {
             d.union(i - 1, i);
         }
         assert_eq!(d.num_sets(), 1);
-        assert_eq!(d.set_size(0), n);
         let r = d.find(n - 1);
         assert_eq!(d.find(0), r);
     }

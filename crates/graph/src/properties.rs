@@ -122,14 +122,6 @@ pub fn has_two_hop_separation<G: RandomAccessGraph>(g: &G, set: &[usize]) -> boo
     })
 }
 
-/// Counts how many members of `set` dominate node `v` (closed-neighborhood
-/// membership).
-pub fn domination_count<G: RandomAccessGraph>(g: &G, set: &[usize], v: usize) -> usize {
-    let mask = node_mask(g.num_nodes(), set);
-    let self_dom = usize::from(mask[v]);
-    self_dom + g.successors(v).filter(|&u| mask[u]).count()
-}
-
 /// Verifies a CDS and explains the first violation found, for debuggable
 /// assertions in tests and the experiment harness.
 ///
@@ -213,14 +205,6 @@ mod tests {
         assert!(!has_two_hop_separation(&path6, &[0, 3]));
         assert!(has_two_hop_separation(&path6, &[2]));
         assert!(has_two_hop_separation(&path6, &[]));
-    }
-
-    #[test]
-    fn domination_count_examples() {
-        let star = Graph::star(5);
-        assert_eq!(domination_count(&star, &[0], 3), 1);
-        assert_eq!(domination_count(&star, &[0, 3], 3), 2);
-        assert_eq!(domination_count(&star, &[1, 2], 3), 0);
     }
 
     #[test]

@@ -94,23 +94,6 @@ pub fn components_dsu<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> DisjointSet
     dsu
 }
 
-/// The open neighborhood of a subset: nodes outside `set` adjacent to at
-/// least one member.  Returned sorted.
-pub fn open_neighborhood<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
-    let mask = crate::node_mask(g.num_nodes(), set);
-    let mut out: Vec<usize> = Vec::new();
-    for &v in set {
-        for u in g.successors(v) {
-            if !mask[u] {
-                out.push(u);
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// The closed neighborhood of a single node: `{v} ∪ N(v)`, sorted.
 pub fn closed_neighborhood<G: RandomAccessGraph>(g: &G, v: usize) -> Vec<usize> {
     let mut out: Vec<usize> = g.successors(v).collect();
@@ -503,9 +486,6 @@ mod tests {
     #[test]
     fn neighborhoods() {
         let g = Graph::path(5);
-        assert_eq!(open_neighborhood(&g, &[2]), vec![1, 3]);
-        assert_eq!(open_neighborhood(&g, &[1, 2]), vec![0, 3]);
-        assert_eq!(open_neighborhood(&g, &[]), Vec::<usize>::new());
         assert_eq!(closed_neighborhood(&g, 0), vec![0, 1]);
         assert_eq!(closed_neighborhood(&g, 2), vec![1, 2, 3]);
     }

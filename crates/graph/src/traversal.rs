@@ -126,14 +126,6 @@ impl BfsTree {
     pub fn depth(&self) -> usize {
         self.order.iter().map(|&v| self.level[v]).max().unwrap_or(0)
     }
-
-    /// Tree edges `(parent, child)` for all reached non-root nodes.
-    pub fn tree_edges(&self) -> Vec<(usize, usize)> {
-        self.order
-            .iter()
-            .filter_map(|&v| self.parent[v].map(|p| (p, v)))
-            .collect()
-    }
 }
 
 /// Connected components of a graph; each component is a sorted node list,
@@ -308,34 +300,6 @@ pub fn bridges<G: RandomAccessGraph>(g: &G) -> Vec<(usize, usize)> {
     out
 }
 
-/// DFS preorder from `source` (neighbors in sorted order).
-pub fn dfs_preorder<G: RandomAccessGraph>(g: &G, source: usize) -> Vec<usize> {
-    let n = g.num_nodes();
-    assert!(source < n, "source {source} out of range");
-    let mut seen = vec![false; n];
-    let mut out = Vec::new();
-    // Explicit stack; push neighbors in reverse-sorted order so the
-    // smallest is popped first, matching recursive DFS with sorted lists.
-    let mut stack = vec![source];
-    while let Some(v) = stack.pop() {
-        if seen[v] {
-            continue;
-        }
-        seen[v] = true;
-        out.push(v);
-        let before = stack.len();
-        for u in g.successors(v) {
-            if !seen[u] {
-                stack.push(u);
-            }
-        }
-        // Reverse the just-pushed block so the smallest neighbor pops
-        // first, matching recursive DFS with sorted lists.
-        stack[before..].reverse();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +316,6 @@ mod tests {
         assert_eq!(t.parent(2), None);
         assert_eq!(t.depth(), 2);
         assert!(t.spans(&g));
-        assert_eq!(t.tree_edges().len(), 4);
     }
 
     #[test]
@@ -391,18 +354,6 @@ mod tests {
         assert_eq!(diameter(&Graph::from_edges(3, [(0, 1)])), None);
         assert_eq!(diameter(&Graph::empty(0)), None);
         assert_eq!(diameter(&Graph::empty(1)), Some(0));
-    }
-
-    #[test]
-    fn dfs_preorder_visits_once_in_sorted_tiebreak() {
-        let g = Graph::from_edges(5, [(0, 2), (0, 1), (1, 3), (2, 3), (3, 4)]);
-        let order = dfs_preorder(&g, 0);
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], 0);
-        assert_eq!(order[1], 1); // smallest neighbor first
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

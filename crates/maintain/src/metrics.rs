@@ -171,15 +171,6 @@ impl StabilityMetrics {
     pub fn max_wall_us(&self) -> f64 {
         self.wall_max.as_secs_f64() * 1e6
     }
-
-    /// Fraction of events in locality bucket `bucket` (see
-    /// [`StabilityMetrics::locality_hist`]); 0.0 before any event.
-    pub fn locality_share(&self, bucket: usize) -> f64 {
-        if self.events == 0 {
-            return 0.0;
-        }
-        self.locality_hist[bucket] as f64 / self.events as f64
-    }
 }
 
 /// Maps a touched-fraction to its [`StabilityMetrics::locality_hist`]

@@ -4,8 +4,8 @@
 //! For every seeded churn stream, after *every* event the maintained set
 //! must (a) be a connected dominating set of the live giant component —
 //! checked here independently of the engine's own verification — and
-//! (b) stay within 2× of a fresh [`mcds_cds::greedy_cds`] run on the
-//! same snapshot (the engine's drift threshold of 1.75 makes the 2×
+//! (b) stay within 2× of a fresh [`Algorithm::GreedyConnect`] solve on
+//! the same snapshot (the engine's drift threshold of 1.75 makes the 2×
 //! bound hold by construction; the test pins it against regressions in
 //! the drift accounting).
 

@@ -5,7 +5,7 @@
 //!
 //! * **Counters / gauges / histograms** ([`registry`]) — named handles
 //!   over shared atomics; histograms are log2-bucketed (64 buckets).
-//! * **Spans** ([`span`], [`span!`](crate::span!)) — RAII guards that
+//! * **Spans** ([`span()`], [`span!`](crate::span!)) — RAII guards that
 //!   nest per thread and record wall time into both the histogram
 //!   `span.<name>` and the trace buffer.
 //! * **JSONL traces** ([`trace`]) — a deterministic-field-order export
@@ -92,7 +92,7 @@ pub fn reset() {
 
 /// Opens a span for the rest of the enclosing scope:
 /// `span!("solve.phase1");` is shorthand for binding
-/// [`span("solve.phase1")`](span) to a scope-lived guard.
+/// [`span("solve.phase1")`](fn@span) to a scope-lived guard.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

@@ -253,7 +253,7 @@ fn parse_event(v: &Value) -> Result<TopologyEvent, ProtoError> {
     }
 }
 
-/// Renders one topology event the way [`parse_event`] reads it (used by
+/// Renders one topology event the way `parse_event` reads it (used by
 /// clients and the load generator).
 pub fn render_event(event: &TopologyEvent) -> String {
     match event {

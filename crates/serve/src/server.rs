@@ -6,7 +6,7 @@
 //! single lock, so the engine only ever sees a serial event history.
 //! Churn events do not touch the engine on arrival — they queue, and a
 //! `churn` request with `"admit":true` drains the queue as one *tick* in
-//! the canonical admission order (see [`admission_key`]).  Two servers
+//! the canonical admission order (see `admission_key`).  Two servers
 //! fed the same batches in any per-batch arrival order therefore hold
 //! bit-identical state after each tick — the DESIGN.md §8 determinism
 //! contract extended over the wire.
@@ -345,7 +345,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, cfg: ServeConfig) {
         }
         mcds_obs::counter!("serve.requests");
         let t0 = std::time::Instant::now();
-        let (response, close) = respond(&line, shared, cfg);
+        let (response, close) = respond(&line, shared);
         mcds_obs::observe_duration("serve.request_ns", t0.elapsed());
         if writeln!(writer, "{response}")
             .and_then(|()| writer.flush())
@@ -416,7 +416,7 @@ fn http_response(request_line: &str) -> String {
 
 /// Dispatches one request line; the bool asks the caller to close the
 /// connection afterwards.
-fn respond(line: &str, shared: &Shared, cfg: ServeConfig) -> (String, bool) {
+fn respond(line: &str, shared: &Shared) -> (String, bool) {
     match Request::parse(line) {
         Err(ProtoError(msg)) => {
             mcds_obs::counter!("serve.bad_requests");
@@ -431,7 +431,7 @@ fn respond(line: &str, shared: &Shared, cfg: ServeConfig) -> (String, bool) {
             let pending = state.pending.len();
             (proto::render_churn(queued, pending, outcome), false)
         }
-        Ok(Request::Query(q)) => (handle_query(shared, cfg, q), false),
+        Ok(Request::Query(q)) => (handle_query(shared, q), false),
         Ok(Request::Metrics) => (proto::render_metrics(), false),
         Ok(Request::Shutdown) => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -470,7 +470,7 @@ fn handle_solve(shared: &Shared, req: &SolveRequest) -> String {
     proto::render_solve(req, g.num_nodes(), weight_total, &dominators, &connectors)
 }
 
-fn handle_query(shared: &Shared, cfg: ServeConfig, q: QueryRequest) -> String {
+fn handle_query(shared: &Shared, q: QueryRequest) -> String {
     let state = shared.lock();
     let engine = &state.engine;
     match q {
@@ -486,20 +486,15 @@ fn handle_query(shared: &Shared, cfg: ServeConfig, q: QueryRequest) -> String {
             )
         }
         QueryRequest::DominatorOf(node) => {
-            let Some(pos) = engine.position(node) else {
+            let Some(neighbors) = engine.topology().neighbors(node) else {
                 return proto::render_dominator_of(node, false, &[]);
             };
-            // Same adjacency rule as Udg::with_radius (closed disk with
-            // the geometry epsilon); a dominator dominates itself.
-            let r_sq = cfg.radius * cfg.radius + mcds_geom::EPS;
-            let dominators: Vec<NodeId> = engine
-                .dominators()
-                .iter()
-                .copied()
-                .filter(|&d| {
-                    d == node || engine.position(d).is_some_and(|q| pos.dist_sq(q) <= r_sq)
-                })
+            // A dominator dominates itself and its neighbours.
+            let mut dominators: Vec<NodeId> = neighbors
+                .chain([node])
+                .filter(|v| engine.dominators().binary_search(v).is_ok())
                 .collect();
+            dominators.sort_unstable();
             proto::render_dominator_of(node, true, &dominators)
         }
         QueryRequest::Member(node) => {
@@ -593,6 +588,75 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(len, body.len());
+    }
+
+    /// `dominator-of` as the daemon answered it before it read the
+    /// resident rows: a scan of every dominator for the closed disk
+    /// `dist² ≤ r² + EPS`, plus the node itself.
+    fn geometric_dominator_of(engine: &Maintainer, node: NodeId) -> String {
+        let Some(pos) = engine.position(node) else {
+            return proto::render_dominator_of(node, false, &[]);
+        };
+        let r = engine.config().radius;
+        let r_sq = r * r + mcds_geom::EPS;
+        let dominators: Vec<NodeId> = engine
+            .dominators()
+            .iter()
+            .copied()
+            .filter(|&d| d == node || engine.position(d).is_some_and(|q| pos.dist_sq(q) <= r_sq))
+            .collect();
+        proto::render_dominator_of(node, true, &dominators)
+    }
+
+    #[test]
+    fn dominator_of_matches_the_geometric_scan_under_churn() {
+        use mcds_maintain::{ChurnConfig, ChurnGen};
+        use mcds_rng::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(20);
+        let points: Vec<Point> = (0..60)
+            .map(|_| Point::new(rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)))
+            .collect();
+        let shared = Shared {
+            state: Mutex::new(State {
+                engine: Maintainer::with_population(MaintainConfig::default(), points),
+                pending: Vec::new(),
+                tick: 0,
+            }),
+            shutdown: AtomicBool::new(false),
+        };
+        let mut churn = ChurnGen::new(ChurnConfig {
+            region: mcds_geom::Aabb::square(4.0),
+            p_join: 0.2,
+            p_leave: 0.2,
+            ..ChurnConfig::default()
+        });
+        let mut live_checked = 0;
+        for event in 0..150 {
+            let expected: Vec<(NodeId, String)> = {
+                let mut state = shared.lock();
+                let alive = state.engine.alive();
+                state.engine.apply(churn.next_event(&mut rng, &alive));
+                if event % 10 != 9 {
+                    continue;
+                }
+                live_checked += state.engine.population();
+                // Every id up to one past the largest live one, dead ids
+                // included.
+                let ids = state.engine.alive().last().map_or(0, |&(id, _)| id + 2);
+                (0..ids)
+                    .map(|id| (id, geometric_dominator_of(&state.engine, id)))
+                    .collect()
+            };
+            for (id, want) in expected {
+                let got = handle_query(&shared, QueryRequest::DominatorOf(id));
+                assert_eq!(got, want, "event {event}, node {id}");
+            }
+        }
+        assert!(
+            live_checked >= 600,
+            "only {live_checked} live answers checked"
+        );
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl Udg {
             graph,
         }
     }
-
-    /// Consumes the instance, returning its points.
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
 }
 
 impl fmt::Debug for Udg {

@@ -123,6 +123,13 @@ impl Topology {
         self.slot(id).map(|s| self.points[s])
     }
 
+    /// The live neighbours of live node `id`, as ids in ascending order;
+    /// `None` when `id` is not live.
+    pub fn neighbors(&self, id: usize) -> Option<impl Iterator<Item = usize> + '_> {
+        let s = self.slot(id)?;
+        Some(self.rows[s].iter().map(|&u| self.ids[u as usize]))
+    }
+
     /// Live nodes as `(id, position)`, ascending by id.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Point)> + '_ {
         (0..self.ids.len())
@@ -342,14 +349,20 @@ mod tests {
     use mcds_rng::rngs::StdRng;
     use mcds_rng::{Rng, SeedableRng};
 
-    /// Asserts that the rows equal the brute-force unit-disk graph of the
-    /// live points, and that the cell index holds exactly the live slots.
+    /// Asserts that the rows, and each live node's `neighbors`, equal the
+    /// brute-force unit-disk graph of the live points, and that the cell
+    /// index holds exactly the live slots.
     fn assert_matches_naive(topo: &Topology, radius: f64, context: &str) {
         let live: Vec<(usize, Point)> = topo.iter().collect();
         let (ids, graph) = topo.graph();
         assert_eq!(ids, live.iter().map(|&(id, _)| id).collect::<Vec<_>>());
         let naive = Udg::build_naive(live.iter().map(|&(_, p)| p).collect(), radius);
         assert_eq!(&graph, naive.graph(), "{context}");
+        for (k, &id) in ids.iter().enumerate() {
+            let want: Vec<usize> = naive.graph().neighbors_iter(k).map(|u| ids[u]).collect();
+            let got: Vec<usize> = topo.neighbors(id).expect("live").collect();
+            assert_eq!(got, want, "{context}: neighbors of {id}");
+        }
         let mut indexed: Vec<u32> = topo.cells.values().flatten().copied().collect();
         indexed.sort_unstable();
         let want: Vec<u32> = (0..topo.ids.len() as u32)
@@ -404,6 +417,7 @@ mod tests {
                     let id = live[rng.gen_range(0..live.len())];
                     let former = topo.remove(id);
                     assert!(former.windows(2).all(|w| w[0] < w[1]));
+                    assert!(topo.neighbors(id).is_none());
                 } else {
                     let id = live[rng.gen_range(0..live.len())];
                     // Half the moves land exactly on another node.

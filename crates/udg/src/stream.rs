@@ -73,11 +73,6 @@ impl StreamedUdg {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Consumes the instance, returning `(graph, points, permutation)`.
-    pub fn into_parts(self) -> (CompactGraph, Vec<Point>, Vec<usize>) {
-        (self.graph, self.points, self.perm)
-    }
 }
 
 impl std::fmt::Debug for StreamedUdg {

@@ -26,7 +26,11 @@ fn main() -> Result<(), CdsError> {
         mcds::graph::traversal::diameter(g).expect("connected")
     );
 
-    for (name, cds) in [("greedy", greedy_cds(g)?), ("waf", waf_cds(g)?)] {
+    for (name, alg) in [
+        ("greedy", Algorithm::GreedyConnect),
+        ("waf", Algorithm::WafTree),
+    ] {
+        let cds = Solver::new(alg).solve(g)?;
         // Self-verify with radio messages only, then measure routing.
         let report = run_verify_cds(g, cds.nodes()).expect("protocol runs");
         assert!(report.is_valid(), "distributed verification must pass");

@@ -38,8 +38,8 @@ fn main() -> Result<(), CdsError> {
             count += 1;
             degs += g.avg_degree();
             mis_total += BfsMis::compute(g, 0).len();
-            greedy_total += greedy_cds(g)?.len();
-            waf_total += waf_cds(g)?.len();
+            greedy_total += Solver::new(Algorithm::GreedyConnect).solve(g)?.len();
+            waf_total += Solver::new(Algorithm::WafTree).solve(g)?.len();
         }
         let c = count as f64;
         println!(

@@ -39,7 +39,10 @@ fn main() {
         run.total_transmissions()
     );
 
-    let central = waf_cds_rooted(g, run.root).expect("connected network");
+    let central = Solver::new(Algorithm::WafTree)
+        .root(run.root)
+        .solve(g)
+        .expect("connected network");
     assert_eq!(run.cds.nodes(), central.nodes());
     println!(
         "\ndistributed CDS ({} nodes) is identical to the centralized construction",

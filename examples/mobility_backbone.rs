@@ -36,7 +36,7 @@ fn main() -> Result<(), CdsError> {
             println!("{epoch:>5}  network collapsed; skipping");
             continue;
         }
-        let cds = greedy_cds(g)?;
+        let cds = Solver::new(Algorithm::GreedyConnect).solve(g)?;
         let global: Vec<usize> = cds.nodes().iter().map(|&v| giant[v]).collect();
         let (survival, old_valid) = match &prev {
             None => (1.0, true),

@@ -52,7 +52,7 @@ fn main() -> Result<(), CdsError> {
     let mut rng = StdRng::seed_from_u64(404);
     let udg = mcds::udg::gen::connected_uniform(&mut rng, 200, 7.5, 100).expect("dense deployment");
     let g = udg.graph();
-    let backbone = greedy_cds(g)?;
+    let backbone = Solver::new(Algorithm::GreedyConnect).solve(g)?;
     println!(
         "initial backbone: {} nodes on a {}-node network",
         backbone.len(),
@@ -99,7 +99,7 @@ fn main() -> Result<(), CdsError> {
     let old_to_new = |v: usize| if v < failed { v } else { v - 1 };
 
     // Strategy 1: full rebuild.
-    let rebuilt = greedy_cds(sg)?;
+    let rebuilt = Solver::new(Algorithm::GreedyConnect).solve(sg)?;
 
     // Strategy 2: local repair.
     let mut repaired: Vec<usize> = backbone

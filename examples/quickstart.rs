@@ -21,7 +21,7 @@ fn main() -> Result<(), CdsError> {
 
     // The paper's new algorithm (Section IV): first-fit MIS dominators +
     // greedy max-gain connectors.  Ratio ≤ 6 7/18 (Theorem 10).
-    let greedy = greedy_cds(g)?;
+    let greedy = Solver::new(Algorithm::GreedyConnect).solve(g)?.into_cds();
     greedy
         .verify(g)
         .expect("algorithm output is always a valid CDS");
@@ -33,7 +33,7 @@ fn main() -> Result<(), CdsError> {
     );
 
     // The classic WAF algorithm [10] (Section III analysis).  Ratio ≤ 7⅓.
-    let waf = waf_cds(g)?;
+    let waf = Solver::new(Algorithm::WafTree).solve(g)?.into_cds();
     println!(
         "waf backbone    : {:3} nodes ({} dominators + {} connectors)",
         waf.len(),

@@ -49,7 +49,7 @@ fn main() -> Result<(), CdsError> {
     println!("network: {n} nodes, {} links\n", g.num_edges());
 
     let everyone: Vec<usize> = (0..n).collect();
-    let backbone = greedy_cds(g)?;
+    let backbone = Solver::new(Algorithm::GreedyConnect).solve(g)?;
 
     let source = 0;
     let (reach_flood, tx_flood) = broadcast(g, source, &everyone);

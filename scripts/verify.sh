@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build, test, format, lint, plus the
+# Tier-1 verification gate: build, test, format, lint, docs, plus the
 # behavioral stages (determinism, tracing, serve, substrate, bench).
 # Usage: scripts/verify.sh [--no-clippy] [STAGE...]
 #
 # With no STAGE arguments every stage runs.  Naming stages runs just
 # those (e.g. `scripts/verify.sh build serve bench`); stage names:
-#   build test fmt clippy check fuzz pool tracing serve substrate grid
-#   kernel bench
+#   build test fmt clippy doc check fuzz pool tracing serve substrate
+#   grid kernel bench
+#
+# The `doc` stage builds the workspace docs with rustdoc warnings denied,
+# so a link to a deleted or private item fails the gate.
 #
 # Hermetic by design — no network, no external dependencies.  The
 # `kernel` stage runs the two differential suites of the production
@@ -16,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages="build test fmt clippy check fuzz pool tracing serve substrate grid kernel bench"
+all_stages="build test fmt clippy doc check fuzz pool tracing serve substrate grid kernel bench"
 no_clippy=""
 stages=()
 for arg in "$@"; do
@@ -66,6 +69,11 @@ if want clippy && [[ -z "$no_clippy" ]]; then
   else
     echo "== cargo clippy == (skipped: clippy not installed)"
   fi
+fi
+
+if want doc; then
+  echo "== cargo doc (rustdoc warnings denied) =="
+  RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 fi
 
 if want check; then

@@ -43,11 +43,11 @@
 //!     .expect("dense deployments are connected");
 //!
 //! // Build the virtual backbone with the paper's 6 7/18-approximation.
-//! let backbone = greedy_cds(udg.graph())?;
-//! assert!(backbone.verify(udg.graph()).is_ok());
+//! let backbone = Solver::new(Algorithm::GreedyConnect).solve(udg.graph())?;
+//! assert!(backbone.cds().verify(udg.graph()).is_ok());
 //!
 //! // Compare with the classic WAF 7 1/3-approximation.
-//! let waf = waf_cds(udg.graph())?;
+//! let waf = Solver::new(Algorithm::WafTree).solve(udg.graph())?;
 //! println!("greedy: {} nodes, waf: {} nodes", backbone.len(), waf.len());
 //! # Ok::<(), mcds::cds::CdsError>(())
 //! ```
@@ -56,6 +56,16 @@
 #![warn(missing_docs)]
 
 pub mod paper;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
+/// The tutorial's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/TUTORIAL.md")]
+struct TutorialDoctests;
 
 pub use mcds_cds as cds;
 pub use mcds_check as check;
@@ -72,10 +82,7 @@ pub use mcds_viz as viz;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use mcds_cds::{
-        arbitrary_mis_cds, chvatal_cds, greedy_cds, greedy_cds_rooted, waf_cds, waf_cds_rooted,
-        Cds, CdsError,
-    };
+    pub use mcds_cds::{Algorithm, Cds, CdsError, Solution, Solver};
     pub use mcds_geom::Point;
     pub use mcds_graph::{properties, Graph};
     pub use mcds_mis::BfsMis;
@@ -88,7 +95,7 @@ mod tests {
     fn facade_reaches_every_crate() {
         use crate::prelude::*;
         let g = Graph::path(5);
-        let cds = greedy_cds(&g).unwrap();
+        let cds = Solver::new(Algorithm::GreedyConnect).solve(&g).unwrap();
         assert!(properties::is_connected_dominating_set(&g, cds.nodes()));
         let _alpha = crate::exact::independence_number(&g);
         let _phi = crate::geom::packing::phi(2);

@@ -38,7 +38,7 @@
 //! |-------|------|
 //! | rooted spanning tree `T`, BFS order | [`mcds_graph::traversal::BfsTree`] |
 //! | first-fit MIS | [`mcds_mis::first_fit`], [`mcds_mis::BfsMis`] |
-//! | the connector rule `C = {s} ∪ parents` | [`mcds_cds::waf_cds_rooted`] |
+//! | the connector rule `C = {s} ∪ parents` | [`mcds_cds::Algorithm::WafTree`] |
 //! | Theorem 8 (ratio ≤ 7⅓) | [`mcds_mis::bounds::WAF_RATIO`], experiment E4 |
 //! | distributed realization | [`mcds_distsim::pipeline::run_waf_distributed`], E7 |
 //!
@@ -49,7 +49,7 @@
 //! | `q(U)` component counting | [`mcds_graph::subsets::count_components`] |
 //! | the gain `Δ_w q(U)` | [`mcds_graph::subsets::adjacent_components`], [`mcds_cds::connect::gain_trace`] |
 //! | Lemma 9 (progress guarantee) | asserted by [`mcds_cds::connect::max_gain_connectors`]'s stall error being unreachable on MIS seeds |
-//! | the greedy connector algorithm | [`mcds_cds::greedy_cds_rooted`] |
+//! | the greedy connector algorithm | [`mcds_cds::Algorithm::GreedyConnect`] |
 //! | Theorem 10 (ratio ≤ 6 7/18) | [`mcds_mis::bounds::GREEDY_RATIO`], experiment E5 |
 //!
 //! ## Section V — Discussions

@@ -4,7 +4,6 @@
 //! run in the default `cargo test -q` with deterministic seeds and
 //! automatic counterexample shrinking.
 
-use mcds::cds::algorithms::Algorithm;
 use mcds::prelude::*;
 use mcds_check::gen::point_sets;
 use mcds_check::{prop_assert, prop_assert_eq, prop_assume, Property, TestResult};
@@ -56,8 +55,10 @@ fn all_algorithms_valid_on_connected_instances() {
             let g = sub.graph();
             prop_assume!(g.num_nodes() >= 2);
             for alg in Algorithm::ALL {
-                let cds = alg.run(g).expect("connected by construction");
-                prop_assert!(cds.verify(g).is_ok(), "{} failed", alg);
+                let solution = Solver::new(alg)
+                    .solve(g)
+                    .expect("connected by construction");
+                prop_assert!(solution.cds().verify(g).is_ok(), "{} failed", alg);
             }
             TestResult::Pass
         });
@@ -76,9 +77,11 @@ fn greedy_and_waf_respect_alpha_band() {
             let sub = udg.restricted_to(&comp);
             let g = sub.graph();
             prop_assume!(g.num_nodes() >= 2);
-            let waf = waf_cds(g).expect("connected");
-            let greedy = greedy_cds(g).expect("connected");
-            let i = waf.dominators().len();
+            let waf = Solver::new(Algorithm::WafTree).solve(g).expect("connected");
+            let greedy = Solver::new(Algorithm::GreedyConnect)
+                .solve(g)
+                .expect("connected");
+            let i = waf.cds().dominators().len();
             prop_assert!(waf.len() <= 2 * i + 1);
             prop_assert!(greedy.len() <= 2 * i + 1);
             TestResult::Pass
@@ -95,7 +98,9 @@ fn pruned_cds_is_one_minimal() {
             let sub = udg.restricted_to(&comp);
             let g = sub.graph();
             prop_assume!(g.num_nodes() >= 3);
-            let cds = greedy_cds(g).expect("connected");
+            let cds = Solver::new(Algorithm::GreedyConnect)
+                .solve(g)
+                .expect("connected");
             let pruned = mcds::cds::prune::prune_cds(g, cds.nodes()).expect("valid");
             prop_assert!(properties::check_cds(g, &pruned).is_ok());
             // 1-minimality.

@@ -17,7 +17,10 @@ fn distributed_equals_centralized_on_random_udgs() {
             continue;
         }
         let run = run_waf_distributed(g).expect("connected");
-        let central = waf_cds_rooted(g, run.root).expect("connected");
+        let central = Solver::new(Algorithm::WafTree)
+            .root(run.root)
+            .solve(g)
+            .expect("connected");
         assert_eq!(run.cds.nodes(), central.nodes(), "seed {seed}");
         run.cds.verify(g).unwrap();
     }

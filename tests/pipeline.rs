@@ -1,7 +1,6 @@
 //! End-to-end integration: point set → UDG → every algorithm → verified
 //! CDS → paper bounds, with exact optima where reachable.
 
-use mcds::cds::algorithms::Algorithm;
 use mcds::exact;
 use mcds::mis::bounds;
 use mcds::prelude::*;
@@ -20,8 +19,10 @@ fn every_algorithm_yields_valid_cds_on_random_udgs() {
         let udg = connected_instance(seed, 80, 5.0);
         let g = udg.graph();
         for alg in Algorithm::ALL {
-            let cds = alg.run(g).expect("connected instance");
-            cds.verify(g)
+            let solution = Solver::new(alg).solve(g).expect("connected instance");
+            solution
+                .cds()
+                .verify(g)
                 .unwrap_or_else(|e| panic!("seed {seed}, {alg}: {e}"));
         }
     }
@@ -41,8 +42,8 @@ fn theorem_8_and_10_hold_against_exact_optimum() {
         };
         let gamma_c = opt.len().max(1);
         checked += 1;
-        let waf = waf_cds(g).unwrap();
-        let greedy = greedy_cds(g).unwrap();
+        let waf = Solver::new(Algorithm::WafTree).solve(g).unwrap();
+        let greedy = Solver::new(Algorithm::GreedyConnect).solve(g).unwrap();
         assert!(
             waf.len() as f64 <= bounds::waf_size_bound(gamma_c) + 1e-9,
             "seed {seed}: Theorem 8 violated ({} > 7.33 * {gamma_c})",
@@ -104,9 +105,16 @@ fn greedy_never_beaten_by_waf_on_shared_phase1() {
         if g.num_nodes() < 2 {
             continue;
         }
-        let waf = waf_cds_rooted(g, 0).unwrap();
-        let greedy = greedy_cds_rooted(g, 0).unwrap();
-        assert_eq!(waf.dominators(), greedy.dominators(), "shared phase 1");
+        let waf = Solver::new(Algorithm::WafTree).root(0).solve(g).unwrap();
+        let greedy = Solver::new(Algorithm::GreedyConnect)
+            .root(0)
+            .solve(g)
+            .unwrap();
+        assert_eq!(
+            waf.cds().dominators(),
+            greedy.cds().dominators(),
+            "shared phase 1"
+        );
         total += 1;
         if greedy.len() <= waf.len() {
             greedy_wins += 1;
@@ -124,7 +132,7 @@ fn pruning_preserves_validity_and_never_grows() {
         let udg = connected_instance(seed, 70, 5.0);
         let g = udg.graph();
         for alg in Algorithm::ALL {
-            let cds = alg.run(g).expect("connected");
+            let cds = Solver::new(alg).solve(g).expect("connected");
             let pruned = mcds::cds::prune::prune_cds(g, cds.nodes()).expect("valid input");
             assert!(pruned.len() <= cds.len());
             assert!(properties::check_cds(g, &pruned).is_ok());
@@ -136,20 +144,29 @@ fn pruning_preserves_validity_and_never_grows() {
 fn degenerate_topologies_across_the_stack() {
     // Single node.
     let single = Udg::build(vec![Point::ORIGIN]);
-    let cds = greedy_cds(single.graph()).unwrap();
+    let cds = Solver::new(Algorithm::GreedyConnect)
+        .solve(single.graph())
+        .unwrap();
     assert_eq!(cds.nodes(), &[0]);
     // Two nodes at exactly unit distance.
     let pair = Udg::build(vec![Point::ORIGIN, Point::new(1.0, 0.0)]);
-    let cds = waf_cds(pair.graph()).unwrap();
-    cds.verify(pair.graph()).unwrap();
+    let cds = Solver::new(Algorithm::WafTree).solve(pair.graph()).unwrap();
+    cds.cds().verify(pair.graph()).unwrap();
     assert!(cds.len() <= 2);
     // Disconnected pair.
     let split = Udg::build(vec![Point::ORIGIN, Point::new(3.0, 0.0)]);
-    assert_eq!(greedy_cds(split.graph()), Err(CdsError::DisconnectedGraph));
+    assert_eq!(
+        Solver::new(Algorithm::GreedyConnect)
+            .solve(split.graph())
+            .err(),
+        Some(CdsError::DisconnectedGraph)
+    );
     // Collinear unit chain (the paper's worst-case family).
     let chain = Udg::build(mcds::udg::gen::linear_chain(30, 1.0));
-    let cds = greedy_cds(chain.graph()).unwrap();
-    cds.verify(chain.graph()).unwrap();
+    let cds = Solver::new(Algorithm::GreedyConnect)
+        .solve(chain.graph())
+        .unwrap();
+    cds.cds().verify(chain.graph()).unwrap();
     // γ_c(P_30) = 28; greedy should stay in the proven band.
     assert!(cds.len() as f64 <= bounds::greedy_size_bound(28));
 }

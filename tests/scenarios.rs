@@ -5,7 +5,6 @@
 //! breaks any pairing of generator, algorithm, verifier, router,
 //! broadcaster or renderer, it fails here with a named scenario.
 
-use mcds::cds::algorithms::Algorithm;
 use mcds::cds::routing::stretch_stats;
 use mcds::distsim::protocols::{run_broadcast, run_verify_cds};
 use mcds::prelude::*;
@@ -62,7 +61,10 @@ fn every_algorithm_on_every_scenario() {
         assert!(g.is_connected(), "{name}: scenario must be connected");
         assert!(g.num_nodes() >= 2, "{name}: scenario too small");
         for alg in Algorithm::ALL {
-            let cds = alg.run(g).unwrap_or_else(|e| panic!("{name}/{alg}: {e}"));
+            let solution = Solver::new(alg)
+                .solve(g)
+                .unwrap_or_else(|e| panic!("{name}/{alg}: {e}"));
+            let cds = solution.cds();
             cds.verify(g)
                 .unwrap_or_else(|e| panic!("{name}/{alg}: invalid CDS: {e}"));
             // Distributed self-verification agrees.
@@ -77,7 +79,10 @@ fn every_algorithm_on_every_scenario() {
 fn applications_work_on_every_scenario() {
     for (name, udg) in scenarios() {
         let g = udg.graph();
-        let cds = greedy_cds(g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let solution = Solver::new(Algorithm::GreedyConnect)
+            .solve(g)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let cds = solution.cds();
 
         // Broadcast: full coverage from two sources.
         for source in [0, g.num_nodes() - 1] {
@@ -121,8 +126,12 @@ fn io_roundtrip_preserves_algorithm_outputs() {
         let text = mcds::udg::io::write_instance(&udg);
         let back = mcds::udg::io::parse_instance(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         // Same instance ⇒ same (deterministic) CDS.
-        let a = greedy_cds(udg.graph()).unwrap();
-        let b = greedy_cds(back.graph()).unwrap();
+        let a = Solver::new(Algorithm::GreedyConnect)
+            .solve(udg.graph())
+            .unwrap();
+        let b = Solver::new(Algorithm::GreedyConnect)
+            .solve(back.graph())
+            .unwrap();
         assert_eq!(a.nodes(), b.nodes(), "{name}: determinism across I/O");
     }
 }
@@ -133,8 +142,8 @@ fn bound_sanity_on_every_scenario() {
     for (name, udg) in scenarios() {
         let g = udg.graph();
         let mis = BfsMis::compute(g, 0);
-        let greedy = greedy_cds(g).unwrap();
-        let waf = waf_cds(g).unwrap();
+        let greedy = Solver::new(Algorithm::GreedyConnect).solve(g).unwrap();
+        let waf = Solver::new(Algorithm::WafTree).solve(g).unwrap();
         // Structural inequalities that hold regardless of γ_c:
         assert!(greedy.len() <= 2 * mis.len(), "{name}");
         assert!(waf.len() <= 2 * mis.len() + 1, "{name}");

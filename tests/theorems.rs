@@ -109,7 +109,7 @@ fn theorem_8_including_the_remark_minus_one() {
             continue;
         }
         let gamma_c = exact::connected_domination_number(g).expect("connected");
-        let cds = waf_cds(g).expect("connected");
+        let cds = Solver::new(Algorithm::WafTree).solve(g).expect("connected");
         assert!(
             (cds.len() as f64) <= bounds::waf_size_bound(gamma_c) + 1e-9,
             "Theorem 8: {} vs 7.33*{gamma_c}",
@@ -131,7 +131,9 @@ fn theorem_10_final_bound_and_proof_anatomy() {
             continue;
         }
         let gamma_c = exact::connected_domination_number(g).expect("connected");
-        let cds = greedy_cds(g).expect("connected");
+        let cds = Solver::new(Algorithm::GreedyConnect)
+            .solve(g)
+            .expect("connected");
         assert!(
             (cds.len() as f64) <= bounds::greedy_size_bound(gamma_c) + 1e-9,
             "Theorem 10: {} vs 6.39*{gamma_c}",
