@@ -52,8 +52,8 @@ pub struct TrajectoryEntry {
 }
 
 /// The explicit `(key field, wall field, to-milliseconds factor)`
-/// mapping for each known bench.  Unknown bench names fall back to a
-/// field-sniffing heuristic in [`normalize_points`].
+/// mapping for each known bench.  A bench with no entry here cannot be
+/// recorded: [`normalize_points`] rejects it by name.
 pub fn field_map(bench: &str) -> Option<(&'static str, &'static str, f64)> {
     match bench {
         "profile" => Some(("n", "solve_ms", 1.0)),
@@ -63,17 +63,6 @@ pub fn field_map(bench: &str) -> Option<(&'static str, &'static str, f64)> {
         _ => None,
     }
 }
-
-/// Candidate fields for benches with no explicit [`field_map`] entry,
-/// in preference order.
-const KEY_CANDIDATES: &[&str] = &["n", "clients", "m", "events"];
-const WALL_CANDIDATES: &[(&str, f64)] = &[
-    ("solve_ms", 1.0),
-    ("wall_ms", 1.0),
-    ("stream_build_ms", 1.0),
-    ("wall_p50_us", 1e-3),
-    ("wall_us_mean", 1e-3),
-];
 
 /// Parses one `BENCH_*.json` artifact and normalizes its points,
 /// returning `(bench name, points)`.
@@ -93,13 +82,10 @@ pub fn parse_bench_file(text: &str) -> Result<(String, Vec<TrajectoryPoint>), St
 }
 
 /// Reduces an artifact's `points` array to `(key, wall_ms)` pairs using
-/// [`field_map`], falling back to field sniffing for unknown benches.
+/// [`field_map`]; a bench with no entry there is an error.
 pub fn normalize_points(bench: &str, points: &[Value]) -> Result<Vec<TrajectoryPoint>, String> {
-    let (key_field, wall_field, factor) = match field_map(bench) {
-        Some(map) => map,
-        None => sniff_fields(points)
-            .ok_or_else(|| format!("bench `{bench}` has no key/wall fields I recognize"))?,
-    };
+    let (key_field, wall_field, factor) =
+        field_map(bench).ok_or_else(|| format!("bench `{bench}` has no field_map entry"))?;
     points
         .iter()
         .enumerate()
@@ -123,19 +109,6 @@ pub fn normalize_points(bench: &str, points: &[Value]) -> Result<Vec<TrajectoryP
             })
         })
         .collect()
-}
-
-/// Picks key/wall fields for an unknown bench by looking at what the
-/// first point actually carries.
-fn sniff_fields(points: &[Value]) -> Option<(&'static str, &'static str, f64)> {
-    let first = points.first()?;
-    let key = KEY_CANDIDATES
-        .iter()
-        .find(|f| first.get(f).and_then(Value::as_f64).is_some())?;
-    let (wall, factor) = WALL_CANDIDATES
-        .iter()
-        .find(|(f, _)| first.get(f).and_then(Value::as_f64).is_some())?;
-    Some((key, wall, *factor))
 }
 
 /// Renders one entry as a single JSONL line (no trailing newline).
@@ -377,15 +350,16 @@ mod tests {
         let (_, points) = parse_bench_file(serve).unwrap();
         assert_eq!(points[0].key, "clients=4");
         assert!((points[0].wall_ms - 0.027).abs() < 1e-12);
-        // Unknown benches sniff their fields from the first point.
+        // A bench with no field map is an error that names it, even when
+        // its points carry familiar fields.
         let custom = r#"{"bench":"custom","schema":1,"points":[
             {"n":10,"wall_ms":3.5}]}"#;
-        let (_, points) = parse_bench_file(custom).unwrap();
-        assert_eq!(points[0].key, "n=10");
-        assert_eq!(points[0].wall_ms, 3.5);
-        // A bench with no recognizable fields is an error, not a guess.
-        let opaque = r#"{"bench":"opaque","schema":1,"points":[{"x":1}]}"#;
-        assert!(parse_bench_file(opaque).is_err());
+        let err = parse_bench_file(custom).unwrap_err();
+        assert!(err.contains("`custom`"), "{err}");
+        // A mapped bench missing its fields names the field.
+        let bare = r#"{"bench":"profile","schema":1,"points":[{"n":10}]}"#;
+        let err = parse_bench_file(bare).unwrap_err();
+        assert!(err.contains("`solve_ms`"), "{err}");
     }
 
     #[test]

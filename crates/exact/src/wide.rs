@@ -1,118 +1,16 @@
 //! Maximum independent set for graphs beyond 128 nodes: the same branch
 //! & bound as [`crate::max_independent_set`], over arbitrary-width
-//! bitsets (`Vec<u64>` rows).
+//! [`BitSet`] rows.
 //!
 //! Slower per node than the `u128` fast path but unbounded in width; the
 //! dispatching wrappers in [`crate`] pick the right engine.
 
+use mcds_graph::bitgraph::BitSet;
 use mcds_graph::Graph;
 
-/// A fixed-width bitset over `words × 64` bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Bits {
-    words: Vec<u64>,
-}
-
-impl Bits {
-    pub(crate) fn zeros(n_bits: usize) -> Self {
-        Bits {
-            words: vec![0; n_bits.div_ceil(64)],
-        }
-    }
-
-    pub(crate) fn ones(n_bits: usize) -> Self {
-        let mut b = Bits::zeros(n_bits);
-        for (i, w) in b.words.iter_mut().enumerate() {
-            let remaining = n_bits.saturating_sub(i * 64);
-            *w = if remaining >= 64 {
-                u64::MAX
-            } else if remaining == 0 {
-                0
-            } else {
-                (1u64 << remaining) - 1
-            };
-        }
-        b
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    #[cfg(test)] // exercised by the bitset unit tests only
-    pub(crate) fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// First set bit, if any.
-    pub(crate) fn first(&self) -> Option<usize> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// `self &= other`.
-    pub(crate) fn and_assign(&mut self, other: &Bits) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// `self &= !other`.
-    pub(crate) fn andnot_assign(&mut self, other: &Bits) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Popcount of `self & other` without allocating.
-    pub(crate) fn and_count(&self, other: &Bits) -> u32 {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones())
-            .sum()
-    }
-
-    /// Iterates set bits ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w0)| {
-            let mut w = w0;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(i * 64 + b)
-                }
-            })
-        })
-    }
-}
-
 struct WideSearch<'a> {
-    adj: &'a [Bits],
-    best: Bits,
+    adj: &'a [BitSet],
+    best: BitSet,
     best_size: u32,
     steps: u64,
     budget: u64,
@@ -120,25 +18,25 @@ struct WideSearch<'a> {
 
 impl WideSearch<'_> {
     /// Greedy clique-cover bound (same logic as the u128 engine).
-    fn clique_cover_bound(&self, cand: &Bits) -> u32 {
+    fn clique_cover_bound(&self, cand: &BitSet) -> u32 {
         let mut cand = cand.clone();
         let mut cliques = 0u32;
-        while let Some(v) = cand.first() {
+        while let Some(v) = cand.iter_ones().next() {
             let mut common = self.adj[v].clone();
-            cand.clear(v);
+            cand.remove(v);
             loop {
                 let mut pick = None;
                 // First candidate inside the running clique intersection.
-                for u in cand.iter() {
-                    if common.get(u) {
+                for u in cand.iter_ones() {
+                    if common.contains(u) {
                         pick = Some(u);
                         break;
                     }
                 }
                 match pick {
                     Some(u) => {
-                        common.and_assign(&self.adj[u]);
-                        cand.clear(u);
+                        common.intersect_with(&self.adj[u]);
+                        cand.remove(u);
                     }
                     None => break,
                 }
@@ -148,12 +46,12 @@ impl WideSearch<'_> {
         cliques
     }
 
-    fn run(&mut self, current: &mut Bits, current_size: u32, cand: &Bits) -> bool {
+    fn run(&mut self, current: &mut BitSet, current_size: u32, cand: &BitSet) -> bool {
         self.steps += 1;
         if self.steps > self.budget {
             return false;
         }
-        if cand.is_empty() {
+        if cand.iter_ones().next().is_none() {
             if current_size > self.best_size {
                 self.best_size = current_size;
                 self.best = current.clone();
@@ -166,7 +64,7 @@ impl WideSearch<'_> {
         // Pivot: max degree within cand.
         let mut pivot = usize::MAX;
         let mut pivot_deg = -1i64;
-        for v in cand.iter() {
+        for v in cand.iter_ones() {
             let d = self.adj[v].and_count(cand) as i64;
             if d > pivot_deg {
                 pivot_deg = d;
@@ -176,17 +74,17 @@ impl WideSearch<'_> {
         let v = pivot;
         // Include v.
         let mut included = cand.clone();
-        included.andnot_assign(&self.adj[v]);
-        included.clear(v);
-        current.set(v);
+        included.difference_with(&self.adj[v]);
+        included.remove(v);
+        current.insert(v);
         let ok = self.run(current, current_size + 1, &included);
-        current.clear(v);
+        current.remove(v);
         if !ok {
             return false;
         }
         // Exclude v.
         let mut excluded = cand.clone();
-        excluded.clear(v);
+        excluded.remove(v);
         self.run(current, current_size, &excluded)
     }
 }
@@ -199,51 +97,30 @@ pub(crate) fn try_max_independent_set_wide(g: &Graph, max_steps: u64) -> Option<
     if n == 0 {
         return Some(Vec::new());
     }
-    let mut adj: Vec<Bits> = (0..n).map(|_| Bits::zeros(n)).collect();
+    let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
     for (u, v) in g.edges() {
-        adj[u].set(v);
-        adj[v].set(u);
+        adj[u].insert(v);
+        adj[v].insert(u);
     }
     let mut search = WideSearch {
         adj: &adj,
-        best: Bits::zeros(n),
+        best: BitSet::new(n),
         best_size: 0,
         steps: 0,
         budget: max_steps,
     };
-    let full = Bits::ones(n);
-    let mut current = Bits::zeros(n);
+    let full = BitSet::from_nodes(n, &(0..n).collect::<Vec<_>>());
+    let mut current = BitSet::new(n);
     if !search.run(&mut current, 0, &full) {
         return None;
     }
-    Some(search.best.iter().collect())
+    Some(search.best.to_nodes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcds_graph::properties;
-
-    #[test]
-    fn bits_basics() {
-        let mut b = Bits::zeros(130);
-        assert!(b.is_empty());
-        b.set(0);
-        b.set(64);
-        b.set(129);
-        assert_eq!(b.count(), 3);
-        assert!(b.get(64));
-        assert_eq!(b.first(), Some(0));
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
-        b.clear(0);
-        assert_eq!(b.first(), Some(64));
-        let ones = Bits::ones(130);
-        assert_eq!(ones.count(), 130);
-        assert_eq!(b.and_count(&ones), 2);
-        let mut c = ones.clone();
-        c.andnot_assign(&b);
-        assert_eq!(c.count(), 128);
-    }
 
     #[test]
     fn wide_agrees_with_narrow_on_small_graphs() {
@@ -268,8 +145,14 @@ mod tests {
             let wide = try_max_independent_set_wide(&g, u64::MAX).unwrap();
             let narrow = crate::max_independent_set(&g);
             assert!(properties::is_independent_set(&g, &wide));
-            assert_eq!(wide.len(), narrow.len(), "{g:?}");
+            assert_eq!(wide, narrow, "{g:?}");
         }
+        // At the dispatch threshold both engines take the same input.
+        let g = Graph::cycle(128);
+        let wide = try_max_independent_set_wide(&g, u64::MAX).unwrap();
+        assert_eq!(wide.len(), 64);
+        assert_eq!(wide, crate::max_independent_set(&g));
+        assert_eq!(crate::try_max_independent_set_any(&g, u64::MAX), Some(wide));
     }
 
     #[test]
@@ -279,6 +162,12 @@ mod tests {
         let mis = try_max_independent_set_wide(&g, u64::MAX).unwrap();
         assert_eq!(mis.len(), 75);
         assert!(properties::is_independent_set(&g, &mis));
+        // One node past the threshold, the dispatcher takes this engine.
+        let g = Graph::cycle(129);
+        let mis = crate::try_max_independent_set_any(&g, u64::MAX).unwrap();
+        assert_eq!(mis.len(), 64);
+        assert!(properties::is_independent_set(&g, &mis));
+        assert_eq!(Some(mis), try_max_independent_set_wide(&g, u64::MAX));
     }
 
     #[test]

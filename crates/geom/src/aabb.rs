@@ -5,7 +5,8 @@ use std::fmt;
 
 /// An axis-aligned bounding box, stored as min/max corners.
 ///
-/// Used by instance generators (deployment regions) and the spatial grid.
+/// Used by instance generators and churn models (deployment regions) and
+/// by the SVG renderer (viewports).
 ///
 /// ```
 /// use mcds_geom::{Aabb, Point};
@@ -105,14 +106,6 @@ impl Aabb {
             self.max + Point::new(margin, margin),
         )
     }
-
-    /// Returns `true` if the two boxes overlap (boundary contact counts).
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
 }
 
 impl fmt::Display for Aabb {
@@ -164,12 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn inflate_and_intersect() {
+    fn inflated_grows_every_side() {
         let a = Aabb::square(1.0);
-        let b = Aabb::new(Point::new(2.0, 0.0), Point::new(3.0, 1.0));
-        assert!(!a.intersects(&b));
-        assert!(a.inflated(1.0).intersects(&b));
-        assert!(a.intersects(&a));
+        let corner = Point::new(2.0, 0.0);
+        assert!(!a.contains(corner));
+        assert!(a.inflated(1.0).contains(corner));
+        assert_eq!(a.inflated(1.0).min(), Point::new(-1.0, -1.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Closed disks, including the unit disks `D_u` of the paper.
 
-use crate::{Circle, Point, EPS};
+use crate::{Point, EPS};
 use std::fmt;
 
 /// A closed disk in the plane.
@@ -42,30 +42,12 @@ impl Disk {
         Disk::new(center, 1.0)
     }
 
-    /// The boundary circle `∂D`.
-    pub fn boundary(&self) -> Circle {
-        Circle::new(self.center, self.radius)
-    }
-
     /// Returns `true` if `p` lies in the closed disk (within [`EPS`] slack,
     /// so that exactly-unit distances — ubiquitous in the paper's tight
     /// constructions — count as inside).
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
         self.center.dist_sq(p) <= self.radius * self.radius + EPS
-    }
-
-    /// Returns `true` if `p` lies strictly inside the disk (more than
-    /// [`EPS`] from the boundary).
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        self.center.dist(p) < self.radius - EPS
-    }
-
-    /// Returns `true` if the two closed disks intersect.
-    pub fn intersects(&self, other: &Disk) -> bool {
-        let r = self.radius + other.radius;
-        self.center.dist_sq(other.center) <= r * r + EPS
     }
 
     /// Area of the disk.
@@ -84,11 +66,6 @@ impl Disk {
             .filter(|(_, &p)| self.contains(p))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// The number of `points` inside the closed disk.
-    pub fn covered_count(&self, points: &[Point]) -> usize {
-        points.iter().filter(|&&p| self.contains(p)).count()
     }
 }
 
@@ -119,21 +96,14 @@ mod tests {
     fn containment_boundary_semantics() {
         let d = Disk::unit(Point::ORIGIN);
         assert!(d.contains(Point::new(1.0, 0.0)));
-        assert!(!d.contains_strict(Point::new(1.0, 0.0)));
-        assert!(d.contains_strict(Point::new(0.5, 0.0)));
+        assert!(d.contains(Point::new(1.0 + EPS / 4.0, 0.0)));
+        assert!(!d.contains(Point::new(1.0 + 1e-6, 0.0)));
+        assert!(d.contains(Point::new(0.5, 0.0)));
         assert!(!d.contains(Point::new(0.8, 0.8)));
     }
 
     #[test]
-    fn disks_intersect_iff_centers_close() {
-        let a = Disk::unit(Point::ORIGIN);
-        assert!(a.intersects(&Disk::unit(Point::new(2.0, 0.0)))); // tangent
-        assert!(a.intersects(&Disk::unit(Point::new(1.0, 1.0))));
-        assert!(!a.intersects(&Disk::unit(Point::new(2.1, 0.0))));
-    }
-
-    #[test]
-    fn covered_indices_matches_count() {
+    fn covered_indices_lists_inside_points() {
         let d = Disk::unit(Point::ORIGIN);
         let pts = [
             Point::new(0.5, 0.0),
@@ -141,9 +111,7 @@ mod tests {
             Point::new(0.0, 1.0),
             Point::new(-0.3, -0.3),
         ];
-        let idx = d.covered_indices(&pts);
-        assert_eq!(idx, vec![0, 2, 3]);
-        assert_eq!(d.covered_count(&pts), 3);
+        assert_eq!(d.covered_indices(&pts), vec![0, 2, 3]);
     }
 
     #[test]
@@ -153,14 +121,6 @@ mod tests {
         assert!(neighborhood_contains(&s, Point::new(3.9, 0.0)));
         assert!(!neighborhood_contains(&s, Point::new(1.5, 0.0)));
         assert!(!neighborhood_contains(&[], Point::ORIGIN));
-    }
-
-    #[test]
-    fn boundary_is_matching_circle() {
-        let d = Disk::new(Point::new(1.0, 2.0), 3.0);
-        let c = d.boundary();
-        assert_eq!(c.center, d.center);
-        assert_eq!(c.radius, d.radius);
     }
 
     #[test]

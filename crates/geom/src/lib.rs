@@ -10,14 +10,15 @@
 //! (tightness constructions) and the instance generators need lives here:
 //!
 //! * [`Point`] — a plain 2-D point with the usual vector operations,
-//! * [`Aabb`] — axis-aligned bounding boxes,
-//! * [`Disk`] / [`Circle`] — unit disks `D_u` and their boundary circles
-//!   `∂D_u`, including circle–circle intersection (used by the Fig.-1
-//!   construction),
-//! * [`hull`] — convex hulls and hull-based point-set diameters,
+//! * [`Aabb`] — axis-aligned bounding boxes (deployment regions),
+//! * [`Disk`] — the unit disks `D_u` and the neighborhood `⋃_{u∈S} D_u`
+//!   of a point set,
 //! * [`packing`] — predicates on *independent* point sets (pairwise distance
-//!   `> 1`) and the classical packing constants (Wegner's 21-point bound,
-//!   the 5-points-per-disk bound) that Theorem 3 of the paper builds on.
+//!   `> 1`), the classical packing constants (Wegner's 21-point bound,
+//!   the 5-points-per-disk bound) that Theorem 3 of the paper builds on,
+//!   `φ(n)` and Theorem 6's bound,
+//! * [`area`] — the exact lens and hexagon areas of the area argument
+//!   (E10).
 //!
 //! # Floating-point policy
 //!
@@ -45,18 +46,13 @@
 #![warn(missing_debug_implementations)]
 
 mod aabb;
-mod angle;
-mod circle;
 mod disk;
 mod point;
 
 pub mod area;
-pub mod hull;
 pub mod packing;
 
 pub use aabb::Aabb;
-pub use angle::{normalize_angle, Angle};
-pub use circle::Circle;
 pub use disk::{neighborhood_contains, Disk};
 pub use point::Point;
 
@@ -66,53 +62,3 @@ pub use point::Point;
 /// most a few hundred units wide), so absolute comparisons at `1e-9` are far
 /// below any meaningful geometric scale while far above `f64` rounding noise.
 pub const EPS: f64 = 1e-9;
-
-/// Returns `true` if `a` and `b` are within [`EPS`] of each other.
-///
-/// ```
-/// assert!(mcds_geom::approx_eq(0.1 + 0.2, 0.3));
-/// assert!(!mcds_geom::approx_eq(1.0, 1.001));
-/// ```
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}
-
-/// Returns `true` if `a ≤ b` up to [`EPS`] slack.
-///
-/// ```
-/// assert!(mcds_geom::approx_le(1.0 + 1e-12, 1.0));
-/// assert!(!mcds_geom::approx_le(1.1, 1.0));
-/// ```
-#[inline]
-pub fn approx_le(a: f64, b: f64) -> bool {
-    a <= b + EPS
-}
-
-/// Returns `true` if `a ≥ b` up to [`EPS`] slack.
-///
-/// ```
-/// assert!(mcds_geom::approx_ge(1.0 - 1e-12, 1.0));
-/// assert!(!mcds_geom::approx_ge(0.9, 1.0));
-/// ```
-#[inline]
-pub fn approx_ge(a: f64, b: f64) -> bool {
-    a + EPS >= b
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_helpers_are_consistent() {
-        assert!(approx_eq(1.0, 1.0 + EPS / 2.0));
-        assert!(approx_le(1.0, 1.0));
-        assert!(approx_ge(1.0, 1.0));
-        assert!(!approx_eq(1.0, 1.0 + 10.0 * EPS));
-        assert!(approx_le(0.0, 1.0));
-        assert!(!approx_le(2.0, 1.0));
-        assert!(approx_ge(2.0, 1.0));
-        assert!(!approx_ge(0.0, 1.0));
-    }
-}

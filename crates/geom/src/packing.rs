@@ -137,12 +137,6 @@ pub fn greedy_pack_in_neighborhood(set: &[Point], candidates: &[Point]) -> Vec<P
     greedy_pack(&in_nbhd)
 }
 
-/// Verifies that every point of `points` lies in the unit-disk
-/// neighborhood of `set`.
-pub fn all_in_neighborhood(set: &[Point], points: &[Point]) -> bool {
-    points.iter().all(|&p| neighborhood_contains(set, p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +174,9 @@ mod tests {
         assert!(is_independent(&pts, 0.0));
         assert_eq!(pts.len(), MAX_PER_DISK);
         // All inside the unit disk centered at the origin (on its boundary).
-        assert!(all_in_neighborhood(&[Point::ORIGIN], &pts));
+        assert!(pts
+            .iter()
+            .all(|&p| neighborhood_contains(&[Point::ORIGIN], p)));
     }
 
     #[test]
@@ -256,7 +252,7 @@ mod tests {
             Point::new(5.0, 5.0), // outside neighborhood
         ];
         let packed = greedy_pack_in_neighborhood(&set, &cands);
-        assert!(all_in_neighborhood(&set, &packed));
+        assert!(packed.iter().all(|&p| neighborhood_contains(&set, p)));
         assert_eq!(packed.len(), 2);
     }
 }

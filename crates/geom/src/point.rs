@@ -88,47 +88,10 @@ impl Point {
         self.x * other.x + self.y * other.y
     }
 
-    /// 2-D cross product (z-component of the 3-D cross product).
-    ///
-    /// Positive iff `other` is counter-clockwise from `self`.
-    #[inline]
-    pub fn cross(self, other: Point) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
-    /// Orientation of the ordered triple `(a, b, c)`.
-    ///
-    /// Returns a positive value if the triple turns counter-clockwise,
-    /// negative if clockwise, and (approximately) zero if collinear.
-    #[inline]
-    pub fn orient(a: Point, b: Point, c: Point) -> f64 {
-        (b - a).cross(c - a)
-    }
-
     /// The midpoint of the segment from `self` to `other`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {
         Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        self + (other - self) * t
-    }
-
-    /// The vector rotated by `theta` radians counter-clockwise about the
-    /// origin.
-    #[inline]
-    pub fn rotated(self, theta: f64) -> Point {
-        let (s, c) = theta.sin_cos();
-        Point::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
-
-    /// The point rotated by `theta` radians counter-clockwise about `pivot`.
-    #[inline]
-    pub fn rotated_about(self, pivot: Point, theta: f64) -> Point {
-        pivot + (self - pivot).rotated(theta)
     }
 
     /// The vector scaled to unit length.
@@ -142,24 +105,6 @@ impl Point {
         } else {
             Some(self / n)
         }
-    }
-
-    /// The angle of this vector in radians, in `(-π, π]`.
-    #[inline]
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
-    /// The point mirrored across the x-axis.
-    #[inline]
-    pub fn mirror_x(self) -> Point {
-        Point::new(self.x, -self.y)
-    }
-
-    /// The point mirrored across the y-axis.
-    #[inline]
-    pub fn mirror_y(self) -> Point {
-        Point::new(-self.x, self.y)
     }
 
     /// Returns `true` if both coordinates are finite.
@@ -254,7 +199,7 @@ impl From<Point> for (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::FRAC_PI_2;
 
     #[test]
     fn distance_is_symmetric_and_euclidean() {
@@ -282,32 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross() {
+    fn dot_product() {
         let a = Point::new(1.0, 0.0);
         let b = Point::new(0.0, 1.0);
         assert_eq!(a.dot(b), 0.0);
-        assert_eq!(a.cross(b), 1.0);
-        assert_eq!(b.cross(a), -1.0);
-    }
-
-    #[test]
-    fn orientation_sign() {
-        let a = Point::ORIGIN;
-        let b = Point::new(1.0, 0.0);
-        let ccw = Point::new(1.0, 1.0);
-        let cw = Point::new(1.0, -1.0);
-        let col = Point::new(2.0, 0.0);
-        assert!(Point::orient(a, b, ccw) > 0.0);
-        assert!(Point::orient(a, b, cw) < 0.0);
-        assert_eq!(Point::orient(a, b, col), 0.0);
-    }
-
-    #[test]
-    fn rotation_quarter_turn() {
-        let p = Point::new(1.0, 0.0).rotated(FRAC_PI_2);
-        assert!(p.dist(Point::new(0.0, 1.0)) < 1e-12);
-        let q = Point::new(2.0, 0.0).rotated_about(Point::new(1.0, 0.0), PI);
-        assert!(q.dist(Point::ORIGIN) < 1e-12);
+        assert_eq!(Point::new(2.0, 3.0).dot(Point::new(4.0, -1.0)), 5.0);
     }
 
     #[test]
@@ -315,7 +239,9 @@ mod tests {
         let c = Point::new(5.0, -2.0);
         let p = Point::polar(c, 2.0, 1.1);
         assert!((p.dist(c) - 2.0).abs() < 1e-12);
-        assert!(((p - c).angle() - 1.1).abs() < 1e-12);
+        let v = p - c;
+        assert!((v.y.atan2(v.x) - 1.1).abs() < 1e-12);
+        assert!(Point::polar(c, 1.0, FRAC_PI_2).dist(Point::new(5.0, -1.0)) < 1e-12);
     }
 
     #[test]
@@ -323,22 +249,6 @@ mod tests {
         assert!(Point::ORIGIN.normalized().is_none());
         let v = Point::new(3.0, 4.0).normalized().unwrap();
         assert!((v.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_middle() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
-    }
-
-    #[test]
-    fn mirrors() {
-        let p = Point::new(1.0, 2.0);
-        assert_eq!(p.mirror_x(), Point::new(1.0, -2.0));
-        assert_eq!(p.mirror_y(), Point::new(-1.0, 2.0));
     }
 
     #[test]

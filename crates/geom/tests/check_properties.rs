@@ -6,12 +6,11 @@
 //! `-1000..=1000` on each axis, so counterexamples print short and avoid
 //! degenerate float edge cases.
 
-use mcds_check::gen::{f64s, usizes, vecs, UsizeGen, VecGen};
+use mcds_check::gen::{usizes, vecs, UsizeGen, VecGen};
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};
 use mcds_geom::{
-    hull::{convex_hull, diameter, diameter_brute, polygon_area},
     packing::{greedy_pack, is_independent, min_pairwise_distance},
-    Aabb, Circle, Disk, Point,
+    Aabb, Disk, Point,
 };
 
 /// Lattice ticks of one point, offset by 1000 so they are unsigned.
@@ -51,56 +50,6 @@ fn distance_is_a_metric() {
 }
 
 #[test]
-fn rotation_preserves_norm() {
-    Property::new("rotation_preserves_norm").cases(128).run(
-        &(ticks(), f64s(-10.0..=10.0)),
-        |(p, theta)| {
-            let p = point(p, 5.0);
-            let r = p.rotated(*theta);
-            prop_assert!((r.norm() - p.norm()).abs() < 1e-9);
-            TestResult::Pass
-        },
-    );
-}
-
-#[test]
-fn hull_contains_all_points() {
-    Property::new("hull_contains_all_points")
-        .cases(128)
-        .run(&tick_sets(40), |ts| {
-            let pts = points(ts, 5.0);
-            let hull = convex_hull(&pts);
-            // Every input point is inside or on the hull: check via
-            // orientation against every hull edge (hull is CCW).
-            if hull.len() >= 3 {
-                for &p in &pts {
-                    for i in 0..hull.len() {
-                        let a = hull[i];
-                        let b = hull[(i + 1) % hull.len()];
-                        prop_assert!(
-                            Point::orient(a, b, p) >= -1e-9,
-                            "point {p} outside hull edge {a}->{b}"
-                        );
-                    }
-                }
-                prop_assert!(polygon_area(&hull) >= 0.0);
-            }
-            TestResult::Pass
-        });
-}
-
-#[test]
-fn calipers_diameter_equals_brute() {
-    Property::new("calipers_diameter_equals_brute")
-        .cases(128)
-        .run(&tick_sets(40), |ts| {
-            let pts = points(ts, 5.0);
-            prop_assert!((diameter(&pts) - diameter_brute(&pts)).abs() < 1e-9);
-            TestResult::Pass
-        });
-}
-
-#[test]
 fn greedy_pack_invariants() {
     Property::new("greedy_pack_invariants")
         .cases(128)
@@ -113,23 +62,6 @@ fn greedy_pack_invariants() {
             }
             if let Some(d) = min_pairwise_distance(&packed) {
                 prop_assert!(d > 1.0);
-            }
-            TestResult::Pass
-        });
-}
-
-#[test]
-fn circle_intersections_lie_on_both() {
-    Property::new("circle_intersections_lie_on_both")
-        .cases(128)
-        .run(&(ticks(), ticks()), |(a, b)| {
-            let ca = Circle::unit(point(a, 2.0));
-            let cb = Circle::unit(point(b, 2.0));
-            if let Some((p, q)) = ca.intersect(&cb) {
-                prop_assert!(ca.on_boundary(p, 1e-6));
-                prop_assert!(cb.on_boundary(p, 1e-6));
-                prop_assert!(ca.on_boundary(q, 1e-6));
-                prop_assert!(cb.on_boundary(q, 1e-6));
             }
             TestResult::Pass
         });
@@ -166,9 +98,7 @@ fn disk_containment_consistent_with_distance() {
             let (c, p) = (point(c, 3.0), point(p, 3.0));
             let d = Disk::unit(c);
             prop_assert_eq!(d.contains(p), c.dist_sq(p) <= 1.0 + mcds_geom::EPS);
-            if d.contains_strict(p) {
-                prop_assert!(d.contains(p));
-            }
+            prop_assert_eq!(d.contains(p), Disk::unit(p).contains(c));
             TestResult::Pass
         });
 }

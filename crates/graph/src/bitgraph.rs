@@ -8,8 +8,10 @@
 //! over:
 //!
 //! * [`BitSet`] — a fixed-capacity node set, one bit per node, with
-//!   word-parallel popcount ([`BitSet::count_ones`]) and intersection
-//!   popcount ([`BitSet::and_count`]),
+//!   word-parallel popcount ([`BitSet::count_ones`]), intersection
+//!   popcount ([`BitSet::and_count`]) and in-place intersection and
+//!   difference (the exact maximum-independent-set search beyond 128
+//!   nodes runs on these),
 //! * [`masked_articulation_points`] — iterative Tarjan restricted to a
 //!   [`BitSet`] mask with reusable scratch (no induced subgraph is
 //!   materialized): the connectivity side of the incremental prune and
@@ -126,6 +128,30 @@ impl BitSet {
             .zip(&other.words)
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
+    }
+
+    /// Word-parallel intersection in place: `self ∩= other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn intersect_with(&mut self, other: &BitSet) {
+        assert_eq!(self.nbits, other.nbits, "bitset capacity mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
+    /// Word-parallel difference in place: `self ∖= other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn difference_with(&mut self, other: &BitSet) {
+        assert_eq!(self.nbits, other.nbits, "bitset capacity mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
     }
 
     /// Iterates set bits in ascending order.
@@ -300,6 +326,12 @@ mod tests {
         let a = BitSet::from_nodes(130, &[0, 1, 63, 64, 65, 128]);
         let b = BitSet::from_nodes(130, &[1, 64, 127, 129]);
         assert_eq!(a.and_count(&b), 2);
+        let mut both = a.clone();
+        both.intersect_with(&b);
+        assert_eq!(both.to_nodes(), vec![1, 64]);
+        let mut only_a = a.clone();
+        only_a.difference_with(&b);
+        assert_eq!(only_a.to_nodes(), vec![0, 63, 65, 128]);
     }
 
     /// The oracle, independent of any Tarjan: a member is a cut vertex of

@@ -5,13 +5,13 @@
 //! independent set (MIS) *"in the first-fit manner in the
 //! breadth-first-search ordering"* of a rooted spanning tree.  This crate
 //! implements that selection ([`first_fit`], [`BfsMis`]) together with the
-//! comparison MIS variants used by the baseline algorithms, and the
-//! geometric machinery of the paper's Sections II and V:
+//! comparison MIS of the arbitrary-MIS baseline, and the geometric
+//! machinery of the paper's Sections II and V:
 //!
 //! * [`first_fit`] / [`BfsMis`] — the canonical BFS-ordered first-fit MIS
 //!   with the 2-hop separation property (used by Lemma 9),
-//! * [`variants`] — lexicographic, max-degree-greedy, and caller-ordered
-//!   MIS constructions for the baselines of \[1\]/\[9\],
+//! * [`variants`] — the lexicographic first-fit MIS of the arbitrary-MIS
+//!   baseline of \[1\]/\[9\],
 //! * [`stars`] — stars and the constructive star-decomposition of
 //!   Lemma 4,
 //! * [`packing`] — `I(u)`, `I(S)` and the Theorem 3 / Theorem 6 bound

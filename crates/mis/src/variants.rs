@@ -1,10 +1,11 @@
-//! Comparison MIS constructions for the baseline algorithms.
+//! The comparison MIS of the arbitrary-MIS baseline.
 //!
 //! The algorithms of \[1\] (Alzoubi–Wan–Frieder, Mobihoc 2002) and \[9\]
 //! (Stojmenović et al.) select an *arbitrary* MIS rather than the
-//! BFS-ordered one; these variants realize the natural arbitrary choices.
-//! All of them are thin wrappers over [`crate::first_fit`] with different
-//! scan orders, so the independence/maximality invariants are inherited.
+//! BFS-ordered one.  The `ArbitraryMis` construction of `mcds-cds` realizes
+//! that choice as [`lexicographic_mis`], a thin wrapper over
+//! [`crate::first_fit`] in id order, so the independence/maximality
+//! invariants are inherited.
 
 use mcds_graph::RandomAccessGraph;
 
@@ -25,36 +26,6 @@ use crate::first_fit;
 pub fn lexicographic_mis<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
     let order: Vec<usize> = (0..g.num_nodes()).collect();
     first_fit(g, &order)
-}
-
-/// MIS by scanning nodes in decreasing degree (ties toward smaller id).
-///
-/// Heuristically favors large-coverage dominators; the static analogue of
-/// greedy independent domination.
-pub fn max_degree_mis<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..g.num_nodes()).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    first_fit(g, &order)
-}
-
-/// MIS by scanning nodes in increasing degree (ties toward smaller id).
-///
-/// The adversarially *bad* order for UDGs — tends to pick boundary nodes —
-/// used in experiments to show the spread between MIS choices.
-pub fn min_degree_mis<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..g.num_nodes()).collect();
-    order.sort_by_key(|&v| (g.degree(v), v));
-    first_fit(g, &order)
-}
-
-/// MIS in a caller-supplied scan order (e.g. a random permutation from the
-/// experiment harness, keeping this crate free of RNG dependencies).
-///
-/// # Panics
-///
-/// Panics if `order` contains an out-of-range node.
-pub fn ordered_mis<G: RandomAccessGraph>(g: &G, order: &[usize]) -> Vec<usize> {
-    first_fit(g, order)
 }
 
 #[cfg(test)]
@@ -90,45 +61,14 @@ mod tests {
             Graph::empty(4),
         ];
         for g in &graphs {
-            for (name, mis) in [
-                ("lex", lexicographic_mis(g)),
-                ("maxdeg", max_degree_mis(g)),
-                ("mindeg", min_degree_mis(g)),
-            ] {
-                assert!(
-                    properties::is_maximal_independent_set(g, &mis),
-                    "{name} on {g:?}"
-                );
-            }
+            let mis = lexicographic_mis(g);
+            assert!(properties::is_maximal_independent_set(g, &mis), "{g:?}");
         }
-    }
-
-    #[test]
-    fn degree_orders_differ_on_double_star() {
-        let g = bipartite_double_star();
-        // Max-degree picks the two hubs... hubs are adjacent, so picks one
-        // hub + the other side's leaves.
-        let maxd = max_degree_mis(&g);
-        assert!(maxd.contains(&0));
-        assert!(!maxd.contains(&1));
-        assert_eq!(maxd.len(), 5); // hub 0 + leaves 6..=9
-                                   // Min-degree picks all 8 leaves.
-        let mind = min_degree_mis(&g);
-        assert_eq!(mind.len(), 8);
-    }
-
-    #[test]
-    fn ordered_mis_respects_order() {
-        let g = Graph::path(5);
-        assert_eq!(ordered_mis(&g, &[4, 3, 2, 1, 0]), vec![0, 2, 4]);
-        assert_eq!(ordered_mis(&g, &[1, 0, 2, 3, 4]), vec![1, 3]);
     }
 
     #[test]
     fn empty_graph_yields_empty_mis() {
         let g = Graph::empty(0);
         assert!(lexicographic_mis(&g).is_empty());
-        assert!(max_degree_mis(&g).is_empty());
-        assert!(min_degree_mis(&g).is_empty());
     }
 }

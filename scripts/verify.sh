@@ -8,6 +8,11 @@
 #   build test fmt clippy doc check fuzz pool tracing serve substrate
 #   grid kernel bench
 #
+# The `build` stage also compiles the benchmark harness, `perfbench/`: a
+# cargo workspace of its own that builds this repository's crates by path
+# (into `.bench_build`, as `perfbench/run.py` does), so an API change that
+# breaks the benchmark fails here.
+#
 # The `doc` stage builds the workspace docs with rustdoc warnings denied,
 # so a link to a deleted or private item fails the gate.
 #
@@ -48,6 +53,9 @@ trap 'rm -rf "$det_dir"' EXIT
 if want build; then
   echo "== cargo build --release =="
   cargo build --release --workspace
+  echo "== cargo build --release (perfbench harness) =="
+  CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
 fi
 
 if want test; then
@@ -120,13 +128,29 @@ if want tracing; then
     diff "$det_dir/solve_plain_$tn.txt" "$det_dir/solve_traced_$tn.txt"
     cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/trace_$tn.jsonl"
   done
-  cargo run --quiet --release -p mcds-cli -- trace summarize "$det_dir/trace_200.jsonl" \
-    > "$det_dir/summary.txt"
-  # The phase spans must account for >= 95% of root-span wall time.
-  coverage=$(awk 'END { gsub(/%/, "", $NF); print $NF }' "$det_dir/summary.txt")
-  awk -v c="$coverage" 'BEGIN { exit !(c >= 95.0) }' || {
-    echo "span coverage $coverage% < 95%" >&2; exit 1; }
-  echo "solve output identical with tracing on; trace valid, coverage $coverage%"
+  # The phase spans must account for >= 95% of root-span wall time.  The
+  # n = 200 solves take ~0.2 ms each, so one preemption can sink a single
+  # reading: gate the median of five traces of that instance, and the
+  # n = 1500 trace on its own.
+  coverage_of() {
+    cargo run --quiet --release -p mcds-cli -- trace summarize "$1" \
+      | awk 'END { gsub(/%/, "", $NF); print $NF }'
+  }
+  gate_coverage() {  # gate_coverage PERCENT WHAT
+    awk -v c="$1" 'BEGIN { exit !(c >= 95.0) }' || {
+      echo "$2 span coverage $1% < 95%" >&2; exit 1; }
+  }
+  for i in 2 3 4 5; do
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/trace_200.udg" \
+      --alg all --prune --trace "$det_dir/trace_200_$i.jsonl" --quiet > /dev/null
+  done
+  coverage=$(for f in "$det_dir"/trace_200.jsonl "$det_dir"/trace_200_{2..5}.jsonl; do
+    coverage_of "$f"; done | sort -n | sed -n 3p)
+  gate_coverage "$coverage" "n = 200 (median of 5)"
+  coverage_1500=$(coverage_of "$det_dir/trace_1500.jsonl")
+  gate_coverage "$coverage_1500" "n = 1500"
+  echo "solve output identical with tracing on; traces valid, coverage" \
+    "$coverage% (n = 200, median of 5), $coverage_1500% (n = 1500)"
   # The maintainer's steps (patch, snapshot, baseline solve, repair,
   # verify) must cover >= 95% of its events too: a churn trace at
   # n = 2000, average degree ~10.
@@ -138,8 +162,7 @@ if want tracing; then
   grep -q '^maintain.apply ' "$det_dir/churn_summary.txt" || {
     echo "churn trace has no maintain.apply spans" >&2; exit 1; }
   churn_coverage=$(awk 'END { gsub(/%/, "", $NF); print $NF }' "$det_dir/churn_summary.txt")
-  awk -v c="$churn_coverage" 'BEGIN { exit !(c >= 95.0) }' || {
-    echo "churn span coverage $churn_coverage% < 95%" >&2; exit 1; }
+  gate_coverage "$churn_coverage" "churn"
   echo "churn trace valid, coverage $churn_coverage%"
   # Flame attribution: per-label self times must reconstruct >= 99% of
   # root-span wall time (the folding identity), and both the collapsed
@@ -318,6 +341,15 @@ if want bench; then
     exit 1
   fi
   echo "trajectory gate passes on a steady run and flags the 2x fixture"
+  # Every committed artifact must record: a BENCH_*.json whose bench has
+  # no field map in the ledger is an error, not a guess.
+  cargo run --quiet --release -p mcds-bench --bin trajectory -- record \
+    --dir results --out "$det_dir/committed.jsonl" --rev committed > /dev/null
+  for b in fault profile serve substrate; do
+    grep -q "\"$b\"" "$det_dir/committed.jsonl" || {
+      echo "recorded committed artifacts lack the $b bench" >&2; exit 1; }
+  done
+  echo "committed BENCH_*.json artifacts record: fault, profile, serve, substrate"
   # The committed ledger (appended after full experiment runs; see
   # EXPERIMENTS.md E24) must stay schema-valid.
   if [[ -f results/BENCH_trajectory.jsonl ]]; then

@@ -18,7 +18,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`geom`] | `mcds-geom` | points, disks, hulls, spatial grid, packing predicates |
+//! | [`geom`] | `mcds-geom` | points, unit disks, bounding boxes, packing predicates |
 //! | [`graph`] | `mcds-graph` | CSR graphs, BFS trees, union–find, CDS/MIS predicates |
 //! | [`udg`] | `mcds-udg` | unit-disk-graph model, instance generators, I/O |
 //! | [`mis`] | `mcds-mis` | first-fit MIS, star decompositions, packing bounds, Fig. 1/2 constructions |
