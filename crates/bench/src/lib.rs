@@ -32,7 +32,8 @@ use std::path::PathBuf;
 ///   date),
 /// * `--out <dir>` — write CSV artifacts into `<dir>`,
 /// * `--threads <N>` — worker-pool width for instance generation and
-///   per-trial fan-out (default: available parallelism).  Results are
+///   per-trial fan-out (default: available parallelism; at most
+///   [`mcds_pool::MAX_THREADS`]).  Results are
 ///   bit-identical at any width (see `mcds-pool`'s determinism
 ///   contract); only wall-clock time changes.
 #[derive(Debug, Clone)]
@@ -67,8 +68,17 @@ impl ExpConfig {
     /// Panics with a usage message on unknown flags or malformed values —
     /// appropriate for experiment binaries.
     pub fn from_args() -> Self {
+        let cfg = ExpConfig::parse(std::env::args().skip(1));
+        mcds_pool::global::configure(cfg.threads);
+        cfg
+    }
+
+    /// [`ExpConfig::from_args`] over an explicit argument list, leaving
+    /// the pool alone.
+    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        let usage = "usage: [--quick] [--seed <u64>] [--out <dir>] [--threads <n>]";
         let mut cfg = ExpConfig::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => cfg.quick = true,
@@ -82,15 +92,15 @@ impl ExpConfig {
                 }
                 "--threads" => {
                     let v = args.next().expect("--threads needs a value");
-                    cfg.threads = v.parse().expect("--threads must be a positive integer");
+                    cfg.threads = v
+                        .parse()
+                        .map_err(|_| format!("must be a count (got {v})"))
+                        .and_then(mcds_pool::check_threads)
+                        .unwrap_or_else(|rule| panic!("--threads {rule}; {usage}"));
                 }
-                other => panic!(
-                    "unknown argument `{other}`; usage: \
-                     [--quick] [--seed <u64>] [--out <dir>] [--threads <n>]"
-                ),
+                other => panic!("unknown argument `{other}`; {usage}"),
             }
         }
-        mcds_pool::global::configure(cfg.threads);
         cfg
     }
 
@@ -307,6 +317,21 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
         fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn thread_counts_parse_up_to_the_bound() {
+        let args = |t: &str| ["--threads", t].map(String::from);
+        assert_eq!(ExpConfig::parse(args("1024")).threads, 1024);
+        for bad in ["0", "1025"] {
+            let err = std::panic::catch_unwind(|| ExpConfig::parse(args(bad)))
+                .expect_err("out-of-range --threads panics");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.starts_with("--threads must be between 1 and 1024"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -196,12 +196,11 @@ pub fn gamma_c_lower_bound(g: &Graph) -> usize {
     let diam_lb = traversal::diameter(g)
         .map(bounds::gamma_lower_bound_from_diameter)
         .unwrap_or(0);
-    // The u128 fast path solves sparse UDGs up to 128 nodes in
-    // milliseconds; beyond that the per-step cost of the wide engine
-    // makes exactness a poor trade inside a sweep, so fall back to the
-    // first-fit MIS size (still a valid lower bound on α).
+    // The exact search solves sparse UDGs up to its 128-node cap in
+    // milliseconds; beyond that, fall back to the first-fit MIS size
+    // (still a valid lower bound on α).
     let alpha_hat = if g.num_nodes() <= 128 {
-        mcds_exact::try_max_independent_set_any(g, 1_000_000)
+        mcds_exact::try_max_independent_set(g, 1_000_000)
             .map(|s| s.len())
             .unwrap_or_else(|| BfsMis::compute(g, 0).len())
     } else {

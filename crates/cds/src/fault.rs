@@ -9,7 +9,8 @@
 //!    [`weighted_m_fold_dominators`]) — a node-weighted greedy that keeps
 //!    electing dominators until every non-backbone node is covered by at
 //!    least `m` of them, so any `m − 1` dominator deaths leave every
-//!    client covered.
+//!    client covered.  Its lazy queue also runs Chvátal's set cover
+//!    (`m = 1`) and greedy growth (`m = 1`, gray candidates only).
 //! 2. **Weighted connectors** ([`weighted_max_gain_connectors`]) — the
 //!    paper's max-gain rule with component merges priced per unit of node
 //!    weight (cross-multiplied integer arithmetic; no floats, so
@@ -73,6 +74,9 @@ pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
 /// would find; else it is requeued with its true gain.
 /// `mfold.candidates_scanned` counts the initial scan plus the pops.
 ///
+/// The same queue, at `m = 1` with unit weights and restricted to gray
+/// candidates, runs greedy growth ([`crate::Algorithm::GreedyGrowth`]).
+///
 /// # Errors
 ///
 /// [`CdsError::InvalidSet`] if `weights.len() != g.num_nodes()`.
@@ -89,35 +93,58 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
             n
         )));
     }
+    let mut out = elect(g, weights, m, false);
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// The lazy election of [`weighted_m_fold_dominators`], returning the
+/// elected nodes in election order (`weights.len()` must be
+/// `g.num_nodes()`).
+///
+/// With `gray_only` (greedy growth, `m = 1` only), only gray nodes
+/// (dominated non-members) are candidates after the first pick, so the
+/// elected set stays connected.  The queue is emptied after that pick,
+/// and a node is queued with its exact gain when an election turns it
+/// gray, so each candidate keeps one upper-bound entry and the argmax
+/// argument above holds.  Growth needs a connected graph: while a node
+/// is undominated, a gray neighbour of it has a positive gain.
+pub(crate) fn elect<G: RandomAccessGraph>(
+    g: &G,
+    weights: &[u64],
+    m: usize,
+    gray_only: bool,
+) -> Vec<usize> {
+    debug_assert!(!gray_only || m == 1);
+    let n = g.num_nodes();
     if m == 0 || n == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     // Remaining deficit of v: 0 once elected, else max(0, m − elected
     // neighbors of v).
     let mut deficit = vec![m; n];
     // Electing u erases u's own deficit and covers each unsatisfied
     // non-member neighbor once more.
-    let gain = |deficit: &[usize], u: usize| {
-        deficit[u] + g.successors(u).filter(|&w| deficit[w] > 0).count()
+    let entry = |deficit: &[usize], node: usize| Candidate {
+        gain: deficit[node] + g.successors(node).filter(|&w| deficit[w] > 0).count(),
+        weight: weights[node],
+        node,
     };
     let mut queue: BinaryHeap<Candidate> = (0..n)
-        .map(|node| Candidate {
-            gain: gain(&deficit, node),
-            weight: weights[node],
-            node,
-        })
+        .map(|node| entry(&deficit, node))
         .filter(|c| c.gain > 0)
         .collect();
     let mut scanned = n as u64;
     let mut total: usize = n * m;
     let mut out = Vec::new();
+    let mut turned_gray = Vec::new();
     while total > 0 {
         let top = queue
             .pop()
             .expect("positive total deficit implies a positive-gain candidate");
         scanned += 1;
         let u = top.node;
-        let now = gain(&deficit, u);
+        let now = entry(&deficit, u).gain;
         if now < top.gain {
             if now > 0 {
                 queue.push(Candidate { gain: now, ..top });
@@ -127,14 +154,21 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
         total -= now;
         deficit[u] = 0;
         out.push(u);
+        if gray_only && out.len() == 1 {
+            queue.clear();
+        }
         for w in g.successors(u) {
+            if gray_only && deficit[w] == 1 {
+                turned_gray.push(w);
+            }
             deficit[w] = deficit[w].saturating_sub(1);
         }
+        let entries = turned_gray.drain(..).map(|w| entry(&deficit, w));
+        queue.extend(entries.filter(|c| c.gain > 0));
     }
     mcds_obs::counter!("mfold.candidates_scanned", scanned);
     mcds_obs::counter!("mfold.selected", out.len() as u64);
-    out.sort_unstable();
-    Ok(out)
+    out
 }
 
 /// A queue entry of the m-fold election: the greatest entry has the best

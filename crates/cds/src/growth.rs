@@ -7,6 +7,14 @@
 //! dominates.  On general graphs its ratio is `O(log Δ)` (Guha & Khuller
 //! 1998); the CDS literature the paper builds on ([2], [8]) uses closely
 //! related greedy covers, which is why it belongs in the comparison pool.
+//!
+//! The loop is the lazy election of [`crate::fault`] at `m = 1` with unit
+//! weights, restricted to gray candidates (dominated non-members): a
+//! gray node's gain is the number of undominated nodes it would cover,
+//! gains only fall, and ties go to the smaller id, so the queue picks
+//! what a rescan of all nodes per step would (that rescan is the oracle
+//! in `tests/kernel_equiv.rs`).  Growth runs therefore bump the
+//! `mfold.*` counters.
 
 use mcds_graph::RandomAccessGraph;
 
@@ -15,72 +23,9 @@ use mcds_graph::RandomAccessGraph;
 ///
 /// The seed is the maximum-degree node (ties toward the smaller id); each
 /// step adds the neighbor of the current set with the largest number of
-/// newly dominated nodes (ties toward the smaller id).  Progress is
-/// guaranteed on connected graphs: while some node is undominated, some
-/// candidate has positive gain.
+/// newly dominated nodes (ties toward the smaller id).
 pub(crate) fn grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
-    let n = g.num_nodes();
-    let seed = (0..n)
-        .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
-        .expect("nonempty");
-
-    let mut in_set = vec![false; n];
-    let mut dominated = vec![false; n];
-    let mut undominated = n;
-    let mut set = Vec::new();
-
-    let add = |v: usize,
-               in_set: &mut Vec<bool>,
-               dominated: &mut Vec<bool>,
-               undominated: &mut usize,
-               set: &mut Vec<usize>| {
-        in_set[v] = true;
-        set.push(v);
-        if !dominated[v] {
-            dominated[v] = true;
-            *undominated -= 1;
-        }
-        for u in g.successors(v) {
-            if !dominated[u] {
-                dominated[u] = true;
-                *undominated -= 1;
-            }
-        }
-    };
-
-    add(
-        seed,
-        &mut in_set,
-        &mut dominated,
-        &mut undominated,
-        &mut set,
-    );
-
-    while undominated > 0 {
-        // Candidates: dominated non-members adjacent to the set (gray
-        // nodes).  Gain = newly dominated nodes.
-        let mut best: Option<(usize, usize)> = None; // (gain, node)
-        for v in 0..n {
-            if in_set[v] || !dominated[v] {
-                continue;
-            }
-            if !g.successors(v).any(|u| in_set[u]) {
-                continue;
-            }
-            let gain = g.successors(v).filter(|&u| !dominated[u]).count();
-            if gain == 0 {
-                continue;
-            }
-            match best {
-                Some((bg, bv)) if (bg, std::cmp::Reverse(bv)) >= (gain, std::cmp::Reverse(v)) => {}
-                _ => best = Some((gain, v)),
-            }
-        }
-        let (_, v) = best
-            .expect("connected graph with undominated nodes always has a positive-gain gray node");
-        add(v, &mut in_set, &mut dominated, &mut undominated, &mut set);
-    }
-    set
+    crate::fault::elect(g, &vec![1; g.num_nodes()], 1, true)
 }
 
 #[cfg(test)]

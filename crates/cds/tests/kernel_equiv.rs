@@ -1,20 +1,23 @@
-//! Differential kernel suite: the production phase-2 and prune kernels
-//! must be *byte-identical* to reference oracles — same `Solution`s,
-//! same connector sequences, same gain traces, same pruned sets, same
-//! errors — on every oracle-scale instance and on 200+ seeded UDG
-//! deployments.
+//! Differential kernel suite: the production phase-2, prune and
+//! greedy-growth kernels must be *byte-identical* to reference oracles —
+//! same `Solution`s, same connector sequences, same gain traces, same
+//! pruned sets, same errors — on every oracle-scale instance and on 200+
+//! seeded UDG deployments.
 //!
 //! The oracles are the original scalar loops, kept here as they ran in
 //! production: [`merge_scalar`] rescans every candidate per max-gain
 //! selection (confined to a candidate zone, it is the churn maintainer's
-//! former connector patch) and [`prune_scalar`] re-checks the whole set
-//! per removal candidate.  The production kernels are pure accelerators of them: a
-//! lazy bucket queue for the phase-2 argmax, and incremental cover
-//! counts + local cut-vertex certificates for the prune scan.  The prune
-//! scan is also diffed against [`prune_global_pass`], which reruns the
-//! masked Tarjan pass after every accepted removal, on every case here
-//! and on hostile families built to make its certificates and refreshes
-//! fire.  Anything short of bit-equality here is a bug, not a tolerance.
+//! former connector patch), [`prune_scalar`] re-checks the whole set
+//! per removal candidate, and [`oracle_grow`] rescans every node per
+//! greedy-growth step.  The production kernels are pure accelerators of
+//! them: a lazy bucket queue for the phase-2 argmax, incremental cover
+//! counts + local cut-vertex certificates for the prune scan, and the
+//! m-fold election's lazy heap restricted to gray nodes for growth.
+//! The prune scan is also diffed against [`prune_global_pass`], which
+//! reruns the masked Tarjan pass after every accepted removal, on every
+//! case here and on hostile families built to make its certificates and
+//! refreshes fire.  Anything short of bit-equality here is a bug, not a
+//! tolerance.
 
 use mcds_cds::connect::{
     gain_trace, max_gain_connectors, max_gain_connectors_within, max_gain_then_paths,
@@ -135,6 +138,80 @@ fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
     Ok(run.connectors)
 }
 
+/// Oracle for greedy growth ([`Algorithm::GreedyGrowth`]): the loop as
+/// it ran in production, rescanning every node per step.  `g` must be
+/// non-empty and connected.  Returns the grown set in selection order.
+///
+/// The seed is the maximum-degree node (ties toward the smaller id); each
+/// step adds the neighbor of the current set with the largest number of
+/// newly dominated nodes (ties toward the smaller id).  Progress is
+/// guaranteed on connected graphs: while some node is undominated, some
+/// candidate has positive gain.
+fn oracle_grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+    let n = g.num_nodes();
+    let seed = (0..n)
+        .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
+        .expect("nonempty");
+
+    let mut in_set = vec![false; n];
+    let mut dominated = vec![false; n];
+    let mut undominated = n;
+    let mut set = Vec::new();
+
+    let add = |v: usize,
+               in_set: &mut Vec<bool>,
+               dominated: &mut Vec<bool>,
+               undominated: &mut usize,
+               set: &mut Vec<usize>| {
+        in_set[v] = true;
+        set.push(v);
+        if !dominated[v] {
+            dominated[v] = true;
+            *undominated -= 1;
+        }
+        for u in g.successors(v) {
+            if !dominated[u] {
+                dominated[u] = true;
+                *undominated -= 1;
+            }
+        }
+    };
+
+    add(
+        seed,
+        &mut in_set,
+        &mut dominated,
+        &mut undominated,
+        &mut set,
+    );
+
+    while undominated > 0 {
+        // Candidates: dominated non-members adjacent to the set (gray
+        // nodes).  Gain = newly dominated nodes.
+        let mut best: Option<(usize, usize)> = None; // (gain, node)
+        for v in 0..n {
+            if in_set[v] || !dominated[v] {
+                continue;
+            }
+            if !g.successors(v).any(|u| in_set[u]) {
+                continue;
+            }
+            let gain = g.successors(v).filter(|&u| !dominated[u]).count();
+            if gain == 0 {
+                continue;
+            }
+            match best {
+                Some((bg, bv)) if (bg, std::cmp::Reverse(bv)) >= (gain, std::cmp::Reverse(v)) => {}
+                _ => best = Some((gain, v)),
+            }
+        }
+        let (_, v) = best
+            .expect("connected graph with undominated nodes always has a positive-gain gray node");
+        add(v, &mut in_set, &mut dominated, &mut undominated, &mut set);
+    }
+    set
+}
+
 /// The candidate order every prune scans: ascending `(degree, id)`.
 fn scan_order<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
     let mut order = set.to_vec();
@@ -224,8 +301,9 @@ fn assert_prune_agrees(g: &Graph, set: &[usize], with_scalar: bool, label: &str)
     }
 }
 
-/// Runs both phase-2 routines and the prune post-pass on `g` through the
-/// production kernels and the oracles and asserts identical results.
+/// Runs both phase-2 routines, greedy growth and the prune post-pass on
+/// `g` through the production kernels and the oracles and asserts
+/// identical results.
 fn assert_kernels_agree(g: &Graph, label: &str) {
     if g.num_nodes() < 2 {
         return;
@@ -248,6 +326,15 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
     let a = max_gain_then_paths(g, &weak);
     let b = oracle_max_gain_then_paths(g, &weak);
     assert_eq!(a, b, "{label}: max_gain_then_paths diverged");
+    // Greedy growth: the election queue against the rescan.
+    let grown = Solver::new(Algorithm::GreedyGrowth)
+        .solve(g)
+        .expect("connected instance solves");
+    assert_eq!(
+        grown.cds(),
+        &Cds::new(oracle_grow(g), Vec::new()),
+        "{label}: greedy growth diverged"
+    );
     // Prune from a lean input (the greedy CDS) and from the fattest
     // possible input (every vertex, if V is connected-dominating).
     let cds = Solver::new(Algorithm::GreedyConnect)
@@ -260,11 +347,15 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
 
 /// What `Solver::new(alg).prune(true).verify(true).solve(g)` returns,
 /// rebuilt from `unpruned` (the same solve without prune) through the
-/// oracles: its phase-1 dominators, oracle connectors for the two
-/// max-gain algorithms (the other phase-2 rules share no kernel), and
-/// the oracle prune.  Returns the CDS and `pruned_from`.
+/// oracles: the growth rescan for greedy growth; otherwise its phase-1
+/// dominators, with oracle connectors for the two max-gain algorithms
+/// (the other phase-2 rules share no kernel); then the oracle prune.
+/// Returns the CDS and `pruned_from`.
 fn oracle_solution(g: &Graph, unpruned: &Solution) -> (Cds, Option<usize>) {
-    let dominators = unpruned.cds().dominators().to_vec();
+    let dominators = match unpruned.algorithm() {
+        Algorithm::GreedyGrowth => oracle_grow(g),
+        _ => unpruned.cds().dominators().to_vec(),
+    };
     let connectors = match unpruned.algorithm() {
         Algorithm::GreedyConnect => oracle_max_gain_connectors(g, &dominators),
         Algorithm::ArbitraryMis => oracle_max_gain_then_paths(g, &dominators),
@@ -320,7 +411,7 @@ fn giant_graph(points: Vec<mcds_geom::Point>) -> Option<Udg> {
 
 /// Every `mcds-check` oracle case (the ≤18-node instances the exact
 /// differential suite uses) agrees with the oracles on connectors, gain
-/// traces, stall behavior, and pruning.
+/// traces, stall behavior, pruning and greedy growth.
 #[test]
 fn oracle_cases_agree_across_kernels() {
     let gen = oracle_cases(18);
@@ -400,8 +491,9 @@ fn cli_gen_instances_agree_across_kernels() {
 
 /// The at-scale identity E25 used to assert: E19's recipe (giant
 /// component of a uniform deployment at average degree ≈ 10, seed
-/// 20080617) at n = 5 000 and 10 000, `GreedyConnect` with prune.  The
-/// scalar oracle takes seconds here even in release builds.
+/// 20080617) at n = 5 000 and 10 000, `GreedyConnect` and
+/// `GreedyGrowth` with prune.  The scalar oracles take seconds here even
+/// in release builds.
 #[test]
 #[ignore = "release-scale scalar oracle; run with --include-ignored"]
 fn e19_ladder_agrees_across_kernels_at_scale() {
@@ -409,7 +501,9 @@ fn e19_ladder_agrees_across_kernels_at_scale() {
         let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
         let mut rng = StdRng::seed_from_u64(20_080_617 ^ n as u64);
         let udg = gen::giant_component_instance(&mut rng, n, side);
-        assert_solution_agrees(udg.graph(), Algorithm::GreedyConnect, &format!("E19 n {n}"));
+        for alg in [Algorithm::GreedyConnect, Algorithm::GreedyGrowth] {
+            assert_solution_agrees(udg.graph(), alg, &format!("E19 n {n}"));
+        }
     }
 }
 

@@ -107,12 +107,16 @@ fn algorithms_for(name: &str) -> Result<Vec<Algorithm>, CliError> {
 /// Parses `--threads` (default: available parallelism) and configures the
 /// process-wide worker pool to that width.
 fn configure_pool(args: &Args) -> Result<usize, CliError> {
-    let threads: usize = args.parsed_or("threads", mcds_pool::default_parallelism())?;
-    if threads == 0 {
-        return Err(CliError::Usage("--threads must be at least 1".into()));
-    }
+    let threads = parse_thread_count(args, "threads", mcds_pool::default_parallelism())?;
     mcds_pool::global::configure(threads);
     Ok(threads)
+}
+
+/// Parses a count of OS threads (`--threads`, `--clients`), which
+/// [`mcds_pool::check_threads`] bounds.
+fn parse_thread_count(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+    let count: usize = args.parsed_or(flag, default)?;
+    mcds_pool::check_threads(count).map_err(|rule| CliError::Usage(format!("--{flag} {rule}")))
 }
 
 /// Parses `--m` (m-fold domination level) with the [`Solver::m`] range
@@ -893,12 +897,9 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     if let Some(addr) = args.value("top") {
         return serve_top(addr, &args);
     }
+    let threads = parse_thread_count(&args, "threads", mcds_pool::default_parallelism())?;
     let udg = load(&args)?;
     let m = parse_m(&args)?;
-    let threads: usize = args.parsed_or("threads", mcds_pool::default_parallelism())?;
-    if threads == 0 {
-        return Err(CliError::Usage("--threads must be at least 1".into()));
-    }
     let addr = args.value("addr").unwrap_or("127.0.0.1:0");
     // The daemon's metrics endpoints (JSONL `{"op":"metrics"}` and HTTP
     // `GET /metrics`) need the subscriber on.  Span/log events are only
@@ -912,7 +913,6 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
         m,
         threads,
         retain_trace,
-        ..mcds_serve::ServeConfig::default()
     };
     let server = mcds_serve::Server::bind(addr, cfg, udg.points().to_vec())
         .map_err(|e| CliError::Runtime(format!("{addr}: {e}")))?;
@@ -964,13 +964,13 @@ fn serve_connect(addr: &str) -> Result<(), CliError> {
 /// The `serve --bench` load generator.
 fn serve_bench(addr: &str, args: &Args) -> Result<(), CliError> {
     let cfg = mcds_serve::LoadConfig {
-        clients: args.parsed_or("clients", 8)?,
+        clients: parse_thread_count(args, "clients", 8)?,
         requests: args.parsed_or("requests", 200)?,
         churn_every: args.parsed_or("churn-every", 10)?,
     };
-    if cfg.clients == 0 || cfg.requests == 0 {
+    if cfg.requests == 0 {
         return Err(CliError::Usage(
-            "serve --bench needs --clients >= 1 and --requests >= 1".into(),
+            "serve --bench needs --requests >= 1".into(),
         ));
     }
     let side: f64 = args.parsed_or("side", 6.0)?;
@@ -1718,12 +1718,33 @@ mod tests {
             serve(&sv(&["--bench", "127.0.0.1:1", "--clients", "0"])),
             Err(CliError::Usage(_))
         ));
+        // One OS thread per client: past the bound, nothing connects.
+        match serve(&sv(&["--bench", "127.0.0.1:9", "--clients", "1025"])) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("--clients"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
         // Nothing listens on a fresh ephemeral-range port we never bound.
         assert!(matches!(
             serve(&sv(&["--connect", "127.0.0.1:9"])),
             Err(CliError::Runtime(_))
         ));
         assert!(matches!(serve(&sv(&[])), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn thread_counts_past_the_bound_are_usage_errors() {
+        // Rejected while parsing: no pool region or daemon starts.
+        let f = tmp("inst_thread_bound.udg");
+        gen(&sv(&["--n", "20", "--side", "3", "--seed", "2", "-o", &f])).unwrap();
+        for result in [
+            sweep(&sv(&["--n", "20", "--trials", "1", "--threads", "1025"])),
+            serve(&sv(&[&f, "--threads", "1025"])),
+        ] {
+            match result {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--threads"), "{msg}"),
+                other => panic!("expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

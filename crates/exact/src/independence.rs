@@ -174,6 +174,11 @@ mod tests {
         assert_eq!(independence_number(&Graph::cycle(7)), 3);
         assert_eq!(independence_number(&Graph::cycle(8)), 4);
         assert_eq!(independence_number(&Graph::star(9)), 8);
+        // At the 128-node cap the candidate word is full (`u128::MAX`).
+        let cycle = Graph::cycle(128);
+        let mis = max_independent_set(&cycle);
+        assert!(properties::is_independent_set(&cycle, &mis));
+        assert_eq!(mis.len(), 64);
     }
 
     #[test]

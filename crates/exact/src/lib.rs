@@ -9,8 +9,6 @@
 //!
 //! * [`max_independent_set`] — B&B with greedy-clique-cover bounding
 //!   (practical to n ≈ 120 on sparse UDGs; hard caps at 128 nodes),
-//! * [`try_max_independent_set_any`] — the same search over
-//!   arbitrary-width bitsets for graphs beyond 128 nodes,
 //! * [`min_dominating_set`] — B&B branching on the closed neighborhood of
 //!   an uncovered vertex,
 //! * [`min_connected_dominating_set`] — iterative deepening over the CDS
@@ -42,7 +40,6 @@
 mod domination;
 mod fault;
 mod independence;
-mod wide;
 
 pub mod brute;
 
@@ -52,21 +49,6 @@ pub use domination::{
 };
 pub use fault::{is_biconnected, is_m_dominating, min_12cds, try_min_12cds};
 pub use independence::{independence_number, max_independent_set, try_max_independent_set};
-
-/// Budgeted exact maximum independent set for graphs of *any* size:
-/// dispatches to the 128-bit fast path when it fits, and to the
-/// arbitrary-width engine otherwise.
-///
-/// Returns `None` when `max_steps` branch & bound nodes are exhausted
-/// (a `Some` is always exact).  Practical reach depends on structure:
-/// sparse UDGs solve comfortably to a few hundred nodes.
-pub fn try_max_independent_set_any(g: &mcds_graph::Graph, max_steps: u64) -> Option<Vec<usize>> {
-    if g.num_nodes() <= 128 {
-        try_max_independent_set(g, max_steps)
-    } else {
-        wide::try_max_independent_set_wide(g, max_steps)
-    }
-}
 
 /// Default step budget for the `try_*` solvers used in experiment sweeps:
 /// generous enough for the instance sizes the harness generates, small

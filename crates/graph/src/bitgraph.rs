@@ -130,30 +130,6 @@ impl BitSet {
             .sum()
     }
 
-    /// Word-parallel intersection in place: `self ∩= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Word-parallel difference in place: `self ∖= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
     /// Iterates set bits in ascending order.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -326,12 +302,6 @@ mod tests {
         let a = BitSet::from_nodes(130, &[0, 1, 63, 64, 65, 128]);
         let b = BitSet::from_nodes(130, &[1, 64, 127, 129]);
         assert_eq!(a.and_count(&b), 2);
-        let mut both = a.clone();
-        both.intersect_with(&b);
-        assert_eq!(both.to_nodes(), vec![1, 64]);
-        let mut only_a = a.clone();
-        only_a.difference_with(&b);
-        assert_eq!(only_a.to_nodes(), vec![0, 63, 65, 128]);
     }
 
     /// The oracle, independent of any Tarjan: a member is a cut vertex of

@@ -69,16 +69,6 @@ fn intersection_count_matches_naive_loop() {
                     a.and_count(&b)
                 ));
             }
-            let mut both = a.clone();
-            both.intersect_with(&b);
-            if both.to_nodes() != (0..bits).filter(|&i| ma[i] && mb[i]).collect::<Vec<_>>() {
-                return TestResult::Fail("intersect_with diverged".into());
-            }
-            let mut only_a = a.clone();
-            only_a.difference_with(&b);
-            if only_a.to_nodes() != (0..bits).filter(|&i| ma[i] && !mb[i]).collect::<Vec<_>>() {
-                return TestResult::Fail("difference_with diverged".into());
-            }
             TestResult::Pass
         },
     );

@@ -1,4 +1,4 @@
-//! Hermetic work-stealing parallelism for the `mcds` workspace.
+//! Hermetic parallelism for the `mcds` workspace.
 //!
 //! The workspace is dependency-free by design (see the workspace
 //! `Cargo.toml`), so this crate provides the parallel substrate that
@@ -10,14 +10,17 @@
 //! # Scheduling
 //!
 //! Each parallel region runs a team of scoped worker threads (one per
-//! configured thread).  Spawned jobs land in per-worker deques,
-//! round-robin; a worker pops its own deque from the front and, when it
-//! runs dry, *steals* from the back of a sibling's deque.  The team is
-//! created per region with [`std::thread::scope`], which keeps the whole
-//! crate in safe Rust and lets jobs borrow from the caller's stack —
-//! exactly what the sweep harness needs.  Worker startup is a few tens of
-//! microseconds; the workloads this crate exists for (UDG construction,
-//! experiment trials) are milliseconds to seconds per region.
+//! configured thread) off one FIFO queue: spawned jobs are claimed in
+//! spawn order by whichever worker is free, so a region of width `w`
+//! never runs more than `w` jobs at once.  A job cannot reach its
+//! region's [`PoolScope`], so jobs never spawn jobs and one queue is
+//! all the balancing the callers need: a sweep's trials and a daemon's
+//! connections.  The team is created per region with
+//! [`std::thread::scope`], which keeps the whole crate in safe Rust and
+//! lets jobs borrow from the caller's stack — exactly what the sweep
+//! harness needs.  Worker startup is a few tens of microseconds; the
+//! workloads this crate exists for (UDG construction, experiment trials)
+//! are milliseconds to seconds per region.
 //!
 //! # Determinism contract
 //!
@@ -45,18 +48,33 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 pub mod global;
+
+/// The widest pool a front end accepts: every region of a width-`w` pool
+/// raises `w` OS threads, so `--threads` (and `serve --bench --clients`,
+/// one thread per client) above this is a usage error.
+pub const MAX_THREADS: usize = 1024;
+
+/// Checks a requested count of OS threads against `1..=`[`MAX_THREADS`]:
+/// the count itself, or the rule it breaks for a front end to prefix with
+/// its flag.
+pub fn check_threads(count: usize) -> Result<usize, String> {
+    if (1..=MAX_THREADS).contains(&count) {
+        Ok(count)
+    } else {
+        Err(format!("must be between 1 and {MAX_THREADS} (got {count})"))
+    }
+}
 
 type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// A work-stealing thread pool of a fixed logical width.
+/// A thread pool of a fixed logical width.
 ///
 /// The pool itself is a lightweight handle (the worker team is raised per
 /// parallel region; see the crate docs), so it is cheap to construct,
@@ -78,12 +96,6 @@ impl ThreadPool {
         }
     }
 
-    /// A pool as wide as [`std::thread::available_parallelism`] (falling
-    /// back to 1 if the platform cannot report it).
-    pub fn with_default_parallelism() -> Self {
-        ThreadPool::new(default_parallelism())
-    }
-
     /// The configured logical width.
     pub fn threads(&self) -> usize {
         self.threads
@@ -93,7 +105,8 @@ impl ThreadPool {
     ///
     /// All spawned jobs complete before `scope` returns.  Jobs may borrow
     /// anything that outlives the `scope` call.  If a job panics, the
-    /// panic is re-raised on the calling thread after the region drains.
+    /// first panic is re-raised on the calling thread after the region
+    /// drains.
     ///
     /// ```
     /// use mcds_pool::ThreadPool;
@@ -111,37 +124,37 @@ impl ThreadPool {
     /// assert_eq!(hits.load(Ordering::Relaxed), 32);
     /// ```
     pub fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
-        if self.threads == 1 {
+        let (sender, receiver) = mpsc::channel();
+        let region = Region {
+            queue: Mutex::new(receiver),
+            queued: AtomicUsize::new(0),
+            first_panic: Mutex::new(None),
+        };
+        let result = if self.threads == 1 {
             // Inline reference schedule: jobs run immediately on spawn.
-            let shared = Shared::new(1);
-            let scope = PoolScope {
-                shared: &shared,
-                next_queue: AtomicUsize::new(0),
-                inline: true,
-            };
-            let result = f(&scope);
-            if let Some(payload) = shared.take_panic() {
-                resume_unwind(payload);
-            }
-            return result;
-        }
-        let shared = Shared::new(self.threads);
-        let result = std::thread::scope(|s| {
-            for worker in 0..self.threads {
-                let shared = &shared;
-                s.spawn(move || shared.worker_loop(worker));
-            }
-            // Close the region even if `f` panics, so the workers always
-            // drain and exit and `std::thread::scope` can join them.
-            let _guard = CloseGuard { shared: &shared };
-            let scope = PoolScope {
-                shared: &shared,
-                next_queue: AtomicUsize::new(0),
-                inline: false,
-            };
-            f(&scope)
-        });
-        if let Some(payload) = shared.take_panic() {
+            f(&PoolScope {
+                region: &region,
+                sender: None,
+            })
+        } else {
+            std::thread::scope(|s| {
+                for _ in 0..self.threads {
+                    s.spawn(|| region.work());
+                }
+                // The scope holds the only sender.  It drops when `f`
+                // returns or panics, and the workers then drain the queue
+                // and exit, so `std::thread::scope` can join them.
+                f(&PoolScope {
+                    region: &region,
+                    sender: Some(sender),
+                })
+            })
+        };
+        if let Some(payload) = region
+            .first_panic
+            .into_inner()
+            .expect("panic slot poisoned")
+        {
             resume_unwind(payload);
         }
         result
@@ -200,189 +213,79 @@ impl ThreadPool {
 
 impl Default for ThreadPool {
     fn default() -> Self {
-        ThreadPool::with_default_parallelism()
+        ThreadPool::new(default_parallelism())
     }
 }
 
-/// The number of logical CPUs, or 1 when the platform will not say.
+/// The number of logical CPUs (at most [`MAX_THREADS`]), or 1 when the
+/// platform will not say.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        .map_or(1, |n| n.get())
+        .min(MAX_THREADS)
 }
 
 /// Handle for spawning subtasks inside [`ThreadPool::scope`].
+#[derive(Debug)]
 pub struct PoolScope<'pool, 'env> {
-    shared: &'pool Shared<'env>,
-    next_queue: AtomicUsize,
-    inline: bool,
+    region: &'pool Region<'env>,
+    /// The region's queue; `None` on a one-thread pool, whose jobs run
+    /// inline.
+    sender: Option<mpsc::Sender<Job<'env>>>,
 }
 
 impl<'env> PoolScope<'_, 'env> {
-    /// Queues `job` for execution by the region's workers.
-    ///
-    /// Jobs are dealt to per-worker deques round-robin; idle workers
-    /// steal.  On a one-thread pool the job runs immediately, inline.
+    /// Queues `job` for the region's workers, which claim jobs in spawn
+    /// order.  On a one-thread pool the job runs immediately, inline.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'env) {
-        if self.inline {
-            let start = mcds_obs::enabled().then(std::time::Instant::now);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                self.shared.record_panic(payload);
-            }
-            if let Some(start) = start {
-                mcds_obs::counter!("pool.jobs_spawned");
-                mcds_obs::observe_duration("pool.task_ns", start.elapsed());
-            }
+        mcds_obs::counter!("pool.jobs_spawned");
+        let Some(sender) = &self.sender else {
+            self.region.run(Box::new(job));
             return;
-        }
-        let target = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.push(target, Box::new(job));
+        };
+        let depth = self.region.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        mcds_obs::gauge_set("pool.queue_depth", depth as i64);
+        sender
+            .send(Box::new(job))
+            .expect("the region's receiver outlives its scope");
     }
 }
 
-impl std::fmt::Debug for PoolScope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolScope")
-            .field("workers", &self.shared.queues.len())
-            .field("inline", &self.inline)
-            .finish()
-    }
-}
-
-struct CloseGuard<'pool, 'env> {
-    shared: &'pool Shared<'env>,
-}
-
-impl Drop for CloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.shared.close();
-    }
-}
-
-/// Region state shared between the owner thread and the worker team.
-struct Shared<'env> {
-    /// One deque per worker; owners pop the front, thieves pop the back.
-    queues: Vec<Mutex<VecDeque<Job<'env>>>>,
-    /// Progress accounting, guarded by one mutex so the condvar protocol
-    /// has a single source of truth.
-    state: Mutex<RegionState>,
-    idle: Condvar,
+/// One parallel region: the receiving end of its FIFO queue, shared by
+/// the workers, and the first panic a job raised.
+#[derive(Debug)]
+struct Region<'env> {
+    queue: Mutex<mpsc::Receiver<Job<'env>>>,
+    /// Jobs sent and not yet claimed, for the `pool.queue_depth` gauge.
+    queued: AtomicUsize,
     first_panic: Mutex<Option<PanicPayload>>,
 }
 
-struct RegionState {
-    /// Jobs spawned and not yet finished (queued or running).
-    pending: usize,
-    /// Jobs queued and not yet claimed by any worker.
-    unclaimed: usize,
-    /// The region owner finished spawning; workers may exit once
-    /// `pending` reaches zero.
-    closed: bool,
-}
-
-impl<'env> Shared<'env> {
-    fn new(workers: usize) -> Self {
-        Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(RegionState {
-                pending: 0,
-                unclaimed: 0,
-                closed: false,
-            }),
-            idle: Condvar::new(),
-            first_panic: Mutex::new(None),
-        }
-    }
-
-    fn push(&self, target: usize, job: Job<'env>) {
-        let depth = {
-            let mut st = self.state.lock().expect("pool state poisoned");
-            st.pending += 1;
-            st.unclaimed += 1;
-            st.unclaimed
-        };
-        mcds_obs::counter!("pool.jobs_spawned");
-        mcds_obs::gauge_set("pool.queue_depth", depth as i64);
-        self.queues[target]
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(job);
-        self.idle.notify_one();
-    }
-
-    /// Claims one job: own deque front first, then steal siblings' backs.
-    fn grab(&self, me: usize) -> Option<Job<'env>> {
-        let width = self.queues.len();
-        for offset in 0..width {
-            let k = (me + offset) % width;
-            let mut q = self.queues[k].lock().expect("pool queue poisoned");
-            let job = if offset == 0 {
-                q.pop_front()
-            } else {
-                q.pop_back()
-            };
-            if let Some(job) = job {
-                drop(q);
-                if offset > 0 && mcds_obs::enabled() {
-                    // A claim from a sibling's deque is a steal.
-                    mcds_obs::counter("pool.steals").incr();
-                    mcds_obs::counter(&format!("pool.worker.{me}.steals")).incr();
-                }
-                let mut st = self.state.lock().expect("pool state poisoned");
-                st.unclaimed -= 1;
-                mcds_obs::gauge_set("pool.queue_depth", st.unclaimed as i64);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, me: usize) {
+impl Region<'_> {
+    /// A worker: claims jobs until the queue is closed and empty.
+    fn work(&self) {
         loop {
-            if let Some(job) = self.grab(me) {
-                let start = mcds_obs::enabled().then(std::time::Instant::now);
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    self.record_panic(payload);
-                }
-                if let Some(start) = start {
-                    mcds_obs::observe_duration("pool.task_ns", start.elapsed());
-                    mcds_obs::counter(&format!("pool.worker.{me}.jobs")).incr();
-                }
-                let mut st = self.state.lock().expect("pool state poisoned");
-                st.pending -= 1;
-                if st.pending == 0 && st.closed {
-                    self.idle.notify_all();
-                }
-                continue;
-            }
-            let mut st = self.state.lock().expect("pool state poisoned");
-            loop {
-                if st.closed && st.pending == 0 {
-                    return;
-                }
-                if st.unclaimed > 0 {
-                    // A job was (or is being) published; go claim it.
-                    break;
-                }
-                st = self.idle.wait(st).expect("pool state poisoned");
-            }
+            // The lock is held only while this worker waits for a job.
+            let next = self.queue.lock().expect("pool queue poisoned").recv();
+            let Ok(job) = next else {
+                return;
+            };
+            let depth = self.queued.fetch_sub(1, Ordering::Relaxed) - 1;
+            mcds_obs::gauge_set("pool.queue_depth", depth as i64);
+            self.run(job);
         }
     }
 
-    fn close(&self) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.closed = true;
-        drop(st);
-        self.idle.notify_all();
-    }
-
-    fn record_panic(&self, payload: PanicPayload) {
-        let mut slot = self.first_panic.lock().expect("panic slot poisoned");
-        slot.get_or_insert(payload);
-    }
-
-    fn take_panic(&self) -> Option<PanicPayload> {
-        self.first_panic.lock().expect("panic slot poisoned").take()
+    /// Runs one job, keeping its panic if it is the region's first.
+    fn run(&self, job: Job<'_>) {
+        let start = mcds_obs::enabled().then(std::time::Instant::now);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+            let mut slot = self.first_panic.lock().expect("panic slot poisoned");
+            slot.get_or_insert(payload);
+        }
+        if let Some(start) = start {
+            mcds_obs::observe_duration("pool.task_ns", start.elapsed());
+        }
     }
 }
 
@@ -444,10 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn uneven_work_is_stolen() {
-        // Front-load all the heavy items; a non-stealing scheduler with a
-        // static split would serialize them on one worker.  We only check
-        // correctness here — the schedule itself is unobservable by design.
+    fn uneven_work_keeps_input_order() {
+        // Front-load the heavy items: free workers claim the light ones
+        // meanwhile, and the results still come back in input order.  The
+        // schedule itself is unobservable by design.
         let pool = ThreadPool::new(4);
         let got = pool.parallel_map((0..40u64).collect(), |i, x| {
             if i < 4 {
@@ -456,6 +359,31 @@ mod tests {
             x
         });
         assert_eq!(got, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_region_never_runs_more_jobs_than_its_width() {
+        // The bound `ServeConfig::threads` promises the daemon: with `w`
+        // workers, at most `w` connections are served at once.  Each job
+        // waits at a `w`-party barrier, so every batch of `w` jobs is in
+        // flight together, and a `w + 1`-th job would show in the mark.
+        for width in [1, 2, 4] {
+            let pool = ThreadPool::new(width);
+            let barrier = std::sync::Barrier::new(width);
+            let (running, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            pool.scope(|scope| {
+                for _ in 0..8 * width {
+                    let (barrier, running, high_water) = (&barrier, &running, &high_water);
+                    scope.spawn(move || {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        high_water.fetch_max(now, Ordering::SeqCst);
+                        barrier.wait();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            assert_eq!(high_water.load(Ordering::SeqCst), width);
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@ use mcds_maintain::TopologyEvent;
 use mcds_obs::json::Value;
 use mcds_obs::trace::json_escape;
 
-/// Default cap on request line length (bytes, newline included); longer
-/// lines are rejected and the connection closed, since framing can no
-/// longer be trusted.
+/// Cap on request line length (bytes, newline included); longer lines
+/// are rejected and the connection closed, since framing can no longer
+/// be trusted.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A parsed, validated request.

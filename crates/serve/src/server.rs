@@ -35,8 +35,6 @@ pub struct ServeConfig {
     /// number of concurrently served clients; with 1 the accept loop
     /// serves connections inline, one at a time.
     pub threads: usize,
-    /// Longest accepted request line in bytes (newline included).
-    pub max_line: usize,
     /// Keep buffered span/log trace events for a later flush.  A daemon
     /// enables the obs subscriber so the metrics endpoints have data;
     /// when nothing will ever flush the trace (no `--trace` file), the
@@ -51,7 +49,6 @@ impl Default for ServeConfig {
             radius: 1.0,
             m: 1,
             threads: mcds_pool::default_parallelism(),
-            max_line: MAX_LINE_BYTES,
             retain_trace: false,
         }
     }
@@ -203,7 +200,7 @@ impl Server {
                     Ok((stream, _)) => {
                         mcds_obs::counter!("serve.connections");
                         let shared = Arc::clone(shared);
-                        scope.spawn(move || handle_connection(stream, &shared, cfg));
+                        scope.spawn(move || handle_connection(stream, &shared));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         if !cfg.retain_trace {
@@ -231,12 +228,11 @@ impl Server {
 }
 
 /// Reads one newline-terminated line into `acc`, polling the shutdown
-/// flag on read timeouts and enforcing the line-length cap as bytes
-/// arrive (not after).  Returns `Ok(None)` on EOF or shutdown.
+/// flag on read timeouts and enforcing the [`MAX_LINE_BYTES`] cap as
+/// bytes arrive (not after).  Returns `Ok(None)` on EOF or shutdown.
 fn read_line_limited(
     reader: &mut BufReader<TcpStream>,
     acc: &mut Vec<u8>,
-    max: usize,
     shutdown: &AtomicBool,
 ) -> Result<Option<String>, LineError> {
     loop {
@@ -266,7 +262,7 @@ fn read_line_limited(
         let upto = newline.map_or(chunk.len(), |i| i + 1);
         acc.extend_from_slice(&chunk[..upto]);
         reader.consume(upto);
-        if acc.len() > max {
+        if acc.len() > MAX_LINE_BYTES {
             return Err(LineError::TooLong);
         }
         if newline.is_some() {
@@ -293,7 +289,7 @@ enum LineError {
     Io,
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared, cfg: ServeConfig) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     // One small response per request: Nagle's algorithm would hold each
     // one hostage to the client's delayed ACK (~40 ms per round trip),
     // so send immediately.  Short read timeouts let idle connections
@@ -316,13 +312,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared, cfg: ServeConfig) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let line = match read_line_limited(&mut reader, &mut acc, cfg.max_line, &shared.shutdown) {
+        let line = match read_line_limited(&mut reader, &mut acc, &shared.shutdown) {
             Ok(Some(line)) => line,
             Ok(None) => return,
             Err(LineError::TooLong) => {
                 // Framing is unrecoverable past an oversized line: report
                 // and close.
-                let msg = format!("request line exceeds {} bytes", cfg.max_line);
+                let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
                 let _ = writeln!(writer, "{}", proto::render_error(&msg));
                 return;
             }
@@ -336,7 +332,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, cfg: ServeConfig) {
             // Scrapers (curl, Prometheus) share the JSONL port — JSONL
             // request lines start with `{`, so the grammars never clash.
             mcds_obs::counter!("serve.http_requests");
-            drain_http_headers(&mut reader, &mut acc, cfg.max_line, &shared.shutdown);
+            drain_http_headers(&mut reader, &mut acc, &shared.shutdown);
             let response = http_response(&line);
             let _ = writer
                 .write_all(response.as_bytes())
@@ -375,14 +371,9 @@ fn is_http_request_line(line: &str) -> bool {
 /// head (or EOF/shutdown/error), with the same per-line byte cap as the
 /// JSONL protocol and a hard cap on header count — the shim never
 /// buffers an unbounded request.
-fn drain_http_headers(
-    reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
-    max: usize,
-    shutdown: &AtomicBool,
-) {
+fn drain_http_headers(reader: &mut BufReader<TcpStream>, acc: &mut Vec<u8>, shutdown: &AtomicBool) {
     for _ in 0..64 {
-        match read_line_limited(reader, acc, max, shutdown) {
+        match read_line_limited(reader, acc, shutdown) {
             Ok(Some(line)) if !line.is_empty() => continue,
             _ => return,
         }

@@ -9,7 +9,7 @@ use mcds_geom::Point;
 use mcds_obs::json::Value;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
-use mcds_serve::proto::{render_error, Request};
+use mcds_serve::proto::{render_error, Request, MAX_LINE_BYTES};
 use mcds_serve::{Client, ServeConfig, Server};
 
 /// A connected little line topology: node i at (0.8 i, 0).
@@ -210,15 +210,29 @@ fn http_metrics_shim_coexists_with_jsonl() {
 #[test]
 fn oversized_lines_are_rejected_and_close_the_connection() {
     let cfg = ServeConfig {
-        max_line: 256,
         threads: 2,
         ..ServeConfig::default()
     };
     let (addr, handle) = spawn_server(cfg, line_points(4));
     let mut c = Client::connect(&addr).expect("connect");
-    let huge = format!(r#"{{"op":"solve","alg":"{}"}}"#, "x".repeat(500));
+    // The longest accepted line: `MAX_LINE_BYTES` bytes, newline included.
+    let stats = r#"{"op":"query","what":"stats"}"#;
+    let longest = format!("{stats}{}", " ".repeat(MAX_LINE_BYTES - 1 - stats.len()));
+    assert!(c
+        .request(&longest)
+        .expect("longest line answered")
+        .starts_with(r#"{"ok":true"#));
+    // One byte more.  The newline is the byte over the cap, so the server
+    // has read the whole line when it rejects it, and the close is clean.
+    let (head, tail) = (r#"{"op":"solve","alg":""#, r#""}"#);
+    let fill = "x".repeat(MAX_LINE_BYTES - head.len() - tail.len());
+    let huge = format!("{head}{fill}{tail}");
+    assert_eq!(huge.len() + 1, MAX_LINE_BYTES + 1);
     let resp = c.request(&huge).expect("error response before close");
-    assert!(resp.contains("exceeds 256 bytes"), "{resp}");
+    assert!(
+        resp.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+        "{resp}"
+    );
     // Framing is broken, so the server must have closed the connection.
     assert!(c.request(r#"{"op":"metrics"}"#).is_err());
 

@@ -16,11 +16,17 @@
 # The `doc` stage builds the workspace docs with rustdoc warnings denied,
 # so a link to a deleted or private item fails the gate.
 #
+# The `pool` stage diffs sweep and exp_compare CSVs across pool widths
+# and probes the thread bound: `--threads` and `serve --bench --clients`
+# above mcds_pool::MAX_THREADS (1024) must exit 1 naming the flag, before
+# any worker or client thread starts.
+#
 # Hermetic by design — no network, no external dependencies.  The
 # `kernel` stage runs the two differential suites of the production
-# kernels, `kernel_equiv` (m = 1, and the churn maintainer's confined
-# connector patch) and `fault_equiv` (the fault-tolerant (k, m) family),
-# plus the maintainer's tests with its 10k-node report digest, in release.
+# kernels, `kernel_equiv` (m = 1, greedy growth against its per-step
+# rescan, and the churn maintainer's confined connector patch) and
+# `fault_equiv` (the fault-tolerant (k, m) family), plus the
+# maintainer's tests with its 10k-node report digest, in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,6 +116,23 @@ if want pool; then
     --threads 4 --out "$det_dir/t4" > /dev/null
   diff "$det_dir/t1/exp_compare.csv" "$det_dir/t4/exp_compare.csv"
   echo "CSVs byte-identical at both widths"
+  # Each worker and each load-generator client is an OS thread: a count
+  # past MAX_THREADS is a usage error, rejected while parsing (the
+  # timeout only bounds a regression that would start the threads).
+  cargo run --quiet --release -p mcds-cli -- gen --n 20 --side 3 --seed 1 \
+    --connected -o "$det_dir/pool.udg" > /dev/null
+  for probe in "sweep --threads 1025" "serve $det_dir/pool.udg --threads 1025" \
+    "serve --bench 127.0.0.1:9 --clients 1025"; do
+    read -r -a words <<< "$probe"
+    flag=${words[${#words[@]}-2]}
+    status=0
+    timeout 60 cargo run --quiet --release -p mcds-cli -- "${words[@]}" \
+      > /dev/null 2> "$det_dir/probe_threads.err" || status=$?
+    [[ $status -eq 1 ]] && grep -q -- "$flag" "$det_dir/probe_threads.err" || {
+      echo "\`$probe\` exited $status (want 1, naming $flag):" >&2
+      cat "$det_dir/probe_threads.err" >&2; exit 1; }
+  done
+  echo "thread counts past 1024 rejected: sweep/serve --threads, serve --bench --clients"
 fi
 
 if want tracing; then
@@ -302,9 +325,10 @@ if want kernel; then
   # The differential suites (DESIGN.md §11, §14) in release, including
   # the ignored at-scale cases.  kernel_equiv: every algorithm with prune
   # on, on the oracle cases, 200+ deployments, the uniform n=200/1500,
-  # chain and grid instances `gen` builds, and E19's n=5k/10k rungs; and
-  # the maintainer's confined connector patch against the zoned rescan
-  # on 400+ giants.  fault_equiv: the (k, m) family at m = 1..3,
+  # chain and grid instances `gen` builds, and E19's n=5k/10k rungs
+  # (greedy and greedy growth), with growth's election queue diffed
+  # against the per-step rescan it replaced; and the maintainer's
+  # confined connector patch against the zoned rescan on 400+ giants.  fault_equiv: the (k, m) family at m = 1..3,
   # biconnect on and off, under six weightings, on the oracle cases, 200+
   # deployments, structured, hostile and disconnected inputs, and E19's
   # n=5k/10k rungs.  mcds-maintain: every maintainer test, including the
