@@ -21,7 +21,9 @@
 //! count is a locality-model miss, not a broken backbone).
 //!
 //! Artifacts: `exp_churn.csv` (one row per setting) and `exp_churn.json`
-//! (full metrics, machine-readable) in the output directory.
+//! (full metrics, machine-readable), both deterministic for a seed, and
+//! `exp_churn_timings.csv` (wall time per event, mean and max per
+//! setting) in the output directory.
 //!
 //! Usage: `exp_churn [--quick] [--seed <u64>] [--out <dir>]`
 
@@ -188,6 +190,29 @@ fn main() {
     }
     table.print();
 
+    // Wall clocks vary run to run: they get their own artifact.
+    if let Some(mut w) = cfg.csv("exp_churn_timings") {
+        w.row(&[
+            "source",
+            "knob",
+            "value",
+            "events",
+            "mean_wall_us",
+            "max_wall_us",
+        ]);
+        for run in &runs {
+            let m = &run.metrics;
+            w.row(&[
+                run.source.to_string(),
+                run.knob.to_string(),
+                f2(run.value),
+                m.events.to_string(),
+                format!("{:.1}", m.mean_wall_us()),
+                format!("{:.1}", m.max_wall_us()),
+            ]);
+        }
+    }
+
     if let Some(dir) = &cfg.out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
         let path = dir.join("exp_churn.json");
@@ -223,7 +248,6 @@ fn to_json(n: usize, side: f64, events: usize, runs: &[Run]) -> String {
              \"survival\": {{\"mean\": {:.6}, \"min\": {:.6}}}, \
              \"locality_hist\": [{}, {}, {}, {}], \"mean_touched\": {:.3}, \
              \"size_ratio\": {{\"mean\": {:.6}, \"max\": {:.6}}}, \
-             \"wall_us\": {{\"mean\": {:.1}, \"max\": {:.1}}}, \
              \"final_population\": {}}}{}\n",
             run.source,
             run.knob,
@@ -244,8 +268,6 @@ fn to_json(n: usize, side: f64, events: usize, runs: &[Run]) -> String {
             m.mean_touched(),
             m.mean_ratio(),
             m.ratio_max,
-            m.mean_wall_us(),
-            m.max_wall_us(),
             run.final_population,
             if i + 1 == runs.len() { "" } else { "," }
         ));

@@ -32,9 +32,10 @@
 //! [`mcds_cds::WeightScheme`]s (`exp_fault_weighted.csv`), gated on
 //! validity.
 //!
-//! Artifacts: `exp_fault.csv`, `exp_fault_weighted.csv`,
-//! `exp_fault.json`, and the perf-trajectory entry `BENCH_fault.json` in
-//! the output directory.
+//! Artifacts: `exp_fault.csv`, `exp_fault_weighted.csv` and
+//! `exp_fault.json`, all deterministic for a seed; `exp_fault_timings.csv`
+//! (wall time per event, mean and max per arm); and the perf-trajectory
+//! entry `BENCH_fault.json`, in the output directory.
 //!
 //! Usage: `exp_fault [--quick] [--seed <u64>] [--out <dir>] [--threads <n>]`
 
@@ -171,6 +172,20 @@ fn main() {
         }
     }
     table.print();
+
+    // Wall clocks vary run to run: they get their own artifact.
+    if let Some(mut w) = cfg.csv("exp_fault_timings") {
+        w.row(&["m", "events", "mean_wall_us", "max_wall_us"]);
+        for arm in &arms {
+            let mt = &arm.metrics;
+            w.row(&[
+                arm.m.to_string(),
+                mt.events.to_string(),
+                format!("{:.1}", mt.mean_wall_us()),
+                format!("{:.1}", mt.max_wall_us()),
+            ]);
+        }
+    }
 
     let weighted_ok = weighted_group(&cfg, &pts);
 
@@ -432,7 +447,6 @@ fn to_json(
              \"invalid_events\": {}, \
              \"survival\": {{\"mean\": {:.6}, \"min\": {:.6}}}, \
              \"mean_size\": {:.3}, \
-             \"wall_us\": {{\"mean\": {:.1}, \"max\": {:.1}}}, \
              \"final_population\": {}}}{}\n",
             arm.m,
             m.events,
@@ -449,8 +463,6 @@ fn to_json(
             m.mean_survival(),
             m.survival_min,
             arm.mean_size(),
-            m.mean_wall_us(),
-            m.max_wall_us(),
             arm.final_population,
             if i + 1 == arms.len() { "" } else { "," }
         ));

@@ -18,11 +18,12 @@
 //! * [`max_gain_connectors_within`] — the greedy merges with candidates
 //!   confined to a caller's zone: the churn maintainer's connector patch.
 //!
-//! The greedy merge loop keeps each candidate's merge count in a lazy
-//! bucket queue and only recomputes where a selection could have changed
-//! it, instead of rescanning every candidate per selection.  It picks the
-//! connector sequence of that rescan, which `tests/kernel_equiv.rs` keeps
-//! as its oracle.
+//! The greedy merge loop keeps an upper bound on each candidate's merge
+//! count in a lazy bucket queue, raises only the bounds a selection could
+//! have raised, and recounts a candidate only when it is popped, instead
+//! of rescanning every candidate per selection.  It picks the connector
+//! sequence of that rescan, which `tests/kernel_equiv.rs` keeps as its
+//! oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -59,7 +60,7 @@ pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let run = merge_bitset(g, seed, false, |_| true)?;
+    let run = merge_bitset(g, seed, false, EVERY_NODE)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -103,7 +104,7 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let mut run = merge_bitset(g, seed, true, |_| true)?;
+    let mut run = merge_bitset(g, seed, true, EVERY_NODE)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         check_graph(g)?;
@@ -136,7 +137,7 @@ where
     G: RandomAccessGraph,
     F: Fn(usize) -> bool,
 {
-    Ok(merge_bitset(g, seed, false, candidate)?.connectors)
+    Ok(merge_bitset(g, seed, false, Some(candidate))?.connectors)
 }
 
 /// Outcome of a greedy merge loop: the selections made, the number of
@@ -156,39 +157,58 @@ fn stall_error(q: usize) -> CdsError {
     ))
 }
 
+/// The candidate filter of the unconfined entries: every node outside
+/// the seed may be selected.
+const EVERY_NODE: Option<fn(usize) -> bool> = None;
+
+/// A bucket-queue entry that is not a candidate (a member of the mask,
+/// or a node the caller's filter rejects); also the "no component yet"
+/// stamp of [`seed_side_counts`].
+const UNQUEUED: u32 = u32::MAX;
+
 /// The greedy merge loop: incremental gain maintenance via a lazy bucket
 /// queue.
 ///
 /// Every candidate `w ∉ mask` carries an *upper bound* `bucket_of[w]` on
 /// its true merge count `|{distinct components adjacent to w}|`:
 ///
+/// * the bounds start exact.  With `candidate` `None` (every node is a
+///   candidate) they are counted from the seed side, reading only seed
+///   rows ([`seed_side_counts`]); a caller's filter confines the loop to
+///   a zone, whose candidates count their own rows;
 /// * selections only ever merge components, so counts of nodes **not**
 ///   adjacent to the selected `w` can only drop — their cached bound
 ///   stays valid;
-/// * only neighbors of `w` can gain adjacency to the new component, and
-///   those are recomputed exactly, right after the selection.
+/// * a neighbor `x` of `w` gains the merged component `W` as a new
+///   adjacency only if none of its other mask neighbors lies in `W`.
+///   Then its count grows by exactly one, and so does its bound.
+///   Otherwise `x` already touched a component that merged into `W`, so
+///   its count cannot grow and its bound stays.  The test stops at the
+///   first mask neighbor found in `W`.
 ///
 /// Buckets are keyed by the bound; popping the smallest id from the
 /// highest non-empty bucket and confirming its true count against the
 /// bucket level therefore yields exactly the rescan rule's argmax (max
 /// count, smallest id on ties) — stale entries are lazily demoted on
-/// pop.  Work per selection is `O(deg w · α)` for the refresh plus the
-/// lazy pops, instead of a full `O(n · deg)` rescan.
+/// pop.  Work per selection is the refresh's early-exit tests over the
+/// rows of `w`'s neighbors plus the lazy pops, instead of a full
+/// `O(n · deg)` rescan.
 ///
 /// Only nodes `candidate` accepts are ever queued, so the loop is the
-/// rescan of those nodes alone; the solver's entries accept every node.
+/// rescan of those nodes alone; the solver's entries pass `None`, which
+/// accepts every node.
 fn merge_bitset<G, F>(
     g: &G,
     seed: &[usize],
     allow_stall: bool,
-    candidate: F,
+    candidate: Option<F>,
 ) -> Result<MergeRun, CdsError>
 where
     G: RandomAccessGraph,
     F: Fn(usize) -> bool,
 {
-    const UNQUEUED: u32 = u32::MAX;
     let n = g.num_nodes();
+    let accepts = |w: usize| candidate.as_ref().is_none_or(|f| f(w));
     let mut mask = BitSet::from_nodes(n, seed);
     let mut dsu = DisjointSets::new(n);
     let mut members = 0usize;
@@ -215,19 +235,34 @@ where
     // `bucket_of[w]`: the bucket currently holding w's live entry (an
     // upper bound on its true count); entries are only materialized in
     // the heaps for buckets ≥ 2, the only ones selection pops from.
-    let mut bucket_of: Vec<u32> = vec![UNQUEUED; n];
     let mut buckets: Vec<BinaryHeap<Reverse<usize>>> = Vec::new();
     let mut top = 0usize;
     let mut roots: Vec<usize> = Vec::new();
     let mut to_refresh: Vec<usize> = Vec::new();
-    for w in 0..n {
-        if mask.contains(w) || !candidate(w) {
-            continue;
+    let mut bucket_of = if candidate.is_none() {
+        let mut counts = seed_side_counts(g, &mask, &mut dsu);
+        for w in 0..n {
+            if mask.contains(w) {
+                counts[w] = UNQUEUED;
+                continue;
+            }
+            scanned += 1;
+            let c = counts[w] as usize;
+            enqueue(&mut buckets, &mut counts, &mut top, w, c);
         }
-        scanned += 1;
-        let c = adjacent_count(g, &mask, &mut dsu, w, &mut roots);
-        enqueue(&mut buckets, &mut bucket_of, &mut top, w, c);
-    }
+        counts
+    } else {
+        let mut bucket_of = vec![UNQUEUED; n];
+        for w in 0..n {
+            if mask.contains(w) || !accepts(w) {
+                continue;
+            }
+            scanned += 1;
+            let c = adjacent_count(g, &mask, &mut dsu, w, &mut roots);
+            enqueue(&mut buckets, &mut bucket_of, &mut top, w, c);
+        }
+        bucket_of
+    };
 
     while q > 1 {
         let mut best: Option<(usize, usize)> = None; // (count, node)
@@ -268,20 +303,23 @@ where
         for u in g.successors(w) {
             if mask.contains(u) {
                 dsu.union(w, u);
-            } else if candidate(u) {
+            } else if accepts(u) {
                 to_refresh.push(u);
             }
         }
         q = q + 1 - count;
         connectors.push(w);
         // Only neighbors of the selection can *gain* adjacency to the
-        // merged component; recompute them exactly so the cached bounds
-        // stay upper bounds.
+        // merged component, and only if they touched none of its parts.
+        let merged = dsu.find(w);
         for &x in &to_refresh {
             scanned += 1;
-            let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
-            if c as u32 != bucket_of[x] {
-                enqueue(&mut buckets, &mut bucket_of, &mut top, x, c);
+            let touched = g
+                .successors(x)
+                .any(|u| u != w && mask.contains(u) && dsu.find(u) == merged);
+            if !touched {
+                let bound = bucket_of[x] as usize + 1;
+                enqueue(&mut buckets, &mut bucket_of, &mut top, x, bound);
             }
         }
         debug_assert_eq!(q, {
@@ -294,6 +332,36 @@ where
         remaining: q,
         scanned,
     })
+}
+
+/// For every node outside `mask`, the number of distinct `G[mask]`
+/// components adjacent to it, read from the seed side: members are
+/// grouped by DSU root, and each component adds one to every node it
+/// touches, a per-node stamp (the last component that counted it)
+/// keeping the count to one per component.  Only the rows of mask
+/// members are read.  Entries of mask members are meaningless.
+fn seed_side_counts<G: RandomAccessGraph>(
+    g: &G,
+    mask: &BitSet,
+    dsu: &mut DisjointSets,
+) -> Vec<u32> {
+    let n = g.num_nodes();
+    let mut by_root: Vec<(u32, u32)> = mask
+        .iter_ones()
+        .map(|v| (dsu.find(v) as u32, v as u32))
+        .collect();
+    by_root.sort_unstable();
+    let mut counts = vec![0u32; n];
+    let mut stamp = vec![UNQUEUED; n];
+    for &(root, v) in &by_root {
+        for u in g.successors(v as usize) {
+            if stamp[u] != root {
+                stamp[u] = root;
+                counts[u] += 1;
+            }
+        }
+    }
+    counts
 }
 
 /// Re-files `w` under bucket `c` (heap entry only for selectable `c ≥ 2`).

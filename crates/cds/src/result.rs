@@ -45,7 +45,7 @@ impl Cds {
             .into_iter()
             .filter(|c| dominators.binary_search(c).is_err())
             .collect();
-        let nodes = node_set(dominators.iter().chain(connectors.iter()).copied());
+        let nodes = merge_disjoint(&dominators, &connectors);
         Cds {
             dominators,
             connectors,
@@ -93,6 +93,24 @@ impl Cds {
     pub fn verify<G: RandomAccessGraph>(&self, g: &G) -> Result<(), CdsError> {
         check_cds(g, &self.nodes)
     }
+}
+
+/// The sorted union of two sorted, disjoint node lists.
+fn merge_disjoint(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 impl fmt::Debug for Cds {

@@ -259,7 +259,9 @@ impl Solver {
         mcds_obs::counter!("solve.dominators", dominators.len() as u64);
         mcds_obs::counter!("solve.connectors", connectors.len() as u64);
 
+        let assemble = mcds_obs::span("solve.assemble");
         let mut cds = Cds::new(dominators, connectors);
+        drop(assemble);
         if self.verify {
             let v = mcds_obs::span("solve.verify");
             if self.m > 1 || self.biconnect {
@@ -276,7 +278,10 @@ impl Solver {
         let mut pruned_from = None;
         if self.prune {
             let p = mcds_obs::span("solve.prune");
-            let kept = if self.m > 1 || self.biconnect {
+            let kept = if self.verify {
+                // `solve.verify` ran the checks the prune entries open with.
+                prune::prune_valid(g, cds.nodes(), self.m, self.biconnect)
+            } else if self.m > 1 || self.biconnect {
                 fault::prune_m_cds(g, cds.nodes(), self.m, self.biconnect)?
             } else {
                 prune::prune_cds(g, cds.nodes())?

@@ -11,11 +11,11 @@ use crate::RandomAccessGraph;
 ///
 /// * `parent[v]` is the BFS parent, `None` for the root and for nodes
 ///   unreachable from it,
-/// * `level[v]` is the hop distance from the root (`usize::MAX` if
+/// * `level[v]` is the hop distance from the root (`None` if
 ///   unreachable),
-/// * `order` lists the reached nodes in BFS visit order (root first).
-///   Within a level, nodes are visited in increasing id — the tie-break
-///   the first-fit MIS uses.
+/// * `order` lists the reached nodes in the rank order `(level, id)`:
+///   the root, then each level in increasing id — the first-fit order of
+///   the paper's phase 1.
 ///
 /// ```
 /// use mcds_graph::{Graph, traversal::BfsTree};
@@ -28,19 +28,26 @@ use crate::RandomAccessGraph;
 #[derive(Debug, Clone)]
 pub struct BfsTree {
     root: usize,
-    parent: Vec<Option<usize>>,
-    level: Vec<usize>,
+    /// `UNREACHED` for the root and unreachable nodes.
+    parent: Vec<u32>,
+    /// `UNREACHED` for unreachable nodes.
+    level: Vec<u32>,
     order: Vec<usize>,
 }
 
+/// The `parent`/`level` entry of a node the tree does not assign one.
+const UNREACHED: u32 = u32::MAX;
+
 impl BfsTree {
-    /// Runs BFS from `root`.
+    /// Runs a level-synchronous BFS from `root`.
     ///
-    /// Parents are *canonical*: the parent of `v` is the minimum-id
-    /// neighbor one level closer to the root.  This makes the tree a pure
-    /// function of the graph and root — the property that lets the
-    /// distributed protocol in `mcds-distsim` reconstruct the identical
-    /// tree from purely local information.
+    /// Each level's ids are sorted before the level is expanded, so the
+    /// visit order is the `(level, id)` rank order, and the node that
+    /// first discovers `v` is its smallest-id neighbor one level closer
+    /// to the root.  Parents are therefore *canonical* by construction:
+    /// the tree is a pure function of the graph and root — the property
+    /// that lets the distributed protocol in `mcds-distsim` reconstruct
+    /// the identical tree from purely local information.
     ///
     /// # Panics
     ///
@@ -48,27 +55,27 @@ impl BfsTree {
     pub fn rooted_at<G: RandomAccessGraph>(g: &G, root: usize) -> Self {
         let n = g.num_nodes();
         assert!(root < n, "root {root} out of range for n = {n}");
-        let mut parent = vec![None; n];
-        let mut level = vec![usize::MAX; n];
+        let mut parent = vec![UNREACHED; n];
+        let mut level = vec![UNREACHED; n];
         let mut order = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
         level[root] = 0;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for u in g.successors(v) {
-                if level[u] == usize::MAX {
-                    level[u] = level[v] + 1;
-                    queue.push_back(u);
+        order.push(root);
+        let (mut start, mut depth) = (0, 0);
+        while start < order.len() {
+            let end = order.len();
+            depth += 1;
+            for i in start..end {
+                let v = order[i];
+                for u in g.successors(v) {
+                    if level[u] == UNREACHED {
+                        level[u] = depth;
+                        parent[u] = v as u32;
+                        order.push(u);
+                    }
                 }
             }
-        }
-        // Canonical parents: min-id neighbor one level up.
-        for &v in &order {
-            if v == root {
-                continue;
-            }
-            parent[v] = g.successors(v).find(|&u| level[u] + 1 == level[v]);
+            order[end..].sort_unstable();
+            start = end;
         }
         BfsTree {
             root,
@@ -85,19 +92,16 @@ impl BfsTree {
 
     /// BFS parent of `v` (`None` for the root or unreachable nodes).
     pub fn parent(&self, v: usize) -> Option<usize> {
-        self.parent[v]
+        (self.parent[v] != UNREACHED).then(|| self.parent[v] as usize)
     }
 
     /// Hop distance of `v` from the root, `None` if unreachable.
     pub fn level(&self, v: usize) -> Option<usize> {
-        if self.level[v] == usize::MAX {
-            None
-        } else {
-            Some(self.level[v])
-        }
+        (self.level[v] != UNREACHED).then(|| self.level[v] as usize)
     }
 
-    /// Nodes in BFS visit order (reached nodes only).
+    /// The reached nodes in the rank order `(level, id)`: the canonical
+    /// first-fit processing order of the paper's phase 1.
     pub fn order(&self) -> &[usize] {
         &self.order
     }
@@ -112,19 +116,10 @@ impl BfsTree {
         self.reached() == g.num_nodes()
     }
 
-    /// Nodes sorted by the rank `(level, id)` — the canonical first-fit
-    /// processing order of the paper's phase 1.  Unreachable nodes are
-    /// excluded.
-    pub fn rank_order(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.order.clone();
-        v.sort_by_key(|&x| (self.level[x], x));
-        v
-    }
-
-    /// The deepest level in the tree (eccentricity of the root), or `None`
-    /// if the tree reaches only the root.
+    /// The deepest level in the tree (eccentricity of the root); 0 if the
+    /// tree reaches only the root.
     pub fn depth(&self) -> usize {
-        self.order.iter().map(|&v| self.level[v]).max().unwrap_or(0)
+        self.order.last().map_or(0, |&v| self.level[v] as usize)
     }
 }
 
@@ -333,7 +328,13 @@ mod tests {
         // Star with center 3: levels are {3:0, others:1}.
         let g = Graph::from_edges(4, [(3, 0), (3, 1), (3, 2)]);
         let t = BfsTree::rooted_at(&g, 3);
-        assert_eq!(t.rank_order(), vec![3, 0, 1, 2]);
+        assert_eq!(t.order(), &[3, 0, 1, 2]);
+        // A FIFO queue would visit level 2 as [4, 3]: 4 is discovered
+        // first, from 1, and 3 later, from 2.
+        let g = Graph::from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 3)]);
+        let t = BfsTree::rooted_at(&g, 0);
+        assert_eq!(t.order(), &[0, 1, 2, 3, 4]);
+        assert_eq!((t.parent(3), t.parent(4)), (Some(2), Some(1)));
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub fn first_fit<G: RandomAccessGraph>(g: &G, order: &[usize]) -> Vec<usize> {
 pub struct BfsMis {
     tree: BfsTree,
     mis: Vec<usize>,
-    rank: Vec<usize>,
+    /// Position in the tree's order; `u32::MAX` for unreached nodes.
+    rank: Vec<u32>,
 }
 
 impl BfsMis {
@@ -68,11 +69,10 @@ impl BfsMis {
     /// Panics if `root` is out of range.
     pub fn compute<G: RandomAccessGraph>(g: &G, root: usize) -> Self {
         let tree = BfsTree::rooted_at(g, root);
-        let order = tree.rank_order();
-        let mis = first_fit(g, &order);
-        let mut rank = vec![usize::MAX; g.num_nodes()];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v] = r;
+        let mis = first_fit(g, tree.order());
+        let mut rank = vec![u32::MAX; g.num_nodes()];
+        for (r, &v) in tree.order().iter().enumerate() {
+            rank[v] = r as u32;
         }
         BfsMis { tree, mis, rank }
     }
@@ -91,11 +91,7 @@ impl BfsMis {
     /// The scan rank of node `v` (position in the `(level, id)` order), or
     /// `None` if `v` was unreachable from the root.
     pub fn rank(&self, v: usize) -> Option<usize> {
-        if self.rank[v] == usize::MAX {
-            None
-        } else {
-            Some(self.rank[v])
-        }
+        (self.rank[v] != u32::MAX).then(|| self.rank[v] as usize)
     }
 
     /// Number of dominators.

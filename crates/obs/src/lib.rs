@@ -83,11 +83,13 @@ pub fn enabled() -> bool {
 }
 
 /// Clears all recorded state: buffered span/log events and every
-/// registered counter, gauge and histogram.  The enabled flag and stderr
-/// log threshold are left as they are.
+/// registered counter, gauge and histogram, and the span histogram
+/// handles each thread caches.  The enabled flag and stderr log
+/// threshold are left as they are.
 pub fn reset() {
     trace::clear();
     registry::registry().clear();
+    span::invalidate_handles();
 }
 
 /// Opens a span for the rest of the enclosing scope:

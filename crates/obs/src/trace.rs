@@ -27,7 +27,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::registry;
@@ -42,7 +42,7 @@ pub(crate) enum Event {
         thread: u64,
         depth: usize,
         name: &'static str,
-        path: String,
+        path: Arc<str>,
         dur: Duration,
     },
     Log {
@@ -71,7 +71,7 @@ fn next_seq() -> u64 {
 
 pub(crate) fn record_span(
     name: &'static str,
-    path: String,
+    path: Arc<str>,
     depth: usize,
     thread: u64,
     dur: Duration,

@@ -77,6 +77,27 @@ fn flush_to_path_writes_a_valid_file() {
     });
 }
 
+/// A span caches its histogram handle per thread; `reset` must retire
+/// it, or spans after a reset would record into the cleared registry's
+/// orphaned histogram.
+#[test]
+fn span_histograms_are_registered_again_after_a_reset() {
+    mcds_obs::test_support::with_enabled(true, || {
+        mcds_obs::reset();
+        for _ in 0..2 {
+            let _s = mcds_obs::span("rt.cached");
+        }
+        assert_eq!(mcds_obs::histogram("span.rt.cached").count(), 2);
+        mcds_obs::reset();
+        assert_eq!(mcds_obs::histogram("span.rt.cached").count(), 0);
+        {
+            let _s = mcds_obs::span("rt.cached");
+        }
+        assert_eq!(mcds_obs::histogram("span.rt.cached").count(), 1);
+        mcds_obs::reset();
+    });
+}
+
 /// A hostile line nested far past the parser's depth cap is an error on
 /// line 2 from both readers, not a stack overflow.
 #[test]

@@ -10,9 +10,10 @@
 //! # Scheduling
 //!
 //! Each parallel region runs a team of scoped worker threads (one per
-//! configured thread) off one FIFO queue: spawned jobs are claimed in
-//! spawn order by whichever worker is free, so a region of width `w`
-//! never runs more than `w` jobs at once.  A job cannot reach its
+//! configured thread; a [`ThreadPool::parallel_map`] region raises no
+//! more workers than it has items) off one FIFO queue: spawned jobs are
+//! claimed in spawn order by whichever worker is free, so a region of
+//! width `w` never runs more than `w` jobs at once.  A job cannot reach its
 //! region's [`PoolScope`], so jobs never spawn jobs and one queue is
 //! all the balancing the callers need: a sweep's trials and a daemon's
 //! connections.  The team is created per region with
@@ -55,9 +56,9 @@ use std::sync::Mutex;
 
 pub mod global;
 
-/// The widest pool a front end accepts: every region of a width-`w` pool
-/// raises `w` OS threads, so `--threads` (and `serve --bench --clients`,
-/// one thread per client) above this is a usage error.
+/// The widest pool a front end accepts: a region of a width-`w` pool
+/// raises up to `w` OS threads, so `--threads` (and `serve --bench
+/// --clients`, one thread per client) above this is a usage error.
 pub const MAX_THREADS: usize = 1024;
 
 /// Checks a requested count of OS threads against `1..=`[`MAX_THREADS`]:
@@ -166,7 +167,8 @@ impl ThreadPool {
     ///
     /// `f` receives `(index, item)`.  With one thread (or at most one
     /// item) the map runs inline, sequentially, in index order; that
-    /// schedule is what wider pools reproduce.  A panic inside `f` is
+    /// schedule is what wider pools reproduce.  Otherwise the region
+    /// raises `min(threads, items)` workers.  A panic inside `f` is
     /// re-raised on the calling thread.
     pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
@@ -184,7 +186,7 @@ impl ThreadPool {
         let n = items.len();
         let (tx, rx) = mpsc::channel::<(usize, Result<R, PanicPayload>)>();
         let f = &f;
-        self.scope(move |scope| {
+        ThreadPool::new(self.threads.min(n)).scope(move |scope| {
             for (i, item) in items.into_iter().enumerate() {
                 let tx = tx.clone();
                 scope.spawn(move || {

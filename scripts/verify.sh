@@ -16,17 +16,20 @@
 # The `doc` stage builds the workspace docs with rustdoc warnings denied,
 # so a link to a deleted or private item fails the gate.
 #
-# The `pool` stage diffs sweep and exp_compare CSVs across pool widths
-# and probes the thread bound: `--threads` and `serve --bench --clients`
+# The `pool` stage diffs sweep and exp_compare CSVs across pool widths,
+# and the exp_churn/exp_fault JSON of two runs, and probes the thread
+# bound: `--threads` and `serve --bench --clients`
 # above mcds_pool::MAX_THREADS (1024) must exit 1 naming the flag, before
 # any worker or client thread starts.
 #
 # Hermetic by design — no network, no external dependencies.  The
-# `kernel` stage runs the two differential suites of the production
-# kernels, `kernel_equiv` (m = 1, greedy growth against its per-step
-# rescan, and the churn maintainer's confined connector patch) and
-# `fault_equiv` (the fault-tolerant (k, m) family), plus the
-# maintainer's tests with its 10k-node report digest, in release.
+# `kernel` stage runs the three differential suites of the production
+# kernels, `bfs_equiv` (phase 1's BFS tree and first-fit MIS against the
+# FIFO search and sort they replaced), `kernel_equiv` (m = 1, greedy
+# growth against its per-step rescan, and the churn maintainer's
+# confined connector patch) and `fault_equiv` (the fault-tolerant (k, m)
+# family), plus the maintainer's tests with its 10k-node report digest,
+# in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,7 +107,7 @@ if want fuzz; then
 fi
 
 if want pool; then
-  echo "== pool determinism: sweep + exp_compare CSVs at --threads 1 vs 4 =="
+  echo "== pool determinism: sweep + exp_compare CSVs at --threads 1 vs 4, E17/E22 JSON =="
   cargo run --quiet --release -p mcds-cli -- sweep --n 60 --side 4.5 --trials 5 \
     --seed 11 --threads 1 --out "$det_dir/sweep_t1.csv" > /dev/null
   cargo run --quiet --release -p mcds-cli -- sweep --n 60 --side 4.5 --trials 5 \
@@ -116,6 +119,17 @@ if want pool; then
     --threads 4 --out "$det_dir/t4" > /dev/null
   diff "$det_dir/t1/exp_compare.csv" "$det_dir/t4/exp_compare.csv"
   echo "CSVs byte-identical at both widths"
+  # E17's and E22's JSON carry counts only (their wall times go to the
+  # *_timings.csv files), so two runs of the same code must match.
+  for exp in churn fault; do
+    for run in a b; do
+      width=1; [[ $run == b ]] && width=4
+      cargo run --quiet --release -p mcds-bench --bin "exp_$exp" -- --quick \
+        --threads "$width" --out "$det_dir/$exp$run" > /dev/null
+    done
+    diff "$det_dir/${exp}a/exp_$exp.json" "$det_dir/${exp}b/exp_$exp.json"
+  done
+  echo "exp_churn.json and exp_fault.json byte-identical across two runs"
   # Each worker and each load-generator client is an OS thread: a count
   # past MAX_THREADS is a usage error, rejected while parsing (the
   # timeout only bounds a regression that would start the threads).
@@ -152,9 +166,10 @@ if want tracing; then
     cargo run --quiet --release -p mcds-cli -- trace check "$det_dir/trace_$tn.jsonl"
   done
   # The phase spans must account for >= 95% of root-span wall time.  The
-  # n = 200 solves take ~0.2 ms each, so one preemption can sink a single
-  # reading: gate the median of five traces of that instance, and the
-  # n = 1500 trace on its own.
+  # traced n = 200 solves take 0.07-0.3 ms each (~0.15 ms on average over
+  # the five algorithms), so one preemption can sink a single reading:
+  # gate the median of five traces of that instance, and the n = 1500
+  # trace on its own.
   coverage_of() {
     cargo run --quiet --release -p mcds-cli -- trace summarize "$1" \
       | awk 'END { gsub(/%/, "", $NF); print $NF }'
@@ -322,8 +337,12 @@ fi
 
 if want kernel; then
   echo "== kernel: production kernels identical to the oracles they replaced =="
-  # The differential suites (DESIGN.md §11, §14) in release, including
-  # the ignored at-scale cases.  kernel_equiv: every algorithm with prune
+  # The differential suites (DESIGN.md §5, §11, §14) in release,
+  # including the ignored at-scale cases.  bfs_equiv: the BFS tree (order,
+  # parents, levels, depth) and the first-fit MIS and ranks at every root
+  # of the oracle cases, on seeded deployments, structured and
+  # disconnected graphs, against the FIFO search, parent pass and
+  # (level, id) sort they replaced.  kernel_equiv: every algorithm with prune
   # on, on the oracle cases, 200+ deployments, the uniform n=200/1500,
   # chain and grid instances `gen` builds, and E19's n=5k/10k rungs
   # (greedy and greedy growth), with growth's election queue diffed
@@ -334,6 +353,7 @@ if want kernel; then
   # n=5k/10k rungs.  mcds-maintain: every maintainer test, including the
   # ignored report digest of 400 one-move events on a 10k-node giant at
   # m = 1 and 2.
+  cargo test --quiet --release -p mcds-cds --test bfs_equiv
   cargo test --quiet --release -p mcds-cds --test kernel_equiv -- --include-ignored
   cargo test --quiet --release -p mcds-cds --test fault_equiv -- --include-ignored
   cargo test --quiet --release -p mcds-maintain -- --include-ignored
