@@ -17,7 +17,7 @@
 //!
 //! Usage: `exp_anatomy [--quick] [--seed <u64>] [--out <dir>]`
 
-use mcds_bench::sweeps::{instances, Cell};
+use mcds_bench::sweeps::{instances, Cell, EXACT_LADDER};
 use mcds_bench::{f2, stats, ExpConfig, Table};
 use mcds_cds::accounting::{greedy_accounting, GreedyAccounting};
 use mcds_exact::{try_min_connected_dominating_set, DEFAULT_BUDGET};
@@ -31,33 +31,7 @@ fn main() {
             instances: 6,
         }]
     } else {
-        vec![
-            Cell {
-                n: 16,
-                side: 2.0,
-                instances: 40,
-            },
-            Cell {
-                n: 20,
-                side: 2.5,
-                instances: 40,
-            },
-            Cell {
-                n: 24,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 28,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 32,
-                side: 3.5,
-                instances: 20,
-            },
-        ]
+        EXACT_LADDER[1..6].to_vec()
     };
 
     println!("E16: Theorem 10 proof anatomy — per-piece connector accounting\n");

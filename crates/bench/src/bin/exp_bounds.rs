@@ -9,65 +9,14 @@
 //!
 //! Usage: `exp_bounds [--quick] [--seed <u64>] [--out <dir>]`
 
-use mcds_bench::sweeps::{instances, Cell};
+use mcds_bench::sweeps::{exact_ladder, instances};
 use mcds_bench::{f2, f3, stats, ExpConfig, Table};
 use mcds_exact::{try_max_independent_set, try_min_connected_dominating_set, DEFAULT_BUDGET};
 use mcds_mis::bounds;
 
 fn main() {
     let cfg = ExpConfig::from_args();
-    let cells: Vec<Cell> = if cfg.quick {
-        vec![
-            Cell {
-                n: 16,
-                side: 2.0,
-                instances: 6,
-            },
-            Cell {
-                n: 24,
-                side: 3.0,
-                instances: 4,
-            },
-        ]
-    } else {
-        vec![
-            Cell {
-                n: 12,
-                side: 1.5,
-                instances: 40,
-            },
-            Cell {
-                n: 16,
-                side: 2.0,
-                instances: 40,
-            },
-            Cell {
-                n: 20,
-                side: 2.5,
-                instances: 40,
-            },
-            Cell {
-                n: 24,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 28,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 32,
-                side: 3.5,
-                instances: 20,
-            },
-            Cell {
-                n: 40,
-                side: 4.0,
-                instances: 12,
-            },
-        ]
-    };
+    let cells = exact_ladder(cfg.quick);
 
     println!("E3: alpha(G) vs gamma_c(G) on random connected UDGs (exact)\n");
     let mut table = Table::new(&[

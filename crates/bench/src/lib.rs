@@ -236,15 +236,6 @@ pub mod stats {
         }
     }
 
-    /// Sample standard deviation; 0 for fewer than two samples.
-    pub fn std_dev(xs: &[f64]) -> f64 {
-        if xs.len() < 2 {
-            return 0.0;
-        }
-        let m = mean(xs);
-        (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-    }
-
     /// Maximum; 0 for an empty slice.
     pub fn max(xs: &[f64]) -> f64 {
         xs.iter()
@@ -300,8 +291,6 @@ mod tests {
         assert_eq!(stats::max(&[1.0, 5.0, 3.0]), 5.0);
         assert_eq!(stats::min(&[1.0, 5.0, 3.0]), 1.0);
         assert_eq!(stats::mean(&[]), 0.0);
-        assert_eq!(stats::std_dev(&[2.0]), 0.0);
-        assert!((stats::std_dev(&[1.0, 3.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

@@ -28,6 +28,65 @@ pub struct Cell {
     pub instances: usize,
 }
 
+/// The exact-`γ_c` ladder of E3–E5: density cells small enough for the
+/// exact branch and bound.  E16 runs its middle five cells.
+pub const EXACT_LADDER: [Cell; 7] = [
+    Cell {
+        n: 12,
+        side: 1.5,
+        instances: 40,
+    },
+    Cell {
+        n: 16,
+        side: 2.0,
+        instances: 40,
+    },
+    Cell {
+        n: 20,
+        side: 2.5,
+        instances: 40,
+    },
+    Cell {
+        n: 24,
+        side: 3.0,
+        instances: 30,
+    },
+    Cell {
+        n: 28,
+        side: 3.0,
+        instances: 30,
+    },
+    Cell {
+        n: 32,
+        side: 3.5,
+        instances: 20,
+    },
+    Cell {
+        n: 40,
+        side: 4.0,
+        instances: 12,
+    },
+];
+
+/// [`EXACT_LADDER`], or for `--quick` its n = 16 and n = 24 cells with
+/// 6 and 4 instances.
+pub fn exact_ladder(quick: bool) -> Vec<Cell> {
+    if quick {
+        vec![
+            Cell {
+                instances: 6,
+                ..EXACT_LADDER[1]
+            },
+            Cell {
+                instances: 4,
+                ..EXACT_LADDER[3]
+            },
+        ]
+    } else {
+        EXACT_LADDER.to_vec()
+    }
+}
+
 impl Cell {
     /// The cell's RNG stream family: one master seed per cell, split
     /// into one independent stream per instance index.
@@ -217,58 +276,7 @@ pub fn gamma_c_lower_bound(g: &Graph) -> usize {
 pub fn run_ratio_experiment(alg: Algorithm, bound: f64, theorem: &str, cfg: &crate::ExpConfig) {
     use crate::{f2, f3, stats, Table};
 
-    let cells: Vec<Cell> = if cfg.quick {
-        vec![
-            Cell {
-                n: 16,
-                side: 2.0,
-                instances: 6,
-            },
-            Cell {
-                n: 24,
-                side: 3.0,
-                instances: 4,
-            },
-        ]
-    } else {
-        vec![
-            Cell {
-                n: 12,
-                side: 1.5,
-                instances: 40,
-            },
-            Cell {
-                n: 16,
-                side: 2.0,
-                instances: 40,
-            },
-            Cell {
-                n: 20,
-                side: 2.5,
-                instances: 40,
-            },
-            Cell {
-                n: 24,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 28,
-                side: 3.0,
-                instances: 30,
-            },
-            Cell {
-                n: 32,
-                side: 3.5,
-                instances: 20,
-            },
-            Cell {
-                n: 40,
-                side: 4.0,
-                instances: 12,
-            },
-        ]
-    };
+    let cells = exact_ladder(cfg.quick);
 
     println!(
         "{}: |CDS({})| / gamma_c on random connected UDGs (exact optimum)\n",

@@ -11,8 +11,11 @@
 //!   which is precisely why the paper's phase 1 picks the special MIS.
 //! * [`path_connectors`] — a distance-based fallback that connects any
 //!   dominating seed (components may be up to 3 hops apart, where a
-//!   single node can never bridge them): repeatedly joins the closest
-//!   pair of components along a shortest path.
+//!   single node can never bridge them): repeatedly joins the component
+//!   of the smallest member to the nearest other one along a shortest
+//!   path.  That search, `shortest_bridge`, also reroutes the
+//!   2-connectivity augmentation of [`crate::fault::biconnect_augment`]
+//!   around each cut vertex.
 //! * [`max_gain_then_paths`] — greedy merges while possible, shortest
 //!   paths for whatever remains; total for any seed on a connected graph.
 //! * [`max_gain_connectors_within`] — the greedy merges with candidates
@@ -26,7 +29,7 @@
 //! oracle.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use mcds_graph::bitgraph::BitSet;
 use mcds_graph::{node_mask, subsets, DisjointSets, RandomAccessGraph};
@@ -422,7 +425,8 @@ pub fn gain_trace<G: RandomAccessGraph>(g: &G, seed: &[usize], connectors: &[usi
 }
 
 /// Connects an arbitrary dominating seed by repeatedly adding the interior
-/// of a shortest path between the closest pair of components.
+/// of a shortest path from the component of the smallest member to the
+/// nearest other component.
 ///
 /// Works for any seed on a connected graph (unlike [`max_gain_connectors`],
 /// which needs 2-hop-separated components).  Used by the Chvátal baseline,
@@ -443,58 +447,76 @@ pub fn path_connectors<G: RandomAccessGraph>(
 /// [`path_connectors`] on a graph the caller has already proved
 /// non-empty and connected.
 pub(crate) fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usize]) -> Vec<usize> {
-    let mut mask = node_mask(g.num_nodes(), seed);
+    let mut member = BitSet::from_nodes(g.num_nodes(), seed);
     let mut connectors = Vec::new();
-    loop {
-        let q = subsets::count_components(g, &mask);
-        if q <= 1 {
-            break;
+    while let Some(interior) = shortest_bridge(g, &member, None) {
+        for &v in &interior {
+            member.insert(v);
         }
-        // Multi-source BFS from one component; stop at the first node of a
-        // different component; add the interior of the path.
-        let mut dsu = subsets::components_dsu(g, &mask);
-        let start_root = {
-            let first = (0..g.num_nodes())
-                .find(|&v| mask[v])
-                .expect("q > 1 implies nonempty seed");
-            dsu.find(first)
-        };
-        let n = g.num_nodes();
-        let mut parent = vec![usize::MAX; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        for v in 0..n {
-            if mask[v] && dsu.find(v) == start_root {
-                seen[v] = true;
-                queue.push_back(v);
-            }
-        }
-        let mut hit = None;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for u in g.successors(v) {
-                if seen[u] {
-                    continue;
-                }
-                seen[u] = true;
-                parent[u] = v;
-                if mask[u] {
-                    hit = Some(u);
-                    break 'bfs;
-                }
-                queue.push_back(u);
-            }
-        }
-        let hit = hit.expect("connected graph: another component is reachable");
-        // Walk back, adding interior (non-seed) nodes as connectors.
-        let mut v = parent[hit];
-        while v != usize::MAX && !mask[v] {
-            mask[v] = true;
-            connectors.push(v);
-            v = parent[v];
-        }
+        connectors.extend(interior);
     }
     connectors.sort_unstable();
     connectors
+}
+
+/// The interior of a shortest path in `G − avoid` from the component of
+/// `G[member − avoid]` that holds the smallest member to the first other
+/// member reached, listed from that member back; `None` if no other
+/// member is reachable (no members, one component, or the rest cut off
+/// by `avoid`).  The interior is never empty: adjacent members share a
+/// component.
+///
+/// The breadth-first search is seeded with the component in ascending
+/// id order and visits neighbours in adjacency order, so among equally
+/// short paths the one found first from the smallest seed wins.
+pub(crate) fn shortest_bridge<G: RandomAccessGraph>(
+    g: &G,
+    member: &BitSet,
+    avoid: Option<usize>,
+) -> Option<Vec<usize>> {
+    let n = g.num_nodes();
+    let start = member.iter_ones().find(|&v| Some(v) != avoid)?;
+    let mut seen = vec![false; n];
+    if let Some(c) = avoid {
+        seen[c] = true;
+    }
+    // Mark the component of `start`, then seed the search with it in
+    // ascending id order.
+    seen[start] = true;
+    let mut stack = vec![start];
+    while let Some(v) = stack.pop() {
+        for u in g.successors(v) {
+            if !seen[u] && member.contains(u) {
+                seen[u] = true;
+                stack.push(u);
+            }
+        }
+    }
+    let mut queue: VecDeque<usize> = member
+        .iter_ones()
+        .filter(|&v| seen[v] && Some(v) != avoid)
+        .collect();
+    let mut parent = vec![usize::MAX; n];
+    while let Some(v) = queue.pop_front() {
+        for u in g.successors(v) {
+            if seen[u] {
+                continue;
+            }
+            seen[u] = true;
+            parent[u] = v;
+            if member.contains(u) {
+                let mut interior = Vec::new();
+                let mut at = v;
+                while !member.contains(at) {
+                    interior.push(at);
+                    at = parent[at];
+                }
+                return Some(interior);
+            }
+            queue.push_back(u);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -566,6 +588,52 @@ mod tests {
         let mut all = vec![0, 6];
         all.extend(conn);
         assert!(properties::is_connected_dominating_set(&g, &all));
+    }
+
+    fn members(n: usize, nodes: &[usize]) -> BitSet {
+        BitSet::from_nodes(n, nodes)
+    }
+
+    #[test]
+    fn shortest_bridge_needs_two_reachable_components() {
+        let g = Graph::path(5);
+        assert_eq!(shortest_bridge(&g, &members(5, &[]), None), None);
+        assert_eq!(shortest_bridge(&g, &members(5, &[2]), Some(2)), None);
+        assert_eq!(shortest_bridge(&g, &members(5, &[1, 2, 3]), None), None);
+        assert_eq!(
+            shortest_bridge(&g, &members(5, &[0, 4]), None),
+            Some(vec![3, 2, 1])
+        );
+    }
+
+    #[test]
+    fn shortest_bridge_never_crosses_or_counts_the_avoided_node() {
+        let g = Graph::path(5);
+        // The only route from 0 to 4 runs through 2.
+        assert_eq!(shortest_bridge(&g, &members(5, &[0, 4]), Some(2)), None);
+        // A member `avoid` splits its component and bridges nothing.
+        assert_eq!(
+            shortest_bridge(&g, &members(5, &[0, 1, 2, 3, 4]), Some(2)),
+            None
+        );
+        // Around a 6-cycle the avoided node forces the long way.
+        let ring = Graph::cycle(6);
+        assert_eq!(
+            shortest_bridge(&ring, &members(6, &[0, 1, 2]), Some(1)),
+            Some(vec![3, 4, 5])
+        );
+    }
+
+    #[test]
+    fn shortest_bridge_ties_go_to_the_smaller_seed() {
+        // Members {0, 1} and {4, 5}; 0 reaches 4 through 3, and 1 reaches
+        // 5 through 2: two bridges of one node each.  The search is
+        // seeded 0 first, so 0's bridge wins although 2 < 3.
+        let g = Graph::from_edges(6, [(0, 1), (0, 3), (3, 4), (1, 2), (2, 5), (4, 5)]);
+        assert_eq!(
+            shortest_bridge(&g, &members(6, &[0, 1, 4, 5]), None),
+            Some(vec![3])
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! replaced live on as the oracles of `tests/fault_equiv.rs`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
 use mcds_graph::{node_mask, subsets, RandomAccessGraph};
@@ -306,10 +306,11 @@ pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
 /// superset of the input).
 ///
 /// While the induced backbone has an articulation point `c` (the
-/// smallest, by one masked Tarjan pass): pick a fragment of
-/// `backbone − c`, find a shortest path in `G − c` from the fragment to
-/// the rest of the backbone, and absorb the path's interior nodes.  Each
-/// round strictly shrinks the number of fragments at `c`, and each
+/// smallest, by one masked Tarjan pass): find a shortest path in `G − c`
+/// from the fragment of `backbone − c` holding the smallest member to
+/// the rest of the backbone (the search that also finishes
+/// [`connect::path_connectors`]), and absorb the path's interior nodes.
+/// Each round strictly shrinks the number of fragments at `c`, and each
 /// absorbed path adds ≥ 1 new node, so the pass terminates in ≤ n
 /// augmentations.  Only *adds* nodes: every domination property of the
 /// input is preserved.
@@ -344,66 +345,18 @@ pub fn biconnect_augment<G: RandomAccessGraph>(
     let mut added = 0u64;
     let mut paths = 0u64;
     while let Some(c) = cut.iter_ones().next() {
-        backbone.remove(c);
-        let path = bypass(g, &backbone, c).ok_or(CdsError::NotBiconnected { cut: c })?;
-        backbone.insert(c);
+        let path = connect::shortest_bridge(g, &backbone, Some(c))
+            .ok_or(CdsError::NotBiconnected { cut: c })?;
         paths += 1;
+        added += path.len() as u64;
         for v in path {
-            if backbone.insert(v) {
-                added += 1;
-            }
+            backbone.insert(v);
         }
         bitgraph::masked_articulation_points(g, &backbone, &mut scratch, &mut cut);
     }
     mcds_obs::counter!("augment.paths", paths);
     mcds_obs::counter!("augment.added", added);
     Ok(backbone.to_nodes())
-}
-
-/// Reconnects the fragments of `backbone` (a backbone with the cut
-/// vertex `c` removed): the shortest path in `G − c` from the fragment
-/// holding the smallest member to any other member, as its interior plus
-/// that far endpoint (already a member; re-adding it is harmless), or
-/// `None` if `c` cannot be bypassed.  Deterministic: the search visits
-/// neighbours in adjacency order from the fragment in ascending order.
-fn bypass<G: RandomAccessGraph>(g: &G, backbone: &BitSet, c: usize) -> Option<Vec<usize>> {
-    let n = g.num_nodes();
-    let start = backbone.iter_ones().next()?;
-    let mut fragment = vec![false; n];
-    fragment[start] = true;
-    let mut queue = VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        for u in g.successors(v) {
-            if backbone.contains(u) && !fragment[u] {
-                fragment[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    let mut parent = vec![usize::MAX; n];
-    let mut seen = fragment.clone();
-    seen[c] = true; // Never traverse the cut vertex.
-    let mut queue: VecDeque<usize> = (0..n).filter(|&v| fragment[v]).collect();
-    while let Some(v) = queue.pop_front() {
-        for u in g.successors(v) {
-            if seen[u] {
-                continue;
-            }
-            seen[u] = true;
-            parent[u] = v;
-            if backbone.contains(u) {
-                let mut path = vec![u];
-                let mut at = v;
-                while !fragment[at] {
-                    path.push(at);
-                    at = parent[at];
-                }
-                return Some(path);
-            }
-            queue.push_back(u);
-        }
-    }
-    None
 }
 
 /// Checks the `(1,m)` backbone contract: `set` is connected in `g` and

@@ -227,33 +227,25 @@ impl Solver {
             // The fault-tolerant / weighted family: phases route through
             // the generalized m-fold constructions (see `Solver::m` and
             // `Solver::weight_scheme`).
-            let pre = mcds_obs::span("solve.precheck");
-            if !g.is_connected() {
-                return Err(CdsError::DisconnectedGraph);
-            }
-            drop(pre);
+            precheck(g)?;
             let weights = self.weights.weights(g);
-            let p1 = mcds_obs::span("solve.phase1");
-            let doms = fault::weighted_m_fold_dominators(g, &weights, self.m)?;
-            timings.phase1 = watch.lap();
-            drop(p1);
-            let p2 = mcds_obs::span("solve.phase2");
-            let conn = fault::weighted_max_gain_connectors(g, &doms, &weights)?;
-            timings.phase2 = watch.lap();
-            drop(p2);
+            let doms = stage("solve.phase1", &mut watch, &mut timings.phase1, || {
+                fault::weighted_m_fold_dominators(g, &weights, self.m)
+            })?;
+            let conn = stage("solve.phase2", &mut watch, &mut timings.phase2, || {
+                fault::weighted_max_gain_connectors(g, &doms, &weights)
+            })?;
             (doms, conn)
         } else {
             self.base_phases(g, root, &mut watch, &mut timings)?
         };
         if self.biconnect {
-            let a = mcds_obs::span("solve.augment");
-            let nodes: Vec<usize> =
-                mcds_graph::node_set(dominators.iter().chain(&connectors).copied());
-            let augmented = fault::biconnect_augment(g, &nodes)?;
-            let dom_mask = mcds_graph::node_mask(n, &dominators);
-            connectors = augmented.into_iter().filter(|&v| !dom_mask[v]).collect();
-            timings.augment = watch.lap();
-            drop(a);
+            connectors = stage("solve.augment", &mut watch, &mut timings.augment, || {
+                let nodes = mcds_graph::node_set(dominators.iter().chain(&connectors).copied());
+                let augmented = fault::biconnect_augment(g, &nodes)?;
+                let dom_mask = mcds_graph::node_mask(n, &dominators);
+                Ok(augmented.into_iter().filter(|&v| !dom_mask[v]).collect())
+            })?;
         }
         mcds_obs::counter!("solve.runs");
         mcds_obs::counter!("solve.dominators", dominators.len() as u64);
@@ -263,40 +255,40 @@ impl Solver {
         let mut cds = Cds::new(dominators, connectors);
         drop(assemble);
         if self.verify {
-            let v = mcds_obs::span("solve.verify");
-            if self.m > 1 || self.biconnect {
-                fault::check_m_cds(g, cds.nodes(), self.m)?;
-                if self.biconnect {
-                    fault::check_biconnected(g, cds.nodes())?;
+            stage("solve.verify", &mut watch, &mut timings.verify, || {
+                if self.m > 1 || self.biconnect {
+                    fault::check_m_cds(g, cds.nodes(), self.m)?;
+                    if self.biconnect {
+                        fault::check_biconnected(g, cds.nodes())?;
+                    }
+                    Ok(())
+                } else {
+                    cds.verify(g)
                 }
-            } else {
-                cds.verify(g)?;
-            }
-            timings.verify = watch.lap();
-            drop(v);
+            })?;
         }
         let mut pruned_from = None;
         if self.prune {
-            let p = mcds_obs::span("solve.prune");
-            let kept = if self.verify {
-                // `solve.verify` ran the checks the prune entries open with.
-                prune::prune_valid(g, cds.nodes(), self.m, self.biconnect)
-            } else if self.m > 1 || self.biconnect {
-                fault::prune_m_cds(g, cds.nodes(), self.m, self.biconnect)?
-            } else {
-                prune::prune_cds(g, cds.nodes())?
-            };
-            if kept.len() < cds.len() {
-                pruned_from = Some(cds.len());
-                mcds_obs::counter!("prune.removed", (cds.len() - kept.len()) as u64);
-                let keep = |v: &&usize| kept.binary_search(v).is_ok();
-                cds = Cds::new(
-                    cds.dominators().iter().filter(keep).copied().collect(),
-                    cds.connectors().iter().filter(keep).copied().collect(),
-                );
-            }
-            timings.prune = watch.lap();
-            drop(p);
+            stage("solve.prune", &mut watch, &mut timings.prune, || {
+                let kept = if self.verify {
+                    // `solve.verify` ran the checks the prune entries open with.
+                    prune::prune_valid(g, cds.nodes(), self.m, self.biconnect)
+                } else if self.m > 1 || self.biconnect {
+                    fault::prune_m_cds(g, cds.nodes(), self.m, self.biconnect)?
+                } else {
+                    prune::prune_cds(g, cds.nodes())?
+                };
+                if kept.len() < cds.len() {
+                    pruned_from = Some(cds.len());
+                    mcds_obs::counter!("prune.removed", (cds.len() - kept.len()) as u64);
+                    let keep = |v: &&usize| kept.binary_search(v).is_ok();
+                    cds = Cds::new(
+                        cds.dominators().iter().filter(keep).copied().collect(),
+                        cds.connectors().iter().filter(keep).copied().collect(),
+                    );
+                }
+                Ok(())
+            })?;
         }
 
         Ok(Solution {
@@ -315,34 +307,22 @@ impl Solver {
         watch: &mut Stopwatch,
         timings: &mut PhaseTimings,
     ) -> Result<(Vec<usize>, Vec<usize>), CdsError> {
-        Ok(match self.algorithm {
-            Algorithm::WafTree => {
-                let p1 = mcds_obs::span("solve.phase1");
-                let phase1 = BfsMis::compute(g, root);
-                if !phase1.tree().spans(g) {
-                    return Err(CdsError::DisconnectedGraph);
-                }
-                let mis = phase1.mis().to_vec();
-                timings.phase1 = watch.lap();
-                drop(p1);
-                let p2 = mcds_obs::span("solve.phase2");
-                let connectors = waf::waf_connectors(g, &phase1, root);
-                timings.phase2 = watch.lap();
-                drop(p2);
-                (mis, connectors)
-            }
-            Algorithm::GreedyConnect => {
-                let p1 = mcds_obs::span("solve.phase1");
-                let phase1 = BfsMis::compute(g, root);
-                if !phase1.tree().spans(g) {
-                    return Err(CdsError::DisconnectedGraph);
-                }
-                let mis = phase1.mis().to_vec();
-                timings.phase1 = watch.lap();
-                drop(p1);
-                let p2 = mcds_obs::span("solve.phase2");
-                // The spanning BFS tree above proved `g` connected.
-                let connectors =
+        let (phase1, phase2) = (&mut timings.phase1, &mut timings.phase2);
+        match self.algorithm {
+            Algorithm::WafTree | Algorithm::GreedyConnect => {
+                let (bfs, mis) = stage("solve.phase1", watch, phase1, || {
+                    let bfs = BfsMis::compute(g, root);
+                    if !bfs.tree().spans(g) {
+                        return Err(CdsError::DisconnectedGraph);
+                    }
+                    let mis = bfs.mis().to_vec();
+                    Ok((bfs, mis))
+                })?;
+                let connectors = stage("solve.phase2", watch, phase2, || {
+                    if self.algorithm == Algorithm::WafTree {
+                        return Ok(waf::waf_connectors(g, &bfs, root));
+                    }
+                    // The spanning BFS tree above proved `g` connected.
                     connect::max_gain_connectors_unchecked(g, &mis).map_err(|e| match e {
                         // An MIS of a connected graph can never stall
                         // (Lemma 9); surface any other error as-is.
@@ -350,59 +330,64 @@ impl Solver {
                             CdsError::Stalled(format!("unexpected on MIS seed: {msg}"))
                         }
                         other => other,
-                    })?;
-                timings.phase2 = watch.lap();
-                drop(p2);
-                (mis, connectors)
+                    })
+                })?;
+                Ok((mis, connectors))
             }
             Algorithm::ChvatalSetCover => {
-                // The connectivity BFS is real work on large graphs;
-                // span it so trace coverage accounts for it.
-                let pre = mcds_obs::span("solve.precheck");
-                if !g.is_connected() {
-                    return Err(CdsError::DisconnectedGraph);
-                }
-                drop(pre);
-                let p1 = mcds_obs::span("solve.phase1");
-                let ds = setcover::chvatal_dominating_set(g);
-                timings.phase1 = watch.lap();
-                drop(p1);
-                let p2 = mcds_obs::span("solve.phase2");
-                let connectors = connect::path_connectors_unchecked(g, &ds);
-                timings.phase2 = watch.lap();
-                drop(p2);
-                (ds, connectors)
+                precheck(g)?;
+                let ds = stage("solve.phase1", watch, phase1, || {
+                    Ok(setcover::chvatal_dominating_set(g))
+                })?;
+                let connectors = stage("solve.phase2", watch, phase2, || {
+                    Ok(connect::path_connectors_unchecked(g, &ds))
+                })?;
+                Ok((ds, connectors))
             }
             Algorithm::ArbitraryMis => {
-                let pre = mcds_obs::span("solve.precheck");
-                if !g.is_connected() {
-                    return Err(CdsError::DisconnectedGraph);
-                }
-                drop(pre);
-                let p1 = mcds_obs::span("solve.phase1");
-                let mis = variants::lexicographic_mis(g);
-                timings.phase1 = watch.lap();
-                drop(p1);
-                let p2 = mcds_obs::span("solve.phase2");
-                let connectors = connect::max_gain_then_paths_unchecked(g, &mis)?;
-                timings.phase2 = watch.lap();
-                drop(p2);
-                (mis, connectors)
+                precheck(g)?;
+                let mis = stage("solve.phase1", watch, phase1, || {
+                    Ok(variants::lexicographic_mis(g))
+                })?;
+                let connectors = stage("solve.phase2", watch, phase2, || {
+                    connect::max_gain_then_paths_unchecked(g, &mis)
+                })?;
+                Ok((mis, connectors))
             }
             Algorithm::GreedyGrowth => {
-                let pre = mcds_obs::span("solve.precheck");
-                if !g.is_connected() {
-                    return Err(CdsError::DisconnectedGraph);
-                }
-                drop(pre);
+                precheck(g)?;
                 // Single-phase: the whole grown set counts as phase 1.
-                let p1 = mcds_obs::span("solve.phase1");
-                let set = growth::grow(g);
-                timings.phase1 = watch.lap();
-                drop(p1);
-                (set, Vec::new())
+                let set = stage("solve.phase1", watch, phase1, || Ok(growth::grow(g)))?;
+                Ok((set, Vec::new()))
             }
-        })
+        }
+    }
+}
+
+/// Runs one stage of a solve inside its span: `f`, then the stopwatch lap
+/// into `lap` before the span closes, so a trace attributes the clock
+/// read to that stage.  An error leaves `lap` untouched.
+fn stage<T>(
+    name: &'static str,
+    watch: &mut Stopwatch,
+    lap: &mut Duration,
+    f: impl FnOnce() -> Result<T, CdsError>,
+) -> Result<T, CdsError> {
+    let _span = mcds_obs::span(name);
+    let out = f()?;
+    *lap = watch.lap();
+    Ok(out)
+}
+
+/// The connectivity check of the constructions whose phase 1 does not
+/// prove `g` connected.  It is real work on large graphs, so it has a
+/// span of its own; its time laps into phase 1.
+fn precheck<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+    let _span = mcds_obs::span("solve.precheck");
+    if g.is_connected() {
+        Ok(())
+    } else {
+        Err(CdsError::DisconnectedGraph)
     }
 }
 

@@ -15,7 +15,9 @@
 //!   with unit weights);
 //! * [`oracle_connectors`] rebuilds the components and rescans every
 //!   candidate per connector (production keeps that loop for unequal or
-//!   all-zero weights and runs phase 2's bucket queue otherwise);
+//!   all-zero weights and runs phase 2's bucket queue otherwise), then
+//!   finishes with the shortest-path loop of `path_loop`, which recounts
+//!   the components before each search;
 //! * [`oracle_prune_m_cds`] re-checks the whole contract per candidate
 //!   and sweeps to a fixpoint;
 //! * [`oracle_check_biconnected`] and [`oracle_biconnect_augment`] copy
@@ -25,13 +27,15 @@
 //! `tests/kernel_equiv.rs` does the same for the m = 1 kernels.  Anything
 //! short of equality here is a bug, not a tolerance.
 
+mod path_loop;
+
 use std::collections::VecDeque;
 
 use mcds_cds::fault::{
     biconnect_augment, check_biconnected, check_m_cds, prune_m_cds, weighted_m_fold_dominators,
     weighted_max_gain_connectors,
 };
-use mcds_cds::{chvatal_dominating_set, connect, Algorithm, Cds, CdsError, Solver, WeightScheme};
+use mcds_cds::{chvatal_dominating_set, Algorithm, Cds, CdsError, Solver, WeightScheme};
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::traversal::largest_component;
@@ -209,7 +213,7 @@ fn oracle_connectors<G: RandomAccessGraph>(
                 // walker finish (it reports DisconnectedGraph if `g`
                 // itself cannot connect the seed).
                 let current: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
-                let rest = connect::path_connectors(g, &current)?;
+                let rest = path_loop::path_connectors(g, &current)?;
                 connectors.extend(rest);
                 break;
             }

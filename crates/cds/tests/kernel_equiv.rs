@@ -8,8 +8,10 @@
 //! production: [`merge_scalar`] rescans every candidate per max-gain
 //! selection (confined to a candidate zone, it is the churn maintainer's
 //! former connector patch), [`prune_scalar`] re-checks the whole set
-//! per removal candidate, and [`oracle_grow`] rescans every node per
-//! greedy-growth step.  The production kernels are pure accelerators of
+//! per removal candidate, [`oracle_grow`] rescans every node per
+//! greedy-growth step, and `path_loop::path_connectors` recounts the
+//! components before each shortest-path search.  The production kernels
+//! are pure accelerators of
 //! them: a lazy bucket queue for the phase-2 argmax, incremental cover
 //! counts + local cut-vertex certificates for the prune scan, and the
 //! m-fold election's lazy heap restricted to gray nodes for growth.
@@ -19,10 +21,15 @@
 //! refreshes fire.  Anything short of bit-equality here is a bug, not a
 //! tolerance.
 
+mod path_loop;
+
+use path_loop::check_graph;
+
 use mcds_cds::connect::{
     gain_trace, max_gain_connectors, max_gain_connectors_within, max_gain_then_paths,
     path_connectors,
 };
+use mcds_cds::fault::m_fold_dominators;
 use mcds_cds::prune::prune_cds;
 use mcds_cds::{Algorithm, Cds, CdsError, Solution, Solver};
 use mcds_check::oracle::oracle_cases;
@@ -103,17 +110,6 @@ fn merge_scalar<G: RandomAccessGraph>(
     })
 }
 
-/// The graph errors both phase-2 entry points return before merging.
-fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
-    if g.num_nodes() == 0 {
-        return Err(CdsError::EmptyGraph);
-    }
-    if !g.is_connected() {
-        return Err(CdsError::DisconnectedGraph);
-    }
-    Ok(())
-}
-
 /// Oracle for [`max_gain_connectors`].
 fn oracle_max_gain_connectors<G: RandomAccessGraph>(
     g: &G,
@@ -133,7 +129,8 @@ fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
     if run.remaining > 1 {
         let mut grown: Vec<usize> = seed.to_vec();
         grown.extend(run.connectors.iter().copied());
-        run.connectors.extend(path_connectors(g, &grown)?);
+        run.connectors
+            .extend(path_loop::path_connectors(g, &grown)?);
     }
     Ok(run.connectors)
 }
@@ -349,7 +346,8 @@ fn assert_kernels_agree(g: &Graph, label: &str) {
 /// rebuilt from `unpruned` (the same solve without prune) through the
 /// oracles: the growth rescan for greedy growth; otherwise its phase-1
 /// dominators, with oracle connectors for the two max-gain algorithms
-/// (the other phase-2 rules share no kernel); then the oracle prune.
+/// and Chvátal's shortest paths (WAF's tree connectors share no
+/// kernel); then the oracle prune.
 /// Returns the CDS and `pruned_from`.
 fn oracle_solution(g: &Graph, unpruned: &Solution) -> (Cds, Option<usize>) {
     let dominators = match unpruned.algorithm() {
@@ -359,6 +357,7 @@ fn oracle_solution(g: &Graph, unpruned: &Solution) -> (Cds, Option<usize>) {
     let connectors = match unpruned.algorithm() {
         Algorithm::GreedyConnect => oracle_max_gain_connectors(g, &dominators),
         Algorithm::ArbitraryMis => oracle_max_gain_then_paths(g, &dominators),
+        Algorithm::ChvatalSetCover => path_loop::path_connectors(g, &dominators),
         _ => Ok(unpruned.cds().connectors().to_vec()),
     }
     .expect("oracle phase 2 connects a connected graph");
@@ -528,6 +527,55 @@ fn stall_and_error_cases_agree() {
     // An empty seed has no components to connect.
     assert_eq!(max_gain_connectors(&g, &[]), Ok(Vec::new()));
     assert_eq!(oracle_max_gain_connectors(&g, &[]), Ok(Vec::new()));
+}
+
+/// `path_connectors` runs one shortest-bridge search per path; the
+/// oracle loop recounts and relabels the components before each one.
+/// On every oracle case, whole (a disconnected deployment must fail
+/// alike) and as its giant, the two agree from the BFS first-fit MIS,
+/// Chvátal's dominators, the m-fold dominators at m = 2 and 3, and
+/// arbitrary node subsets (empty and whole sets included).
+#[test]
+fn path_connectors_match_the_path_loop() {
+    let gen = oracle_cases(18);
+    let mut connected = 0usize;
+    for seed in 0..150u64 {
+        let mut rng = StdRng::from_stream(seed, 0x9a7b);
+        let case = gen.generate(&mut rng);
+        let udg = Udg::build(case.points);
+        let mut graphs = vec![(udg.graph().clone(), "whole")];
+        let giant = largest_component(udg.graph());
+        if giant.len() >= 2 {
+            connected += 1;
+            graphs.push((udg.restricted_to(&giant).graph().clone(), "giant"));
+        }
+        for (g, part) in &graphs {
+            let n = g.num_nodes();
+            let mut seeds = vec![
+                mcds_cds::chvatal_dominating_set(g),
+                m_fold_dominators(g, 2),
+                m_fold_dominators(g, 3),
+                Vec::new(),
+                (0..n).collect(),
+            ];
+            if n > 0 {
+                seeds.push(BfsMis::compute(g, 0).mis().to_vec());
+            }
+            for _ in 0..4 {
+                let keep = rng.gen_range(0..=n);
+                seeds.push((0..n).filter(|_| rng.gen_range(0..=n) < keep).collect());
+            }
+            for seed_set in &seeds {
+                assert_eq!(
+                    path_connectors(g, seed_set),
+                    path_loop::path_connectors(g, seed_set),
+                    "oracle seed {seed} {:?} {part}: seed {seed_set:?}",
+                    case.kind
+                );
+            }
+        }
+    }
+    assert!(connected >= 100, "only {connected} connected oracle cases");
 }
 
 /// Hostile structured topologies: hubs, cliques, paths, cycles, and

@@ -35,6 +35,9 @@ pub const DEFAULT_SEED: u64 = 2008;
 /// The default number of passing cases a property must accumulate.
 pub const DEFAULT_CASES: usize = 64;
 
+/// Upper bound on property evaluations spent shrinking one failure.
+const MAX_SHRINK_STEPS: usize = 1000;
+
 /// The outcome of running a property on one generated value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TestResult {
@@ -55,8 +58,6 @@ pub struct Config {
     pub cases: usize,
     /// Master seed (default [`DEFAULT_SEED`]).
     pub seed: u64,
-    /// Upper bound on property evaluations spent shrinking a failure.
-    pub max_shrink_steps: usize,
     /// Directory of `*.case` regression files to replay before random
     /// exploration, and into which new failures are persisted.
     pub corpus_dir: Option<PathBuf>,
@@ -67,7 +68,6 @@ impl Default for Config {
         Config {
             cases: DEFAULT_CASES,
             seed: DEFAULT_SEED,
-            max_shrink_steps: 1000,
             corpus_dir: None,
         }
     }
@@ -171,12 +171,6 @@ impl Property {
     /// in [`Property::new`] only if the variable is present).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Caps the property evaluations spent shrinking one failure.
-    pub fn max_shrink_steps(mut self, steps: usize) -> Self {
-        self.config.max_shrink_steps = steps;
         self
     }
 
@@ -316,8 +310,8 @@ impl Property {
     }
 
     /// Greedy shrink descent: try candidates in generator order, move to
-    /// the first that still fails, repeat until a local minimum or the
-    /// step budget.
+    /// the first that still fails, repeat until a local minimum or
+    /// [`MAX_SHRINK_STEPS`].
     fn shrink<G, P>(
         &self,
         gen: &G,
@@ -333,7 +327,7 @@ impl Property {
     {
         let mut current = original.clone();
         let mut steps = 0usize;
-        'descend: while steps < self.config.max_shrink_steps {
+        'descend: while steps < MAX_SHRINK_STEPS {
             for candidate in gen.shrink(&current) {
                 steps += 1;
                 if let TestResult::Fail(m) = run_protected(prop, &candidate) {
@@ -341,7 +335,7 @@ impl Property {
                     message = m;
                     continue 'descend;
                 }
-                if steps >= self.config.max_shrink_steps {
+                if steps >= MAX_SHRINK_STEPS {
                     break 'descend;
                 }
             }

@@ -141,32 +141,11 @@ fn parse_weights(args: &Args) -> Result<WeightScheme, CliError> {
 pub fn solve(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(
         argv,
-        &[
-            "alg",
-            "dot",
-            "svg",
-            "m",
-            "weights",
-            "weight-seed",
-            "backend",
-        ],
+        &["alg", "dot", "svg", "m", "weights", "weight-seed"],
         &["prune", "timings", "biconnect", "json"],
     )?;
     let udg = load(&args)?;
     let g = udg.graph();
-    // `--backend compact` re-solves against the gap-compressed adjacency
-    // backend; output (including `--json`) is byte-identical to the CSR
-    // default because the two backends expose the same sorted adjacency
-    // (scripts/verify.sh diffs the two).
-    let compact = match args.value("backend").unwrap_or("csr") {
-        "csr" => None,
-        "compact" => Some(mcds_graph::CompactGraph::from_graph(g)),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --backend {other} (expected csr or compact)"
-            )))
-        }
-    };
     let algs = algorithms_for(args.value("alg").unwrap_or("greedy"))?;
     let show_timings = args.switch("timings");
     let m = parse_m(&args)?;
@@ -181,11 +160,9 @@ pub fn solve(argv: &[String]) -> Result<(), CliError> {
             .m(m)
             .biconnect(biconnect)
             .weight_scheme(weights);
-        let solution = match &compact {
-            Some(c) => solver.solve(c),
-            None => solver.solve(g),
-        }
-        .map_err(|e| CliError::Runtime(format!("{}: {e}", alg.name())))?;
+        let solution = solver
+            .solve(g)
+            .map_err(|e| CliError::Runtime(format!("{}: {e}", alg.name())))?;
         if json {
             // One response object per algorithm, rendered by the same
             // function the `mcds-serve` daemon uses — so a daemon seeded

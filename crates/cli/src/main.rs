@@ -5,7 +5,7 @@
 //!                 [--connected] -o inst.udg
 //! mcds-cli stats  inst.udg
 //! mcds-cli solve  inst.udg [--alg greedy|waf|chvatal|arb-mis|all] [--prune]
-//!                 [--timings] [--backend csr|compact] [--dot out.dot]
+//!                 [--timings] [--dot out.dot]
 //! mcds-cli sweep  [--alg NAME|all] [--n N] [--side S] [--trials T]
 //!                 [--seed S] [--threads T] [--out sizes.csv]
 //! mcds-cli exact  inst.udg [--budget STEPS]
@@ -120,7 +120,7 @@ usage:
   mcds-cli solve  FILE [--alg greedy|waf|chvatal|arb-mis|gk-grow|all] [--prune]
                   [--timings] [--m 1|2|3] [--biconnect]
                   [--weights unit|degree|random [--weight-seed S]] [--json]
-                  [--backend csr|compact] [--dot FILE] [--svg FILE]
+                  [--dot FILE] [--svg FILE]
   mcds-cli sweep  [--alg NAME|all] [--n N] [--side S] [--trials T] [--seed SEED]
                   [--m 1|2|3] [--biconnect] [--threads T] [--out FILE]
                   [--weights unit|degree|random [--weight-seed S]]

@@ -130,7 +130,7 @@ mod tests {
             set_stderr_level(Level::Silent);
             crate::warn!("unit-test diagnostic {}", 42);
             set_stderr_level(prev);
-            let text = crate::trace::snapshot_jsonl();
+            let text = crate::trace::drain_jsonl();
             assert!(
                 text.contains("\"level\":\"warn\"") && text.contains("unit-test diagnostic 42"),
                 "trace missing log record: {text}"

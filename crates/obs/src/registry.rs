@@ -29,11 +29,6 @@ impl Counter {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
     pub fn value(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -528,7 +523,7 @@ mod tests {
 
     #[test]
     fn metrics_text_dedupes_post_sanitization_collisions() {
-        counter("test.registry.collide!a").incr();
+        counter("test.registry.collide!a").add(1);
         counter("test.registry.collide?a").add(2);
         let text = metrics_text();
         // BTreeMap order: `!a` sorts before `?a`, so it keeps the base

@@ -227,12 +227,6 @@ pub fn drain_jsonl() -> String {
     render(&drained)
 }
 
-/// Renders the trace without draining — the read-only view used by tests
-/// and by in-process summaries.
-pub fn snapshot_jsonl() -> String {
-    render(&lock_events())
-}
-
 /// Drains the trace into `path` (created or truncated).
 pub fn flush_to_path(path: &str) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
@@ -265,7 +259,8 @@ mod tests {
 
     #[test]
     fn meta_line_leads_every_trace() {
-        let text = snapshot_jsonl();
+        // Serialized against the tests that read buffered events.
+        let text = crate::test_support::with_enabled(true, drain_jsonl);
         let first = text.lines().next().unwrap();
         assert!(first.contains("\"type\":\"meta\""));
         assert!(first.contains(&format!("\"version\":{SCHEMA_VERSION}")));

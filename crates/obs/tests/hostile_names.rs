@@ -30,7 +30,7 @@ fn hostile_names_round_trip_through_metrics_json() {
         .cases(96)
         .run(&strings(0..=40), |s| {
             let name = format!("hostile.json.{s}");
-            mcds_obs::counter(&name).incr();
+            mcds_obs::counter(&name).add(1);
             let expected = mcds_obs::counter_value(&name);
             let doc = format!("{{{}}}", mcds_obs::trace::metrics_json());
             let parsed = match Value::parse(&doc) {
@@ -55,7 +55,7 @@ fn hostile_names_sanitize_into_valid_prometheus_exposition() {
         .cases(96)
         .run(&strings(0..=40), |s| {
             let name = format!("hostile.prom.{s}");
-            mcds_obs::counter(&name).incr();
+            mcds_obs::counter(&name).add(1);
             // The sanitizer is deterministic and idempotent, so the same
             // hostile name always maps to the same exposition family.
             let san = sanitize_metric_name(&name);

@@ -457,7 +457,7 @@ mod tests {
             pool.scope(|scope| {
                 for _ in 0..256 {
                     let counter = counter.clone();
-                    scope.spawn(move || counter.incr());
+                    scope.spawn(move || counter.add(1));
                 }
             });
             assert_eq!(counter.value() - before, 256);

@@ -11,7 +11,8 @@
 # The `build` stage also compiles the benchmark harness, `perfbench/`: a
 # cargo workspace of its own that builds this repository's crates by path
 # (into `.bench_build`, as `perfbench/run.py` does), so an API change that
-# breaks the benchmark fails here.
+# breaks the benchmark fails here.  It also prints the non-test line count
+# per crate (`scripts/nontest_lines.sh`), with no gate.
 #
 # The `doc` stage builds the workspace docs with rustdoc warnings denied,
 # so a link to a deleted or private item fails the gate.
@@ -65,6 +66,8 @@ if want build; then
   echo "== cargo build --release (perfbench harness) =="
   CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
     --manifest-path perfbench/Cargo.toml
+  echo "== non-test lines (ROADMAP item 6; reported, not gated) =="
+  scripts/nontest_lines.sh
 fi
 
 if want test; then
@@ -289,27 +292,13 @@ if want serve; then
 fi
 
 if want substrate; then
-  echo "== substrate: compact backend byte-identical to CSR, E23 smoke =="
-  cargo run --quiet --release -p mcds-cli -- gen --n 150 --side 6.5 --seed 23 \
-    --connected -o "$det_dir/substrate.udg" > /dev/null
-  cargo run --quiet --release -p mcds-cli -- solve "$det_dir/substrate.udg" \
-    --alg all --prune --json > "$det_dir/solve_csr.json"
-  cargo run --quiet --release -p mcds-cli -- solve "$det_dir/substrate.udg" \
-    --alg all --prune --json --backend compact > "$det_dir/solve_compact.json"
-  diff "$det_dir/solve_csr.json" "$det_dir/solve_compact.json"
-  # The (1,2) and (2,2) family on the same instance, where both solves
-  # succeed: a failing solve fails the stage, on either backend.
-  for family in "--m 2" "--m 2 --biconnect"; do
-    for backend in csr compact; do
-      # shellcheck disable=SC2086 # $family is two or three words
-      cargo run --quiet --release -p mcds-cli -- solve "$det_dir/substrate.udg" \
-        --alg all $family --prune --json --backend "$backend" \
-        > "$det_dir/solve_family_$backend.json" || {
-        echo "solve $family --backend $backend failed" >&2; exit 1; }
-    done
-    diff "$det_dir/solve_family_csr.json" "$det_dir/solve_family_compact.json"
-  done
-  echo "solve --json byte-identical on both backends (m = 1, m = 2, m = 2 biconnected)"
+  echo "== substrate: compact backend solves identical to CSR, E23 smoke =="
+  # Every algorithm at m = 1 (with and without prune), m = 2 and m = 2
+  # biconnected (with prune) on both backends: equal CDSs, pruned_from
+  # and errors on the oracle cases, and on the n = 150 instance that
+  # `gen --n 150 --side 6.5 --seed 23 --connected` writes, where every
+  # solve must succeed.
+  cargo test --quiet --release -p mcds --test substrate
   # Bounded E23 smoke: streaming build + cross-backend solve + the >= 3x
   # adjacency compression gate, at quick-ladder sizes.
   cargo run --quiet --release -p mcds-bench --bin exp_substrate -- --quick \

@@ -32,36 +32,87 @@ fn csr_compact_round_trip() {
         });
 }
 
-#[test]
-fn solves_agree_across_backends() {
+/// The solver configurations the backends must agree under: the plain
+/// m = 1 solve, and with prune the (1,1), (1,2) and (2,2) backbones.
+const CONFIGS: [(usize, bool, bool); 4] = [
+    (1, false, false),
+    (1, false, true),
+    (2, false, true),
+    (2, true, true),
+];
+
+/// Solves `g` on the CSR backend and on its compact copy with every
+/// algorithm under every [`CONFIGS`] entry (verify on, as `mcds-cli
+/// solve` runs), and asserts equal CDSs, `pruned_from` and errors.
+/// Returns how many solves failed (on both backends alike).
+fn backends_agree(g: &Graph, label: &str) -> Result<usize, String> {
     use mcds::cds::algorithms::Algorithm;
     use mcds::cds::Solver;
 
+    let c = CompactGraph::from_graph(g);
+    let mut failed = 0;
+    for (m, biconnect, prune) in CONFIGS {
+        for alg in Algorithm::ALL {
+            let solver = Solver::new(alg)
+                .verify(true)
+                .prune(prune)
+                .m(m)
+                .biconnect(biconnect);
+            let context = format!("{label}, {alg} m={m} biconnect={biconnect} prune={prune}");
+            match (solver.solve(g), solver.solve(&c)) {
+                (Ok(a), Ok(b)) => {
+                    if (a.cds(), a.pruned_from()) != (b.cds(), b.pruned_from()) {
+                        return Err(format!(
+                            "{context}: backends disagree ({:?} from {:?} vs {:?} from {:?})",
+                            a.nodes(),
+                            a.pruned_from(),
+                            b.nodes(),
+                            b.pruned_from()
+                        ));
+                    }
+                }
+                (Err(a), Err(b)) if a == b => failed += 1,
+                (a, b) => {
+                    return Err(format!(
+                        "{context}: backends disagree ({:?} vs {:?})",
+                        a.map(|s| s.nodes().to_vec()),
+                        b.map(|s| s.nodes().to_vec())
+                    ))
+                }
+            }
+        }
+    }
+    Ok(failed)
+}
+
+#[test]
+fn solves_agree_across_backends() {
     Property::new("solves_agree_across_backends")
         .cases(48)
         .run(&oracle_cases(14), |case| {
             let udg = Udg::build(case.points.clone());
             let comp = traversal::largest_component(udg.graph());
-            let (g, _) = udg.graph().induced_subgraph(&comp);
-            let c = CompactGraph::from_graph(&g);
-            for alg in Algorithm::ALL {
-                let solver = Solver::new(alg).verify(true);
-                match (solver.solve(&g), solver.solve(&c)) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert!(
-                            a.cds().nodes() == b.cds().nodes(),
-                            "{alg}: backends disagree ({:?} vs {:?})",
-                            a.cds().nodes(),
-                            b.cds().nodes()
-                        );
-                    }
-                    (a, b) => {
-                        prop_assert_eq!(a.err(), b.err());
-                    }
+            let (giant, _) = udg.graph().induced_subgraph(&comp);
+            for (g, part) in [(udg.graph(), "whole"), (&giant, "giant")] {
+                if let Err(msg) = backends_agree(g, part) {
+                    return TestResult::Fail(msg);
                 }
             }
             TestResult::Pass
         });
+}
+
+/// The instance `mcds-cli gen --n 150 --side 6.5 --seed 23 --connected`
+/// writes, on which every algorithm solves at m = 1 and m = 2, with and
+/// without `biconnect`: each solve must succeed, alike on both backends.
+#[test]
+fn cli_instance_solves_alike_on_both_backends() {
+    use mcds::rng::rngs::StdRng;
+    use mcds::rng::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(23);
+    let udg = mcds::udg::gen::connected_uniform(&mut rng, 150, 6.5, 100).expect("connected");
+    assert_eq!(backends_agree(udg.graph(), "n = 150"), Ok(0));
 }
 
 #[test]
