@@ -25,6 +25,14 @@
 //! `exp_churn_timings.csv` (wall time per event, mean and max per
 //! setting) in the output directory.
 //!
+//! Without `--quick` it also climbs the **churn ladder**: one-move
+//! streams (no joins or leaves, each move at most half a radius) at
+//! degree ≈ 10 and `m = 1` over resident topologies of 1 000, 10 000 and
+//! 100 000 nodes, the shape of the benchmark's `churn-10k`.  Each rung's
+//! mean wall time per event (the reports' `wall`) and its repaired and
+//! recomputed counts go to `BENCH_churn.json`, the perf ledger's `churn`
+//! bench.
+//!
 //! Usage: `exp_churn [--quick] [--seed <u64>] [--out <dir>]`
 
 use std::io::Write;
@@ -221,6 +229,29 @@ fn main() {
         println!("\nwrote {}", path.display());
     }
 
+    if !cfg.quick {
+        let rungs: Vec<Rung> = LADDER.iter().map(|&n| climb(cfg.seed, n)).collect();
+        let mut table = Table::new(&["n", "giant", "events", "repaired", "recomputed", "ms/event"]);
+        for r in &rungs {
+            table.row(&[
+                r.n.to_string(),
+                r.giant.to_string(),
+                LADDER_EVENTS.to_string(),
+                r.metrics.repaired.to_string(),
+                r.metrics.recompute_total().to_string(),
+                f3(r.metrics.mean_wall_us() / 1e3),
+            ]);
+        }
+        println!("\nchurn ladder: one-move streams at degree ~10, m = 1");
+        table.print();
+        if let Some(dir) = &cfg.out_dir {
+            let path = dir.join("BENCH_churn.json");
+            let mut file = std::fs::File::create(&path).expect("create BENCH_churn.json");
+            write!(file, "{}", ladder_json(cfg.seed, &rungs)).expect("write BENCH_churn.json");
+            println!("wrote {}", path.display());
+        }
+    }
+
     println!();
     println!(
         "RESULT: local repair absorbs the overwhelming majority of churn \
@@ -228,6 +259,72 @@ fn main() {
          threshold of a fresh greedy recompute — maintenance, not \
          reconstruction, is the right response to churn."
     );
+}
+
+/// Resident topology sizes of the churn ladder.
+const LADDER: [usize; 3] = [1_000, 10_000, 100_000];
+
+/// Events per ladder rung.
+const LADDER_EVENTS: usize = 200;
+
+/// One rung of the churn ladder.
+struct Rung {
+    n: usize,
+    giant: usize,
+    metrics: StabilityMetrics,
+}
+
+/// Runs one rung: `n` uniform points at degree ≈ 10 (side
+/// `√(π n / 10)`), then [`LADDER_EVENTS`] one-move events of at most
+/// half a radius through a default (`m = 1`) engine.
+fn climb(seed: u64, n: usize) -> Rung {
+    let side = (std::f64::consts::PI * n as f64 / 10.0).sqrt();
+    let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+    let pts = gen::uniform_in_square(&mut rng, n, side);
+    let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
+    let mut source = ChurnGen::new(ChurnConfig {
+        region: Aabb::square(side),
+        p_join: 0.0,
+        p_leave: 0.0,
+        move_radius: 0.5,
+        min_population: 4,
+    });
+    let mut metrics = StabilityMetrics::new();
+    for _ in 0..LADDER_EVENTS {
+        let event = source.next_event(&mut rng, &engine.alive());
+        metrics.record(&engine.apply(event));
+    }
+    Rung {
+        n,
+        giant: engine.giant(),
+        metrics,
+    }
+}
+
+/// `BENCH_churn.json`: the ladder's wall times per event beside its
+/// counts.
+fn ladder_json(seed: u64, rungs: &[Rung]) -> String {
+    let mut out = String::new();
+    out.push_str("{\n  \"bench\": \"churn\",\n");
+    out.push_str(&format!(
+        "  \"schema\": 1,\n  \"seed\": {seed},\n  \"events\": {LADDER_EVENTS},\n"
+    ));
+    out.push_str("  \"points\": [\n");
+    for (i, r) in rungs.iter().enumerate() {
+        let m = &r.metrics;
+        out.push_str(&format!(
+            "    {{\"n\": {}, \"giant\": {}, \"repaired\": {}, \"recomputed\": {}, \
+             \"wall_ms_per_event\": {:.4}}}{}\n",
+            r.n,
+            r.giant,
+            m.repaired,
+            m.recompute_total(),
+            m.mean_wall_us() / 1e3,
+            if i + 1 == rungs.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 /// Hand-rolled JSON (the workspace is hermetic — no serde available).

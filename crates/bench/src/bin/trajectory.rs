@@ -97,7 +97,7 @@ fn record(argv: &[String]) -> Result<ExitCode, String> {
     }
     let rev = match flag_value(argv, "--rev")? {
         Some(r) => r,
-        None => git_short_rev().unwrap_or_else(|| "unknown".into()),
+        None => git_short_rev(std::path::Path::new(".")).unwrap_or_else(|| "unknown".into()),
     };
 
     // Collect BENCH_*.json deterministically (sorted by file name).
@@ -216,17 +216,31 @@ fn check(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The short git revision of the working tree, when available.
-fn git_short_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
+/// The short git revision of the tree at `dir`, with `-dirty` appended
+/// when tracked files differ from `HEAD` (a rung recorded before its
+/// commit must not carry the parent's revision), when available.
+fn git_short_rev(dir: &std::path::Path) -> Option<String> {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+    };
+    let out = git(&["rev-parse", "--short", "HEAD"])?;
     if !out.status.success() {
         return None;
     }
     let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    (!rev.is_empty()).then_some(rev)
+    if rev.is_empty() {
+        return None;
+    }
+    let clean = git(&["diff", "--quiet", "HEAD", "--"])?.status;
+    Some(match clean.code() {
+        Some(0) => rev,
+        _ => format!("{rev}-dirty"),
+    })
 }
 
 fn unix_seconds() -> u64 {
@@ -234,4 +248,52 @@ fn unix_seconds() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::git_short_rev;
+    use std::path::Path;
+    use std::process::Command;
+
+    fn git(dir: &Path, args: &[&str]) {
+        let status = Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args([
+                "-c",
+                "user.name=ledger",
+                "-c",
+                "user.email=ledger@example.com",
+            ])
+            .args(["-c", "commit.gpgsign=false"])
+            .args(args)
+            .status()
+            .expect("git runs");
+        assert!(status.success(), "git {args:?}");
+    }
+
+    #[test]
+    fn revs_of_trees_with_uncommitted_changes_are_marked_dirty() {
+        let dir = std::env::temp_dir().join(format!("mcds_ledger_rev_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create the test repository");
+        assert_eq!(git_short_rev(&dir), None, "no repository yet");
+        git(&dir, &["init", "-q"]);
+        std::fs::write(dir.join("tracked.txt"), "one\n").expect("write");
+        git(&dir, &["add", "tracked.txt"]);
+        git(&dir, &["commit", "-q", "-m", "first"]);
+        let clean = git_short_rev(&dir).expect("a committed tree has a rev");
+        assert!(!clean.is_empty() && !clean.ends_with("-dirty"), "{clean}");
+        // Untracked files leave the tree clean; an edit to a tracked one
+        // does not.
+        std::fs::write(dir.join("untracked.txt"), "x\n").expect("write");
+        assert_eq!(git_short_rev(&dir).as_deref(), Some(clean.as_str()));
+        std::fs::write(dir.join("tracked.txt"), "two\n").expect("write");
+        assert_eq!(git_short_rev(&dir), Some(format!("{clean}-dirty")));
+        git(&dir, &["commit", "-q", "-am", "second"]);
+        let next = git_short_rev(&dir).expect("rev");
+        assert!(next != clean && !next.ends_with("-dirty"), "{next}");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
 }

@@ -60,6 +60,7 @@ pub fn field_map(bench: &str) -> Option<(&'static str, &'static str, f64)> {
         "serve" => Some(("clients", "wall_p50_us", 1e-3)),
         "fault" => Some(("m", "wall_us_mean", 1e-3)),
         "substrate" => Some(("n", "solve_compact_ms", 1.0)),
+        "churn" => Some(("n", "wall_ms_per_event", 1.0)),
         _ => None,
     }
 }
@@ -350,6 +351,11 @@ mod tests {
         let (_, points) = parse_bench_file(serve).unwrap();
         assert_eq!(points[0].key, "clients=4");
         assert!((points[0].wall_ms - 0.027).abs() < 1e-12);
+        let churn = r#"{"bench":"churn","schema":1,"points":[
+            {"n":10000,"giant":9992,"repaired":200,"recomputed":0,"wall_ms_per_event":2.61}]}"#;
+        let (_, points) = parse_bench_file(churn).unwrap();
+        assert_eq!(points[0].key, "n=10000");
+        assert_eq!(points[0].wall_ms, 2.61);
         // A bench with no field map is an error that names it, even when
         // its points carry familiar fields.
         let custom = r#"{"bench":"custom","schema":1,"points":[

@@ -63,7 +63,7 @@ pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let run = merge_bitset(g, seed, false, EVERY_NODE)?;
+    let run = merge_bitset(g, seed, false)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -107,7 +107,7 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    let mut run = merge_bitset(g, seed, true, EVERY_NODE)?;
+    let mut run = merge_bitset(g, seed, true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         check_graph(g)?;
@@ -120,27 +120,72 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
 }
 
 /// The max-gain merges of [`max_gain_connectors`] with candidates
-/// confined to the nodes `candidate` accepts; nodes it rejects are
-/// never scanned or selected.  Returns the connector sequence in
-/// selection order, ties on gain going to the smaller id.
+/// confined to `zone` (distinct nodes); nodes outside it are never
+/// scanned or selected.  `seed` lists distinct nodes.  Returns the
+/// connector sequence in selection order, ties on gain going to the
+/// smaller id.
 ///
+/// The merge state lives in `scratch`, sized to the largest graph it has
+/// served and reset on return where this call touched it, so a call
+/// reads the rows of `seed` and of the zone's candidates, not every node.
 /// `g` need not be connected, and nothing about it is checked.  No
 /// `connectors.*` counter is flushed: those count the solver's phase 2.
 ///
 /// # Errors
 ///
-/// [`CdsError::Stalled`] if no accepted node touches two components
-/// while more than one remains.
-pub fn max_gain_connectors_within<G, F>(
+/// [`CdsError::Stalled`] if no zone node touches two components while
+/// more than one remains.
+pub fn max_gain_connectors_within<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
-    candidate: F,
-) -> Result<Vec<usize>, CdsError>
-where
-    G: RandomAccessGraph,
-    F: Fn(usize) -> bool,
-{
-    Ok(merge_bitset(g, seed, false, Some(candidate))?.connectors)
+    zone: &[usize],
+    scratch: &mut MergeScratch,
+) -> Result<Vec<usize>, CdsError> {
+    let st = scratch;
+    st.fit(g.num_nodes());
+    let mut members = 0usize;
+    for &v in seed {
+        members += usize::from(st.mask.insert(v));
+    }
+    let mut merges = 0usize;
+    for &v in seed {
+        for u in g.successors(v) {
+            if u < v && st.mask.contains(u) && st.dsu.union(u, v) {
+                merges += 1;
+            }
+        }
+    }
+    let q = members - merges;
+    let mut run = MergeRun {
+        connectors: Vec::new(),
+        remaining: q,
+        scanned: 0,
+    };
+    if q > 1 {
+        for &w in zone {
+            if st.mask.contains(w) {
+                continue;
+            }
+            let c = adjacent_count(g, &st.mask, &mut st.dsu, w, &mut st.roots);
+            enqueue(&mut st.buckets, &mut st.bucket_of, &mut st.top, w, c);
+        }
+        run = merge_loop::<G, true>(g, st, q, true, 0)?;
+    }
+    // Every node a union merged is a seed or a selection, and every
+    // queued node is in the zone.
+    for &v in seed.iter().chain(&run.connectors) {
+        st.mask.remove(v);
+    }
+    st.dsu.reset(seed.iter().chain(&run.connectors).copied());
+    for &w in zone {
+        st.bucket_of[w] = UNQUEUED;
+    }
+    st.buckets.iter_mut().for_each(BinaryHeap::clear);
+    st.top = 0;
+    if run.remaining > 1 {
+        return Err(stall_error(run.remaining));
+    }
+    Ok(run.connectors)
 }
 
 /// Outcome of a greedy merge loop: the selections made, the number of
@@ -160,25 +205,114 @@ fn stall_error(q: usize) -> CdsError {
     ))
 }
 
-/// The candidate filter of the unconfined entries: every node outside
-/// the seed may be selected.
-const EVERY_NODE: Option<fn(usize) -> bool> = None;
-
 /// A bucket-queue entry that is not a candidate (a member of the mask,
-/// or a node the caller's filter rejects); also the "no component yet"
+/// or a node outside the caller's zone); also the "no component yet"
 /// stamp of [`seed_side_counts`].
 const UNQUEUED: u32 = u32::MAX;
 
+/// The state of the greedy merge loop: the membership mask of
+/// `G[seed ∪ C]`, its components as union-find, and each candidate's
+/// gain bound in a lazy bucket queue.  [`max_gain_connectors_within`]
+/// keeps one across calls; the solver's phase 2 builds one per solve.
+#[derive(Debug, Clone)]
+pub struct MergeScratch {
+    mask: BitSet,
+    dsu: DisjointSets,
+    /// The bucket holding each node's live entry, [`UNQUEUED`] for
+    /// members and non-candidates.
+    bucket_of: Vec<u32>,
+    buckets: Vec<BinaryHeap<Reverse<usize>>>,
+    /// The highest bucket that may be non-empty.
+    top: usize,
+    roots: Vec<usize>,
+    to_refresh: Vec<usize>,
+}
+
+impl Default for MergeScratch {
+    /// Empty scratch; it grows to the graphs it serves.
+    fn default() -> Self {
+        MergeScratch::with_parts(BitSet::new(0), Vec::new())
+    }
+}
+
+impl MergeScratch {
+    fn with_parts(mask: BitSet, bucket_of: Vec<u32>) -> Self {
+        let n = mask.capacity();
+        MergeScratch {
+            mask,
+            dsu: DisjointSets::new(n),
+            bucket_of,
+            buckets: Vec::new(),
+            top: 0,
+            roots: Vec::new(),
+            to_refresh: Vec::new(),
+        }
+    }
+
+    /// Grows the state to `n` nodes, all of them unqueued non-members.
+    fn fit(&mut self, n: usize) {
+        if self.mask.capacity() < n {
+            self.mask = BitSet::new(n);
+            self.dsu = DisjointSets::new(n);
+            self.bucket_of = vec![UNQUEUED; n];
+        }
+    }
+}
+
+/// The greedy merge loop of the solver's phase 2 over every node outside
+/// `seed`, with the state built for this call: the mask and union-find
+/// from `seed`, and every candidate's exact count read from the seed
+/// side ([`seed_side_counts`]).
+fn merge_bitset<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+    allow_stall: bool,
+) -> Result<MergeRun, CdsError> {
+    let n = g.num_nodes();
+    let mask = BitSet::from_nodes(n, seed);
+    let mut st = MergeScratch::with_parts(mask, Vec::new());
+    let mut members = 0usize;
+    let mut merges = 0usize;
+    for v in st.mask.iter_ones() {
+        members += 1;
+        for u in g.successors(v) {
+            if u < v && st.mask.contains(u) && st.dsu.union(u, v) {
+                merges += 1;
+            }
+        }
+    }
+    let q = members - merges;
+    if q <= 1 {
+        return Ok(MergeRun {
+            connectors: Vec::new(),
+            remaining: q,
+            scanned: 0,
+        });
+    }
+    let mut counts = seed_side_counts(g, &st.mask, &mut st.dsu);
+    let mut scanned: u64 = 0;
+    for w in 0..n {
+        if st.mask.contains(w) {
+            counts[w] = UNQUEUED;
+            continue;
+        }
+        scanned += 1;
+        let c = counts[w] as usize;
+        enqueue(&mut st.buckets, &mut counts, &mut st.top, w, c);
+    }
+    st.bucket_of = counts;
+    merge_loop::<G, false>(g, &mut st, q, allow_stall, scanned)
+}
+
 /// The greedy merge loop: incremental gain maintenance via a lazy bucket
-/// queue.
+/// queue, from `q > 1` components.
 ///
 /// Every candidate `w ∉ mask` carries an *upper bound* `bucket_of[w]` on
 /// its true merge count `|{distinct components adjacent to w}|`:
 ///
-/// * the bounds start exact.  With `candidate` `None` (every node is a
-///   candidate) they are counted from the seed side, reading only seed
-///   rows ([`seed_side_counts`]); a caller's filter confines the loop to
-///   a zone, whose candidates count their own rows;
+/// * the bounds start exact.  The solver's phase 2 counts them from the
+///   seed side, reading only seed rows ([`seed_side_counts`]); a zone's
+///   candidates count their own rows;
 /// * selections only ever merge components, so counts of nodes **not**
 ///   adjacent to the selected `w` can only drop — their cached bound
 ///   stays valid;
@@ -197,98 +331,38 @@ const UNQUEUED: u32 = u32::MAX;
 /// rows of `w`'s neighbors plus the lazy pops, instead of a full
 /// `O(n · deg)` rescan.
 ///
-/// Only nodes `candidate` accepts are ever queued, so the loop is the
-/// rescan of those nodes alone; the solver's entries pass `None`, which
-/// accepts every node.
-fn merge_bitset<G, F>(
+/// With `CONFINED` only queued nodes are candidates, so the loop is the
+/// rescan of the zone alone; without it every non-member is one.
+fn merge_loop<G: RandomAccessGraph, const CONFINED: bool>(
     g: &G,
-    seed: &[usize],
+    st: &mut MergeScratch,
+    mut q: usize,
     allow_stall: bool,
-    candidate: Option<F>,
-) -> Result<MergeRun, CdsError>
-where
-    G: RandomAccessGraph,
-    F: Fn(usize) -> bool,
-{
-    let n = g.num_nodes();
-    let accepts = |w: usize| candidate.as_ref().is_none_or(|f| f(w));
-    let mut mask = BitSet::from_nodes(n, seed);
-    let mut dsu = DisjointSets::new(n);
-    let mut members = 0usize;
-    let mut merges = 0usize;
-    for v in mask.iter_ones() {
-        members += 1;
-        for u in g.successors(v) {
-            if u < v && mask.contains(u) && dsu.union(u, v) {
-                merges += 1;
-            }
-        }
-    }
-    let mut q = members - merges;
+    mut scanned: u64,
+) -> Result<MergeRun, CdsError> {
     let mut connectors = Vec::new();
-    let mut scanned: u64 = 0;
-    if q <= 1 {
-        return Ok(MergeRun {
-            connectors,
-            remaining: q,
-            scanned,
-        });
-    }
-
-    // `bucket_of[w]`: the bucket currently holding w's live entry (an
-    // upper bound on its true count); entries are only materialized in
-    // the heaps for buckets ≥ 2, the only ones selection pops from.
-    let mut buckets: Vec<BinaryHeap<Reverse<usize>>> = Vec::new();
-    let mut top = 0usize;
-    let mut roots: Vec<usize> = Vec::new();
-    let mut to_refresh: Vec<usize> = Vec::new();
-    let mut bucket_of = if candidate.is_none() {
-        let mut counts = seed_side_counts(g, &mask, &mut dsu);
-        for w in 0..n {
-            if mask.contains(w) {
-                counts[w] = UNQUEUED;
-                continue;
-            }
-            scanned += 1;
-            let c = counts[w] as usize;
-            enqueue(&mut buckets, &mut counts, &mut top, w, c);
-        }
-        counts
-    } else {
-        let mut bucket_of = vec![UNQUEUED; n];
-        for w in 0..n {
-            if mask.contains(w) || !accepts(w) {
-                continue;
-            }
-            scanned += 1;
-            let c = adjacent_count(g, &mask, &mut dsu, w, &mut roots);
-            enqueue(&mut buckets, &mut bucket_of, &mut top, w, c);
-        }
-        bucket_of
-    };
-
     while q > 1 {
         let mut best: Option<(usize, usize)> = None; // (count, node)
         loop {
-            while top >= 2 && buckets.get(top).is_none_or(BinaryHeap::is_empty) {
-                top -= 1;
+            while st.top >= 2 && st.buckets.get(st.top).is_none_or(BinaryHeap::is_empty) {
+                st.top -= 1;
             }
-            if top < 2 {
+            if st.top < 2 {
                 break;
             }
-            let Reverse(x) = buckets[top].pop().expect("bucket checked non-empty");
-            if bucket_of[x] as usize != top || mask.contains(x) {
+            let Reverse(x) = st.buckets[st.top].pop().expect("bucket checked non-empty");
+            if st.bucket_of[x] as usize != st.top || st.mask.contains(x) {
                 continue; // stale entry left behind by a reassignment
             }
             scanned += 1;
-            let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
-            debug_assert!(c <= top, "cached gain bound was not an upper bound");
-            if c == top {
+            let c = adjacent_count(g, &st.mask, &mut st.dsu, x, &mut st.roots);
+            debug_assert!(c <= st.top, "cached gain bound was not an upper bound");
+            if c == st.top {
                 best = Some((c, x));
                 break;
             }
             // Lazy demotion to the true (lower) bucket.
-            enqueue(&mut buckets, &mut bucket_of, &mut top, x, c);
+            enqueue(&mut st.buckets, &mut st.bucket_of, &mut st.top, x, c);
         }
         let Some((count, w)) = best else {
             if allow_stall {
@@ -300,33 +374,34 @@ where
             }
             return Err(stall_error(q));
         };
-        mask.insert(w);
-        bucket_of[w] = UNQUEUED;
-        to_refresh.clear();
+        st.mask.insert(w);
+        st.bucket_of[w] = UNQUEUED;
+        st.to_refresh.clear();
         for u in g.successors(w) {
-            if mask.contains(u) {
-                dsu.union(w, u);
-            } else if accepts(u) {
-                to_refresh.push(u);
+            if st.mask.contains(u) {
+                st.dsu.union(w, u);
+            } else if !CONFINED || st.bucket_of[u] != UNQUEUED {
+                st.to_refresh.push(u);
             }
         }
         q = q + 1 - count;
         connectors.push(w);
         // Only neighbors of the selection can *gain* adjacency to the
         // merged component, and only if they touched none of its parts.
-        let merged = dsu.find(w);
-        for &x in &to_refresh {
+        let merged = st.dsu.find(w);
+        for &x in &st.to_refresh {
             scanned += 1;
             let touched = g
                 .successors(x)
-                .any(|u| u != w && mask.contains(u) && dsu.find(u) == merged);
+                .any(|u| u != w && st.mask.contains(u) && st.dsu.find(u) == merged);
             if !touched {
-                let bound = bucket_of[x] as usize + 1;
-                enqueue(&mut buckets, &mut bucket_of, &mut top, x, bound);
+                let bound = st.bucket_of[x] as usize + 1;
+                enqueue(&mut st.buckets, &mut st.bucket_of, &mut st.top, x, bound);
             }
         }
         debug_assert_eq!(q, {
-            let bool_mask: Vec<bool> = (0..n).map(|v| mask.contains(v)).collect();
+            let n = g.num_nodes();
+            let bool_mask: Vec<bool> = (0..n).map(|v| st.mask.contains(v)).collect();
             subsets::count_components(g, &bool_mask)
         });
     }

@@ -27,7 +27,7 @@ use path_loop::check_graph;
 
 use mcds_cds::connect::{
     gain_trace, max_gain_connectors, max_gain_connectors_within, max_gain_then_paths,
-    path_connectors,
+    path_connectors, MergeScratch,
 };
 use mcds_cds::fault::m_fold_dominators;
 use mcds_cds::prune::prune_cds;
@@ -622,6 +622,9 @@ fn structured_graphs_agree_across_kernels() {
 #[test]
 fn confined_merges_agree_with_the_zoned_rescan() {
     let (mut checked, mut stalls, mut patched) = (0usize, 0usize, 0usize);
+    // One scratch across every case, as the maintainer keeps it: each
+    // call must leave it clean for the next, whatever the graph's size.
+    let mut scratch = MergeScratch::default();
     for seed in 0..440u64 {
         let mut rng = StdRng::from_stream(seed, 0xc0f1);
         let n = 40 + (seed as usize % 9) * 20; // 40..200
@@ -660,7 +663,8 @@ fn confined_merges_agree_with_the_zoned_rescan() {
             let p = rng.gen_range(0.4..0.95);
             (0..n).map(|_| rng.gen_bool(p)).collect()
         };
-        let got = max_gain_connectors_within(g, &backbone, |w| zone[w]);
+        let zone_list: Vec<usize> = (0..n).filter(|&w| zone[w]).collect();
+        let got = max_gain_connectors_within(g, &backbone, &zone_list, &mut scratch);
         let want = merge_scalar(g, &backbone, false, |w| zone[w]).map(|run| run.connectors);
         assert_eq!(got, want, "seed {seed} n {n}: confined merge diverged");
         match got {

@@ -76,6 +76,28 @@ impl DisjointSets {
         true
     }
 
+    /// Makes every element a singleton again by resetting only the
+    /// elements of `touched`, which must include every element that
+    /// shares a set with another one (every element a union has merged
+    /// since the structure was new or last reset).
+    ///
+    /// ```
+    /// use mcds_graph::DisjointSets;
+    /// let mut dsu = DisjointSets::new(6);
+    /// dsu.union(4, 1);
+    /// dsu.reset([1, 4]);
+    /// assert_eq!(dsu.num_sets(), 6);
+    /// assert!(!dsu.same_set(1, 4));
+    /// ```
+    pub fn reset(&mut self, touched: impl IntoIterator<Item = usize>) {
+        for x in touched {
+            self.parent[x] = x as u32;
+            self.size[x] = 1;
+        }
+        self.num_sets = self.parent.len();
+        debug_assert!((0..self.parent.len()).all(|x| self.parent[x] as usize == x));
+    }
+
     /// Returns `true` if `a` and `b` are in the same set.
     pub fn same_set(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)

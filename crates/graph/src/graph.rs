@@ -90,6 +90,91 @@ impl Graph {
         }
     }
 
+    /// Replaces some rows in place.  `rows` lists `(node, end)` pairs with
+    /// ascending nodes: the new row of each node is `packed[start..end]`,
+    /// `start` being the previous pair's `end` (0 for the first).  The
+    /// caller keeps the invariants of [`Graph::from_sorted_adjacency`]
+    /// (debug builds check the new rows' order and range), including
+    /// symmetry across the rows it replaces.
+    ///
+    /// The rows between two replaced ones move once, by `copy_within`, to
+    /// their shifted place, and the offsets after the first replaced row
+    /// shift with them; no row is rebuilt, and nothing the size of the
+    /// graph is allocated unless the target list outgrows its capacity.
+    ///
+    /// ```
+    /// use mcds_graph::Graph;
+    ///
+    /// // Path 0 - 1 - 2 - 3: move the edge {1, 2} to {0, 3}.
+    /// let mut g = Graph::path(4);
+    /// g.replace_rows(&[(0, 2), (1, 3), (2, 4), (3, 6)], &[1, 3, 0, 3, 0, 2]);
+    /// assert_eq!(g, Graph::from_edges(4, [(0, 1), (0, 3), (2, 3)]));
+    /// ```
+    pub fn replace_rows(&mut self, rows: &[(usize, usize)], packed: &[u32]) {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+        let n = self.num_nodes();
+        let old_len = self.targets.len();
+        // `shift[j]`: how far the untouched rows after `rows[j]` move.
+        let mut shift = Vec::with_capacity(rows.len());
+        let (mut acc, mut start) = (0isize, 0usize);
+        for &(v, end) in rows {
+            debug_assert!({
+                let row = &packed[start..end];
+                row.windows(2).all(|w| w[0] < w[1])
+                    && row.iter().all(|&u| (u as usize) < n && u as usize != v)
+            });
+            acc += (end - start) as isize - self.degree(v) as isize;
+            shift.push(acc);
+            start = end;
+        }
+        let grow = acc;
+        if grow > 0 {
+            self.targets.resize(old_len + grow as usize, 0);
+        }
+        // The untouched run after `rows[j]`, in old positions.
+        let run = |j: usize| {
+            let from = self.offsets[rows[j].0 + 1];
+            let to = rows.get(j + 1).map_or(old_len, |&(v, _)| self.offsets[v]);
+            (from, to)
+        };
+        // Runs moving left go first, ascending; then runs moving right,
+        // descending.  Each run's destination lies past every earlier
+        // run's destination and before every later run's, so no move
+        // overwrites a run that has not moved yet.
+        for (j, &s) in shift.iter().enumerate() {
+            if s < 0 {
+                let (from, to) = run(j);
+                self.targets
+                    .copy_within(from..to, (from as isize + s) as usize);
+            }
+        }
+        for (j, &s) in shift.iter().enumerate().rev() {
+            if s > 0 {
+                let (from, to) = run(j);
+                self.targets
+                    .copy_within(from..to, (from as isize + s) as usize);
+            }
+        }
+        let mut start = 0;
+        for (j, &(v, end)) in rows.iter().enumerate() {
+            let before = if j == 0 { 0 } else { shift[j - 1] };
+            let at = (self.offsets[v] as isize + before) as usize;
+            self.targets[at..at + end - start].copy_from_slice(&packed[start..end]);
+            start = end;
+        }
+        for (j, &(v, _)) in rows.iter().enumerate() {
+            let upto = rows.get(j + 1).map_or(n, |&(w, _)| w);
+            for off in &mut self.offsets[v + 1..=upto] {
+                *off = (*off as isize + shift[j]) as usize;
+            }
+        }
+        if grow < 0 {
+            self.targets.truncate((old_len as isize + grow) as usize);
+        }
+        debug_assert_eq!(self.targets.len() % 2, 0);
+        self.num_edges = self.targets.len() / 2;
+    }
+
     /// The empty graph on `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         Graph::from_edges(n, std::iter::empty())
@@ -287,6 +372,45 @@ impl fmt::Debug for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replaced_rows_equal_a_fresh_build() {
+        use mcds_rng::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..300 {
+            let n = rng.gen_range(2..=30usize);
+            let mut edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen_bool(0.2))
+                .collect();
+            let mut g = Graph::from_edges(n, edges.clone());
+            // Rewire one node, as a move does: drop some of its edges and
+            // add others; only its row and its neighbours' rows change.
+            let x = rng.gen_range(0..n);
+            let before: Vec<usize> = g.neighbors_iter(x).collect();
+            edges.retain(|&(u, v)| (u != x && v != x) || rng.gen_bool(0.5));
+            for v in 0..n {
+                if v != x && rng.gen_bool(0.15) {
+                    edges.push((x.min(v), x.max(v)));
+                }
+            }
+            let want = Graph::from_edges(n, edges);
+            let mut touched: Vec<usize> =
+                before.into_iter().chain(want.neighbors_iter(x)).collect();
+            touched.push(x);
+            touched.sort_unstable();
+            touched.dedup();
+            let mut packed = Vec::new();
+            let mut rows = Vec::new();
+            for &v in &touched {
+                packed.extend_from_slice(want.neighbors(v));
+                rows.push((v, packed.len()));
+            }
+            g.replace_rows(&rows, &packed);
+            assert_eq!(g, want, "case {case}");
+            assert_eq!(g.num_edges(), want.num_edges(), "case {case}");
+        }
+    }
 
     #[test]
     fn from_edges_merges_duplicates_and_orientations() {

@@ -147,11 +147,13 @@ pub fn induced_subgraph<G: RandomAccessGraph>(g: &G, keep: &[usize]) -> (Graph, 
 /// form a whole component of `G[S − v]` that misses some `S`-neighbour,
 /// so `v` is one.  Membership is any `Fn(usize) -> bool` (a
 /// [`BitSet`](crate::bitgraph::BitSet) or a `bool` mask); `v`'s own
-/// membership is never read.
+/// membership is never read.  [`LocalSearch::connects`] runs the same
+/// searches from a caller's seed list.
 ///
 /// Memory is two `u32` arrays of at most `n` entries (visit stamps and
-/// the queue) plus two of at most `deg v` (classes and frontiers), all
-/// reused across tests.
+/// the queue) plus two of at most one entry per seed (classes and
+/// frontiers), all reused across tests; the stamps grow to the largest
+/// graph searched.
 ///
 /// ```
 /// use mcds_graph::{subsets::LocalSearch, Graph};
@@ -162,6 +164,9 @@ pub fn induced_subgraph<G: RandomAccessGraph>(g: &G, keep: &[usize]) -> (Graph, 
 /// let member = |_: usize| true;
 /// assert_eq!(search.run(&g, member, 1, u64::MAX, &mut 0), Some(true));
 /// assert_eq!(search.run(&g, member, 3, u64::MAX, &mut 0), Some(false));
+/// // Nodes 0 and 3 meet through 1 and 2, but not once 2 leaves the set.
+/// assert!(search.connects(&g, member, &[0, 3]));
+/// assert!(!search.connects(&g, |u| u != 2, &[0, 3]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocalSearch {
@@ -176,6 +181,15 @@ pub struct LocalSearch {
     /// Reached but unexpanded nodes of each class root.
     frontier: Vec<u32>,
 }
+
+impl Default for LocalSearch {
+    fn default() -> Self {
+        LocalSearch::new(0)
+    }
+}
+
+/// The node [`LocalSearch::connects`] excludes: none.
+const NO_NODE: usize = usize::MAX;
 
 impl LocalSearch {
     /// Search state for graphs of up to `n` nodes.
@@ -206,6 +220,41 @@ impl LocalSearch {
         s
     }
 
+    /// Starts a test of up to `k` searches on a graph of `n` nodes: the
+    /// stamps grow to `n` and the test's base stamp is returned.
+    fn begin(&mut self, n: usize, k: usize) -> u32 {
+        if self.seen.len() < n {
+            assert!(
+                u32::try_from(n).is_ok(),
+                "local cut search stores node ids as u32, got {n} nodes"
+            );
+            self.seen.resize(n, 0);
+        }
+        let k = k as u32;
+        if u32::MAX - self.next_base < k {
+            self.seen.fill(0);
+            self.next_base = 1;
+        }
+        let base = self.next_base;
+        self.next_base += k;
+        self.queue.clear();
+        self.class.clear();
+        self.frontier.clear();
+        base
+    }
+
+    /// Starts a search at `u` unless one already did in this test.
+    fn seed(&mut self, u: usize, base: u32) {
+        if self.seen[u] >= base {
+            return;
+        }
+        let s = self.class.len() as u32;
+        self.seen[u] = base + s;
+        self.queue.push(u as u32);
+        self.class.push(s);
+        self.frontier.push(1);
+    }
+
     /// `Some(true)` if `v` is a cut vertex of the connected `G[S]`, where
     /// `S = {u : member(u)} ∪ {v}`, `Some(false)` if not, `None` once
     /// `work` (successor visits, added to the caller's tally) would
@@ -222,27 +271,48 @@ impl LocalSearch {
         budget: u64,
         work: &mut u64,
     ) -> Option<bool> {
-        let k = g.degree(v) as u32;
-        if u32::MAX - self.next_base < k {
-            self.seen.fill(0);
-            self.next_base = 1;
-        }
-        let base = self.next_base;
-        self.next_base += k;
-        self.queue.clear();
-        self.class.clear();
-        self.frontier.clear();
+        let base = self.begin(g.num_nodes(), g.degree(v));
         for u in g.successors(v) {
             *work += 1;
             if member(u) {
-                let s = self.class.len() as u32;
-                self.seen[u] = base + s;
-                self.queue.push(u as u32);
-                self.class.push(s);
-                self.frontier.push(1);
+                self.seed(u, base);
             }
         }
         *work += 1;
+        self.split(g, member, v, base, budget, work)
+    }
+
+    /// Whether the nodes of `seeds` (members, duplicates allowed) share
+    /// one component of `G[{u : member(u)}]`: the searches of
+    /// [`LocalSearch::run`] started from `seeds`, stopped as soon as they
+    /// have all met or one class of them runs out of frontier.  `true`
+    /// for fewer than two distinct seeds.
+    pub fn connects<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+        &mut self,
+        g: &G,
+        member: F,
+        seeds: &[usize],
+    ) -> bool {
+        let base = self.begin(g.num_nodes(), seeds.len());
+        for &u in seeds {
+            self.seed(u, base);
+        }
+        self.split(g, member, NO_NODE, base, u64::MAX, &mut 0) == Some(false)
+    }
+
+    /// The interleaved searches from the seeded classes, never entering
+    /// `skip`: `Some(false)` once every class has merged into one,
+    /// `Some(true)` once a class runs out of frontier first, `None` past
+    /// `budget`.
+    fn split<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+        &mut self,
+        g: &G,
+        member: F,
+        skip: usize,
+        base: u32,
+        budget: u64,
+        work: &mut u64,
+    ) -> Option<bool> {
         let mut classes = self.class.len();
         if classes < 2 {
             // A leaf of a connected graph never disconnects it.
@@ -256,7 +326,7 @@ impl LocalSearch {
             let c = self.root((label - base) as usize);
             for w in g.successors(u) {
                 *work += 1;
-                if w == v || !member(w) {
+                if w == skip || !member(w) {
                     continue;
                 }
                 if self.seen[w] < base {
@@ -420,6 +490,38 @@ mod tests {
                     mask[v] = true;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn connects_agrees_with_component_labels() {
+        let mut rng = StdRng::seed_from_u64(61);
+        // One search state across every case: its stamps must stay valid
+        // as the graphs grow and shrink.
+        let mut search = LocalSearch::new(0);
+        for case in 0..400 {
+            let n = rng.gen_range(1..=40usize);
+            let p = rng.gen_range(0.02..=0.3);
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen_bool(p))
+                .collect();
+            let g = Graph::from_edges(n, edges);
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
+            let members: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
+            if members.is_empty() {
+                continue;
+            }
+            let seeds: Vec<usize> = (0..rng.gen_range(0..=5usize))
+                .map(|_| members[rng.gen_range(0..members.len())])
+                .collect();
+            let mut dsu = components_dsu(&g, &mask);
+            let want = seeds.windows(2).all(|w| dsu.same_set(w[0], w[1]));
+            assert_eq!(
+                search.connects(&g, |u| mask[u], &seeds),
+                want,
+                "case {case}"
+            );
         }
     }
 

@@ -2,11 +2,11 @@
 //!
 //! [`Maintainer`] holds the live population as a resident
 //! [`Topology`] (stable [`NodeId`]s with positions and sorted neighbour
-//! rows) and the current backbone (dominators + connectors, the
-//! two-phased structure of the paper).  Each [`Maintainer::apply`] call
-//! patches the topology by one [`TopologyEvent`] in time proportional
-//! to the local degree, takes the giant component by relabelling the
-//! patched rows, and repairs the backbone:
+//! rows), its giant component as a kept [`Giant`] snapshot, and the
+//! current backbone (dominators + connectors, the two-phased structure
+//! of the paper).  Each [`Maintainer::apply`] call patches the topology
+//! by one [`TopologyEvent`] in time proportional to the local degree,
+//! brings the snapshot up to date, and repairs the backbone:
 //!
 //! 1. **Local MIS re-election** — dominators are repaired first-fit
 //!    inside the event's 2-hop damage region only: adjacent dominator
@@ -35,6 +35,35 @@
 //! contract for `m ≥ 2`): a repaired set before it is committed, an
 //! adopted baseline after adoption.
 //!
+//! # What an event costs
+//!
+//! Two steps of an event read the whole giant: the baseline solve and
+//! that one check.  Everything else follows the damage:
+//!
+//! * **The snapshot.**  A move that keeps the giant's members rewrites
+//!   only the rows of the moved node and its old and new neighbours in
+//!   the kept snapshot ([`Topology::update_giant`]); every other event
+//!   relabels it from scratch.
+//! * **The roles.**  Roles live in the kept snapshot's local ids, so they
+//!   carry over a patched snapshot and are mapped from the role lists
+//!   only after a relabelling.  The hop zones, the connector kernel's
+//!   mask and union-find and the cut search's stamps are allocated once
+//!   and reset only where an event touched them.
+//! * **The counts.**  After a patched snapshot, and when the previous
+//!   event left a checked backbone (a committed repair, or an adopted
+//!   baseline that passed its check), the pre-repair `violations` count
+//!   reads only the event's seeds and the post-election coverage test
+//!   only the check zone: every other node kept its neighbours, its
+//!   neighbours' roles and so its coverage.  At `m = 1` the coverage test
+//!   counts dominators, which dominate after a committed repair and in
+//!   `GreedyConnect`'s maximal independent set.  Otherwise (a cold start,
+//!   a failed check, the first event after
+//!   [`Maintainer::with_population`], whose baseline is never checked,
+//!   or a relabelled snapshot) both count the whole giant.  Debug builds
+//!   count the whole giant on every event and assert the two agree.
+//! * **The accounting.**  Role deltas and survival are linear merges of
+//!   sorted role lists.
+//!
 //! # Fault tolerance
 //!
 //! With [`MaintainConfig::m`] above 1 the engine maintains a `(1, m)`
@@ -49,12 +78,13 @@
 
 use std::time::{Duration, Instant};
 
-use mcds_cds::{connect, Algorithm, Cds, Solver};
+use mcds_cds::connect::{self, MergeScratch};
+use mcds_cds::{Algorithm, Cds, Solver};
 use mcds_geom::Point;
 use mcds_graph::subsets::LocalSearch;
 use mcds_graph::{properties, Graph};
 use mcds_udg::mobility::survival_fraction;
-use mcds_udg::Topology;
+use mcds_udg::{Giant, Topology};
 
 use crate::event::{NodeId, TopologyEvent};
 
@@ -244,30 +274,22 @@ pub struct Maintainer {
     cfg: MaintainConfig,
     next_id: NodeId,
     topology: Topology,
-    /// Giant-component size of the last snapshot.
-    giant: usize,
+    /// The giant component, kept across events.
+    giant: Giant,
     /// Backbone roles as stable ids (sorted, disjoint).
     dominators: Vec<NodeId>,
     connectors: Vec<NodeId>,
     events_applied: usize,
+    /// Whether the last event left a checked backbone: a committed
+    /// repair, or an adopted baseline that passed its check.
+    checked: bool,
+    /// Whether the last event patched the kept giant instead of
+    /// relabelling it.
+    patched: bool,
+    work: Scratch,
 }
 
-/// One dense snapshot of the live topology restricted to its giant
-/// component, with the id translation tables the repair needs.
-struct Snapshot {
-    /// `ids[local] = stable id` over the giant component, ascending.
-    ids: Vec<NodeId>,
-    /// The giant-component graph over `ids`.
-    graph: Graph,
-}
-
-impl Snapshot {
-    fn local(&self, id: NodeId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
-    }
-}
-
-/// A node's backbone role on one snapshot.
+/// A node's backbone role on the kept giant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
     Out,
@@ -275,36 +297,40 @@ enum Role {
     Connector,
 }
 
-/// The backbone roles mapped into one snapshot: a role per local index,
-/// and the role ids off its giant component.
-struct LocalRoles {
+/// The per-event working state, allocated once and reset where an event
+/// touched it.  Everything indexed by node uses the kept giant's local
+/// ids.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The backbone roles on the giant, mirroring the role lists.
     role: Vec<Role>,
-    off_dom: Vec<NodeId>,
-    off_con: Vec<NodeId>,
+    /// Dominators among the giant's members.
+    giant_dominators: usize,
+    /// Hop distance from the event's seeds, `u8::MAX` outside `order`.
+    hop: Vec<u8>,
+    /// The breadth-first order from the seeds out to [`ZONE_HOPS`];
+    /// `cuts[h]` ends the nodes `h` hops out, so every zone is a prefix.
+    order: Vec<usize>,
+    cuts: [usize; ZONE_HOPS as usize + 1],
+    /// Each `order` node's role when the repair started.
+    before: Vec<Role>,
+    /// The check zone (`hop ≤ 3`), ascending.
+    check: Vec<usize>,
+    /// The giant's backbone members, ascending.
+    members: Vec<usize>,
+    /// The backbone nodes the connectivity search starts from.
+    touch: Vec<usize>,
+    merge: MergeScratch,
+    search: LocalSearch,
+    /// The role lists before the event, and the merged backbones.
+    prev_dom: Vec<NodeId>,
+    prev_con: Vec<NodeId>,
+    prev_backbone: Vec<NodeId>,
+    new_backbone: Vec<NodeId>,
 }
 
-impl LocalRoles {
-    fn map(snap: &Snapshot, dominators: &[NodeId], connectors: &[NodeId]) -> Self {
-        let mut role = vec![Role::Out; snap.ids.len()];
-        let mut split = |ids: &[NodeId], r: Role| {
-            let mut off = Vec::new();
-            for &id in ids {
-                match snap.local(id) {
-                    Some(v) => role[v] = r,
-                    None => off.push(id),
-                }
-            }
-            off
-        };
-        let off_dom = split(dominators, Role::Dominator);
-        let off_con = split(connectors, Role::Connector);
-        LocalRoles {
-            role,
-            off_dom,
-            off_con,
-        }
-    }
-}
+/// The connector zone's radius in hops around the seeds.
+const ZONE_HOPS: u8 = 4;
 
 impl Maintainer {
     /// Creates an engine with no nodes.
@@ -333,10 +359,13 @@ impl Maintainer {
             cfg,
             next_id: 0,
             topology: Topology::new(cfg.radius),
-            giant: 0,
+            giant: Giant::new(),
             dominators: Vec::new(),
             connectors: Vec::new(),
             events_applied: 0,
+            checked: false,
+            patched: false,
+            work: Scratch::default(),
         }
     }
 
@@ -346,10 +375,11 @@ impl Maintainer {
         let mut engine = Maintainer::new(cfg);
         engine.next_id = points.len();
         engine.topology = Topology::with_points(points, cfg.radius);
-        if let Some(snap) = engine.snapshot() {
-            engine.giant = snap.ids.len();
-            let cds = engine.baseline(&snap);
-            engine.adopt(&snap, &cds);
+        engine.topology.update_giant(&mut engine.giant);
+        engine.map_roles();
+        if !engine.giant.is_empty() {
+            let cds = engine.baseline();
+            engine.adopt(&cds);
         }
         engine
     }
@@ -380,7 +410,7 @@ impl Maintainer {
     /// Size of the giant component the backbone serves, as of the last
     /// event (or the seeding), 0 with no nodes alive.
     pub fn giant(&self) -> usize {
-        self.giant
+        self.giant.len()
     }
 
     /// Whether `node` is currently alive.  [`Maintainer::apply`] panics
@@ -398,9 +428,8 @@ impl Maintainer {
     /// The maintained backbone (dominators ∪ connectors) as sorted stable
     /// ids.
     pub fn backbone(&self) -> Vec<NodeId> {
-        let mut all = self.dominators.clone();
-        all.extend(self.connectors.iter().copied());
-        all.sort_unstable();
+        let mut all = Vec::new();
+        merge_into(&self.dominators, &self.connectors, &mut all);
         all
     }
 
@@ -415,30 +444,54 @@ impl Maintainer {
         &self.connectors
     }
 
-    /// The dense giant-component snapshot, relabelled from the resident
-    /// rows, or `None` when no nodes are alive.
-    fn snapshot(&self) -> Option<Snapshot> {
-        if self.topology.is_empty() {
-            return None;
-        }
-        let (ids, graph) = self.topology.giant();
-        Some(Snapshot { ids, graph })
-    }
-
-    /// A fresh greedy CDS of the snapshot (the `(1, m)` variant when
-    /// [`MaintainConfig::m`] is above 1), over its local indices.
-    fn baseline(&self, snap: &Snapshot) -> Cds {
+    /// A fresh greedy CDS of the giant (the `(1, m)` variant when
+    /// [`MaintainConfig::m`] is above 1), over its local ids.
+    fn baseline(&self) -> Cds {
         Solver::new(Algorithm::GreedyConnect)
             .m(self.cfg.m)
-            .solve(&snap.graph)
+            .solve(self.giant.graph())
             .expect("giant component is connected and non-empty")
             .into_cds()
     }
 
-    /// Replaces the backbone with `cds`, a backbone of the snapshot.
-    fn adopt(&mut self, snap: &Snapshot, cds: &Cds) {
-        self.dominators = cds.dominators().iter().map(|&v| snap.ids[v]).collect();
-        self.connectors = cds.connectors().iter().map(|&v| snap.ids[v]).collect();
+    /// Maps the role lists onto a relabelled giant, and resets the
+    /// per-node scratch to its size.
+    fn map_roles(&mut self) {
+        let n = self.giant.len();
+        let w = &mut self.work;
+        w.role.clear();
+        w.role.resize(n, Role::Out);
+        w.hop.clear();
+        w.hop.resize(n, u8::MAX);
+        w.order.clear();
+        w.giant_dominators = 0;
+        for (ids, r) in [
+            (&self.dominators, Role::Dominator),
+            (&self.connectors, Role::Connector),
+        ] {
+            for &id in ids {
+                if let Some(v) = self.giant.local(id) {
+                    w.role[v] = r;
+                    w.giant_dominators += usize::from(r == Role::Dominator);
+                }
+            }
+        }
+    }
+
+    /// Replaces the backbone with `cds`, a backbone of the giant.
+    fn adopt(&mut self, cds: &Cds) {
+        let ids = self.giant.ids();
+        self.dominators = cds.dominators().iter().map(|&v| ids[v]).collect();
+        self.connectors = cds.connectors().iter().map(|&v| ids[v]).collect();
+        let w = &mut self.work;
+        w.role.fill(Role::Out);
+        for &v in cds.dominators() {
+            w.role[v] = Role::Dominator;
+        }
+        for &v in cds.connectors() {
+            w.role[v] = Role::Connector;
+        }
+        w.giant_dominators = cds.dominators().len();
     }
 
     /// Applies one topology event, repairs the backbone, and reports.
@@ -460,22 +513,31 @@ impl Maintainer {
         // 1. Patch the topology, collecting the stable ids whose
         //    neighborhoods changed (the damage seeds).
         let patch_span = mcds_obs::span("maintain.patch");
-        let prev_backbone = self.backbone();
+        let mut prev_backbone = std::mem::take(&mut self.work.prev_backbone);
+        merge_into(&self.dominators, &self.connectors, &mut prev_backbone);
         let (node, seeds) = self.mutate(&event);
+        self.work.prev_dom.clone_from(&self.dominators);
+        self.work.prev_con.clone_from(&self.connectors);
         drop(patch_span);
 
-        // 2. Dense giant-component snapshot + fresh baseline.
+        // 2. The giant-component snapshot + fresh baseline.
         let snapshot_span = mcds_obs::span("maintain.snapshot");
-        let snap = self.snapshot();
-        self.giant = snap.as_ref().map_or(0, |s| s.ids.len());
+        self.patched = self.topology.update_giant(&mut self.giant);
+        if self.patched {
+            mcds_obs::counter!("maintain.snapshot_patched");
+        } else {
+            self.map_roles();
+        }
         drop(snapshot_span);
-        let Some(snap) = snap else {
+        let local = self.patched && self.checked;
+        if self.giant.is_empty() {
             // Population emptied out: the empty backbone is trivially
             // valid for the empty graph.
             self.dominators.clear();
             self.connectors.clear();
+            self.checked = false;
             count_recompute(RecomputeReason::ColdStart);
-            return RepairReport {
+            let report = RepairReport {
                 seq,
                 event,
                 node,
@@ -494,13 +556,14 @@ impl Maintainer {
                 wall: started.elapsed(),
                 valid: true,
             };
-        };
-        let baseline = self.baseline(&snap);
+            self.work.prev_backbone = prev_backbone;
+            return report;
+        }
+        let baseline = self.baseline();
 
-        // 3. Map the surviving backbone into the snapshot once, then
-        //    count the damage and repair.
+        // 3. Count the damage and repair, on the roles the kept giant
+        //    carries.
         let repair_span = mcds_obs::span("maintain.repair");
-        let roles = LocalRoles::map(&snap, &self.dominators, &self.connectors);
         // Coverage damage before repair: how many giant nodes the
         // surviving backbone leaves undominated.  Measured against plain
         // domination (m = 1) for every engine so E22 can compare the
@@ -508,14 +571,12 @@ impl Maintainer {
         // absorbs any single death with zero violations.
         let violations = {
             let _span = mcds_obs::span("maintain.violations");
-            coverage_violations(&snap.graph, |v| roles.role[v] != Role::Out, 1)
+            self.violations(&seeds, local)
         };
-        let prev_dom: Vec<NodeId> = self.dominators.clone();
-        let prev_con: Vec<NodeId> = self.connectors.clone();
         let had_backbone = !prev_backbone.is_empty();
         let repaired = if had_backbone {
             let _span = mcds_obs::span("maintain.local_repair");
-            self.repair_local(&snap, &seeds, roles)
+            self.repair_local(&seeds, local)
         } else {
             Err(RecomputeReason::ColdStart)
         };
@@ -547,41 +608,41 @@ impl Maintainer {
             }
             RepairDecision::Recomputed(reason) => {
                 count_recompute(reason);
-                self.adopt(&snap, &baseline);
-                let valid = backbone_valid(&snap.graph, baseline.nodes(), self.cfg.m);
+                self.adopt(&baseline);
+                let valid = backbone_valid(self.giant.graph(), baseline.nodes(), self.cfg.m);
                 (baseline.len(), valid)
             }
         };
+        self.checked = valid;
         let wall = started.elapsed();
 
-        let new_backbone = self.backbone();
-        let dominators_added = diff_count(&self.dominators, &prev_dom);
-        let dominators_removed = diff_count(&prev_dom, &self.dominators);
-        let connectors_added = diff_count(&self.connectors, &prev_con);
-        let connectors_removed = diff_count(&prev_con, &self.connectors);
-        RepairReport {
+        let w = &mut self.work;
+        merge_into(&self.dominators, &self.connectors, &mut w.new_backbone);
+        let report = RepairReport {
             seq,
             event,
             node,
             alive: self.topology.len(),
-            giant: snap.ids.len(),
+            giant: self.giant.len(),
             nodes_touched,
             violations,
-            dominators_added,
-            dominators_removed,
-            connectors_added,
-            connectors_removed,
+            dominators_added: diff_count(&self.dominators, &w.prev_dom),
+            dominators_removed: diff_count(&w.prev_dom, &self.dominators),
+            connectors_added: diff_count(&self.connectors, &w.prev_con),
+            connectors_removed: diff_count(&w.prev_con, &self.connectors),
             decision,
             cds_size,
             baseline_size: baseline.len(),
             survival: if had_backbone {
-                survival_fraction(&prev_backbone, &new_backbone)
+                survival_fraction(&prev_backbone, &w.new_backbone)
             } else {
                 1.0
             },
             wall,
             valid,
-        }
+        };
+        w.prev_backbone = prev_backbone;
+        report
     }
 
     /// Patches the topology and returns `(event node id, seed ids whose
@@ -613,26 +674,46 @@ impl Maintainer {
         }
     }
 
-    /// Attempts the local repair of `roles` on the snapshot.  On success
-    /// stores the repaired roles (stable ids) and returns the
-    /// damage-region size and the repaired backbone's size on the giant;
-    /// on failure returns the reason and leaves roles untouched (the
-    /// caller adopts the baseline).
+    /// Giant nodes outside the backbone with no backbone neighbour, before
+    /// repair.  With `local` only the seeds can have lost coverage (see
+    /// the module docs), so only they are counted.
+    fn violations(&self, seeds: &[NodeId], local: bool) -> usize {
+        let g = self.giant.graph();
+        let role = &self.work.role;
+        let in_backbone = |v: usize| role[v] != Role::Out;
+        let whole = || coverage_violations(g, 0..g.num_nodes(), in_backbone, 1);
+        if !local {
+            return whole();
+        }
+        let seeds = seeds.iter().filter_map(|&id| self.giant.local(id));
+        let count = coverage_violations(g, seeds, in_backbone, 1);
+        debug_assert_eq!(count, whole(), "seed-local violations missed a node");
+        count
+    }
+
+    /// Attempts the local repair of the roles on the kept giant.  On
+    /// success commits the repaired roles to the role lists and returns
+    /// the damage-region size and the repaired backbone's size on the
+    /// giant; on failure returns the reason and leaves the role lists
+    /// untouched (the caller adopts the baseline, which resets the roles).
+    /// With `local` the coverage test reads only the check zone (see the
+    /// module docs).
     fn repair_local(
         &mut self,
-        snap: &Snapshot,
         seeds: &[NodeId],
-        roles: LocalRoles,
+        local: bool,
     ) -> Result<(usize, usize), RecomputeReason> {
-        let g = &snap.graph;
-        let n = g.num_nodes();
-        let m = self.cfg.m;
-        let LocalRoles {
-            mut role,
-            off_dom,
-            off_con,
-        } = roles;
-        if !role.contains(&Role::Dominator) {
+        let Maintainer {
+            cfg,
+            giant,
+            dominators,
+            connectors,
+            work: w,
+            ..
+        } = self;
+        let g = giant.graph();
+        let m = cfg.m;
+        if w.giant_dominators == 0 {
             // The entire dominator set fell off this component; nothing
             // to repair locally.
             return Err(RecomputeReason::ColdStart);
@@ -644,9 +725,14 @@ impl Maintainer {
         // its direct neighbors, which sit within one hop of the region);
         // one more again holds the connector candidates (so a bridge
         // just outside the check zone is still reachable).
-        let seed_local: Vec<usize> = seeds.iter().filter_map(|&id| snap.local(id)).collect();
-        let (ball, hop) = hop_ball(g, &seed_local, 4);
-        let check_zone: Vec<usize> = ball.iter().copied().filter(|&v| hop[v] <= 3).collect();
+        w.hop_zones(g, seeds.iter().filter_map(|&id| giant.local(id)));
+        let role = &mut w.role;
+        let hop = &w.hop;
+        w.before.clear();
+        w.before.extend(w.order.iter().map(|&v| role[v]));
+        w.check.clear();
+        w.check.extend_from_slice(&w.order[..w.cuts[3]]);
+        w.check.sort_unstable();
 
         // Phase 1a: resolve independence violations inside the region
         // toward the smaller id (new dominator adjacencies can only
@@ -656,7 +742,7 @@ impl Maintainer {
         // m ≥ 2: m-fold dominator sets are deliberately non-independent,
         // so there is no independence invariant to restore.
         if m == 1 {
-            for &v in check_zone.iter().filter(|&&v| hop[v] <= 2) {
+            for &v in w.check.iter().filter(|&&v| hop[v] <= 2) {
                 if role[v] != Role::Dominator {
                     continue;
                 }
@@ -675,7 +761,7 @@ impl Maintainer {
         // when it sits in the backbone or sees ≥ m backbone neighbors;
         // promotion to dominator self-satisfies it and feeds coverage to
         // later nodes of the pass.
-        for &v in &check_zone {
+        for &v in &w.check {
             let covered = if m == 1 {
                 role[v] == Role::Dominator
                     || g.neighbors_iter(v).any(|u| role[u] == Role::Dominator)
@@ -693,23 +779,66 @@ impl Maintainer {
 
         // Coverage must hold on the whole component; a miss here means
         // the damage model was too small for this event — recompute.
-        let coverage_ok = if m == 1 {
-            let dom_list: Vec<usize> = (0..n).filter(|&v| role[v] == Role::Dominator).collect();
-            properties::is_dominating_set(g, &dom_list)
-        } else {
-            coverage_violations(g, |v| role[v] != Role::Out, m) == 0
+        // At m = 1 the dominators alone must dominate.
+        let counts = |v: usize| match m {
+            1 => role[v] == Role::Dominator,
+            _ => role[v] != Role::Out,
         };
-        if !coverage_ok {
+        let missed = if local {
+            let zone = coverage_violations(g, w.check.iter().copied(), counts, m);
+            debug_assert_eq!(
+                zone,
+                coverage_violations(g, 0..g.num_nodes(), counts, m),
+                "the check zone's coverage test missed a node"
+            );
+            zone
+        } else {
+            coverage_violations(g, 0..g.num_nodes(), counts, m)
+        };
+        if missed > 0 {
             return Err(RecomputeReason::Invalid);
         }
 
         // Phase 2: patch connectivity of G[I ∪ C] with phase 2's max-gain
-        // kernel, its candidates confined to the connector zone.
-        let backbone: Vec<usize> = (0..n).filter(|&v| role[v] != Role::Out).collect();
-        let patch = connect::max_gain_connectors_within(g, &backbone, |w| hop[w] <= 4)
-            .map_err(|_| RecomputeReason::Stalled)?;
-        for w in patch {
-            role[w] = Role::Connector;
+        // kernel, its candidates confined to the connector zone.  With
+        // `local`, `G[I ∪ C]` was connected before the event and has
+        // changed only at the seeds and the re-elected nodes, so each of
+        // its components holds a backbone node among the seeds, the
+        // promoted nodes and the demoted nodes' neighbours.  When a search
+        // from those meets in one component, there is nothing to merge.
+        let in_backbone = |u: usize| role[u] != Role::Out;
+        let joined = local && {
+            w.touch.clear();
+            w.touch
+                .extend(w.order[..w.cuts[0]].iter().filter(|&&v| in_backbone(v)));
+            for (&v, &old) in w.order.iter().zip(&w.before) {
+                match (old == Role::Out, in_backbone(v)) {
+                    (true, true) => w.touch.push(v),
+                    (false, false) => w
+                        .touch
+                        .extend(g.neighbors_iter(v).filter(|&u| in_backbone(u))),
+                    _ => {}
+                }
+            }
+            w.search.connects(g, in_backbone, &w.touch)
+        };
+        let merge = |w: &mut Scratch| {
+            backbone_members(&w.role, &mut w.members);
+            connect::max_gain_connectors_within(g, &w.members, &w.order, &mut w.merge)
+        };
+        let patch = if joined {
+            debug_assert_eq!(
+                merge(w).ok(),
+                Some(Vec::new()),
+                "the backbone search missed a split"
+            );
+            Vec::new()
+        } else {
+            merge(w).map_err(|_| RecomputeReason::Stalled)?
+        };
+        let role = &mut w.role;
+        for v in patch {
+            role[v] = Role::Connector;
         }
 
         // Phase 3: drop connectors in the check zone that the repair
@@ -718,8 +847,7 @@ impl Maintainer {
         // connected and every accepted drop keeps it so, hence dropping
         // `c` keeps it connected iff `c` is not a cut vertex of
         // `G[I ∪ C]`, which the exact local search decides near `c`.
-        let mut search = LocalSearch::new(n);
-        for &c in check_zone.iter().rev() {
+        for &c in w.check.iter().rev() {
             if role[c] != Role::Connector {
                 continue;
             }
@@ -729,7 +857,7 @@ impl Maintainer {
             // be dropped if it and its now-outside neighbors all keep
             // ≥ m backbone neighbors.
             let droppable = (m == 1 || drop_keeps_coverage(g, in_backbone, c, m))
-                && search.run(g, in_backbone, c, u64::MAX, &mut 0) == Some(false);
+                && w.search.run(g, in_backbone, c, u64::MAX, &mut 0) == Some(false);
             if !droppable {
                 role[c] = Role::Connector;
             }
@@ -737,65 +865,137 @@ impl Maintainer {
 
         // The one check of the repaired set, before it is committed:
         // it guards the gaps of the damage model.
-        let all_local: Vec<usize> = (0..n).filter(|&v| role[v] != Role::Out).collect();
-        if !backbone_valid(g, &all_local, m) {
+        backbone_members(role, &mut w.members);
+        if !backbone_valid(g, &w.members, m) {
             return Err(RecomputeReason::Invalid);
         }
 
-        // Commit: translate local roles back to stable ids, preserving
-        // backbone nodes that live outside this giant component (they
-        // keep serving their own components and matter for survival
-        // accounting if the components remerge).
-        let commit = |mut off: Vec<NodeId>, r: Role| {
-            off.extend((0..n).filter(|&v| role[v] == r).map(|v| snap.ids[v]));
-            off.sort_unstable();
-            off
-        };
-        self.dominators = commit(off_dom, Role::Dominator);
-        self.connectors = commit(off_con, Role::Connector);
-        Ok((check_zone.len(), all_local.len()))
+        // Commit: every role change sits in the zone, so the role lists
+        // take the zone's changes; backbone nodes off this giant stay
+        // listed (they keep serving their own components and matter for
+        // survival accounting if the components remerge).
+        let ids = giant.ids();
+        for (&v, &old) in w.order.iter().zip(&w.before) {
+            let (new, id) = (role[v], ids[v]);
+            if new == old {
+                continue;
+            }
+            match old {
+                Role::Dominator => unlist(dominators, id),
+                Role::Connector => unlist(connectors, id),
+                Role::Out => {}
+            }
+            match new {
+                Role::Dominator => enlist(dominators, id),
+                Role::Connector => enlist(connectors, id),
+                Role::Out => {}
+            }
+            w.giant_dominators += usize::from(new == Role::Dominator);
+            w.giant_dominators -= usize::from(old == Role::Dominator);
+        }
+        Ok((w.cuts[3], w.members.len()))
     }
 }
 
-/// The closed `hops`-hop neighborhood of `seeds` in `g`, ascending, and
-/// every node's hop distance from the nearest seed (`u8::MAX` beyond
-/// `hops`): one breadth-first search yields all the nested zones.
-fn hop_ball(g: &Graph, seeds: &[usize], hops: u8) -> (Vec<usize>, Vec<u8>) {
-    let mut hop = vec![u8::MAX; g.num_nodes()];
-    let mut ball = Vec::new();
-    for &s in seeds {
-        if hop[s] == u8::MAX {
-            hop[s] = 0;
-            ball.push(s);
+impl Scratch {
+    /// The hop zones around `seeds`: one breadth-first search out to
+    /// [`ZONE_HOPS`] hops, leaving `order`, its per-hop `cuts` and the
+    /// `hop` of each node reached (the previous event's entries are
+    /// reset first).
+    fn hop_zones(&mut self, g: &Graph, seeds: impl Iterator<Item = usize>) {
+        for &v in &self.order {
+            self.hop[v] = u8::MAX;
         }
-    }
-    let mut head = 0;
-    while let Some(&v) = ball.get(head) {
-        head += 1;
-        if hop[v] == hops {
-            continue;
-        }
-        for u in g.neighbors_iter(v) {
-            if hop[u] == u8::MAX {
-                hop[u] = hop[v] + 1;
-                ball.push(u);
+        self.order.clear();
+        for s in seeds {
+            if self.hop[s] == u8::MAX {
+                self.hop[s] = 0;
+                self.order.push(s);
             }
         }
+        let mut head = 0;
+        for h in 0..ZONE_HOPS {
+            let end = self.order.len();
+            self.cuts[h as usize] = end;
+            while head < end {
+                let v = self.order[head];
+                head += 1;
+                for u in g.neighbors_iter(v) {
+                    if self.hop[u] == u8::MAX {
+                        self.hop[u] = h + 1;
+                        self.order.push(u);
+                    }
+                }
+            }
+        }
+        self.cuts[ZONE_HOPS as usize] = self.order.len();
     }
-    ball.sort_unstable();
-    (ball, hop)
 }
 
-/// How many elements of sorted `a` are missing from sorted `b`.
+/// The giant's backbone members, ascending, into `out`.
+fn backbone_members(role: &[Role], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend((0..role.len()).filter(|&v| role[v] != Role::Out));
+}
+
+/// The sorted union of the sorted, disjoint `a` and `b`, into `out`.
+fn merge_into(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Removes `id` from the sorted role list `list`.
+fn unlist(list: &mut Vec<NodeId>, id: NodeId) {
+    let at = list
+        .binary_search(&id)
+        .expect("a node leaves a role it held");
+    list.remove(at);
+}
+
+/// Inserts `id` into the sorted role list `list`.
+fn enlist(list: &mut Vec<NodeId>, id: NodeId) {
+    let at = list
+        .binary_search(&id)
+        .expect_err("a node takes a role it lacked");
+    list.insert(at, id);
+}
+
+/// How many elements of sorted `a` are missing from sorted `b`, in one
+/// merge.
 fn diff_count(a: &[NodeId], b: &[NodeId]) -> usize {
-    a.iter().filter(|v| b.binary_search(v).is_err()).count()
+    let mut j = 0;
+    let mut missing = 0;
+    for &x in a {
+        while j < b.len() && b[j] < x {
+            j += 1;
+        }
+        missing += usize::from(b.get(j) != Some(&x));
+    }
+    missing
 }
 
-/// Nodes of `g` outside the backbone with fewer than `m` backbone
+/// Nodes of `nodes` outside the backbone with fewer than `m` backbone
 /// neighbors — the under-covered nodes of the `(1, m)` contract (`m = 1`
 /// recovers plain domination by the backbone).
-fn coverage_violations(g: &Graph, in_backbone: impl Fn(usize) -> bool, m: usize) -> usize {
-    (0..g.num_nodes())
+fn coverage_violations(
+    g: &Graph,
+    nodes: impl Iterator<Item = usize>,
+    in_backbone: impl Fn(usize) -> bool,
+    m: usize,
+) -> usize {
+    nodes
         .filter(|&v| !in_backbone(v))
         .filter(|&v| g.neighbors_iter(v).filter(|&u| in_backbone(u)).count() < m)
         .count()
@@ -838,8 +1038,9 @@ mod tests {
 
     /// The snapshot as the engine took it before the resident topology:
     /// a fresh unit-disk build of `alive()`, its largest component, and
-    /// the restriction to it.  Kept only as the oracle of `snapshot()`.
-    fn rebuilt_snapshot(engine: &Maintainer) -> Option<Snapshot> {
+    /// the restriction to it, as `(ids, graph)`.  Kept only as the oracle
+    /// of the kept giant.
+    fn rebuilt_snapshot(engine: &Maintainer) -> Option<(Vec<usize>, Graph)> {
         let alive = engine.alive();
         if alive.is_empty() {
             return None;
@@ -847,22 +1048,25 @@ mod tests {
         let pts: Vec<Point> = alive.iter().map(|&(_, p)| p).collect();
         let udg = Udg::with_radius(pts, engine.cfg.radius);
         let giant = traversal::largest_component(udg.graph());
-        Some(Snapshot {
-            ids: giant.iter().map(|&i| alive[i].0).collect(),
-            graph: udg.restricted_to(&giant).graph().clone(),
-        })
+        Some((
+            giant.iter().map(|&i| alive[i].0).collect(),
+            udg.restricted_to(&giant).graph().clone(),
+        ))
     }
 
+    /// Asserts that the kept giant equals both a fresh labelling of the
+    /// topology and the rebuilt snapshot.
     fn assert_snapshot_matches_rebuild(engine: &Maintainer, context: &str) {
-        let got = engine.snapshot();
-        let want = rebuilt_snapshot(engine);
-        assert_eq!(got.is_some(), want.is_some(), "{context}");
-        if let (Some(got), Some(want)) = (got, want) {
-            assert_eq!(got.ids, want.ids, "{context}: giant ids");
-            assert_eq!(got.graph, want.graph, "{context}: giant CSR");
-            assert_eq!(engine.giant(), want.ids.len(), "{context}: giant size");
-        } else {
-            assert_eq!(engine.giant(), 0, "{context}");
+        let (ids, graph) = engine.topology.giant();
+        assert_eq!(engine.giant.ids(), &ids[..], "{context}: kept giant ids");
+        assert_eq!(engine.giant.graph(), &graph, "{context}: kept giant CSR");
+        match rebuilt_snapshot(engine) {
+            Some((want_ids, want_graph)) => {
+                assert_eq!(ids, want_ids, "{context}: giant ids");
+                assert_eq!(graph, want_graph, "{context}: giant CSR");
+                assert_eq!(engine.giant(), want_ids.len(), "{context}: giant size");
+            }
+            None => assert_eq!(engine.giant(), 0, "{context}"),
         }
     }
 
@@ -874,6 +1078,7 @@ mod tests {
     }
 
     fn snapshot_streams() {
+        let mut damaged = 0;
         for (seed, m) in [(3u64, 1), (8, 1), (13, 2), (21, 2)] {
             let mut rng = StdRng::seed_from_u64(seed);
             let side = 5.0;
@@ -893,11 +1098,144 @@ mod tests {
                 move_radius: 1.5,
                 min_population: 4,
             });
+            let mut patched = 0;
             for step in 0..120 {
                 let event = churn.next_event(&mut rng, &engine.alive());
-                engine.apply(event);
-                assert_snapshot_matches_rebuild(&engine, &format!("seed {seed}, event {step}"));
+                let before = engine.giant.ids().to_vec();
+                let report = engine.apply(event);
+                let context = format!("seed {seed}, event {step}");
+                assert_snapshot_matches_rebuild(&engine, &context);
+                assert_eq!(
+                    engine.patched,
+                    should_patch(&event, &before, &engine),
+                    "{context}"
+                );
+                patched += usize::from(engine.patched);
+                damaged += usize::from(engine.patched && report.violations > 0);
             }
+            assert!(
+                patched >= 20,
+                "seed {seed}: only {patched} patched snapshots"
+            );
+        }
+        // Debug builds recount every seed-local count over the whole giant,
+        // so the patched events with damage exercise them.
+        assert!(
+            damaged >= 3,
+            "only {damaged} patched events left a violation"
+        );
+    }
+
+    /// Whether an event may patch the kept giant: a move of a giant
+    /// member after which the giant has the same members.
+    fn should_patch(event: &TopologyEvent, before: &[NodeId], engine: &Maintainer) -> bool {
+        match *event {
+            TopologyEvent::Move { node, .. } => {
+                before.contains(&node) && engine.topology.giant().0 == before
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn the_kept_giant_is_patched_exactly_when_a_move_keeps_its_members() {
+        mcds_obs::test_support::with_enabled(false, scripted_giant_events);
+    }
+
+    fn scripted_giant_events() {
+        // A 4-cycle {0, 1, 2, 3} with a tail 4 (the giant), a pair {5, 6}
+        // just out of the tail's reach, and a loner 7.
+        let at = |x: f64, y: f64| Point::new(x, y);
+        let pts = vec![
+            at(0.0, 0.0),
+            at(0.8, 0.0),
+            at(0.8, 0.8),
+            at(0.0, 0.8),
+            at(1.6, 0.0),
+            at(2.7, 0.0),
+            at(3.5, 0.0),
+            at(20.0, 0.0),
+        ];
+        let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
+        assert_eq!(engine.giant.ids(), [0, 1, 2, 3, 4]);
+        let mv = |node, to| TopologyEvent::Move { node, to };
+        let script = [
+            // 0 leaves 3's reach; 3 still meets 1 through 2.
+            (mv(0, at(0.4, -0.5)), true),
+            // The tail shifts, still next to 1.
+            (mv(4, at(1.6, 0.3)), true),
+            // The loner is off the giant.
+            (mv(7, at(20.5, 0.0)), false),
+            // The tail reaches the pair: a merge.
+            (mv(4, at(1.75, 0.0)), false),
+            // The bridge leaves: a split, and 4 is isolated.
+            (mv(4, at(30.0, 0.0)), false),
+            (TopologyEvent::Leave { node: 7 }, false),
+            (TopologyEvent::Join { pos: at(31.0, 0.0) }, false),
+            // 2 joins the pair: {2, 5, 6} outgrows {0, 1} and {3}.
+            (mv(2, at(4.3, 0.0)), false),
+            // 3 rejoins {0, 1}: a 3 v 3 tie, won by the side holding 0.
+            (mv(3, at(0.4, 0.4)), false),
+            // A move inside the new giant.
+            (mv(1, at(0.8, 0.1)), true),
+            // A leaf of the giant moves onto nobody's backbone row.
+            (mv(3, at(0.1, 0.3)), true),
+        ];
+        let giants: [&[NodeId]; 11] = [
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 3, 4, 5, 6],
+            &[0, 1, 2, 3],
+            &[0, 1, 2, 3],
+            &[0, 1, 2, 3],
+            &[2, 5, 6],
+            &[0, 1, 3],
+            &[0, 1, 3],
+            &[0, 1, 3],
+        ];
+        for (step, ((event, fast), giant)) in script.into_iter().zip(giants).enumerate() {
+            let before = engine.giant.ids().to_vec();
+            let report = engine.apply(event);
+            let context = format!("step {step}: {event:?}");
+            assert!(report.valid, "{context}");
+            assert_snapshot_matches_rebuild(&engine, &context);
+            assert_eq!(engine.giant.ids(), giant, "{context}");
+            assert_eq!(engine.patched, fast, "{context}");
+            assert_eq!(should_patch(&event, &before, &engine), fast, "{context}");
+            assert_valid(&engine);
+        }
+    }
+
+    #[test]
+    fn merged_accounting_equals_the_searched_forms() {
+        // The forms the merges replaced: binary-search diffs, a set for
+        // survival, and sorting for the backbone.
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut sorted = |len: usize| {
+            let mut v: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..80)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for case in 0..600 {
+            let (a, b) = (sorted(case % 37), sorted(case % 23));
+            let searched = a.iter().filter(|v| b.binary_search(v).is_err()).count();
+            assert_eq!(diff_count(&a, &b), searched, "case {case}");
+            let set: std::collections::BTreeSet<NodeId> = b.iter().copied().collect();
+            let kept = a.iter().filter(|v| set.contains(v)).count();
+            let survival = if a.is_empty() {
+                1.0
+            } else {
+                kept as f64 / a.len() as f64
+            };
+            assert_eq!(survival_fraction(&a, &b).to_bits(), survival.to_bits());
+            let a_only: Vec<NodeId> = a.iter().copied().filter(|v| !set.contains(v)).collect();
+            let mut merged = Vec::new();
+            merge_into(&a_only, &b, &mut merged);
+            let mut want = [a_only.clone(), b.clone()].concat();
+            want.sort_unstable();
+            assert_eq!(merged, want, "case {case}");
         }
     }
 
@@ -925,7 +1263,7 @@ mod tests {
         ];
         let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
         assert_snapshot_matches_rebuild(&engine, "seeding");
-        assert_eq!(engine.snapshot().unwrap().ids, vec![0, 2, 4]);
+        assert_eq!(engine.giant.ids(), [0, 2, 4]);
         let events = [
             // 2 v 3: the right cluster takes over.
             TopologyEvent::Leave { node: 0 },
@@ -951,19 +1289,19 @@ mod tests {
             let report = engine.apply(event);
             assert!(report.valid, "step {step}");
             assert_snapshot_matches_rebuild(&engine, &format!("step {step}"));
-            assert_eq!(engine.snapshot().unwrap().ids, giant, "step {step}");
+            assert_eq!(engine.giant.ids(), giant, "step {step}");
         }
     }
 
     fn assert_valid(engine: &Maintainer) {
-        let snap = engine.snapshot().expect("population non-empty");
+        assert!(!engine.giant.is_empty(), "population non-empty");
         let local: Vec<usize> = engine
             .backbone()
             .iter()
-            .filter_map(|&id| snap.local(id))
+            .filter_map(|&id| engine.giant.local(id))
             .collect();
         assert!(
-            backbone_valid(&snap.graph, &local, engine.cfg.m),
+            backbone_valid(engine.giant.graph(), &local, engine.cfg.m),
             "maintained set {:?} is not a valid (1, {}) backbone",
             engine.backbone(),
             engine.cfg.m
@@ -1088,8 +1426,9 @@ mod tests {
     fn coverage_violations_counts_under_covered_nodes() {
         let g = Graph::path(4);
         let mask = [true, false, false, true];
-        assert_eq!(coverage_violations(&g, |v| mask[v], 1), 0);
-        assert_eq!(coverage_violations(&g, |v| mask[v], 2), 2);
+        assert_eq!(coverage_violations(&g, 0..4, |v| mask[v], 1), 0);
+        assert_eq!(coverage_violations(&g, 0..4, |v| mask[v], 2), 2);
+        assert_eq!(coverage_violations(&g, 2..4, |v| mask[v], 2), 1);
     }
 
     #[test]

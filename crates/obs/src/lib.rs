@@ -84,7 +84,8 @@ pub fn enabled() -> bool {
 
 /// Clears all recorded state: buffered span/log events and every
 /// registered counter, gauge and histogram, and the span histogram
-/// handles each thread caches.  The enabled flag and stderr log
+/// handles each thread caches and the counter handles of [`counter!`]
+/// sites.  The enabled flag and stderr log
 /// threshold are left as they are.
 pub fn reset() {
     trace::clear();
@@ -103,15 +104,19 @@ macro_rules! span {
 }
 
 /// Bumps a counter when the subscriber is enabled: `counter!("name")`
-/// adds one, `counter!("name", delta)` adds `delta`.
+/// adds one, `counter!("name", delta)` adds `delta`.  The name is a
+/// literal: each call site keeps its counter's handle, so a record skips
+/// the registry's name lookup after the site's first (and first after a
+/// [`reset`]).  Sites that share a name add into one counter.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {
-        $crate::counter_add($name, 1)
+    ($name:literal) => {
+        $crate::counter!($name, 1)
     };
-    ($name:expr, $delta:expr) => {
-        $crate::counter_add($name, $delta)
-    };
+    ($name:literal, $delta:expr) => {{
+        static SITE: $crate::registry::CounterSite = $crate::registry::CounterSite::new();
+        $crate::registry::counter_site_add(&SITE, $name, $delta)
+    }};
 }
 
 /// Test-only helpers for code that needs to toggle the process-global

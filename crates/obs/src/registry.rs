@@ -4,7 +4,10 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of
 //! shared atomics, so hot paths can resolve a name once per region and
 //! then update lock-free.  The name → handle map itself is guarded by a
-//! mutex, touched only at registration time.
+//! mutex, touched only at registration time.  Each
+//! [`counter!`](crate::counter!) call site keeps its counter's handle, and
+//! each thread the histogram handle of each span path; [`crate::reset`]
+//! retires them all, since the handles it cleared are orphans.
 //!
 //! Everything here is *always* collectable — the [`crate::enabled`] gate
 //! belongs to the instrumentation macros and call sites, not to the
@@ -209,6 +212,49 @@ impl Registry {
     }
 }
 
+/// The handle of one [`counter!`](crate::counter!) call site: its counter
+/// and the generation it was fetched in.  The macro declares one `static`
+/// per site; it is not meant to be used directly.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct CounterSite(Mutex<Option<(u64, Counter)>>);
+
+impl CounterSite {
+    /// A site with no handle yet.
+    pub const fn new() -> Self {
+        CounterSite(Mutex::new(None))
+    }
+
+    /// Adds `delta` through the site's handle, fetching the counter
+    /// called `name` first when the handle is missing or retired.  Kept
+    /// out of line so the disabled path of [`counter_site_add`] stays a
+    /// load and a branch.
+    #[inline(never)]
+    fn add(&self, name: &str, delta: u64) {
+        let generation = crate::span::GENERATION.load(Ordering::Relaxed);
+        let mut slot = Registry::lock(&self.0);
+        match &*slot {
+            Some((fetched, handle)) if *fetched == generation => handle.add(delta),
+            _ => {
+                let handle = counter(name);
+                handle.add(delta);
+                *slot = Some((generation, handle));
+            }
+        }
+    }
+}
+
+/// The body of [`counter!`](crate::counter!): adds `delta` to counter
+/// `name` through the site's handle when the subscriber is enabled,
+/// fetching the handle again after a [`crate::reset`]; the disabled path
+/// is one relaxed atomic load.
+#[doc(hidden)]
+pub fn counter_site_add(site: &'static CounterSite, name: &'static str, delta: u64) {
+    if crate::enabled() {
+        site.add(name, delta);
+    }
+}
+
 /// Fetches (registering on first use) the counter called `name`.
 pub fn counter(name: &str) -> Counter {
     registry().counter(name)
@@ -227,8 +273,9 @@ pub fn histogram(name: &str) -> Histogram {
 /// Adds `delta` to counter `name` — but only when the subscriber is
 /// enabled; the disabled path is one relaxed atomic load.
 ///
-/// Call sites in hot loops should accumulate locally and flush once, or
-/// hold a [`Counter`] handle.
+/// Each call looks the name up under the registry's lock; a fixed name
+/// belongs in [`counter!`](crate::counter!), which keeps its handle.
+/// Call sites in hot loops should accumulate locally and flush once.
 pub fn counter_add(name: &str, delta: u64) {
     if crate::enabled() {
         counter(name).add(delta);

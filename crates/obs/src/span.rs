@@ -34,12 +34,13 @@ thread_local! {
 static THREAD_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Bumped by [`crate::reset`] after it clears the registry: a histogram
-/// handle cached under an older generation belongs to a cleared map.
+/// or counter handle cached under an older generation belongs to a
+/// cleared map.
 /// `Relaxed` suffices: the counter publishes no data (a refetch reads
 /// the registry under its lock), and a close that races a reset on
 /// another thread may still record into the cleared histogram, as a
 /// fetch followed by an observe always could.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
+pub(crate) static GENERATION: AtomicU64 = AtomicU64::new(0);
 
 fn next_thread_id() -> u64 {
     THREAD_COUNTER.fetch_add(1, Ordering::Relaxed)
@@ -50,7 +51,7 @@ pub fn thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// Invalidates every thread's cached histogram handles.
+/// Invalidates every cached histogram and counter handle.
 pub(crate) fn invalidate_handles() {
     GENERATION.fetch_add(1, Ordering::Relaxed);
 }

@@ -98,6 +98,38 @@ fn span_histograms_are_registered_again_after_a_reset() {
     });
 }
 
+/// A `counter!` site caches its handle per thread; `reset` must retire
+/// it like a span's, and sites sharing a name share the counter.
+#[test]
+fn counter_sites_register_again_after_a_reset() {
+    fn one_site(delta: u64) {
+        mcds_obs::counter!("rt.site", delta);
+    }
+    fn other_site() {
+        mcds_obs::counter!("rt.site");
+    }
+    mcds_obs::test_support::with_enabled(true, || {
+        mcds_obs::reset();
+        one_site(2);
+        other_site();
+        one_site(3);
+        assert_eq!(mcds_obs::counter_value("rt.site"), 6);
+        mcds_obs::reset();
+        assert_eq!(mcds_obs::counter_value("rt.site"), 0);
+        one_site(4);
+        other_site();
+        assert_eq!(mcds_obs::counter_value("rt.site"), 5);
+        let text = mcds_obs::metrics_text();
+        assert!(text.contains("mcds_rt_site_total 5"), "{text}");
+        mcds_obs::reset();
+    });
+    // Disabled, a site records nothing.
+    mcds_obs::test_support::with_enabled(false, || {
+        one_site(7);
+        assert_eq!(mcds_obs::counter_value("rt.site"), 0);
+    });
+}
+
 /// A hostile line nested far past the parser's depth cap is an error on
 /// line 2 from both readers, not a stack overflow.
 #[test]

@@ -61,5 +61,5 @@ pub mod mobility;
 pub mod stream;
 
 pub use model::Udg;
-pub use resident::Topology;
+pub use resident::{Giant, Topology};
 pub use stream::{stream_build, stream_build_unit, StreamedUdg};

@@ -150,13 +150,25 @@ impl RandomWaypoint {
 }
 
 /// The fraction of `old` nodes that survive into `new` — the backbone
-/// *stability* between epochs (1.0 = unchanged).
+/// *stability* between epochs (1.0 = unchanged, and for an empty `old`).
+///
+/// Both lists must be sorted ascending; one linear merge counts the
+/// survivors (an `old` entry listed twice counts twice).
 pub fn survival_fraction(old: &[usize], new: &[usize]) -> f64 {
+    debug_assert!(old.windows(2).all(|w| w[0] <= w[1]), "old is not sorted");
+    debug_assert!(new.windows(2).all(|w| w[0] <= w[1]), "new is not sorted");
     if old.is_empty() {
         return 1.0;
     }
-    let new_set: std::collections::BTreeSet<usize> = new.iter().copied().collect();
-    old.iter().filter(|v| new_set.contains(v)).count() as f64 / old.len() as f64
+    let mut j = 0;
+    let mut kept = 0usize;
+    for &v in old {
+        while j < new.len() && new[j] < v {
+            j += 1;
+        }
+        kept += usize::from(new.get(j) == Some(&v));
+    }
+    kept as f64 / old.len() as f64
 }
 
 #[cfg(test)]
@@ -225,6 +237,7 @@ mod tests {
     #[test]
     fn survival_fraction_cases() {
         assert_eq!(survival_fraction(&[], &[1, 2]), 1.0);
+        assert_eq!(survival_fraction(&[3, 3, 5], &[3]), 2.0 / 3.0);
         assert_eq!(survival_fraction(&[1, 2], &[1, 2]), 1.0);
         assert_eq!(survival_fraction(&[1, 2], &[]), 0.0);
         assert!((survival_fraction(&[1, 2, 3, 4], &[2, 4, 9]) - 0.5).abs() < 1e-12);

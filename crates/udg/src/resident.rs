@@ -1,10 +1,12 @@
 //! The resident topology: a unit-disk graph patched in place under
-//! churn instead of rebuilt.
+//! churn instead of rebuilt, and its giant component, kept across the
+//! moves that leave the giant's members as they were.
 
 use std::collections::HashMap;
 
 use mcds_geom::Point;
-use mcds_graph::Graph;
+use mcds_graph::subsets::LocalSearch;
+use mcds_graph::{Graph, RandomAccessGraph, SequentialGraph};
 
 use crate::cells::{CellGrid, CellTable};
 
@@ -24,6 +26,8 @@ use crate::cells::{CellGrid, CellTable};
 /// Every graph handed out ([`Topology::graph`], [`Topology::giant`]) is
 /// a relabelling of the rows: nodes in ascending id order, each row
 /// copied through a monotone map, with no distance test and no sort.
+/// A [`Giant`] keeps the giant component across changes
+/// ([`Topology::update_giant`]).
 ///
 /// ```
 /// use mcds_geom::Point;
@@ -53,6 +57,11 @@ pub struct Topology {
     /// The live slots of each non-empty cell, unordered.
     cells: HashMap<(i64, i64), Vec<u32>>,
     population: usize,
+    /// Bumped by every insert, remove and relocate.
+    version: u64,
+    /// The slot the latest change relocated; `None` after an insert or
+    /// a remove.
+    moved: Option<usize>,
 }
 
 impl Topology {
@@ -94,6 +103,8 @@ impl Topology {
             points,
             rows,
             cells,
+            version: 0,
+            moved: None,
         }
     }
 
@@ -158,6 +169,13 @@ impl Topology {
         self.rows.push(Vec::new());
         self.attach(s, pos);
         self.population += 1;
+        self.changed(None);
+    }
+
+    /// Records one change: `moved` is the relocated slot, if any.
+    fn changed(&mut self, moved: Option<usize>) {
+        self.version += 1;
+        self.moved = moved;
     }
 
     /// Removes live node `id`, returning the ids of its former
@@ -177,6 +195,7 @@ impl Topology {
         if self.ids.len() - self.population > self.population {
             self.compact();
         }
+        self.changed(None);
         former
     }
 
@@ -193,6 +212,7 @@ impl Topology {
             .unwrap_or_else(|| panic!("node {id} is not live"));
         let mut touched = self.detach(s);
         self.attach(s, to);
+        self.changed(Some(s));
         touched.extend_from_slice(&self.rows[s]);
         touched.push(s as u32);
         touched.sort_unstable();
@@ -270,10 +290,13 @@ impl Topology {
     /// The unit-disk graph of the live nodes, nodes in ascending id
     /// order, with their ids.
     pub fn graph(&self) -> (Vec<usize>, Graph) {
-        let members: Vec<u32> = (0..self.ids.len() as u32)
-            .filter(|&s| self.live[s as usize])
-            .collect();
-        self.relabel(&members)
+        let mut local = vec![NONE; self.ids.len()];
+        let mut members = Vec::with_capacity(self.population);
+        for s in (0..self.ids.len()).filter(|&s| self.live[s]) {
+            local[s] = members.len() as u32;
+            members.push(s as u32);
+        }
+        self.relabel(&members, &local)
     }
 
     /// The largest connected component of [`Topology::graph`], ties going
@@ -281,13 +304,99 @@ impl Topology {
     /// breadth-first labelling of the rows, then a relabelling.  Empty
     /// when no node is live.
     pub fn giant(&self) -> (Vec<usize>, Graph) {
+        let mut giant = Giant::new();
+        self.label_giant(&mut giant);
+        (giant.ids, giant.graph)
+    }
+
+    /// Brings `giant` up to date with the latest change, patched when it
+    /// can be and relabelled from scratch otherwise; returns whether it
+    /// was patched.
+    ///
+    /// The patch takes a move that keeps the giant's members.  It needs
+    /// `giant` current as of the change before, the moved node and its
+    /// old and new neighbours all members, and the moved node and its old
+    /// neighbours still in one component after the move, which an
+    /// interleaved search from them decides as soon as they meet
+    /// ([`LocalSearch::connects`]).  The old rows were the giant's, so
+    /// every path through a lost edge has a detour and no new edge leaves
+    /// the giant: its members, its local ids and the other components
+    /// are unchanged, and so is the winner of any size tie.  Only the
+    /// rows of the moved node and of its old and new neighbours are
+    /// rewritten, inside the kept CSR ([`Graph::replace_rows`]).  Every
+    /// other change (a join, a leave, a split, a merge) runs the
+    /// labelling of [`Topology::giant`].
+    pub fn update_giant(&self, giant: &mut Giant) -> bool {
+        let patched = self.patch_giant(giant);
+        if !patched {
+            self.label_giant(giant);
+        }
+        giant.version = self.version;
+        patched
+    }
+
+    /// The fast path of [`Topology::update_giant`]; `false` leaves
+    /// `giant` untouched.
+    fn patch_giant(&self, giant: &mut Giant) -> bool {
+        let Some(s) = self.moved else {
+            return false;
+        };
+        if giant.version.wrapping_add(1) != self.version || giant.local[s] == NONE {
+            return false;
+        }
+        if self.rows[s]
+            .iter()
+            .any(|&t| giant.local[t as usize] == NONE)
+        {
+            return false;
+        }
+        let v = giant.local[s] as usize;
+        giant.seeds.clear();
+        giant.seeds.push(s);
+        for &u in giant.graph.neighbors(v) {
+            let slot = self.ids.binary_search(&giant.ids[u as usize]);
+            giant.seeds.push(slot.expect("a giant member holds a slot"));
+        }
+        if !giant
+            .search
+            .connects(&Rows(&self.rows), |_| true, &giant.seeds)
+        {
+            return false;
+        }
+        // The rows to rewrite: the moved node's and its old and new
+        // neighbours', as `(local, slot)` in local order.
+        let mut changed = std::mem::take(&mut giant.changed);
+        changed.clear();
+        changed.extend(giant.seeds.iter().map(|&t| (giant.local[t], t as u32)));
+        changed.extend(self.rows[s].iter().map(|&t| (giant.local[t as usize], t)));
+        changed.sort_unstable();
+        changed.dedup();
+        giant.packed.clear();
+        giant.ends.clear();
+        for &(u, t) in &changed {
+            let row = self.rows[t as usize]
+                .iter()
+                .map(|&w| giant.local[w as usize]);
+            giant.packed.extend(row);
+            giant.ends.push((u as usize, giant.packed.len()));
+        }
+        giant.graph.replace_rows(&giant.ends, &giant.packed);
+        giant.changed = changed;
+        true
+    }
+
+    /// Relabels `giant` from scratch: one breadth-first labelling of the
+    /// rows, then a relabelling of the largest component.
+    fn label_giant(&self, giant: &mut Giant) {
         let n = self.ids.len();
-        let mut label = vec![u32::MAX; n];
+        let label = &mut giant.local;
+        label.clear();
+        label.resize(n, NONE);
         let mut queue: Vec<u32> = Vec::new();
-        let (mut best, mut best_size) = (u32::MAX, 0);
+        let (mut best, mut best_size) = (NONE, 0);
         let mut next = 0u32;
         for s in 0..n {
-            if !self.live[s] || label[s] != u32::MAX {
+            if !self.live[s] || label[s] != NONE {
                 continue;
             }
             label[s] = next;
@@ -297,7 +406,7 @@ impl Topology {
             while let Some(&u) = queue.get(head) {
                 head += 1;
                 for &w in &self.rows[u as usize] {
-                    if label[w as usize] == u32::MAX {
+                    if label[w as usize] == NONE {
                         label[w as usize] = next;
                         queue.push(w);
                     }
@@ -308,19 +417,22 @@ impl Topology {
             }
             next += 1;
         }
-        let members: Vec<u32> = (0..n as u32)
-            .filter(|&s| self.live[s as usize] && label[s as usize] == best)
-            .collect();
-        self.relabel(&members)
+        let mut members: Vec<u32> = Vec::with_capacity(best_size);
+        for (s, l) in label.iter_mut().enumerate() {
+            *l = if self.live[s] && *l == best {
+                members.push(s as u32);
+                members.len() as u32 - 1
+            } else {
+                NONE
+            };
+        }
+        (giant.ids, giant.graph) = self.relabel(&members, &giant.local);
     }
 
     /// The subgraph on `members` (ascending live slots closed under
-    /// adjacency), numbered in that order.
-    fn relabel(&self, members: &[u32]) -> (Vec<usize>, Graph) {
-        let mut local = vec![u32::MAX; self.ids.len()];
-        for (i, &s) in members.iter().enumerate() {
-            local[s as usize] = i as u32;
-        }
+    /// adjacency), numbered in that order: `local[s]` is slot `s`'s
+    /// number.
+    fn relabel(&self, members: &[u32], local: &[u32]) -> (Vec<usize>, Graph) {
         let mut offsets = Vec::with_capacity(members.len() + 1);
         offsets.push(0);
         let mut targets =
@@ -331,6 +443,117 @@ impl Topology {
         }
         let ids = members.iter().map(|&s| self.ids[s as usize]).collect();
         (ids, Graph::from_sorted_adjacency(offsets, targets))
+    }
+}
+
+/// A slot's local id off the giant, and the "unlabelled" mark of the
+/// labelling.
+const NONE: u32 = u32::MAX;
+
+/// The giant component of a [`Topology`], kept across changes by
+/// [`Topology::update_giant`]: the members' ids and CSR, and each slot's
+/// local id (its label as a member, none off the giant), with the
+/// scratch of the patch.
+#[derive(Debug, Clone)]
+pub struct Giant {
+    /// Stable ids of the members, ascending.
+    ids: Vec<usize>,
+    /// The giant component over the members' local ids.
+    graph: Graph,
+    /// The local id of each slot.
+    local: Vec<u32>,
+    /// The topology version this giant is current for.
+    version: u64,
+    /// The reconnection search, over slots.
+    search: LocalSearch,
+    seeds: Vec<usize>,
+    changed: Vec<(u32, u32)>,
+    /// The rewritten rows, packed, and their `(local, end)` pairs.
+    packed: Vec<u32>,
+    ends: Vec<(usize, usize)>,
+}
+
+impl Default for Giant {
+    fn default() -> Self {
+        Giant::new()
+    }
+}
+
+impl Giant {
+    /// An empty giant, current for no topology: the first
+    /// [`Topology::update_giant`] labels it.
+    pub fn new() -> Self {
+        Giant {
+            ids: Vec::new(),
+            graph: Graph::empty(0),
+            local: Vec::new(),
+            version: u64::MAX,
+            search: LocalSearch::default(),
+            seeds: Vec::new(),
+            changed: Vec::new(),
+            packed: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// The members' stable ids, ascending.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// The giant component, node `i` being the member `ids()[i]`.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Returns `true` if the giant has no members (no node is live).
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The local id of member `id`, `None` off the giant.
+    pub fn local(&self, id: usize) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+}
+
+/// The rows of a topology as a graph over its slots (tombstones are
+/// isolated), for the patch's reconnection search.
+struct Rows<'a>(&'a [Vec<u32>]);
+
+impl SequentialGraph for Rows<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.len()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.0.iter().map(Vec::len).sum::<usize>() / 2
+    }
+
+    fn for_each_adjacency<F: FnMut(usize, &[u32])>(&self, mut f: F) {
+        for (s, row) in self.0.iter().enumerate() {
+            f(s, row);
+        }
+    }
+}
+
+impl RandomAccessGraph for Rows<'_> {
+    type Successors<'b>
+        = std::iter::Map<std::slice::Iter<'b, u32>, fn(&u32) -> usize>
+    where
+        Self: 'b;
+
+    fn successors(&self, s: usize) -> Self::Successors<'_> {
+        self.0[s].iter().map(|&t| t as usize)
+    }
+
+    fn degree(&self, s: usize) -> usize {
+        self.0[s].len()
     }
 }
 
@@ -406,6 +629,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let pts: Vec<Point> = (0..30).map(|_| lattice(&mut rng)).collect();
             let mut topo = Topology::with_points(pts, radius);
+            let mut kept = Giant::new();
+            let mut patched = 0;
             let mut next = 30;
             for step in 0..400 {
                 let live: Vec<usize> = topo.iter().map(|(id, _)| id).collect();
@@ -430,8 +655,36 @@ mod tests {
                     assert!(touched.binary_search(&id).is_ok());
                 }
                 assert_matches_naive(&topo, radius, &format!("seed {seed}, step {step}"));
+                patched += usize::from(topo.update_giant(&mut kept));
+                let (ids, graph) = topo.giant();
+                assert_eq!(
+                    (kept.ids(), kept.graph()),
+                    (&ids[..], &graph),
+                    "step {step}"
+                );
             }
+            assert!(patched > 0, "seed {seed}: no move kept the giant");
         }
+    }
+
+    #[test]
+    fn a_giant_one_change_behind_is_relabelled() {
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(0.8, 0.0),
+            Point::new(1.6, 0.0),
+        ];
+        let mut topo = Topology::with_points(pts, 1.0);
+        let mut kept = Giant::new();
+        assert!(!topo.update_giant(&mut kept), "a new giant is labelled");
+        topo.relocate(0, Point::new(0.1, 0.0));
+        assert!(topo.update_giant(&mut kept));
+        // Two moves since the last update: the patch would miss the first.
+        topo.relocate(2, Point::new(1.7, 0.0));
+        topo.relocate(0, Point::new(5.0, 0.0));
+        assert!(!topo.update_giant(&mut kept));
+        assert_eq!(kept.ids(), [1, 2]);
+        assert_eq!(kept.graph(), &topo.giant().1);
     }
 
     #[test]

@@ -378,11 +378,11 @@ if want bench; then
   # no field map in the ledger is an error, not a guess.
   cargo run --quiet --release -p mcds-bench --bin trajectory -- record \
     --dir results --out "$det_dir/committed.jsonl" --rev committed > /dev/null
-  for b in fault profile serve substrate; do
+  for b in churn fault profile serve substrate; do
     grep -q "\"$b\"" "$det_dir/committed.jsonl" || {
       echo "recorded committed artifacts lack the $b bench" >&2; exit 1; }
   done
-  echo "committed BENCH_*.json artifacts record: fault, profile, serve, substrate"
+  echo "committed BENCH_*.json artifacts record: churn, fault, profile, serve, substrate"
   # The committed ledger (appended after full experiment runs; see
   # EXPERIMENTS.md E24) must stay schema-valid.
   if [[ -f results/BENCH_trajectory.jsonl ]]; then
