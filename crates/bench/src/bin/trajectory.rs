@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `record` normalizes every `BENCH_*.json` under `--dir` (written by
-//! `exp_profile`, `exp_serve`, `exp_fault`, `exp_substrate`) into one
+//! `exp_profile`, `exp_serve`, `exp_fault`, `exp_churn`) into one
 //! schema-versioned JSONL line and appends it to the ledger.
 //! `--scale-wall` multiplies every wall time before writing — a fixture
 //! knob `scripts/verify.sh` uses to prove `compare` catches a synthetic

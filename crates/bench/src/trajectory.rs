@@ -59,7 +59,6 @@ pub fn field_map(bench: &str) -> Option<(&'static str, &'static str, f64)> {
         "profile" => Some(("n", "solve_ms", 1.0)),
         "serve" => Some(("clients", "wall_p50_us", 1e-3)),
         "fault" => Some(("m", "wall_us_mean", 1e-3)),
-        "substrate" => Some(("n", "solve_compact_ms", 1.0)),
         "churn" => Some(("n", "wall_ms_per_event", 1.0)),
         _ => None,
     }
@@ -362,6 +361,11 @@ mod tests {
             {"n":10,"wall_ms":3.5}]}"#;
         let err = parse_bench_file(custom).unwrap_err();
         assert!(err.contains("`custom`"), "{err}");
+        // A retired bench has no field map either, but the ledger lines
+        // that carry its past rungs stay valid.
+        assert_eq!(field_map("substrate"), None);
+        let retired = r#"{"schema":1,"rev":"a","recorded_s":1,"benches":{"substrate":[{"key":"n=1","wall_ms":79.6}]}}"#;
+        assert!(validate_trajectory(retired).is_ok());
         // A mapped bench missing its fields names the field.
         let bare = r#"{"bench":"profile","schema":1,"points":[{"n":10}]}"#;
         let err = parse_bench_file(bare).unwrap_err();

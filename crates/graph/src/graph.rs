@@ -1,8 +1,9 @@
-//! The immutable CSR graph — the reference [`RandomAccessGraph`] backend.
+//! The immutable CSR graph, the workspace's one [`RandomAccessGraph`]
+//! backend.
 
 use std::fmt;
 
-use crate::{RandomAccessGraph, SequentialGraph};
+use crate::RandomAccessGraph;
 
 /// An immutable, undirected, simple graph in compressed-sparse-row form.
 ///
@@ -65,8 +66,7 @@ impl Graph {
     /// and deduplicated, the rows symmetric and free of self-loops.
     ///
     /// Used where rows come out normalized, so no edge list is needed: the
-    /// UDG build, induced subgraphs and
-    /// [`crate::CompactGraph::to_graph`].  Debug builds assert the offsets,
+    /// UDG build and induced subgraphs.  Debug builds assert the offsets,
     /// the row order, the range and the absence of self-loops; parts that
     /// break an invariant give a graph whose queries are unspecified.
     pub fn from_sorted_adjacency(offsets: Vec<usize>, targets: Vec<u32>) -> Self {
@@ -242,19 +242,6 @@ impl Graph {
         self.neighbors(u).binary_search(&(v as u32)).is_ok()
     }
 
-    /// Bytes the adjacency arrays occupy (`4` per arc: the `u32` CSR
-    /// target list).  Mirrors [`crate::CompactGraph::adjacency_bytes`]
-    /// so backend footprints compare like for like (experiment E23).
-    pub fn adjacency_bytes(&self) -> usize {
-        self.targets.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Bytes the per-node offset array occupies (`usize` per node + 1).
-    /// Mirrors [`crate::CompactGraph::offset_bytes`].
-    pub fn offset_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-    }
-
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.num_nodes()).flat_map(move |u| {
@@ -298,7 +285,9 @@ impl Graph {
     }
 }
 
-impl SequentialGraph for Graph {
+impl RandomAccessGraph for Graph {
+    type Successors<'a> = SliceSuccessors<'a>;
+
     fn num_nodes(&self) -> usize {
         Graph::num_nodes(self)
     }
@@ -306,16 +295,6 @@ impl SequentialGraph for Graph {
     fn num_edges(&self) -> usize {
         Graph::num_edges(self)
     }
-
-    fn for_each_adjacency<F: FnMut(usize, &[u32])>(&self, mut f: F) {
-        for v in 0..Graph::num_nodes(self) {
-            f(v, self.neighbors(v));
-        }
-    }
-}
-
-impl RandomAccessGraph for Graph {
-    type Successors<'a> = SliceSuccessors<'a>;
 
     fn successors(&self, v: usize) -> SliceSuccessors<'_> {
         SliceSuccessors {

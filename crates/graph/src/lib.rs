@@ -6,15 +6,12 @@
 //! `G = (V, E)`.  This crate provides that topology as a compact immutable
 //! CSR structure plus the generic machinery the algorithm crates share:
 //!
-//! * [`SequentialGraph`] / [`RandomAccessGraph`] — the trait split every
-//!   algorithm is generic over: streamed `(node, sorted-successors)`
-//!   iteration, and per-node `successors`/`degree`/`has_edge` queries,
+//! * [`RandomAccessGraph`] — the trait every algorithm is generic over:
+//!   node and edge counts and per-node `successors`/`degree`/`has_edge`
+//!   queries over sorted neighbour lists,
 //! * [`Graph`] — immutable undirected graph in compressed-sparse-row form
-//!   (the reference backend), built from an edge list or from already
-//!   sorted rows,
-//! * [`CompactGraph`] — the gap-compressed adjacency backend ([`codec`]
-//!   varint/zig-zag byte codes with per-node offsets), convertible
-//!   from/to CSR and encodable in one streaming pass,
+//!   (the one backend), built from an edge list or from already sorted
+//!   rows,
 //! * [`traversal`] — BFS/DFS, [`traversal::BfsTree`] (the rooted spanning
 //!   tree `T` of the paper's Section III), connected components,
 //!   distances and diameters,
@@ -52,23 +49,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod compact;
 mod dsu;
 mod graph;
 mod traits;
 
 pub mod bitgraph;
-pub mod codec;
 pub mod dot;
 pub mod properties;
 pub mod subsets;
 pub mod traversal;
 
-pub use compact::{CompactGraph, CompactGraphBuilder, CompactSuccessors};
 pub use dsu::DisjointSets;
 pub use graph::{Graph, SliceSuccessors};
 pub use properties::CdsViolation;
-pub use traits::{RandomAccessGraph, SequentialGraph};
+pub use traits::RandomAccessGraph;
 
 /// A set of nodes represented as a sorted, deduplicated `Vec<usize>`.
 ///

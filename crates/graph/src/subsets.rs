@@ -102,9 +102,8 @@ pub fn closed_neighborhood<G: RandomAccessGraph>(g: &G, v: usize) -> Vec<usize> 
     out
 }
 
-/// The subgraph induced by `keep` (materialized as a CSR [`Graph`]
-/// regardless of the backend), together with the mapping from new node
-/// indices to original ones.
+/// The subgraph induced by `keep` (materialized as a CSR [`Graph`]),
+/// together with the mapping from new node indices to original ones.
 ///
 /// `keep` need not be sorted; duplicates are ignored.  The returned
 /// `Vec<usize>` maps new index `i` to the original node id.  This is the
@@ -361,7 +360,6 @@ impl LocalSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CompactGraph;
     use mcds_rng::rngs::StdRng;
     use mcds_rng::{Rng, SeedableRng};
 
@@ -385,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_equals_edge_list_construction_on_both_backends() {
+    fn induced_subgraph_equals_edge_list_construction() {
         let mut rng = StdRng::seed_from_u64(16);
         for case in 0..300 {
             let n = rng.gen_range(0..=40usize);
@@ -402,13 +400,7 @@ mod tests {
                 .flat_map(|v| [v, v])
                 .collect();
             let want = induced_by_edge_list(&g, &keep);
-            assert_eq!(induced_subgraph(&g, &keep), want, "case {case}, CSR");
-            let compact = CompactGraph::from_graph(&g);
-            assert_eq!(
-                induced_subgraph(&compact, &keep),
-                want,
-                "case {case}, compact"
-            );
+            assert_eq!(induced_subgraph(&g, &keep), want, "case {case}");
         }
     }
 

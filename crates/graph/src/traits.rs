@@ -1,49 +1,37 @@
-//! The graph-access trait split: [`SequentialGraph`] for streamed
-//! adjacency scans and [`RandomAccessGraph`] for per-node queries.
+//! [`RandomAccessGraph`]: the per-node neighbour queries every solver is
+//! generic over.
 //!
-//! Every algorithm in the workspace needs only sorted neighbor
-//! enumeration; the traits capture exactly that, so the solvers run
-//! unchanged over the reference CSR [`Graph`](crate::Graph) or the
-//! gap-compressed [`CompactGraph`](crate::CompactGraph).  The split
-//! follows the webgraph convention: a *sequential* graph can replay all
-//! adjacencies in node order (enough for conversion, encoding, and
-//! whole-graph statistics), while a *random-access* graph can answer
-//! `successors(v)` for arbitrary `v` (what BFS, first-fit MIS and the
-//! connector phases need).
+//! Every algorithm in the workspace needs only sorted neighbour
+//! enumeration, and the trait captures exactly that.  The CSR
+//! [`Graph`](crate::Graph) implements it for every solve, churn and
+//! serve path; the resident topology's slot rows implement it too, so
+//! the exact local cut-vertex search
+//! ([`LocalSearch`](crate::subsets::LocalSearch)) runs over a patched
+//! topology without building a graph first.
 //!
 //! All implementations must present the same canonical view: simple,
-//! undirected, nodes `0..n`, neighbor lists sorted ascending with no
+//! undirected, nodes `0..n`, neighbour lists sorted ascending with no
 //! duplicates and no self-loops.  Determinism of every solver rests on
-//! that ordering, and the cross-backend byte-identical-solve gate in
-//! `scripts/verify.sh` enforces it end to end.
+//! that ordering.
 
-/// Streamed access to a graph's adjacency lists in node order.
+/// Per-node random access to sorted neighbour lists.
 ///
-/// The visitor receives `(node, sorted neighbors)` for every node
-/// `0..num_nodes()`, including isolated ones (with an empty slice).
-pub trait SequentialGraph {
+/// This is the bound every solver takes.  Implementations provide the
+/// node and edge counts, the successor iterator and the degree;
+/// `has_edge` and `is_connected` have default implementations in terms
+/// of them (overridable where a faster path exists, e.g. binary search
+/// on a CSR slice).
+pub trait RandomAccessGraph {
+    /// The sorted successor iterator for one node.
+    type Successors<'a>: Iterator<Item = usize> + 'a
+    where
+        Self: 'a;
+
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
 
     /// Number of undirected edges.
     fn num_edges(&self) -> usize;
-
-    /// Calls `f(v, neighbors)` for every node `v` in increasing order,
-    /// with `neighbors` sorted ascending.
-    fn for_each_adjacency<F: FnMut(usize, &[u32])>(&self, f: F);
-}
-
-/// Per-node random access to sorted neighbor lists.
-///
-/// This is the bound every solver takes.  Implementations provide the
-/// successor iterator and degree; `has_edge` and `is_connected` have
-/// default implementations in terms of them (overridable where a faster
-/// path exists, e.g. binary search on a CSR slice).
-pub trait RandomAccessGraph: SequentialGraph {
-    /// The sorted successor iterator for one node.
-    type Successors<'a>: Iterator<Item = usize> + 'a
-    where
-        Self: 'a;
 
     /// Iterates over the neighbors of `v` in ascending order.
     ///
@@ -94,7 +82,41 @@ pub trait RandomAccessGraph: SequentialGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompactGraph, Graph};
+    use crate::Graph;
+
+    /// Sorted neighbour rows that implement only the required methods,
+    /// so the provided `has_edge` and `is_connected` run as written.
+    struct RowList(Vec<Vec<usize>>);
+
+    impl RowList {
+        fn of(g: &Graph) -> RowList {
+            RowList(
+                (0..g.num_nodes())
+                    .map(|v| g.neighbors_iter(v).collect())
+                    .collect(),
+            )
+        }
+    }
+
+    impl RandomAccessGraph for RowList {
+        type Successors<'a> = std::iter::Copied<std::slice::Iter<'a, usize>>;
+
+        fn num_nodes(&self) -> usize {
+            self.0.len()
+        }
+
+        fn num_edges(&self) -> usize {
+            self.0.iter().map(Vec::len).sum::<usize>() / 2
+        }
+
+        fn successors(&self, v: usize) -> Self::Successors<'_> {
+            self.0[v].iter().copied()
+        }
+
+        fn degree(&self, v: usize) -> usize {
+            self.0[v].len()
+        }
+    }
 
     /// Exercises the trait surface through a generic bound only.
     fn degree_sum<G: RandomAccessGraph>(g: &G) -> usize {
@@ -106,50 +128,42 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_compact_agree_through_the_traits() {
+    fn csr_and_row_list_agree_through_the_trait() {
         let g = Graph::from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (2, 5)]);
-        let c = CompactGraph::from_graph(&g);
+        let rows = RowList::of(&g);
         assert_eq!(degree_sum(&g), 2 * g.num_edges());
-        assert_eq!(degree_sum(&c), degree_sum(&g));
+        assert_eq!(degree_sum(&rows), degree_sum(&g));
+        assert_eq!(RandomAccessGraph::num_edges(&rows), g.num_edges());
         for v in 0..g.num_nodes() {
-            assert_eq!(collected(&g, v), collected(&c, v), "node {v}");
+            assert_eq!(collected(&g, v), collected(&rows, v), "node {v}");
         }
         fn conn<G: RandomAccessGraph>(g: &G) -> bool {
             g.is_connected()
         }
         assert!(!conn(&g));
-        assert!(!conn(&c));
-        assert!(conn(&CompactGraph::from_graph(&Graph::path(5))));
+        assert!(!conn(&rows));
+        assert!(conn(&RowList::of(&Graph::path(5))));
     }
 
     #[test]
     fn default_has_edge_early_exits_correctly() {
         let g = Graph::cycle(7);
-        let c = CompactGraph::from_graph(&g);
+        let rows = RowList::of(&g);
         for u in 0..7 {
             for v in 0..7 {
-                assert_eq!(c.has_edge(u, v), g.has_edge(u, v), "({u}, {v})");
+                assert_eq!(rows.has_edge(u, v), g.has_edge(u, v), "({u}, {v})");
             }
         }
     }
 
     #[test]
-    fn sequential_visit_covers_every_node_in_order() {
-        let g = Graph::star(5);
-        let mut seen = Vec::new();
-        g.for_each_adjacency(|v, ns| seen.push((v, ns.to_vec())));
-        assert_eq!(seen.len(), 5);
-        assert_eq!(seen[0].0, 0);
-        assert_eq!(seen[0].1, vec![1, 2, 3, 4]);
-        assert_eq!(seen[3], (3, vec![0]));
-    }
-
-    #[test]
     fn trait_connectivity_conventions_match_inherent() {
         for g in [Graph::empty(0), Graph::empty(1), Graph::empty(2)] {
-            let c = CompactGraph::from_graph(&g);
             assert_eq!(RandomAccessGraph::is_connected(&g), g.is_connected());
-            assert_eq!(RandomAccessGraph::is_connected(&c), g.is_connected());
+            assert_eq!(
+                RandomAccessGraph::is_connected(&RowList::of(&g)),
+                g.is_connected()
+            );
         }
     }
 }

@@ -234,12 +234,6 @@ pub fn graph_center<G: RandomAccessGraph>(g: &G) -> Option<usize> {
     (0..g.num_nodes()).min_by_key(|&v| (ecc[v], v))
 }
 
-/// The graph radius (minimum eccentricity), or `None` if
-/// disconnected/empty.
-pub fn radius<G: RandomAccessGraph>(g: &G) -> Option<usize> {
-    eccentricities(g).map(|e| e.into_iter().min().unwrap_or(0))
-}
-
 /// Bridges (cut edges) of the graph as `(u, v)` pairs with `u < v`,
 /// sorted — iterative Tarjan lowlink, `O(n + m)`.
 ///
@@ -417,17 +411,16 @@ mod tests {
     }
 
     #[test]
-    fn eccentricities_center_radius() {
+    fn eccentricities_and_center() {
         let g = Graph::path(7);
         let ecc = eccentricities(&g).unwrap();
         assert_eq!(ecc, vec![6, 5, 4, 3, 4, 5, 6]);
         assert_eq!(graph_center(&g), Some(3));
-        assert_eq!(radius(&g), Some(3));
         assert_eq!(diameter(&g), Some(6));
         // Disconnected and empty.
         assert_eq!(eccentricities(&Graph::from_edges(3, [(0, 1)])), None);
         assert_eq!(graph_center(&Graph::empty(0)), None);
-        assert_eq!(radius(&Graph::empty(1)), Some(0));
+        assert_eq!(eccentricities(&Graph::empty(1)), Some(vec![0]));
         // Star center.
         assert_eq!(graph_center(&Graph::star(6)), Some(0));
     }

@@ -160,6 +160,12 @@ fn count_components_matches_induced_graph() {
                 subsets::count_components(&g, &mask),
                 connected_components(&sub).len()
             );
+            // The CDS predicate (one `check_cds` pass) against its former
+            // body: domination, then connectivity of the induced subset.
+            prop_assert_eq!(
+                properties::is_connected_dominating_set(&g, &keep),
+                properties::is_dominating_set(&g, &keep) && subsets::is_connected_subset(&g, &mask)
+            );
             TestResult::Pass
         });
 }

@@ -9,9 +9,7 @@
 //! Each cell's block is resolved once, when the table is built.
 //!
 //! [`Udg::with_radius`](crate::Udg::with_radius) fills its CSR from the
-//! table and [`stream_build`](crate::stream_build) feeds the compact
-//! encoder from it, so both backends share one edge test,
-//! `dist² ≤ r² + EPS`, over the same candidates.  The resident
+//! table with one edge test, `dist² ≤ r² + EPS`.  The resident
 //! [`Topology`](crate::Topology) is seeded from the table and keys its
 //! own cell index with the same [`CellGrid`], so a patched topology
 //! holds exactly the edges a fresh build would.
@@ -210,10 +208,5 @@ impl CellTable {
                 &self.order[run[0]..run[1]],
             );
         }
-    }
-
-    /// Consumes the table, returning `(order, points)` in sweep order.
-    pub(crate) fn into_sweep(self) -> (Vec<u32>, Vec<Point>) {
-        (self.order, self.points)
     }
 }

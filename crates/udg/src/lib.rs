@@ -19,10 +19,6 @@
 //!   square/disk, clustered, perturbed grid, linear chains, plus
 //!   connected-instance helpers (resampling and giant-component
 //!   extraction),
-//! * [`stream`] — the streaming builder: the same cell table, with nodes
-//!   relabeled in sweep order and adjacencies fed straight into the
-//!   gap-compressed [`mcds_graph::CompactGraph`] backend (million-node
-//!   instances),
 //! * [`io`] — a minimal plain-text instance format for persisting and
 //!   sharing instances,
 //! * [`analysis`] — instance statistics (degree histograms, clustering,
@@ -58,8 +54,6 @@ pub mod analysis;
 pub mod gen;
 pub mod io;
 pub mod mobility;
-pub mod stream;
 
 pub use model::Udg;
 pub use resident::{Giant, Topology};
-pub use stream::{stream_build, stream_build_unit, StreamedUdg};

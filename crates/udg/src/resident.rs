@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use mcds_geom::Point;
 use mcds_graph::subsets::LocalSearch;
-use mcds_graph::{Graph, RandomAccessGraph, SequentialGraph};
+use mcds_graph::{Graph, RandomAccessGraph};
 
 use crate::cells::{CellGrid, CellTable};
 
@@ -526,7 +526,12 @@ impl Giant {
 /// isolated), for the patch's reconnection search.
 struct Rows<'a>(&'a [Vec<u32>]);
 
-impl SequentialGraph for Rows<'_> {
+impl RandomAccessGraph for Rows<'_> {
+    type Successors<'b>
+        = std::iter::Map<std::slice::Iter<'b, u32>, fn(&u32) -> usize>
+    where
+        Self: 'b;
+
     fn num_nodes(&self) -> usize {
         self.0.len()
     }
@@ -534,19 +539,6 @@ impl SequentialGraph for Rows<'_> {
     fn num_edges(&self) -> usize {
         self.0.iter().map(Vec::len).sum::<usize>() / 2
     }
-
-    fn for_each_adjacency<F: FnMut(usize, &[u32])>(&self, mut f: F) {
-        for (s, row) in self.0.iter().enumerate() {
-            f(s, row);
-        }
-    }
-}
-
-impl RandomAccessGraph for Rows<'_> {
-    type Successors<'b>
-        = std::iter::Map<std::slice::Iter<'b, u32>, fn(&u32) -> usize>
-    where
-        Self: 'b;
 
     fn successors(&self, s: usize) -> Self::Successors<'_> {
         self.0[s].iter().map(|&t| t as usize)

@@ -1,18 +1,17 @@
 //! Every UDG built from the sorted cell table must agree exactly with
 //! the naive `Θ(n²)` reference, on every deployment family the
-//! experiments use: the CSR build, the streamed compact build over its
-//! own points, and the giant component or any subset taken by
-//! relabelling the graph instead of rebuilding it.
+//! experiments use: the CSR build, and the giant component or any
+//! subset taken by relabelling the graph instead of rebuilding it.
 //!
 //! These are the load-bearing guarantees behind `Udg::build`: the cell
-//! table is a pure accelerator (no geometric approximation), so both
-//! backends and every restriction describe the same unit-disk graph.
+//! table is a pure accelerator (no geometric approximation), so the
+//! build and every restriction describe the same unit-disk graph.
 
 use mcds_geom::Point;
 use mcds_graph::traversal::largest_component;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::{Rng, SeedableRng};
-use mcds_udg::{gen, io, stream_build, Udg};
+use mcds_udg::{gen, io, Udg};
 
 /// One seeded point set per (family, seed) pair.
 fn family_points(family: &str, seed: u64, n: usize, side: f64) -> Vec<Point> {
@@ -47,11 +46,16 @@ fn instances() -> impl Iterator<Item = (&'static str, u64, Vec<Point>, f64)> {
 }
 
 /// The CSR build equals the naive all-pairs reference on ≥200 seeded
-/// instances across all four deployment families.
+/// instances across all four deployment families, and on one 5 000-point
+/// uniform instance.  The naive side shares no code with the cell table,
+/// so a candidate the table drops shows up here.
 #[test]
 fn grid_equals_naive_on_200_instances() {
+    let mut rng = StdRng::seed_from_u64(4242);
+    let large = gen::uniform_in_square(&mut rng, 5000, 25.0);
+    let cases = instances().chain(std::iter::once(("uniform-5000", 4242, large, 1.0)));
     let mut checked = 0usize;
-    for (family, seed, pts, radius) in instances() {
+    for (family, seed, pts, radius) in cases {
         let grid = Udg::with_radius(pts.clone(), radius);
         let naive = Udg::build_naive(pts, radius);
         assert_eq!(
@@ -97,32 +101,10 @@ fn restriction_equals_rebuild_on_200_instances() {
     }
 }
 
-/// The streamed compact build equals the naive reference over its
-/// sweep-order points on every instance, and on one 5 000-point uniform
-/// instance.  The naive side shares no code with the cell table, so a
-/// candidate the table drops shows up here even though the CSR build
-/// would drop it too.
-#[test]
-fn streamed_equals_naive_over_its_points() {
-    let mut rng = StdRng::seed_from_u64(4242);
-    let large = gen::uniform_in_square(&mut rng, 5000, 25.0);
-    let cases = instances().chain(std::iter::once(("uniform-5000", 4242, large, 1.0)));
-    for (family, seed, pts, radius) in cases {
-        let streamed = stream_build(pts, radius);
-        let naive = Udg::build_naive(streamed.points().to_vec(), radius);
-        assert_eq!(
-            &streamed.graph().to_graph(),
-            naive.graph(),
-            "family {family}, seed {seed}: streamed compact != naive over the same points"
-        );
-    }
-}
-
 /// Points whose cell keys sit at or saturate the ends of `i64`, and
 /// points far enough apart that a table sized by bounding box would not
-/// fit in memory.  Each set runs through the CSR build and the streamed
-/// build (each against the naive reference over its own points) and the
-/// text parser.
+/// fit in memory.  Each set runs through the CSR build (against the
+/// naive reference) and the text parser.
 #[test]
 fn extreme_coordinates_neither_overflow_nor_allocate_by_extent() {
     let along_x = vec![
@@ -153,13 +135,6 @@ fn extreme_coordinates_neither_overflow_nor_allocate_by_extent() {
         let grid = Udg::with_radius(pts.clone(), radius);
         let naive = Udg::build_naive(pts.clone(), radius);
         assert_eq!(grid.graph(), naive.graph(), "{name}: grid != naive");
-        let streamed = stream_build(pts.clone(), radius);
-        let streamed_naive = Udg::build_naive(streamed.points().to_vec(), radius);
-        assert_eq!(
-            &streamed.graph().to_graph(),
-            streamed_naive.graph(),
-            "{name}: streamed != naive"
-        );
         let parsed = io::parse_instance(&io::write_instance(&grid)).expect("own output parses");
         assert_eq!(parsed.points(), pts.as_slice(), "{name}");
         assert_eq!(parsed.graph(), naive.graph(), "{name}: parsed != naive");
@@ -209,13 +184,6 @@ fn boundary_distances_agree() {
         let naive = Udg::build_naive(pts, radius);
         assert_eq!(grid.graph(), naive.graph(), "{name}: grid != naive");
         assert!(grid.graph().has_edge(0, 1), "{name}: pair 0-1 must touch");
-        let streamed = stream_build(naive.points().to_vec(), radius);
-        let streamed_naive = Udg::build_naive(streamed.points().to_vec(), radius);
-        assert_eq!(
-            &streamed.graph().to_graph(),
-            streamed_naive.graph(),
-            "{name}: streamed != naive"
-        );
     }
 }
 

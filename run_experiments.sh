@@ -22,8 +22,7 @@ fi
 exps=(exp_fig1 exp_fig2 exp_bounds exp_waf_ratio exp_greedy_ratio exp_compare
       exp_distributed exp_conjecture exp_lemmas exp_area exp_root_ablation
       exp_broadcast exp_routing exp_mobility exp_election exp_anatomy
-      exp_churn exp_profile exp_fault exp_serve
-      exp_substrate)
+      exp_churn exp_profile exp_fault exp_serve)
 for e in "${exps[@]}"; do
   echo "### $e"
   cargo run --quiet --release -p mcds-bench --bin "$e" -- $quick --out "$out"

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, test, format, lint, docs, plus the
-# behavioral stages (determinism, tracing, serve, substrate, bench).
+# behavioral stages (determinism, tracing, serve, bench).
 # Usage: scripts/verify.sh [--no-clippy] [STAGE...]
 #
 # With no STAGE arguments every stage runs.  Naming stages runs just
 # those (e.g. `scripts/verify.sh build serve bench`); stage names:
-#   build test fmt clippy doc check fuzz pool tracing serve substrate
-#   grid kernel bench
+#   build test fmt clippy doc check fuzz pool tracing serve grid kernel
+#   bench
 #
 # The `build` stage also compiles the benchmark harness, `perfbench/`: a
 # cargo workspace of its own that builds this repository's crates by path
@@ -34,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages="build test fmt clippy doc check fuzz pool tracing serve substrate grid kernel bench"
+all_stages="build test fmt clippy doc check fuzz pool tracing serve grid kernel bench"
 no_clippy=""
 stages=()
 for arg in "$@"; do
@@ -107,6 +107,19 @@ if want fuzz; then
   echo "== check: bounded fuzz smoke (${MCDS_CHECK_FUZZ_SECS:-30}s, fixed seed) =="
   cargo test --quiet --release -p mcds --test differential -- \
     --ignored fuzz_smoke_bounded
+  # Hostile headers: a declared count no text could hold must be reported
+  # as a count mismatch, not sized into an allocation (capacity overflow,
+  # or an abort on a 16 TB request).
+  for count in 18446744073709551615 1000000000000; do
+    printf 'udg %s 1.0\n0 0\n' "$count" > "$det_dir/probe_header.udg"
+    status=0
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/probe_header.udg" \
+      > /dev/null 2> "$det_dir/probe_header.err" || status=$?
+    [[ $status -eq 2 ]] && grep -q 'declared' "$det_dir/probe_header.err" || {
+      echo "solve exited $status on the header count $count (want 2, declared):" >&2
+      cat "$det_dir/probe_header.err" >&2; exit 1; }
+  done
+  echo "hostile headers rejected: huge declared counts exit 2"
 fi
 
 if want pool; then
@@ -291,33 +304,6 @@ if want serve; then
   echo "JSONL solve byte-identical before and after /metrics scrapes; clean shutdown"
 fi
 
-if want substrate; then
-  echo "== substrate: compact backend solves identical to CSR, E23 smoke =="
-  # Every algorithm at m = 1 (with and without prune), m = 2 and m = 2
-  # biconnected (with prune) on both backends: equal CDSs, pruned_from
-  # and errors on the oracle cases, and on the n = 150 instance that
-  # `gen --n 150 --side 6.5 --seed 23 --connected` writes, where every
-  # solve must succeed.
-  cargo test --quiet --release -p mcds --test substrate
-  # Bounded E23 smoke: streaming build + cross-backend solve + the >= 3x
-  # adjacency compression gate, at quick-ladder sizes.
-  cargo run --quiet --release -p mcds-bench --bin exp_substrate -- --quick \
-    > /dev/null
-  # Hostile headers: a declared count no text could hold must be reported
-  # as a count mismatch, not sized into an allocation (capacity overflow,
-  # or an abort on a 16 TB request).
-  for count in 18446744073709551615 1000000000000; do
-    printf 'udg %s 1.0\n0 0\n' "$count" > "$det_dir/probe_header.udg"
-    status=0
-    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/probe_header.udg" \
-      > /dev/null 2> "$det_dir/probe_header.err" || status=$?
-    [[ $status -eq 2 ]] && grep -q 'declared' "$det_dir/probe_header.err" || {
-      echo "solve exited $status on the header count $count (want 2, declared):" >&2
-      cat "$det_dir/probe_header.err" >&2; exit 1; }
-  done
-  echo "hostile headers rejected: huge declared counts exit 2"
-fi
-
 if want grid; then
   echo "== grid vs naive speedup smoke (n=20k, release) =="
   cargo test --quiet --release -p mcds-udg --test grid_equivalence -- \
@@ -378,11 +364,11 @@ if want bench; then
   # no field map in the ledger is an error, not a guess.
   cargo run --quiet --release -p mcds-bench --bin trajectory -- record \
     --dir results --out "$det_dir/committed.jsonl" --rev committed > /dev/null
-  for b in churn fault profile serve substrate; do
+  for b in churn fault profile serve; do
     grep -q "\"$b\"" "$det_dir/committed.jsonl" || {
       echo "recorded committed artifacts lack the $b bench" >&2; exit 1; }
   done
-  echo "committed BENCH_*.json artifacts record: churn, fault, profile, serve, substrate"
+  echo "committed BENCH_*.json artifacts record: churn, fault, profile, serve"
   # The committed ledger (appended after full experiment runs; see
   # EXPERIMENTS.md E24) must stay schema-valid.
   if [[ -f results/BENCH_trajectory.jsonl ]]; then

@@ -20,6 +20,28 @@ fn udg_grid_equals_naive() {
         });
 }
 
+/// The grid build does not depend on node labels: built over the points
+/// in sweep order (by y, then x), it is the caller-order graph relabelled.
+#[test]
+fn grid_build_commutes_with_relabelling() {
+    Property::new("grid_build_commutes_with_relabelling")
+        .cases(48)
+        .run(&point_sets(0..=150, 6.0), |points| {
+            let mut order: Vec<usize> = (0..points.len()).collect();
+            order.sort_by(|&a, &b| {
+                (points[a].y.total_cmp(&points[b].y)).then(points[a].x.total_cmp(&points[b].x))
+            });
+            let udg = Udg::build(points.clone());
+            let swept = Udg::build(order.iter().map(|&v| points[v]).collect());
+            let relabelled = Graph::from_edges(
+                points.len(),
+                swept.graph().edges().map(|(u, v)| (order[u], order[v])),
+            );
+            prop_assert_eq!(&relabelled, udg.graph());
+            TestResult::Pass
+        });
+}
+
 #[test]
 fn first_fit_mis_invariants() {
     Property::new("first_fit_mis_invariants")

@@ -75,6 +75,33 @@ fn every_algorithm_on_every_scenario() {
     }
 }
 
+/// The instance `mcds-cli gen --n 150 --side 6.5 --seed 23 --connected`
+/// writes: every algorithm must solve it with verify on, as `mcds-cli
+/// solve` runs, at m = 1 with and without prune, and with prune at
+/// m = 2 and at m = 2 biconnected.
+#[test]
+fn every_algorithm_solves_the_cli_instance_in_every_configuration() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let udg = mcds::udg::gen::connected_uniform(&mut rng, 150, 6.5, 100).expect("connected");
+    let g = udg.graph();
+    for (m, biconnect, prune) in [
+        (1, false, false),
+        (1, false, true),
+        (2, false, true),
+        (2, true, true),
+    ] {
+        for alg in Algorithm::ALL {
+            Solver::new(alg)
+                .verify(true)
+                .prune(prune)
+                .m(m)
+                .biconnect(biconnect)
+                .solve(g)
+                .unwrap_or_else(|e| panic!("{alg} m={m} biconnect={biconnect} prune={prune}: {e}"));
+        }
+    }
+}
+
 #[test]
 fn applications_work_on_every_scenario() {
     for (name, udg) in scenarios() {
