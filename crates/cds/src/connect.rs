@@ -32,7 +32,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use mcds_graph::bitgraph::BitSet;
-use mcds_graph::{node_mask, subsets, DisjointSets, RandomAccessGraph};
+use mcds_graph::{node_mask, subsets, DisjointSets, Graph};
 
 use crate::CdsError;
 
@@ -48,10 +48,7 @@ use crate::CdsError;
 /// * [`CdsError::Stalled`] if no remaining node has positive gain while
 ///   more than one component remains (cannot happen when `seed` is an MIS
 ///   of a connected graph; can happen for weaker seeds).
-pub fn max_gain_connectors<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+pub fn max_gain_connectors(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     max_gain_connectors_unchecked(g, seed)
 }
@@ -59,8 +56,8 @@ pub fn max_gain_connectors<G: RandomAccessGraph>(
 /// [`max_gain_connectors`] on a graph the caller has already proved
 /// non-empty and connected (the solver's phase 1 does), without the
 /// second connectivity sweep.
-pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
-    g: &G,
+pub(crate) fn max_gain_connectors_unchecked(
+    g: &Graph,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
     let run = merge_bitset(g, seed, false)?;
@@ -70,7 +67,7 @@ pub(crate) fn max_gain_connectors_unchecked<G: RandomAccessGraph>(
 }
 
 /// The input checks shared by the public connector entries.
-fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+fn check_graph(g: &Graph) -> Result<(), CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);
     }
@@ -91,10 +88,7 @@ fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
 ///
 /// * [`CdsError::EmptyGraph`] / [`CdsError::DisconnectedGraph`] on bad
 ///   graphs.
-pub fn max_gain_then_paths<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+pub fn max_gain_then_paths(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     max_gain_then_paths_unchecked(g, seed)
 }
@@ -103,8 +97,8 @@ pub fn max_gain_then_paths<G: RandomAccessGraph>(
 /// checked only if the merges stall, since the shortest-path fallback
 /// needs it connected.  Merges alone may connect a seed on a
 /// disconnected `g` (`fault::weighted_max_gain_connectors` returns them).
-pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
-    g: &G,
+pub(crate) fn max_gain_then_paths_unchecked(
+    g: &Graph,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
     let mut run = merge_bitset(g, seed, true)?;
@@ -135,8 +129,8 @@ pub(crate) fn max_gain_then_paths_unchecked<G: RandomAccessGraph>(
 ///
 /// [`CdsError::Stalled`] if no zone node touches two components while
 /// more than one remains.
-pub fn max_gain_connectors_within<G: RandomAccessGraph>(
-    g: &G,
+pub fn max_gain_connectors_within(
+    g: &Graph,
     seed: &[usize],
     zone: &[usize],
     scratch: &mut MergeScratch,
@@ -149,7 +143,7 @@ pub fn max_gain_connectors_within<G: RandomAccessGraph>(
     }
     let mut merges = 0usize;
     for &v in seed {
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if u < v && st.mask.contains(u) && st.dsu.union(u, v) {
                 merges += 1;
             }
@@ -169,7 +163,7 @@ pub fn max_gain_connectors_within<G: RandomAccessGraph>(
             let c = adjacent_count(g, &st.mask, &mut st.dsu, w, &mut st.roots);
             enqueue(&mut st.buckets, &mut st.bucket_of, &mut st.top, w, c);
         }
-        run = merge_loop::<G, true>(g, st, q, true, 0)?;
+        run = merge_loop::<true>(g, st, q, true, 0)?;
     }
     // Every node a union merged is a seed or a selection, and every
     // queued node is in the zone.
@@ -263,11 +257,7 @@ impl MergeScratch {
 /// `seed`, with the state built for this call: the mask and union-find
 /// from `seed`, and every candidate's exact count read from the seed
 /// side ([`seed_side_counts`]).
-fn merge_bitset<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-    allow_stall: bool,
-) -> Result<MergeRun, CdsError> {
+fn merge_bitset(g: &Graph, seed: &[usize], allow_stall: bool) -> Result<MergeRun, CdsError> {
     let n = g.num_nodes();
     let mask = BitSet::from_nodes(n, seed);
     let mut st = MergeScratch::with_parts(mask, Vec::new());
@@ -275,7 +265,7 @@ fn merge_bitset<G: RandomAccessGraph>(
     let mut merges = 0usize;
     for v in st.mask.iter_ones() {
         members += 1;
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if u < v && st.mask.contains(u) && st.dsu.union(u, v) {
                 merges += 1;
             }
@@ -301,7 +291,7 @@ fn merge_bitset<G: RandomAccessGraph>(
         enqueue(&mut st.buckets, &mut counts, &mut st.top, w, c);
     }
     st.bucket_of = counts;
-    merge_loop::<G, false>(g, &mut st, q, allow_stall, scanned)
+    merge_loop::<false>(g, &mut st, q, allow_stall, scanned)
 }
 
 /// The greedy merge loop: incremental gain maintenance via a lazy bucket
@@ -333,8 +323,8 @@ fn merge_bitset<G: RandomAccessGraph>(
 ///
 /// With `CONFINED` only queued nodes are candidates, so the loop is the
 /// rescan of the zone alone; without it every non-member is one.
-fn merge_loop<G: RandomAccessGraph, const CONFINED: bool>(
-    g: &G,
+fn merge_loop<const CONFINED: bool>(
+    g: &Graph,
     st: &mut MergeScratch,
     mut q: usize,
     allow_stall: bool,
@@ -377,7 +367,7 @@ fn merge_loop<G: RandomAccessGraph, const CONFINED: bool>(
         st.mask.insert(w);
         st.bucket_of[w] = UNQUEUED;
         st.to_refresh.clear();
-        for u in g.successors(w) {
+        for u in g.neighbors_iter(w) {
             if st.mask.contains(u) {
                 st.dsu.union(w, u);
             } else if !CONFINED || st.bucket_of[u] != UNQUEUED {
@@ -392,7 +382,7 @@ fn merge_loop<G: RandomAccessGraph, const CONFINED: bool>(
         for &x in &st.to_refresh {
             scanned += 1;
             let touched = g
-                .successors(x)
+                .neighbors_iter(x)
                 .any(|u| u != w && st.mask.contains(u) && st.dsu.find(u) == merged);
             if !touched {
                 let bound = st.bucket_of[x] as usize + 1;
@@ -418,11 +408,7 @@ fn merge_loop<G: RandomAccessGraph, const CONFINED: bool>(
 /// touches, a per-node stamp (the last component that counted it)
 /// keeping the count to one per component.  Only the rows of mask
 /// members are read.  Entries of mask members are meaningless.
-fn seed_side_counts<G: RandomAccessGraph>(
-    g: &G,
-    mask: &BitSet,
-    dsu: &mut DisjointSets,
-) -> Vec<u32> {
+fn seed_side_counts(g: &Graph, mask: &BitSet, dsu: &mut DisjointSets) -> Vec<u32> {
     let n = g.num_nodes();
     let mut by_root: Vec<(u32, u32)> = mask
         .iter_ones()
@@ -432,7 +418,7 @@ fn seed_side_counts<G: RandomAccessGraph>(
     let mut counts = vec![0u32; n];
     let mut stamp = vec![UNQUEUED; n];
     for &(root, v) in &by_root {
-        for u in g.successors(v as usize) {
+        for u in g.neighbors_iter(v as usize) {
             if stamp[u] != root {
                 stamp[u] = root;
                 counts[u] += 1;
@@ -465,15 +451,15 @@ fn enqueue(
 /// Number of distinct `G[mask]` components adjacent to `w` — the same
 /// value `subsets::adjacent_components(..).len()` yields, without
 /// materializing the sorted root list.
-fn adjacent_count<G: RandomAccessGraph>(
-    g: &G,
+fn adjacent_count(
+    g: &Graph,
     mask: &BitSet,
     dsu: &mut DisjointSets,
     w: usize,
     roots: &mut Vec<usize>,
 ) -> usize {
     roots.clear();
-    for u in g.successors(w) {
+    for u in g.neighbors_iter(w) {
         if mask.contains(u) {
             let r = dsu.find(u);
             if !roots.contains(&r) {
@@ -486,7 +472,7 @@ fn adjacent_count<G: RandomAccessGraph>(
 
 /// The per-step gains of a connector sequence, recomputed from scratch —
 /// a reference used in tests and by the Theorem-10 accounting experiment.
-pub fn gain_trace<G: RandomAccessGraph>(g: &G, seed: &[usize], connectors: &[usize]) -> Vec<usize> {
+pub fn gain_trace(g: &Graph, seed: &[usize], connectors: &[usize]) -> Vec<usize> {
     let mut mask = node_mask(g.num_nodes(), seed);
     let mut trace = Vec::with_capacity(connectors.len());
     let mut q = subsets::count_components(g, &mask);
@@ -511,17 +497,14 @@ pub fn gain_trace<G: RandomAccessGraph>(g: &G, seed: &[usize], connectors: &[usi
 ///
 /// * [`CdsError::EmptyGraph`] / [`CdsError::DisconnectedGraph`] on bad
 ///   graphs.
-pub fn path_connectors<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+pub fn path_connectors(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     Ok(path_connectors_unchecked(g, seed))
 }
 
 /// [`path_connectors`] on a graph the caller has already proved
 /// non-empty and connected.
-pub(crate) fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usize]) -> Vec<usize> {
+pub(crate) fn path_connectors_unchecked(g: &Graph, seed: &[usize]) -> Vec<usize> {
     let mut member = BitSet::from_nodes(g.num_nodes(), seed);
     let mut connectors = Vec::new();
     while let Some(interior) = shortest_bridge(g, &member, None) {
@@ -544,8 +527,8 @@ pub(crate) fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usi
 /// The breadth-first search is seeded with the component in ascending
 /// id order and visits neighbours in adjacency order, so among equally
 /// short paths the one found first from the smallest seed wins.
-pub(crate) fn shortest_bridge<G: RandomAccessGraph>(
-    g: &G,
+pub(crate) fn shortest_bridge(
+    g: &Graph,
     member: &BitSet,
     avoid: Option<usize>,
 ) -> Option<Vec<usize>> {
@@ -560,7 +543,7 @@ pub(crate) fn shortest_bridge<G: RandomAccessGraph>(
     seen[start] = true;
     let mut stack = vec![start];
     while let Some(v) = stack.pop() {
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if !seen[u] && member.contains(u) {
                 seen[u] = true;
                 stack.push(u);
@@ -573,7 +556,7 @@ pub(crate) fn shortest_bridge<G: RandomAccessGraph>(
         .collect();
     let mut parent = vec![usize::MAX; n];
     while let Some(v) = queue.pop_front() {
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if seen[u] {
                 continue;
             }

@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
-use mcds_graph::{node_mask, subsets, RandomAccessGraph};
+use mcds_graph::{node_mask, subsets, Graph};
 
 use crate::{connect, prune, CdsError};
 
@@ -53,7 +53,7 @@ use crate::{connect, prune, CdsError};
 /// `m = 0` returns the empty set; `m = 1` is Chvátal's greedy
 /// dominating set.  Always feasible: a node nobody else can cover `m`
 /// times is eventually elected itself.
-pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
+pub fn m_fold_dominators(g: &Graph, m: usize) -> Vec<usize> {
     weighted_m_fold_dominators(g, &vec![1u64; g.num_nodes()], m)
         .expect("unit weights are always valid")
 }
@@ -80,8 +80,8 @@ pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
 /// # Errors
 ///
 /// [`CdsError::InvalidSet`] if `weights.len() != g.num_nodes()`.
-pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
-    g: &G,
+pub fn weighted_m_fold_dominators(
+    g: &Graph,
     weights: &[u64],
     m: usize,
 ) -> Result<Vec<usize>, CdsError> {
@@ -109,12 +109,7 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
 /// gray, so each candidate keeps one upper-bound entry and the argmax
 /// argument above holds.  Growth needs a connected graph: while a node
 /// is undominated, a gray neighbour of it has a positive gain.
-pub(crate) fn elect<G: RandomAccessGraph>(
-    g: &G,
-    weights: &[u64],
-    m: usize,
-    gray_only: bool,
-) -> Vec<usize> {
+pub(crate) fn elect(g: &Graph, weights: &[u64], m: usize, gray_only: bool) -> Vec<usize> {
     debug_assert!(!gray_only || m == 1);
     let n = g.num_nodes();
     if m == 0 || n == 0 {
@@ -126,7 +121,7 @@ pub(crate) fn elect<G: RandomAccessGraph>(
     // Electing u erases u's own deficit and covers each unsatisfied
     // non-member neighbor once more.
     let entry = |deficit: &[usize], node: usize| Candidate {
-        gain: deficit[node] + g.successors(node).filter(|&w| deficit[w] > 0).count(),
+        gain: deficit[node] + g.neighbors_iter(node).filter(|&w| deficit[w] > 0).count(),
         weight: weights[node],
         node,
     };
@@ -157,7 +152,7 @@ pub(crate) fn elect<G: RandomAccessGraph>(
         if gray_only && out.len() == 1 {
             queue.clear();
         }
-        for w in g.successors(u) {
+        for w in g.neighbors_iter(u) {
             if gray_only && deficit[w] == 1 {
                 turned_gray.push(w);
             }
@@ -224,8 +219,8 @@ impl Eq for Candidate {}
 ///   seed is empty,
 /// * [`CdsError::DisconnectedGraph`] if `g` is disconnected and the
 ///   merges stall before connecting the seed.
-pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
-    g: &G,
+pub fn weighted_max_gain_connectors(
+    g: &Graph,
     seed: &[usize],
     weights: &[u64],
 ) -> Result<Vec<usize>, CdsError> {
@@ -325,10 +320,7 @@ pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
 /// * [`CdsError::NotConnected`] if `G[set]` is disconnected,
 /// * [`CdsError::NotBiconnected`] if some cut vertex cannot be bypassed
 ///   because `g` itself is not 2-connected.
-pub fn biconnect_augment<G: RandomAccessGraph>(
-    g: &G,
-    set: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+pub fn biconnect_augment(g: &Graph, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     let n = g.num_nodes();
     if n == 0 {
         return Ok(Vec::new());
@@ -367,7 +359,7 @@ pub fn biconnect_augment<G: RandomAccessGraph>(
 /// * [`CdsError::InvalidSet`] for an empty set on a non-empty graph,
 /// * [`CdsError::NotMDominating`] naming the first under-covered node,
 /// * [`CdsError::NotConnected`] if `G[set]` is disconnected.
-pub fn check_m_cds<G: RandomAccessGraph>(g: &G, set: &[usize], m: usize) -> Result<(), CdsError> {
+pub fn check_m_cds(g: &Graph, set: &[usize], m: usize) -> Result<(), CdsError> {
     let n = g.num_nodes();
     if n == 0 {
         return Ok(());
@@ -382,7 +374,7 @@ pub fn check_m_cds<G: RandomAccessGraph>(g: &G, set: &[usize], m: usize) -> Resu
         if mask[v] {
             continue;
         }
-        let have = g.successors(v).filter(|&u| mask[u]).count();
+        let have = g.neighbors_iter(v).filter(|&u| mask[u]).count();
         if have < m {
             return Err(CdsError::NotMDominating {
                 node: v,
@@ -407,7 +399,7 @@ pub fn check_m_cds<G: RandomAccessGraph>(g: &G, set: &[usize], m: usize) -> Resu
 /// * [`CdsError::InvalidSet`] for an empty set on a non-empty graph,
 /// * [`CdsError::NotConnected`] if `G[set]` is disconnected,
 /// * [`CdsError::NotBiconnected`] naming the smallest cut vertex.
-pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsError> {
+pub fn check_biconnected(g: &Graph, set: &[usize]) -> Result<(), CdsError> {
     let n = g.num_nodes();
     if n == 0 {
         return Ok(());
@@ -444,8 +436,8 @@ pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(
 /// Propagates the [`check_m_cds`] violation (or the
 /// [`check_biconnected`] one) if `set` does not satisfy the contract to
 /// begin with.
-pub fn prune_m_cds<G: RandomAccessGraph>(
-    g: &G,
+pub fn prune_m_cds(
+    g: &Graph,
     set: &[usize],
     m: usize,
     biconnect: bool,
@@ -515,7 +507,7 @@ impl WeightScheme {
     }
 
     /// Materializes the per-node weight vector for `g`.
-    pub fn weights<G: RandomAccessGraph>(&self, g: &G) -> Vec<u64> {
+    pub fn weights(&self, g: &Graph) -> Vec<u64> {
         let n = g.num_nodes();
         match *self {
             WeightScheme::Unit => vec![1; n],
@@ -533,7 +525,7 @@ impl WeightScheme {
     }
 
     /// Total cost of `nodes` under this scheme (weights from `g`).
-    pub fn total<G: RandomAccessGraph>(&self, g: &G, nodes: &[usize]) -> u64 {
+    pub fn total(&self, g: &Graph, nodes: &[usize]) -> u64 {
         let w = self.weights(g);
         nodes.iter().map(|&v| w[v]).sum()
     }
@@ -598,7 +590,7 @@ mod tests {
                 let mask = node_mask(g.num_nodes(), &doms);
                 for v in 0..g.num_nodes() {
                     if !mask[v] {
-                        let have = g.successors(v).filter(|&u| mask[u]).count();
+                        let have = g.neighbors_iter(v).filter(|&u| mask[u]).count();
                         assert!(have >= m, "node {v} covered {have} < {m} in {g:?}");
                     }
                 }
@@ -759,7 +751,7 @@ mod tests {
                     continue;
                 }
                 assert!(
-                    g.successors(v).any(|u| mask[u]),
+                    g.neighbors_iter(v).any(|u| mask[u]),
                     "node {v} uncovered after killing {dead}"
                 );
             }

@@ -16,7 +16,7 @@
 //! in `tests/kernel_equiv.rs`).  Growth runs therefore bump the
 //! `mfold.*` counters.
 
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 
 /// The growth loop proper; `g` must be non-empty and connected.  Returns
 /// the grown set in selection order.
@@ -24,7 +24,7 @@ use mcds_graph::RandomAccessGraph;
 /// The seed is the maximum-degree node (ties toward the smaller id); each
 /// step adds the neighbor of the current set with the largest number of
 /// newly dominated nodes (ties toward the smaller id).
-pub(crate) fn grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+pub(crate) fn grow(g: &Graph) -> Vec<usize> {
     crate::fault::elect(g, &vec![1; g.num_nodes()], 1, true)
 }
 

@@ -27,7 +27,7 @@
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
 use mcds_graph::subsets::LocalSearch;
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 
 use crate::CdsError;
 
@@ -40,19 +40,14 @@ use crate::CdsError;
 ///
 /// Returns the typed violation (from [`crate::check_cds`]) if `set` is
 /// not a valid CDS of `g` to begin with.
-pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+pub fn prune_cds(g: &Graph, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     crate::check_cds(g, set)?;
     Ok(prune_valid(g, set, 1, false))
 }
 
 /// [`prune_bitset`] on a `set` the caller has validated, flushing its
 /// counters.
-pub(crate) fn prune_valid<G: RandomAccessGraph>(
-    g: &G,
-    set: &[usize],
-    m: usize,
-    biconnect: bool,
-) -> Vec<usize> {
+pub(crate) fn prune_valid(g: &Graph, set: &[usize], m: usize, biconnect: bool) -> Vec<usize> {
     let current = mcds_graph::node_set(set.iter().copied());
     let (kept, stats) = prune_bitset(g, &current, m, biconnect);
     stats.flush();
@@ -78,8 +73,8 @@ pub(crate) fn prune_valid<G: RandomAccessGraph>(
 /// if a masked Tarjan pass finds no cut vertex in `S − v`, and the pass
 /// over the candidates is repeated until it removes nothing.  Without it
 /// one pass is a fixpoint for `m ≥ 1` (DESIGN.md §11); `m = 0` repeats.
-fn prune_bitset<G: RandomAccessGraph>(
-    g: &G,
+fn prune_bitset(
+    g: &Graph,
     current: &[usize],
     m: usize,
     biconnect: bool,
@@ -92,7 +87,7 @@ fn prune_bitset<G: RandomAccessGraph>(
     let mut size = current.len();
     let mut cover = vec![0u32; n];
     for &v in current {
-        g.successors(v).for_each(|u| cover[u] += 1);
+        g.neighbors_iter(v).for_each(|u| cover[u] += 1);
     }
     let mut cuts = CutVertices::new(g, &in_set);
     loop {
@@ -104,7 +99,9 @@ fn prune_bitset<G: RandomAccessGraph>(
             if !in_set.contains(v) || cover[v] < m || cuts.known_cut(v) {
                 continue;
             }
-            let dominated = g.successors(v).all(|u| in_set.contains(u) || cover[u] > m);
+            let dominated = g
+                .neighbors_iter(v)
+                .all(|u| in_set.contains(u) || cover[u] > m);
             if !dominated || cuts.is_cut(&in_set, v) {
                 continue;
             }
@@ -114,7 +111,7 @@ fn prune_bitset<G: RandomAccessGraph>(
             in_set.remove(v);
             size -= 1;
             removed = true;
-            g.successors(v).for_each(|u| cover[u] -= 1);
+            g.neighbors_iter(v).for_each(|u| cover[u] -= 1);
             cuts.removed(&in_set, v, cover[v]);
             debug_assert!(crate::fault::check_m_cds(g, &in_set.to_nodes(), m as usize).is_ok());
         }
@@ -160,8 +157,8 @@ impl PruneStats {
 /// and once the local work since the last pass outgrows one pass, the
 /// pass is rerun instead, so the scan makes at most one pass more than
 /// it accepts removals.
-struct CutVertices<'g, G> {
-    g: &'g G,
+struct CutVertices<'g> {
+    g: &'g Graph,
     known: BitSet,
     exact: bool,
     scratch: ArticulationScratch,
@@ -175,9 +172,9 @@ struct CutVertices<'g, G> {
     stats: PruneStats,
 }
 
-impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
+impl<'g> CutVertices<'g> {
     /// Runs the up-front global pass over `G[in_set]`.
-    fn new(g: &'g G, in_set: &BitSet) -> Self {
+    fn new(g: &'g Graph, in_set: &BitSet) -> Self {
         let n = g.num_nodes();
         let mut cuts = CutVertices {
             g,
@@ -249,7 +246,7 @@ impl<'g, G: RandomAccessGraph> CutVertices<'g, G> {
         self.exact = false;
         self.pass_cost -= self.g.degree(v) as u64 + 1;
         if s_degree == 1 {
-            if let Some(parent) = self.g.successors(v).find(|&u| in_set.contains(u)) {
+            if let Some(parent) = self.g.neighbors_iter(v).find(|&u| in_set.contains(u)) {
                 self.known.remove(parent);
             }
         }

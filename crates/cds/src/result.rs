@@ -1,7 +1,7 @@
 //! The [`Cds`] result type and the typed CDS checker.
 
 use crate::CdsError;
-use mcds_graph::{node_set, properties, RandomAccessGraph};
+use mcds_graph::{node_set, properties, Graph};
 use std::fmt;
 
 /// Checks that `set` is a connected dominating set of `g`, reporting the
@@ -18,7 +18,7 @@ use std::fmt;
 ///   contains an out-of-range node,
 /// * [`CdsError::NotDominating`] naming the first undominated node,
 /// * [`CdsError::NotConnected`] if `G[set]` is disconnected.
-pub fn check_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsError> {
+pub fn check_cds(g: &Graph, set: &[usize]) -> Result<(), CdsError> {
     properties::check_cds(g, set).map_err(Into::into)
 }
 
@@ -90,7 +90,7 @@ impl Cds {
     ///
     /// Returns the first violated property as a typed [`CdsError`] (see
     /// [`check_cds`]).
-    pub fn verify<G: RandomAccessGraph>(&self, g: &G) -> Result<(), CdsError> {
+    pub fn verify(&self, g: &Graph) -> Result<(), CdsError> {
         check_cds(g, &self.nodes)
     }
 }

@@ -1,7 +1,7 @@
 //! Phase 1 of the Chvátal baseline, [`crate::Algorithm::ChvatalSetCover`]:
 //! greedy Set Cover dominators \[2\].
 
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 
 /// Chvátal's greedy Set Cover applied to domination: repeatedly pick the
 /// node whose closed neighborhood covers the most still-uncovered nodes
@@ -19,7 +19,7 @@ use mcds_graph::RandomAccessGraph;
 ///
 /// The result is a dominating set but generally neither independent nor
 /// connected.
-pub fn chvatal_dominating_set<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+pub fn chvatal_dominating_set(g: &Graph) -> Vec<usize> {
     crate::fault::m_fold_dominators(g, 1)
 }
 

@@ -23,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 use mcds_mis::{variants, BfsMis};
 
 use crate::algorithms::Algorithm;
@@ -208,7 +208,7 @@ impl Solver {
     /// * [`CdsError::NotBiconnected`] if [`Solver::biconnect`] is set
     ///   but the graph's own cut vertices make a 2-connected backbone
     ///   impossible.
-    pub fn solve<G: RandomAccessGraph>(&self, g: &G) -> Result<Solution, CdsError> {
+    pub fn solve(&self, g: &Graph) -> Result<Solution, CdsError> {
         let n = g.num_nodes();
         if n == 0 {
             return Err(CdsError::EmptyGraph);
@@ -300,9 +300,9 @@ impl Solver {
     }
 
     /// The classic (m = 1) phase pair for the configured algorithm.
-    fn base_phases<G: RandomAccessGraph>(
+    fn base_phases(
         &self,
-        g: &G,
+        g: &Graph,
         root: usize,
         watch: &mut Stopwatch,
         timings: &mut PhaseTimings,
@@ -382,7 +382,7 @@ fn stage<T>(
 /// The connectivity check of the constructions whose phase 1 does not
 /// prove `g` connected.  It is real work on large graphs, so it has a
 /// span of its own; its time laps into phase 1.
-fn precheck<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+fn precheck(g: &Graph) -> Result<(), CdsError> {
     let _span = mcds_obs::span("solve.precheck");
     if g.is_connected() {
         Ok(())

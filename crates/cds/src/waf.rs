@@ -1,17 +1,13 @@
 //! The Wan–Alzoubi–Frieder two-phased algorithm \[10\], as described and
 //! analyzed in the paper's Section III.
 
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 use mcds_mis::BfsMis;
 
 /// Phase 2 of the WAF construction: the special neighbor `s` plus the
 /// BFS-tree parents of the dominators `s` does not cover.  `phase1` must
 /// be the BFS MIS of `g` rooted at `root`, spanning `g`.
-pub(crate) fn waf_connectors<G: RandomAccessGraph>(
-    g: &G,
-    phase1: &BfsMis,
-    root: usize,
-) -> Vec<usize> {
+pub(crate) fn waf_connectors(g: &Graph, phase1: &BfsMis, root: usize) -> Vec<usize> {
     let mis = phase1.mis();
 
     // A single dominator already dominates everything and is trivially
@@ -22,16 +18,19 @@ pub(crate) fn waf_connectors<G: RandomAccessGraph>(
 
     // s: the root's neighbor covering the most dominators.
     let s = g
-        .successors(root)
+        .neighbors_iter(root)
         .max_by_key(|&w| {
             (
-                g.successors(w).filter(|&u| phase1.contains(u)).count(),
+                g.neighbors_iter(w).filter(|&u| phase1.contains(u)).count(),
                 std::cmp::Reverse(w),
             )
         })
         .expect("connected graph with ≥2 dominators has a rooted neighbor");
 
-    let covered_by_s: Vec<usize> = g.successors(s).filter(|&u| phase1.contains(u)).collect();
+    let covered_by_s: Vec<usize> = g
+        .neighbors_iter(s)
+        .filter(|&u| phase1.contains(u))
+        .collect();
     let covered_mask = mcds_graph::node_mask(g.num_nodes(), &covered_by_s);
 
     let mut connectors = vec![s];

@@ -14,7 +14,7 @@
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::traversal::BfsTree;
-use mcds_graph::{Graph, RandomAccessGraph};
+use mcds_graph::Graph;
 use mcds_mis::{first_fit, BfsMis};
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
@@ -28,7 +28,7 @@ struct OracleTree {
 }
 
 /// The former `BfsTree::rooted_at`: FIFO queue, then canonical parents.
-fn oracle_rooted_at<G: RandomAccessGraph>(g: &G, root: usize) -> OracleTree {
+fn oracle_rooted_at(g: &Graph, root: usize) -> OracleTree {
     let n = g.num_nodes();
     assert!(root < n, "root {root} out of range for n = {n}");
     let mut parent = vec![None; n];
@@ -39,7 +39,7 @@ fn oracle_rooted_at<G: RandomAccessGraph>(g: &G, root: usize) -> OracleTree {
     queue.push_back(root);
     while let Some(v) = queue.pop_front() {
         order.push(v);
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if level[u] == usize::MAX {
                 level[u] = level[v] + 1;
                 queue.push_back(u);
@@ -51,7 +51,7 @@ fn oracle_rooted_at<G: RandomAccessGraph>(g: &G, root: usize) -> OracleTree {
         if v == root {
             continue;
         }
-        parent[v] = g.successors(v).find(|&u| level[u] + 1 == level[v]);
+        parent[v] = g.neighbors_iter(v).find(|&u| level[u] + 1 == level[v]);
     }
     OracleTree {
         parent,

@@ -39,18 +39,14 @@ use mcds_cds::{chvatal_dominating_set, Algorithm, Cds, CdsError, Solver, WeightS
 use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::traversal::largest_component;
-use mcds_graph::{node_mask, node_set, subsets, Graph, RandomAccessGraph};
+use mcds_graph::{node_mask, node_set, subsets, Graph};
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::{gen, Udg};
 
 /// Oracle phase 1: the rescan m-fold election, one full scan of every
 /// node per elected dominator.
-fn oracle_m_fold_dominators<G: RandomAccessGraph>(
-    g: &G,
-    weights: &[u64],
-    m: usize,
-) -> Result<Vec<usize>, CdsError> {
+fn oracle_m_fold_dominators(g: &Graph, weights: &[u64], m: usize) -> Result<Vec<usize>, CdsError> {
     let n = g.num_nodes();
     if weights.len() != n {
         return Err(CdsError::InvalidSet(format!(
@@ -84,7 +80,7 @@ fn oracle_m_fold_dominators<G: RandomAccessGraph>(
             // Electing u erases u's own deficit and covers each
             // unsatisfied non-member neighbor once more.
             let mut gain = deficit(&chosen, &cover, u);
-            for w in g.successors(u) {
+            for w in g.neighbors_iter(u) {
                 if deficit(&chosen, &cover, w) > 0 {
                     gain += 1;
                 }
@@ -108,7 +104,7 @@ fn oracle_m_fold_dominators<G: RandomAccessGraph>(
         total -= gain;
         chosen[u] = true;
         out.push(u);
-        for w in g.successors(u) {
+        for w in g.neighbors_iter(u) {
             cover[w] += 1;
         }
     }
@@ -117,7 +113,7 @@ fn oracle_m_fold_dominators<G: RandomAccessGraph>(
 }
 
 /// Oracle for Chvátal's set-cover election: one full scan per pick.
-fn oracle_chvatal<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+fn oracle_chvatal(g: &Graph) -> Vec<usize> {
     let n = g.num_nodes();
     let mut covered = vec![false; n];
     let mut remaining = n;
@@ -126,7 +122,7 @@ fn oracle_chvatal<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
         let mut best = (0usize, usize::MAX); // (new coverage, node)
         for v in 0..n {
             let mut cover = usize::from(!covered[v]);
-            cover += g.successors(v).filter(|&u| !covered[u]).count();
+            cover += g.neighbors_iter(v).filter(|&u| !covered[u]).count();
             if cover > best.0 || (cover == best.0 && v < best.1) {
                 best = (cover, v);
             }
@@ -138,7 +134,7 @@ fn oracle_chvatal<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
             covered[v] = true;
             remaining -= 1;
         }
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if !covered[u] {
                 covered[u] = true;
                 remaining -= 1;
@@ -152,11 +148,7 @@ fn oracle_chvatal<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
 /// Oracle phase 2: the weighted max-gain rescan for every weight vector,
 /// a fresh component count and candidate scan per connector, then the
 /// shortest-path fallback.
-fn oracle_connectors<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-    weights: &[u64],
-) -> Result<Vec<usize>, CdsError> {
+fn oracle_connectors(g: &Graph, seed: &[usize], weights: &[u64]) -> Result<Vec<usize>, CdsError> {
     let n = g.num_nodes();
     if n == 0 {
         return Err(CdsError::EmptyGraph);
@@ -236,7 +228,7 @@ fn oracle_articulation_points(g: &Graph) -> Vec<usize> {
         if disc[root] != usize::MAX {
             continue;
         }
-        let mut stack: Vec<(usize, usize, _)> = vec![(root, usize::MAX, g.successors(root))];
+        let mut stack: Vec<(usize, usize, _)> = vec![(root, usize::MAX, g.neighbors_iter(root))];
         let mut root_children = 0usize;
         disc[root] = timer;
         low[root] = timer;
@@ -251,7 +243,7 @@ fn oracle_articulation_points(g: &Graph) -> Vec<usize> {
                     if v == root {
                         root_children += 1;
                     }
-                    stack.push((u, v, g.successors(u)));
+                    stack.push((u, v, g.neighbors_iter(u)));
                 } else if u != parent {
                     low[v] = low[v].min(disc[u]);
                 }
@@ -274,19 +266,19 @@ fn oracle_articulation_points(g: &Graph) -> Vec<usize> {
 }
 
 /// Oracle biconnectivity predicate on an induced copy.
-fn oracle_is_biconnected_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+fn oracle_is_biconnected_set(g: &Graph, set: &[usize]) -> bool {
     match set.len() {
         0 => g.num_nodes() == 0,
         1 => true,
         _ => {
-            let (sub, _ids) = subsets::induced_subgraph(g, set);
+            let (sub, _ids) = g.induced_subgraph(set);
             sub.is_connected() && oracle_articulation_points(&sub).is_empty()
         }
     }
 }
 
 /// Oracle for [`check_biconnected`], on an induced copy.
-fn oracle_check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsError> {
+fn oracle_check_biconnected(g: &Graph, set: &[usize]) -> Result<(), CdsError> {
     if g.num_nodes() == 0 {
         return Ok(());
     }
@@ -302,7 +294,7 @@ fn oracle_check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Resul
             Err(CdsError::NotConnected)
         };
     }
-    let (sub, ids) = subsets::induced_subgraph(g, set);
+    let (sub, ids) = g.induced_subgraph(set);
     if !sub.is_connected() {
         return Err(CdsError::NotConnected);
     }
@@ -314,10 +306,7 @@ fn oracle_check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Resul
 
 /// Oracle for [`biconnect_augment`]: an induced copy and a full Tarjan
 /// per augmenting path.
-fn oracle_biconnect_augment<G: RandomAccessGraph>(
-    g: &G,
-    set: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+fn oracle_biconnect_augment(g: &Graph, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     let n = g.num_nodes();
     if n == 0 {
         return Ok(Vec::new());
@@ -333,7 +322,7 @@ fn oracle_biconnect_augment<G: RandomAccessGraph>(
         if backbone.len() <= 2 {
             break; // Biconnected by convention.
         }
-        let (sub, ids) = subsets::induced_subgraph(g, &backbone);
+        let (sub, ids) = g.induced_subgraph(&backbone);
         let cuts = oracle_articulation_points(&sub);
         let Some(&cut_local) = cuts.first() else {
             break;
@@ -356,13 +345,13 @@ fn oracle_biconnect_augment<G: RandomAccessGraph>(
 }
 
 /// The masked component containing `start`.
-fn component_of<G: RandomAccessGraph>(g: &G, mask: &[bool], start: usize) -> Vec<usize> {
+fn component_of(g: &Graph, mask: &[bool], start: usize) -> Vec<usize> {
     let mut seen = vec![false; g.num_nodes()];
     let mut queue = VecDeque::from([start]);
     seen[start] = true;
     let mut out = vec![start];
     while let Some(v) = queue.pop_front() {
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if mask[u] && !seen[u] {
                 seen[u] = true;
                 out.push(u);
@@ -376,8 +365,8 @@ fn component_of<G: RandomAccessGraph>(g: &G, mask: &[bool], start: usize) -> Vec
 
 /// Shortest path from `sources` to any other masked node avoiding
 /// `avoid`, as its interior plus far endpoint.
-fn bfs_avoiding<G: RandomAccessGraph>(
-    g: &G,
+fn bfs_avoiding(
+    g: &Graph,
     avoid: usize,
     sources: &[usize],
     target_mask: &[bool],
@@ -393,7 +382,7 @@ fn bfs_avoiding<G: RandomAccessGraph>(
     }
     seen[avoid] = true;
     while let Some(v) = queue.pop_front() {
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if seen[u] {
                 continue;
             }
@@ -416,8 +405,8 @@ fn bfs_avoiding<G: RandomAccessGraph>(
 
 /// Oracle for [`prune_m_cds`]: a whole-contract re-check per candidate,
 /// swept to a fixpoint.
-fn oracle_prune_m_cds<G: RandomAccessGraph>(
-    g: &G,
+fn oracle_prune_m_cds(
+    g: &Graph,
     set: &[usize],
     m: usize,
     biconnect: bool,

@@ -36,7 +36,7 @@ use mcds_check::oracle::oracle_cases;
 use mcds_check::Gen;
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds_graph::traversal::{bfs_distances, largest_component};
-use mcds_graph::{node_mask, properties, subsets, Graph, RandomAccessGraph};
+use mcds_graph::{node_mask, properties, subsets, Graph};
 use mcds_mis::BfsMis;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::{Rng, SeedableRng};
@@ -58,8 +58,8 @@ fn stall_error(q: usize) -> CdsError {
 
 /// Oracle phase 2: one full scan of the candidates `in_zone` accepts
 /// per selection.
-fn merge_scalar<G: RandomAccessGraph>(
-    g: &G,
+fn merge_scalar(
+    g: &Graph,
     seed: &[usize],
     allow_stall: bool,
     in_zone: impl Fn(usize) -> bool,
@@ -95,7 +95,7 @@ fn merge_scalar<G: RandomAccessGraph>(
             return Err(stall_error(q));
         };
         mask[w] = true;
-        for u in g.successors(w) {
+        for u in g.neighbors_iter(w) {
             if mask[u] {
                 dsu.union(w, u);
             }
@@ -111,19 +111,13 @@ fn merge_scalar<G: RandomAccessGraph>(
 }
 
 /// Oracle for [`max_gain_connectors`].
-fn oracle_max_gain_connectors<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+fn oracle_max_gain_connectors(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     Ok(merge_scalar(g, seed, false, |_| true)?.connectors)
 }
 
 /// Oracle for [`max_gain_then_paths`].
-fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+fn oracle_max_gain_then_paths(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     let mut run = merge_scalar(g, seed, true, |_| true)?;
     if run.remaining > 1 {
@@ -144,7 +138,7 @@ fn oracle_max_gain_then_paths<G: RandomAccessGraph>(
 /// newly dominated nodes (ties toward the smaller id).  Progress is
 /// guaranteed on connected graphs: while some node is undominated, some
 /// candidate has positive gain.
-fn oracle_grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+fn oracle_grow(g: &Graph) -> Vec<usize> {
     let n = g.num_nodes();
     let seed = (0..n)
         .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
@@ -166,7 +160,7 @@ fn oracle_grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
             dominated[v] = true;
             *undominated -= 1;
         }
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if !dominated[u] {
                 dominated[u] = true;
                 *undominated -= 1;
@@ -190,10 +184,10 @@ fn oracle_grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
             if in_set[v] || !dominated[v] {
                 continue;
             }
-            if !g.successors(v).any(|u| in_set[u]) {
+            if !g.neighbors_iter(v).any(|u| in_set[u]) {
                 continue;
             }
-            let gain = g.successors(v).filter(|&u| !dominated[u]).count();
+            let gain = g.neighbors_iter(v).filter(|&u| !dominated[u]).count();
             if gain == 0 {
                 continue;
             }
@@ -210,7 +204,7 @@ fn oracle_grow<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
 }
 
 /// The candidate order every prune scans: ascending `(degree, id)`.
-fn scan_order<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
+fn scan_order(g: &Graph, set: &[usize]) -> Vec<usize> {
     let mut order = set.to_vec();
     order.sort_by_key(|&v| (g.degree(v), v));
     order
@@ -218,11 +212,7 @@ fn scan_order<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Vec<usize> {
 
 /// Oracle prune scan: a full CDS re-check per candidate, `O(n + m)` per
 /// attempted removal.
-fn prune_scalar<G: RandomAccessGraph>(
-    g: &G,
-    mut current: Vec<usize>,
-    order: &[usize],
-) -> Vec<usize> {
+fn prune_scalar(g: &Graph, mut current: Vec<usize>, order: &[usize]) -> Vec<usize> {
     for &v in order {
         if current.len() <= 1 {
             break;
@@ -236,7 +226,7 @@ fn prune_scalar<G: RandomAccessGraph>(
 }
 
 /// Oracle for [`prune_cds`].
-fn oracle_prune<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+fn oracle_prune(g: &Graph, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     mcds_cds::check_cds(g, set)?;
     let current = mcds_graph::node_set(set.iter().copied());
     let order = scan_order(g, &current);
@@ -246,7 +236,7 @@ fn oracle_prune<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>
 /// Reference prune: the production scan's cover counts and order, with
 /// the cut vertices recomputed by a masked Tarjan pass over all of
 /// `G[S]` after every accepted removal.
-fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+fn prune_global_pass(g: &Graph, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     mcds_cds::check_cds(g, set)?;
     let current = mcds_graph::node_set(set.iter().copied());
     let order = scan_order(g, &current);
@@ -255,7 +245,7 @@ fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<u
     let mut size = current.len();
     let mut cover = vec![0u32; n];
     for &v in &current {
-        g.successors(v).for_each(|u| cover[u] += 1);
+        g.neighbors_iter(v).for_each(|u| cover[u] += 1);
     }
     let mut scratch = ArticulationScratch::new();
     let mut cut = BitSet::new(n);
@@ -267,12 +257,15 @@ fn prune_global_pass<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<u
         if !in_set.contains(v) || cover[v] == 0 || cut.contains(v) {
             continue;
         }
-        if !g.successors(v).all(|u| in_set.contains(u) || cover[u] >= 2) {
+        if !g
+            .neighbors_iter(v)
+            .all(|u| in_set.contains(u) || cover[u] >= 2)
+        {
             continue;
         }
         in_set.remove(v);
         size -= 1;
-        g.successors(v).for_each(|u| cover[u] -= 1);
+        g.neighbors_iter(v).for_each(|u| cover[u] -= 1);
         masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
     }
     Ok(in_set.to_nodes())
@@ -651,7 +644,7 @@ fn confined_merges_agree_with_the_zoned_rescan() {
         }
         // First-fit re-domination, as the maintainer's re-election does.
         for v in 0..n {
-            if !kept[v] && !g.successors(v).any(|u| kept[u]) {
+            if !kept[v] && !g.neighbors_iter(v).any(|u| kept[u]) {
                 kept[v] = true;
             }
         }

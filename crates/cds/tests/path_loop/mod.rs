@@ -6,20 +6,17 @@
 //! `connect::shortest_bridge` instead.
 
 use mcds_cds::CdsError;
-use mcds_graph::{node_mask, subsets, RandomAccessGraph};
+use mcds_graph::{node_mask, subsets, Graph};
 
 /// The oracle with the production entry's graph checks.
-pub fn path_connectors<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-) -> Result<Vec<usize>, CdsError> {
+pub fn path_connectors(g: &Graph, seed: &[usize]) -> Result<Vec<usize>, CdsError> {
     check_graph(g)?;
     Ok(path_connectors_unchecked(g, seed))
 }
 
 /// The graph errors the public connector entries return before
 /// connecting anything.
-pub fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+pub fn check_graph(g: &Graph) -> Result<(), CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);
     }
@@ -29,7 +26,7 @@ pub fn check_graph<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
     Ok(())
 }
 
-fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usize]) -> Vec<usize> {
+fn path_connectors_unchecked(g: &Graph, seed: &[usize]) -> Vec<usize> {
     let mut mask = node_mask(g.num_nodes(), seed);
     let mut connectors = Vec::new();
     loop {
@@ -58,7 +55,7 @@ fn path_connectors_unchecked<G: RandomAccessGraph>(g: &G, seed: &[usize]) -> Vec
         }
         let mut hit = None;
         'bfs: while let Some(v) = queue.pop_front() {
-            for u in g.successors(v) {
+            for u in g.neighbors_iter(v) {
                 if seen[u] {
                     continue;
                 }

@@ -20,7 +20,7 @@
 //! Trailing bits past the logical capacity are kept zero at all times;
 //! every word-parallel routine relies on that invariant.
 
-use crate::RandomAccessGraph;
+use crate::Graph;
 
 const WORD_BITS: usize = 64;
 
@@ -195,7 +195,7 @@ impl ArticulationScratch {
 /// materializing it, and the number of its components.
 ///
 /// Iterative Tarjan lowlink over `g` restricted to `mask`: non-member
-/// successors are skipped in place, so the cost is `O(Σ_{v∈mask} deg v)`
+/// neighbours are skipped in place, so the cost is `O(Σ_{v∈mask} deg v)`
 /// per call and no induced CSR is built.  Results land in `cut` (resized
 /// and cleared as needed), in `g`'s numbering: the members whose removal
 /// splits their component of `G[mask]`.  `scratch` carries the timestamp
@@ -205,8 +205,8 @@ impl ArticulationScratch {
 /// # Panics
 ///
 /// Panics if `mask` was not sized for `g`.
-pub fn masked_articulation_points<G: RandomAccessGraph>(
-    g: &G,
+pub fn masked_articulation_points(
+    g: &Graph,
     mask: &BitSet,
     scratch: &mut ArticulationScratch,
     cut: &mut BitSet,
@@ -236,17 +236,17 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
             continue;
         }
         components += 1;
-        // Each frame holds the node, its parent and its live successor
+        // Each frame holds the node, its parent and its live neighbour
         // iterator (resumable across pushes).
-        let mut stack: Vec<(usize, usize, G::Successors<'_>)> =
-            vec![(root, usize::MAX, g.successors(root))];
+        let mut stack = vec![(root, usize::MAX, g.neighbors(root).iter())];
         let mut root_children = 0usize;
         disc[root] = timer;
         low[root] = timer;
         timer += 1;
         while let Some(top) = stack.last_mut() {
             let (v, parent) = (top.0, top.1);
-            if let Some(u) = top.2.next() {
+            if let Some(&u) = top.2.next() {
+                let u = u as usize;
                 if !mask.contains(u) {
                     continue;
                 }
@@ -257,7 +257,7 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
                     if v == root {
                         root_children += 1;
                     }
-                    stack.push((u, v, g.successors(u)));
+                    stack.push((u, v, g.neighbors(u).iter()));
                 } else if u != parent {
                     low[v] = low[v].min(disc[u]);
                 }

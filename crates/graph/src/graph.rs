@@ -1,9 +1,6 @@
-//! The immutable CSR graph, the workspace's one [`RandomAccessGraph`]
-//! backend.
+//! The immutable CSR graph, the workspace's one graph type.
 
 use std::fmt;
-
-use crate::RandomAccessGraph;
 
 /// An immutable, undirected, simple graph in compressed-sparse-row form.
 ///
@@ -279,62 +276,36 @@ impl Graph {
     /// node indices to original ones.
     ///
     /// `keep` need not be sorted; duplicates are ignored.  The returned
-    /// `Vec<usize>` maps new index `i` to the original node id.
+    /// `Vec<usize>` maps new index `i` to the original node id.  Kept
+    /// nodes are relabelled in ascending order, which preserves the order
+    /// of every sorted neighbour list, so each filtered row is written to
+    /// the CSR as is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member of `keep` is out of range.
     pub fn induced_subgraph(&self, keep: &[usize]) -> (Graph, Vec<usize>) {
-        crate::subsets::induced_subgraph(self, keep)
-    }
-}
-
-impl RandomAccessGraph for Graph {
-    type Successors<'a> = SliceSuccessors<'a>;
-
-    fn num_nodes(&self) -> usize {
-        Graph::num_nodes(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        Graph::num_edges(self)
-    }
-
-    fn successors(&self, v: usize) -> SliceSuccessors<'_> {
-        SliceSuccessors {
-            inner: self.neighbors(v).iter(),
+        let keep = crate::node_set(keep.iter().copied());
+        let n = self.num_nodes();
+        let mut new_id = vec![u32::MAX; n];
+        for (i, &v) in keep.iter().enumerate() {
+            assert!(v < n, "node {v} out of range");
+            new_id[v] = i as u32;
         }
-    }
-
-    fn degree(&self, v: usize) -> usize {
-        Graph::degree(self, v)
-    }
-
-    fn has_edge(&self, u: usize, v: usize) -> bool {
-        Graph::has_edge(self, u, v)
-    }
-
-    fn is_connected(&self) -> bool {
-        Graph::is_connected(self)
-    }
-}
-
-/// Sorted successor iterator over a CSR neighbor slice.
-#[derive(Debug, Clone)]
-pub struct SliceSuccessors<'a> {
-    inner: std::slice::Iter<'a, u32>,
-}
-
-impl Iterator for SliceSuccessors<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        self.inner.next().map(|&u| u as usize)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        let mut offsets = Vec::with_capacity(keep.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(keep.iter().map(|&v| self.degree(v)).sum());
+        for &v in &keep {
+            targets.extend(
+                self.neighbors_iter(v)
+                    .map(|u| new_id[u])
+                    .filter(|&u| u != u32::MAX),
+            );
+            offsets.push(targets.len());
+        }
+        (Graph::from_sorted_adjacency(offsets, targets), keep)
     }
 }
-
-impl ExactSizeIterator for SliceSuccessors<'_> {}
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -466,6 +437,48 @@ mod tests {
         assert!(sub.has_edge(0, 1));
         let (sub2, _) = g.induced_subgraph(&[]);
         assert_eq!(sub2.num_nodes(), 0);
+    }
+
+    /// The edge-list construction that [`Graph::induced_subgraph`] replaced: the
+    /// oracle its direct CSR rows are checked against.
+    fn induced_by_edge_list(g: &Graph, keep: &[usize]) -> (Graph, Vec<usize>) {
+        let keep = crate::node_set(keep.iter().copied());
+        let mut new_id = vec![usize::MAX; g.num_nodes()];
+        for (i, &v) in keep.iter().enumerate() {
+            new_id[v] = i;
+        }
+        let mut edges = Vec::new();
+        for &v in &keep {
+            for u in g.neighbors_iter(v) {
+                if u < v && new_id[u] != usize::MAX {
+                    edges.push((new_id[u], new_id[v]));
+                }
+            }
+        }
+        (Graph::from_edges(keep.len(), edges), keep)
+    }
+
+    #[test]
+    fn induced_subgraph_equals_edge_list_construction() {
+        use mcds_rng::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        for case in 0..300 {
+            let n = rng.gen_range(0..=40usize);
+            let p = rng.gen_range(0.0..=0.5);
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen_bool(p))
+                .collect();
+            let g = Graph::from_edges(n, edges);
+            // Unsorted, with duplicates: any order is accepted.
+            let keep: Vec<usize> = (0..n)
+                .rev()
+                .filter(|_| rng.gen_bool(0.5))
+                .flat_map(|v| [v, v])
+                .collect();
+            let want = induced_by_edge_list(&g, &keep);
+            assert_eq!(g.induced_subgraph(&keep), want, "case {case}");
+        }
     }
 
     #[test]

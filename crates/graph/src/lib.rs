@@ -4,14 +4,13 @@
 //! Algorithms for Minimum CDS in Wireless Ad Hoc Networks"* (Wan, Wang &
 //! Yao, ICDCS 2008) operates on an undirected communication topology
 //! `G = (V, E)`.  This crate provides that topology as a compact immutable
-//! CSR structure plus the generic machinery the algorithm crates share:
+//! CSR structure plus the machinery the algorithm crates share:
 //!
-//! * [`RandomAccessGraph`] — the trait every algorithm is generic over:
-//!   node and edge counts and per-node `successors`/`degree`/`has_edge`
-//!   queries over sorted neighbour lists,
-//! * [`Graph`] — immutable undirected graph in compressed-sparse-row form
-//!   (the one backend), built from an edge list or from already sorted
-//!   rows,
+//! * [`Graph`] — immutable undirected graph in compressed-sparse-row form,
+//!   built from an edge list or from already sorted rows: the one graph
+//!   type, which every traversal, predicate and solver takes by
+//!   reference, reading only its sorted neighbour lists
+//!   ([`Graph::neighbors`], [`Graph::neighbors_iter`]),
 //! * [`traversal`] — BFS/DFS, [`traversal::BfsTree`] (the rooted spanning
 //!   tree `T` of the paper's Section III), connected components,
 //!   distances and diameters,
@@ -51,7 +50,6 @@
 
 mod dsu;
 mod graph;
-mod traits;
 
 pub mod bitgraph;
 pub mod dot;
@@ -60,9 +58,8 @@ pub mod subsets;
 pub mod traversal;
 
 pub use dsu::DisjointSets;
-pub use graph::{Graph, SliceSuccessors};
+pub use graph::Graph;
 pub use properties::CdsViolation;
-pub use traits::RandomAccessGraph;
 
 /// A set of nodes represented as a sorted, deduplicated `Vec<usize>`.
 ///

@@ -4,12 +4,12 @@
 //!
 //! Every algorithm crate verifies its outputs against these reference
 //! predicates, and the property-test suites assert them on random inputs.
-//! All predicates are generic over [`RandomAccessGraph`], so they apply to
-//! the CSR [`crate::Graph`] and to any other sorted-row view alike.
+//! All predicates read only the sorted neighbour lists of the CSR
+//! [`Graph`].
 
 use std::fmt;
 
-use crate::{node_mask, subsets, RandomAccessGraph};
+use crate::{node_mask, subsets, Graph};
 
 /// The first violated CDS property of a candidate set, as found by
 /// [`check_cds`].
@@ -69,9 +69,9 @@ impl std::error::Error for CdsViolation {}
 /// assert!(is_dominating_set(&g, &[0]));
 /// assert!(!is_dominating_set(&g, &[1]));
 /// ```
-pub fn is_dominating_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+pub fn is_dominating_set(g: &Graph, set: &[usize]) -> bool {
     let mask = node_mask(g.num_nodes(), set);
-    (0..g.num_nodes()).all(|v| mask[v] || g.successors(v).any(|u| mask[u]))
+    (0..g.num_nodes()).all(|v| mask[v] || g.neighbors_iter(v).any(|u| mask[u]))
 }
 
 /// Returns `true` if `set` is a *connected* dominating set (CDS) of `g`:
@@ -84,22 +84,22 @@ pub fn is_dominating_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
 /// This is [`check_cds`]`(g, set).is_ok()`: a set with a member that is
 /// not a node of `g` is not a CDS of `g`, so such a set reads `false`
 /// here, where the mask-based predicates above panic.
-pub fn is_connected_dominating_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+pub fn is_connected_dominating_set(g: &Graph, set: &[usize]) -> bool {
     check_cds(g, set).is_ok()
 }
 
 /// Returns `true` if `set` is an independent set of `g`: no two members
 /// are adjacent.
-pub fn is_independent_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+pub fn is_independent_set(g: &Graph, set: &[usize]) -> bool {
     let mask = node_mask(g.num_nodes(), set);
-    set.iter().all(|&v| g.successors(v).all(|u| !mask[u]))
+    set.iter().all(|&v| g.neighbors_iter(v).all(|u| !mask[u]))
 }
 
 /// Returns `true` if `set` is a *maximal* independent set of `g`:
 /// independent, and every node outside has a neighbor inside (i.e. it is
 /// also a dominating set — the standard equivalence the two-phased
 /// algorithms rely on).
-pub fn is_maximal_independent_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+pub fn is_maximal_independent_set(g: &Graph, set: &[usize]) -> bool {
     is_independent_set(g, set) && is_dominating_set(g, set)
 }
 
@@ -110,15 +110,15 @@ pub fn is_maximal_independent_set<G: RandomAccessGraph>(g: &G, set: &[usize]) ->
 /// The BFS-ordered first-fit MIS of the paper satisfies this (it is what
 /// makes Lemma 9 work: any two components of `G[I ∪ U]` can be bridged by
 /// a single connector).
-pub fn has_two_hop_separation<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+pub fn has_two_hop_separation(g: &Graph, set: &[usize]) -> bool {
     if set.len() <= 1 {
         return true;
     }
     let mask = node_mask(g.num_nodes(), set);
     set.iter().all(|&u| {
         // Some member at distance exactly 2: a neighbor's neighbor.
-        g.successors(u).any(|w| {
-            g.successors(w)
+        g.neighbors_iter(u).any(|w| {
+            g.neighbors_iter(w)
                 .any(|x| x != u && mask[x] && !g.has_edge(u, x))
         })
     })
@@ -136,7 +136,7 @@ pub fn has_two_hop_separation<G: RandomAccessGraph>(g: &G, set: &[usize]) -> boo
 ///
 /// The first violation in checking order: set well-formedness, then
 /// domination, then induced connectivity.
-pub fn check_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsViolation> {
+pub fn check_cds(g: &Graph, set: &[usize]) -> Result<(), CdsViolation> {
     let n = g.num_nodes();
     if n > 0 && set.is_empty() {
         return Err(CdsViolation::EmptySet);
@@ -149,7 +149,7 @@ pub fn check_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(), CdsVi
         mask[v] = true;
     }
     for v in 0..n {
-        if !mask[v] && !g.successors(v).any(|u| mask[u]) {
+        if !mask[v] && !g.neighbors_iter(v).any(|u| mask[u]) {
             return Err(CdsViolation::NotDominating { node: v });
         }
     }

@@ -8,7 +8,7 @@
 //! churn maintainer both ask of a connected `G[S]` — does dropping one
 //! member disconnect it? — near that member instead of over all of `S`.
 
-use crate::{DisjointSets, Graph, RandomAccessGraph};
+use crate::{DisjointSets, Graph};
 
 /// Number of connected components of the subgraph induced by the nodes
 /// with `mask[v] == true`.
@@ -22,7 +22,7 @@ use crate::{DisjointSets, Graph, RandomAccessGraph};
 /// let mask = vec![true, false, true, true, false];
 /// assert_eq!(count_components(&g, &mask), 2); // {0} and {2,3}
 /// ```
-pub fn count_components<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> usize {
+pub fn count_components(g: &Graph, mask: &[bool]) -> usize {
     assert_eq!(
         mask.len(),
         g.num_nodes(),
@@ -36,7 +36,7 @@ pub fn count_components<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> usize {
             continue;
         }
         members += 1;
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if u < v && mask[u] && dsu.union(u, v) {
                 merges += 1;
             }
@@ -47,7 +47,7 @@ pub fn count_components<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> usize {
 
 /// Returns `true` if the subset given by `mask` induces a connected
 /// subgraph.  The empty subset and singletons are connected by convention.
-pub fn is_connected_subset<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> bool {
+pub fn is_connected_subset(g: &Graph, mask: &[bool]) -> bool {
     count_components(g, mask) <= 1
 }
 
@@ -56,14 +56,14 @@ pub fn is_connected_subset<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> bool {
 ///
 /// Used by the greedy connector: the *gain* of `w` is
 /// `(number of adjacent components) − 1`.
-pub fn adjacent_components<G: RandomAccessGraph>(
-    g: &G,
+pub fn adjacent_components(
+    g: &Graph,
     mask: &[bool],
     dsu: &mut DisjointSets,
     w: usize,
 ) -> Vec<usize> {
     let mut roots: Vec<usize> = g
-        .successors(w)
+        .neighbors_iter(w)
         .filter(|&u| mask[u])
         .map(|u| dsu.find(u))
         .collect();
@@ -74,7 +74,7 @@ pub fn adjacent_components<G: RandomAccessGraph>(
 
 /// Builds a [`DisjointSets`] whose sets are exactly the components of
 /// `G[mask]` (non-members stay singletons).
-pub fn components_dsu<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> DisjointSets {
+pub fn components_dsu(g: &Graph, mask: &[bool]) -> DisjointSets {
     assert_eq!(
         mask.len(),
         g.num_nodes(),
@@ -85,7 +85,7 @@ pub fn components_dsu<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> DisjointSet
         if !mask[v] {
             continue;
         }
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             if u < v && mask[u] {
                 dsu.union(u, v);
             }
@@ -95,46 +95,11 @@ pub fn components_dsu<G: RandomAccessGraph>(g: &G, mask: &[bool]) -> DisjointSet
 }
 
 /// The closed neighborhood of a single node: `{v} ∪ N(v)`, sorted.
-pub fn closed_neighborhood<G: RandomAccessGraph>(g: &G, v: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = g.successors(v).collect();
+pub fn closed_neighborhood(g: &Graph, v: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = g.neighbors_iter(v).collect();
     out.push(v);
     out.sort_unstable();
     out
-}
-
-/// The subgraph induced by `keep` (materialized as a CSR [`Graph`]),
-/// together with the mapping from new node indices to original ones.
-///
-/// `keep` need not be sorted; duplicates are ignored.  The returned
-/// `Vec<usize>` maps new index `i` to the original node id.  This is the
-/// generic engine behind [`Graph::induced_subgraph`].  Kept nodes are
-/// relabelled in ascending order, which preserves the order of every
-/// sorted successor list, so each filtered row is written to the CSR as
-/// is.
-///
-/// # Panics
-///
-/// Panics if a member of `keep` is out of range.
-pub fn induced_subgraph<G: RandomAccessGraph>(g: &G, keep: &[usize]) -> (Graph, Vec<usize>) {
-    let keep = crate::node_set(keep.iter().copied());
-    let n = g.num_nodes();
-    let mut new_id = vec![u32::MAX; n];
-    for (i, &v) in keep.iter().enumerate() {
-        assert!(v < n, "node {v} out of range");
-        new_id[v] = i as u32;
-    }
-    let mut offsets = Vec::with_capacity(keep.len() + 1);
-    offsets.push(0);
-    let mut targets = Vec::with_capacity(keep.iter().map(|&v| g.degree(v)).sum());
-    for &v in &keep {
-        targets.extend(
-            g.successors(v)
-                .map(|u| new_id[u])
-                .filter(|&u| u != u32::MAX),
-        );
-        offsets.push(targets.len());
-    }
-    (Graph::from_sorted_adjacency(offsets, targets), keep)
 }
 
 /// The exact local test for "is `v` a cut vertex of the connected
@@ -262,16 +227,16 @@ impl LocalSearch {
     ///
     /// `G[S]` must be connected; the verdict is then exactly whether
     /// `G[S − v]` is disconnected.
-    pub fn run<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+    pub fn run<F: Fn(usize) -> bool>(
         &mut self,
-        g: &G,
+        g: &Graph,
         member: F,
         v: usize,
         budget: u64,
         work: &mut u64,
     ) -> Option<bool> {
         let base = self.begin(g.num_nodes(), g.degree(v));
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             *work += 1;
             if member(u) {
                 self.seed(u, base);
@@ -286,9 +251,9 @@ impl LocalSearch {
     /// [`LocalSearch::run`] started from `seeds`, stopped as soon as they
     /// have all met or one class of them runs out of frontier.  `true`
     /// for fewer than two distinct seeds.
-    pub fn connects<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+    pub fn connects<F: Fn(usize) -> bool>(
         &mut self,
-        g: &G,
+        g: &Graph,
         member: F,
         seeds: &[usize],
     ) -> bool {
@@ -303,9 +268,9 @@ impl LocalSearch {
     /// `skip`: `Some(false)` once every class has merged into one,
     /// `Some(true)` once a class runs out of frontier first, `None` past
     /// `budget`.
-    fn split<G: RandomAccessGraph, F: Fn(usize) -> bool>(
+    fn split<F: Fn(usize) -> bool>(
         &mut self,
-        g: &G,
+        g: &Graph,
         member: F,
         skip: usize,
         base: u32,
@@ -323,7 +288,7 @@ impl LocalSearch {
             let u = u as usize;
             let label = self.seen[u];
             let c = self.root((label - base) as usize);
-            for w in g.successors(u) {
+            for w in g.neighbors_iter(u) {
                 *work += 1;
                 if w == skip || !member(w) {
                     continue;
@@ -363,47 +328,6 @@ mod tests {
     use mcds_rng::rngs::StdRng;
     use mcds_rng::{Rng, SeedableRng};
 
-    /// The edge-list construction that [`induced_subgraph`] replaced: the
-    /// oracle its direct CSR rows are checked against.
-    fn induced_by_edge_list(g: &Graph, keep: &[usize]) -> (Graph, Vec<usize>) {
-        let keep = crate::node_set(keep.iter().copied());
-        let mut new_id = vec![usize::MAX; g.num_nodes()];
-        for (i, &v) in keep.iter().enumerate() {
-            new_id[v] = i;
-        }
-        let mut edges = Vec::new();
-        for &v in &keep {
-            for u in g.neighbors_iter(v) {
-                if u < v && new_id[u] != usize::MAX {
-                    edges.push((new_id[u], new_id[v]));
-                }
-            }
-        }
-        (Graph::from_edges(keep.len(), edges), keep)
-    }
-
-    #[test]
-    fn induced_subgraph_equals_edge_list_construction() {
-        let mut rng = StdRng::seed_from_u64(16);
-        for case in 0..300 {
-            let n = rng.gen_range(0..=40usize);
-            let p = rng.gen_range(0.0..=0.5);
-            let edges: Vec<(usize, usize)> = (0..n)
-                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
-                .filter(|_| rng.gen_bool(p))
-                .collect();
-            let g = Graph::from_edges(n, edges);
-            // Unsorted, with duplicates: any order is accepted.
-            let keep: Vec<usize> = (0..n)
-                .rev()
-                .filter(|_| rng.gen_bool(0.5))
-                .flat_map(|v| [v, v])
-                .collect();
-            let want = induced_by_edge_list(&g, &keep);
-            assert_eq!(induced_subgraph(&g, &keep), want, "case {case}");
-        }
-    }
-
     /// Connected geometric graphs around average degree 10 (the largest
     /// component of seeded uniform points), plus small structured cases.
     fn connected_instances() -> Vec<Graph> {
@@ -421,7 +345,8 @@ mod tests {
                     dx * dx + dy * dy <= 1.0
                 };
                 let g = Graph::from_edges(n, edges.filter(near).collect::<Vec<_>>());
-                induced_subgraph(&g, &crate::traversal::largest_component(&g)).0
+                g.induced_subgraph(&crate::traversal::largest_component(&g))
+                    .0
             })
             .collect();
         graphs.extend([

@@ -5,7 +5,7 @@
 //! (Section III); [`BfsTree`] is exactly that object, carrying root,
 //! parents, levels and the BFS visit order.
 
-use crate::RandomAccessGraph;
+use crate::Graph;
 
 /// A rooted BFS spanning tree of (one component of) a graph.
 ///
@@ -52,7 +52,7 @@ impl BfsTree {
     /// # Panics
     ///
     /// Panics if `root ≥ g.num_nodes()`.
-    pub fn rooted_at<G: RandomAccessGraph>(g: &G, root: usize) -> Self {
+    pub fn rooted_at(g: &Graph, root: usize) -> Self {
         let n = g.num_nodes();
         assert!(root < n, "root {root} out of range for n = {n}");
         let mut parent = vec![UNREACHED; n];
@@ -66,7 +66,7 @@ impl BfsTree {
             depth += 1;
             for i in start..end {
                 let v = order[i];
-                for u in g.successors(v) {
+                for u in g.neighbors_iter(v) {
                     if level[u] == UNREACHED {
                         level[u] = depth;
                         parent[u] = v as u32;
@@ -112,7 +112,7 @@ impl BfsTree {
     }
 
     /// Returns `true` if every node of the graph was reached.
-    pub fn spans<G: RandomAccessGraph>(&self, g: &G) -> bool {
+    pub fn spans(&self, g: &Graph) -> bool {
         self.reached() == g.num_nodes()
     }
 
@@ -132,7 +132,7 @@ impl BfsTree {
 /// let comps = connected_components(&g);
 /// assert_eq!(comps, vec![vec![0, 1], vec![2], vec![3, 4]]);
 /// ```
-pub fn connected_components<G: RandomAccessGraph>(g: &G) -> Vec<Vec<usize>> {
+pub fn connected_components(g: &Graph) -> Vec<Vec<usize>> {
     let n = g.num_nodes();
     let mut seen = vec![false; n];
     let mut comps = Vec::new();
@@ -145,7 +145,7 @@ pub fn connected_components<G: RandomAccessGraph>(g: &G) -> Vec<Vec<usize>> {
         seen[s] = true;
         while let Some(v) = stack.pop() {
             comp.push(v);
-            for u in g.successors(v) {
+            for u in g.neighbors_iter(v) {
                 if !seen[u] {
                     seen[u] = true;
                     stack.push(u);
@@ -161,7 +161,7 @@ pub fn connected_components<G: RandomAccessGraph>(g: &G) -> Vec<Vec<usize>> {
 /// The largest connected component (sorted node list).  Returns an empty
 /// vector for the empty graph.  Ties are broken toward the component with
 /// the smallest minimum node id (the first found).
-pub fn largest_component<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+pub fn largest_component(g: &Graph) -> Vec<usize> {
     connected_components(g)
         .into_iter()
         .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))
@@ -170,7 +170,7 @@ pub fn largest_component<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
 
 /// Single-source shortest (hop) distances; `usize::MAX` marks unreachable
 /// nodes.
-pub fn bfs_distances<G: RandomAccessGraph>(g: &G, source: usize) -> Vec<usize> {
+pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
     let t = BfsTree::rooted_at(g, source);
     (0..g.num_nodes())
         .map(|v| t.level(v).unwrap_or(usize::MAX))
@@ -178,33 +178,19 @@ pub fn bfs_distances<G: RandomAccessGraph>(g: &G, source: usize) -> Vec<usize> {
 }
 
 /// Hop diameter of a connected graph: the largest shortest-path distance
-/// over all pairs, computed by `n` BFS runs (`O(nm)`).
+/// over all pairs, the maximum of [`eccentricities`] (`O(nm)`).
 ///
 /// Returns `None` if the graph is disconnected or has no nodes.
 ///
 /// The CDS literature uses `γ_c(G) ≥ diam(G) − 1` as a cheap lower bound;
 /// the experiment harness relies on this function for it.
-pub fn diameter<G: RandomAccessGraph>(g: &G) -> Option<usize> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return None;
-    }
-    let mut best = 0usize;
-    for s in 0..n {
-        let d = bfs_distances(g, s);
-        for &x in &d {
-            if x == usize::MAX {
-                return None; // disconnected
-            }
-            best = best.max(x);
-        }
-    }
-    Some(best)
+pub fn diameter(g: &Graph) -> Option<usize> {
+    eccentricities(g)?.into_iter().max()
 }
 
 /// Eccentricity of every node (max hop distance to any other node), or
 /// `None` if the graph is disconnected or empty.  `O(n·m)`.
-pub fn eccentricities<G: RandomAccessGraph>(g: &G) -> Option<Vec<usize>> {
+pub fn eccentricities(g: &Graph) -> Option<Vec<usize>> {
     let n = g.num_nodes();
     if n == 0 {
         return None;
@@ -229,7 +215,7 @@ pub fn eccentricities<G: RandomAccessGraph>(g: &G) -> Option<Vec<usize>> {
 ///
 /// Rooting the BFS phase at a center minimizes tree depth, which the E11
 /// ablation uses to probe root-choice sensitivity.
-pub fn graph_center<G: RandomAccessGraph>(g: &G) -> Option<usize> {
+pub fn graph_center(g: &Graph) -> Option<usize> {
     let ecc = eccentricities(g)?;
     (0..g.num_nodes()).min_by_key(|&v| (ecc[v], v))
 }
@@ -240,7 +226,7 @@ pub fn graph_center<G: RandomAccessGraph>(g: &G) -> Option<usize> {
 /// A bridge in a backbone is a link whose loss splits it; together with
 /// the cut vertices of [`crate::bitgraph::masked_articulation_points`]
 /// this quantifies backbone fragility.
-pub fn bridges<G: RandomAccessGraph>(g: &G) -> Vec<(usize, usize)> {
+pub fn bridges(g: &Graph) -> Vec<(usize, usize)> {
     let n = g.num_nodes();
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![usize::MAX; n];
@@ -250,17 +236,17 @@ pub fn bridges<G: RandomAccessGraph>(g: &G) -> Vec<(usize, usize)> {
         if disc[root] != usize::MAX {
             continue;
         }
-        // (node, parent, successor iterator, parent_edge_used): graphs
+        // (node, parent, neighbour iterator, parent_edge_used): graphs
         // are simple, so one parent edge exists per child; skip the single
         // (child, parent) back-edge exactly once.
-        let mut stack: Vec<(usize, usize, G::Successors<'_>, bool)> =
-            vec![(root, usize::MAX, g.successors(root), false)];
+        let mut stack = vec![(root, usize::MAX, g.neighbors(root).iter(), false)];
         disc[root] = timer;
         low[root] = timer;
         timer += 1;
         while let Some(top) = stack.last_mut() {
             let (v, parent) = (top.0, top.1);
-            if let Some(u) = top.2.next() {
+            if let Some(&u) = top.2.next() {
+                let u = u as usize;
                 if u == parent && !top.3 {
                     top.3 = true;
                     continue;
@@ -269,7 +255,7 @@ pub fn bridges<G: RandomAccessGraph>(g: &G) -> Vec<(usize, usize)> {
                     disc[u] = timer;
                     low[u] = timer;
                     timer += 1;
-                    stack.push((u, v, g.successors(u), false));
+                    stack.push((u, v, g.neighbors(u).iter(), false));
                 } else {
                     low[v] = low[v].min(disc[u]);
                 }

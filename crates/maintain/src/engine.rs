@@ -1168,6 +1168,11 @@ mod tests {
             (mv(7, at(20.5, 0.0)), false),
             // The tail reaches the pair: a merge.
             (mv(4, at(1.75, 0.0)), false),
+            // The bridge shifts and stays the only link between 1 and the
+            // pair: the giant keeps its members through 4's edges after
+            // the move alone, so the search runs on the patched rows and
+            // through the moved node.
+            (mv(4, at(1.75, 0.1)), true),
             // The bridge leaves: a split, and 4 is isolated.
             (mv(4, at(30.0, 0.0)), false),
             (TopologyEvent::Leave { node: 7 }, false),
@@ -1181,10 +1186,11 @@ mod tests {
             // A leaf of the giant moves onto nobody's backbone row.
             (mv(3, at(0.1, 0.3)), true),
         ];
-        let giants: [&[NodeId]; 11] = [
+        let giants: [&[NodeId]; 12] = [
             &[0, 1, 2, 3, 4],
             &[0, 1, 2, 3, 4],
             &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 3, 4, 5, 6],
             &[0, 1, 2, 3, 4, 5, 6],
             &[0, 1, 2, 3],
             &[0, 1, 2, 3],

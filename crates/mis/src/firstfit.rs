@@ -1,6 +1,6 @@
 //! The BFS-ordered first-fit MIS of the paper's phase 1.
 
-use mcds_graph::{traversal::BfsTree, RandomAccessGraph};
+use mcds_graph::{traversal::BfsTree, Graph};
 
 /// Runs the first-fit MIS scan over `order`: a node joins the MIS iff none
 /// of its earlier-scanned neighbors already joined.
@@ -15,7 +15,7 @@ use mcds_graph::{traversal::BfsTree, RandomAccessGraph};
 /// assert_eq!(first_fit(&g, &[0, 1, 2, 3, 4]), vec![0, 2, 4]);
 /// assert_eq!(first_fit(&g, &[2, 0, 1, 3, 4]), vec![0, 2, 4]);
 /// ```
-pub fn first_fit<G: RandomAccessGraph>(g: &G, order: &[usize]) -> Vec<usize> {
+pub fn first_fit(g: &Graph, order: &[usize]) -> Vec<usize> {
     let n = g.num_nodes();
     let mut in_mis = vec![false; n];
     let mut blocked = vec![false; n];
@@ -27,7 +27,7 @@ pub fn first_fit<G: RandomAccessGraph>(g: &G, order: &[usize]) -> Vec<usize> {
         }
         in_mis[v] = true;
         mis.push(v);
-        for u in g.successors(v) {
+        for u in g.neighbors_iter(v) {
             blocked[u] = true;
         }
     }
@@ -67,7 +67,7 @@ impl BfsMis {
     /// # Panics
     ///
     /// Panics if `root` is out of range.
-    pub fn compute<G: RandomAccessGraph>(g: &G, root: usize) -> Self {
+    pub fn compute(g: &Graph, root: usize) -> Self {
         let tree = BfsTree::rooted_at(g, root);
         let mis = first_fit(g, tree.order());
         let mut rank = vec![u32::MAX; g.num_nodes()];

@@ -7,7 +7,7 @@
 //! [`crate::first_fit`] in id order, so the independence/maximality
 //! invariants are inherited.
 
-use mcds_graph::RandomAccessGraph;
+use mcds_graph::Graph;
 
 use crate::first_fit;
 
@@ -23,7 +23,7 @@ use crate::first_fit;
 /// let mis = lexicographic_mis(&g);
 /// assert!(properties::is_maximal_independent_set(&g, &mis));
 /// ```
-pub fn lexicographic_mis<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+pub fn lexicographic_mis(g: &Graph) -> Vec<usize> {
     let order: Vec<usize> = (0..g.num_nodes()).collect();
     first_fit(g, &order)
 }

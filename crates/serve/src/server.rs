@@ -188,6 +188,13 @@ impl Server {
 
     /// Serves connections until a `shutdown` request arrives, then waits
     /// for in-flight handlers to drain and returns.
+    ///
+    /// # Errors
+    ///
+    /// An accept error that does not pass by itself (a reset or aborted
+    /// client, or memory, descriptors or buffers exhausted for now, back
+    /// off for 2 ms and retry) stops the daemon, and is returned once the
+    /// handlers have drained.
     pub fn run(self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let pool = ThreadPool::new(self.cfg.threads);
@@ -213,6 +220,9 @@ impl Server {
                         std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) if transient_accept_error(&e) => {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
                     Err(e) => {
                         accept_error = Some(e);
                         shared.shutdown.store(true, Ordering::SeqCst);
@@ -225,6 +235,20 @@ impl Server {
             None => Ok(()),
         }
     }
+}
+
+/// Whether an accept error passes by itself, so the accept loop backs off
+/// and retries instead of stopping the daemon: a client that reset before
+/// it was accepted, or memory, descriptors or socket buffers exhausted
+/// for the moment (`ENFILE`, `EMFILE` and `ENOBUFS`, by their Linux
+/// numbers).
+fn transient_accept_error(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, OutOfMemory};
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = 105;
+    matches!(e.kind(), ConnectionAborted | ConnectionReset | OutOfMemory)
+        || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
 }
 
 /// Reads one newline-terminated line into `acc`, polling the shutdown
@@ -511,6 +535,29 @@ mod tests {
 
     fn line(n: usize) -> Vec<Point> {
         (0..n).map(|i| Point::new(i as f64 * 0.8, 0.0)).collect()
+    }
+
+    #[test]
+    fn accept_errors_back_off_only_when_transient() {
+        use std::io::{Error, ErrorKind};
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::OutOfMemory,
+        ] {
+            assert!(transient_accept_error(&Error::from(kind)), "{kind:?}");
+        }
+        // ENFILE, EMFILE and ENOBUFS.
+        for errno in [23, 24, 105] {
+            let e = Error::from_raw_os_error(errno);
+            assert!(transient_accept_error(&e), "errno {errno}: {e}");
+        }
+        // EBADF: the listener itself is broken.
+        let fatal = Error::from_raw_os_error(9);
+        assert!(!transient_accept_error(&fatal), "{fatal}");
+        assert!(!transient_accept_error(&Error::from(
+            ErrorKind::PermissionDenied
+        )));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use mcds_geom::Point;
 use mcds_graph::subsets::LocalSearch;
-use mcds_graph::{Graph, RandomAccessGraph};
+use mcds_graph::Graph;
 
 use crate::cells::{CellGrid, CellTable};
 
@@ -314,18 +314,22 @@ impl Topology {
     /// was patched.
     ///
     /// The patch takes a move that keeps the giant's members.  It needs
-    /// `giant` current as of the change before, the moved node and its
-    /// old and new neighbours all members, and the moved node and its old
-    /// neighbours still in one component after the move, which an
-    /// interleaved search from them decides as soon as they meet
-    /// ([`LocalSearch::connects`]).  The old rows were the giant's, so
-    /// every path through a lost edge has a detour and no new edge leaves
-    /// the giant: its members, its local ids and the other components
-    /// are unchanged, and so is the winner of any size tie.  Only the
-    /// rows of the moved node and of its old and new neighbours are
-    /// rewritten, inside the kept CSR ([`Graph::replace_rows`]).  Every
-    /// other change (a join, a leave, a split, a merge) runs the
-    /// labelling of [`Topology::giant`].
+    /// `giant` current as of the change before, and the moved node and
+    /// its new neighbours all members (its old neighbours are, as the
+    /// giant's rows held them).  It first rewrites the rows of the moved
+    /// node and of its old and new neighbours inside the kept CSR
+    /// ([`Graph::replace_rows`]).  Every other row changed only by the
+    /// moved node, so the member set is closed under adjacency after the
+    /// move, and the patched giant is exactly the rows restricted to the
+    /// members.  An interleaved search on it, in local ids, from the
+    /// moved node and its old neighbours then decides as soon as they
+    /// meet whether they still share one component
+    /// ([`LocalSearch::connects`]).  If they do, every path through a
+    /// lost edge has a detour and no new edge leaves the giant: its
+    /// members, its local ids and the other components are unchanged,
+    /// and so is the winner of any size tie.  Every other change (a
+    /// join, a leave, a split, a merge) runs the labelling of
+    /// [`Topology::giant`].
     pub fn update_giant(&self, giant: &mut Giant) -> bool {
         let patched = self.patch_giant(giant);
         if !patched {
@@ -335,8 +339,8 @@ impl Topology {
         patched
     }
 
-    /// The fast path of [`Topology::update_giant`]; `false` leaves
-    /// `giant` untouched.
+    /// The fast path of [`Topology::update_giant`]; after `false`,
+    /// `giant` may hold rewritten rows, and the caller relabels it.
     fn patch_giant(&self, giant: &mut Giant) -> bool {
         let Some(s) = self.moved else {
             return false;
@@ -350,39 +354,43 @@ impl Topology {
         {
             return false;
         }
-        let v = giant.local[s] as usize;
+        // The search's seeds: the moved node and its old neighbours, as
+        // the kept rows hold them.
+        let v = giant.local[s];
         giant.seeds.clear();
-        giant.seeds.push(s);
-        for &u in giant.graph.neighbors(v) {
-            let slot = self.ids.binary_search(&giant.ids[u as usize]);
-            giant.seeds.push(slot.expect("a giant member holds a slot"));
-        }
-        if !giant
-            .search
-            .connects(&Rows(&self.rows), |_| true, &giant.seeds)
-        {
-            return false;
-        }
-        // The rows to rewrite: the moved node's and its old and new
-        // neighbours', as `(local, slot)` in local order.
-        let mut changed = std::mem::take(&mut giant.changed);
-        changed.clear();
-        changed.extend(giant.seeds.iter().map(|&t| (giant.local[t], t as u32)));
-        changed.extend(self.rows[s].iter().map(|&t| (giant.local[t as usize], t)));
-        changed.sort_unstable();
-        changed.dedup();
+        giant.seeds.push(v as usize);
+        giant.seeds.extend(giant.graph.neighbors_iter(v as usize));
+        // The moved node's new row, and the rows to rewrite: its own and
+        // its old and new neighbours', in local order.
+        giant.fresh.clear();
+        giant
+            .fresh
+            .extend(self.rows[s].iter().map(|&t| giant.local[t as usize]));
+        giant.changed.clear();
+        giant.changed.extend(giant.seeds.iter().map(|&u| u as u32));
+        giant.changed.extend_from_slice(&giant.fresh);
+        giant.changed.sort_unstable();
+        giant.changed.dedup();
         giant.packed.clear();
         giant.ends.clear();
-        for &(u, t) in &changed {
-            let row = self.rows[t as usize]
-                .iter()
-                .map(|&w| giant.local[w as usize]);
-            giant.packed.extend(row);
+        for &u in &giant.changed {
+            if u == v {
+                giant.packed.extend_from_slice(&giant.fresh);
+            } else {
+                // A neighbour's row changed only in its edge to `v`.
+                let row = giant.graph.neighbors(u as usize);
+                let at = row.partition_point(|&w| w < v);
+                let past = at + usize::from(row.get(at) == Some(&v));
+                giant.packed.extend_from_slice(&row[..at]);
+                if giant.fresh.binary_search(&u).is_ok() {
+                    giant.packed.push(v);
+                }
+                giant.packed.extend_from_slice(&row[past..]);
+            }
             giant.ends.push((u as usize, giant.packed.len()));
         }
         giant.graph.replace_rows(&giant.ends, &giant.packed);
-        giant.changed = changed;
-        true
+        giant.search.connects(&giant.graph, |_| true, &giant.seeds)
     }
 
     /// Relabels `giant` from scratch: one breadth-first labelling of the
@@ -464,10 +472,12 @@ pub struct Giant {
     local: Vec<u32>,
     /// The topology version this giant is current for.
     version: u64,
-    /// The reconnection search, over slots.
+    /// The reconnection search, over local ids.
     search: LocalSearch,
     seeds: Vec<usize>,
-    changed: Vec<(u32, u32)>,
+    /// The moved node's new row, and the rows to rewrite.
+    fresh: Vec<u32>,
+    changed: Vec<u32>,
     /// The rewritten rows, packed, and their `(local, end)` pairs.
     packed: Vec<u32>,
     ends: Vec<(usize, usize)>,
@@ -490,6 +500,7 @@ impl Giant {
             version: u64::MAX,
             search: LocalSearch::default(),
             seeds: Vec::new(),
+            fresh: Vec::new(),
             changed: Vec::new(),
             packed: Vec::new(),
             ends: Vec::new(),
@@ -519,33 +530,6 @@ impl Giant {
     /// The local id of member `id`, `None` off the giant.
     pub fn local(&self, id: usize) -> Option<usize> {
         self.ids.binary_search(&id).ok()
-    }
-}
-
-/// The rows of a topology as a graph over its slots (tombstones are
-/// isolated), for the patch's reconnection search.
-struct Rows<'a>(&'a [Vec<u32>]);
-
-impl RandomAccessGraph for Rows<'_> {
-    type Successors<'b>
-        = std::iter::Map<std::slice::Iter<'b, u32>, fn(&u32) -> usize>
-    where
-        Self: 'b;
-
-    fn num_nodes(&self) -> usize {
-        self.0.len()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.0.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
-    fn successors(&self, s: usize) -> Self::Successors<'_> {
-        self.0[s].iter().map(|&t| t as usize)
-    }
-
-    fn degree(&self, s: usize) -> usize {
-        self.0[s].len()
     }
 }
 
