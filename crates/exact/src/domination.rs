@@ -1,6 +1,6 @@
 //! Exact minimum dominating set and minimum connected dominating set.
 
-use mcds_graph::{node_mask, properties, subsets, Graph};
+use mcds_graph::{node_mask, subsets, Graph};
 
 /// A lower bound on the number of additional dominators needed: greedily
 /// packs uncovered vertices whose closed neighborhoods are pairwise
@@ -8,12 +8,12 @@ use mcds_graph::{node_mask, properties, subsets, Graph};
 /// size is a valid bound (much stronger than `⌈uncovered/(Δ+1)⌉`).
 ///
 /// Scanning low-degree vertices first packs more of them.
-fn packing_lower_bound(g: &Graph, cover_count: &[u32], order: &[usize]) -> usize {
+fn packing_lower_bound(g: &Graph, order: &[usize], uncovered: impl Fn(usize) -> bool) -> usize {
     let n = g.num_nodes();
     let mut claimed = vec![false; n];
     let mut bound = 0usize;
     for &v in order {
-        if cover_count[v] != 0 || claimed[v] {
+        if !uncovered(v) || claimed[v] {
             continue;
         }
         if g.neighbors_iter(v).any(|u| claimed[u]) {
@@ -103,7 +103,7 @@ impl DsSearch<'_> {
         }
         // Lower bound: disjoint-closed-neighborhood packing among the
         // uncovered vertices.
-        let lb = packing_lower_bound(self.g, cover_count, &self.degree_order);
+        let lb = packing_lower_bound(self.g, &self.degree_order, |v| cover_count[v] == 0);
         if chosen.len() + lb >= self.best.len() {
             return true;
         }
@@ -206,6 +206,24 @@ pub fn try_min_connected_dominating_set(
     g: &Graph,
     max_steps: u64,
 ) -> Result<Option<Vec<usize>>, ()> {
+    try_min_connected_m_dominating(g, 1, max_steps)
+}
+
+/// A minimum connected set `S` in which every node outside `S` has at
+/// least `m ≥ 1` neighbours in `S`: a CDS at m = 1, a (1, 2)-CDS at
+/// m = 2.  `Ok(None)` on a disconnected graph, `Err(())` once the search
+/// has taken more than `max_steps` steps.
+///
+/// Iterative deepening on `|S| = k`, from `max(γ, diam − 1)` at m = 1
+/// and from the larger of the forced nodes (degree below m: they can
+/// never collect m outside dominators, so they start in S) and the
+/// coverage bound `⌈m·n/(Δ + m)⌉` above.  The depths share the budget;
+/// the γ solve at m = 1 gets the whole budget and is not charged for it.
+pub(crate) fn try_min_connected_m_dominating(
+    g: &Graph,
+    m: usize,
+    max_steps: u64,
+) -> Result<Option<Vec<usize>>, ()> {
     let n = g.num_nodes();
     if n == 0 {
         return Ok(Some(Vec::new()));
@@ -213,210 +231,216 @@ pub fn try_min_connected_dominating_set(
     if !g.is_connected() {
         return Ok(None);
     }
-    if n == 1 {
-        return Ok(Some(vec![0]));
-    }
-    // Any single node whose closed neighborhood is V is an optimum.
-    if let Some(v) = (0..n).find(|&v| g.degree(v) == n - 1) {
-        return Ok(Some(vec![v]));
-    }
-
-    let mut steps = max_steps;
-    let gamma = match budgeted(&mut steps, |b| try_min_dominating_set(g, b)) {
-        Some(ds) => ds.len(),
-        None => return Err(()),
-    };
-    let diam_lb = mcds_graph::traversal::diameter(g)
-        .map(|d| d.saturating_sub(1))
-        .unwrap_or(0);
-    let mut k = gamma.max(diam_lb).max(2);
-    loop {
-        if k >= n {
-            // The whole vertex set of a connected graph is always a CDS.
-            let all: Vec<usize> = (0..n).collect();
-            return Ok(Some(all));
+    let forced: Vec<usize> = (0..n).filter(|&v| g.degree(v) < m).collect();
+    let first_k = if m == 1 {
+        // Any single node whose closed neighborhood is V is an optimum.
+        if let Some(v) = (0..n).find(|&v| g.degree(v) == n - 1) {
+            return Ok(Some(vec![v]));
         }
-        let mut search = CdsSearch {
-            g,
-            k,
-            steps: 0,
-            budget: steps,
-            found: None,
-            degree_order: degree_order(g),
-        };
-        let mut chosen = Vec::new();
-        let mut cover = vec![0u32; n];
-        let finished = search.run(&mut chosen, &mut cover, n);
-        steps = steps.saturating_sub(search.steps);
-        if !finished {
+        let gamma = try_min_dominating_set(g, max_steps).ok_or(())?.len();
+        let diam_lb = mcds_graph::traversal::diameter(g).map_or(0, |d| d.saturating_sub(1));
+        gamma.max(diam_lb)
+    } else {
+        forced.len().max((m * n).div_ceil(g.max_degree() + m))
+    };
+    let mut search = ConnectedSearch {
+        g,
+        m,
+        k: 0,
+        steps: 0,
+        budget: max_steps,
+        found: None,
+        chosen: Vec::new(),
+        in_set: vec![false; n],
+        cover: vec![0; n],
+        unsatisfied: n,
+        degree_order: degree_order(g),
+    };
+    for &v in &forced {
+        search.add(v);
+    }
+    for k in first_k.max(2)..n {
+        search.k = k;
+        if !search.run() {
             return Err(());
         }
         if let Some(sol) = search.found {
-            debug_assert!(properties::check_cds(g, &sol).is_ok());
+            debug_assert!(crate::is_m_dominating(g, &sol, m));
+            debug_assert!(subsets::is_connected_subset(g, &node_mask(n, &sol)));
             return Ok(Some(sol));
         }
-        k += 1;
     }
+    // The whole vertex set of a connected graph qualifies: no node is
+    // left outside to cover.
+    Ok(Some((0..n).collect()))
 }
 
-fn budgeted<T>(steps: &mut u64, f: impl FnOnce(u64) -> Option<T>) -> Option<T> {
-    // The inner solvers track their own step counts; we approximate the
-    // shared budget by giving each call the full remainder.  Cheap and
-    // safe: budgets are a coarse runaway guard, not an accounting tool.
-    f(*steps)
-}
-
-struct CdsSearch<'a> {
+/// Depth-bounded search for a connected set of at most `k` nodes that
+/// every outside node sees at least `m` times: branch on the closed
+/// neighbourhood of an unsatisfied node, and once every node is
+/// satisfied, on connectors to the chosen components.
+struct ConnectedSearch<'a> {
     g: &'a Graph,
+    m: usize,
     k: usize,
+    /// Steps taken over every depth so far.
     steps: u64,
     budget: u64,
     found: Option<Vec<usize>>,
+    chosen: Vec<usize>,
+    in_set: Vec<bool>,
+    /// Each node's number of chosen neighbours.
+    cover: Vec<u32>,
+    /// Nodes outside the set with fewer than `m` chosen neighbours.
+    unsatisfied: usize,
     degree_order: Vec<usize>,
 }
 
-impl CdsSearch<'_> {
-    /// Searches for a CDS of size exactly ≤ k.  Returns `false` on budget
+impl ConnectedSearch<'_> {
+    fn is_unsatisfied(&self, v: usize) -> bool {
+        !self.in_set[v] && (self.cover[v] as usize) < self.m
+    }
+
+    fn unsatisfied_neighbours(&self, v: usize) -> usize {
+        self.g
+            .neighbors_iter(v)
+            .filter(|&w| self.is_unsatisfied(w))
+            .count()
+    }
+
+    /// Searches for a set of at most `k` nodes.  Returns `false` on budget
     /// exhaustion.
-    fn run(&mut self, chosen: &mut Vec<usize>, cover: &mut Vec<u32>, uncovered: usize) -> bool {
-        if self.found.is_some() {
-            return true;
-        }
+    fn run(&mut self) -> bool {
         self.steps += 1;
         if self.steps > self.budget {
             return false;
         }
-        let n = self.g.num_nodes();
-        if uncovered == 0 {
-            // Dominating: check connectivity of the chosen set.
-            let mask = node_mask(n, chosen);
-            if subsets::is_connected_subset(self.g, &mask) && !chosen.is_empty() {
-                let mut sol = chosen.clone();
+        let g = self.g;
+        if self.unsatisfied == 0 {
+            if !self.chosen.is_empty() && subsets::is_connected_subset(g, &self.in_set) {
+                let mut sol = self.chosen.clone();
                 sol.sort_unstable();
                 self.found = Some(sol);
-            } else if chosen.len() < self.k {
-                // Dominating but disconnected: try to add connectors
-                // within the remaining budget.  Branch over nodes adjacent
-                // to the component containing the first chosen node.
-                return self.branch_connector(chosen, cover, uncovered);
-            }
-            return true;
-        }
-        let remaining = self.k - chosen.len();
-        if remaining == 0 {
-            return true;
-        }
-        // Coverage lower bound: disjoint-neighborhood packing.
-        if packing_lower_bound(self.g, cover, &self.degree_order) > remaining {
-            return true;
-        }
-        // Branch on the uncovered vertex with fewest options; candidates
-        // must keep the chosen set extendable-connected: after the first
-        // pick, only consider candidates within distance 2 of the chosen
-        // set?  (Safe superset: all of N[u]; connectivity is enforced at
-        // the leaves via branch_connector.)
-        let u = (0..n)
-            .filter(|&v| cover[v] == 0)
-            .min_by_key(|&v| self.g.degree(v))
-            .expect("uncovered > 0");
-        let mut candidates: Vec<usize> = subsets::closed_neighborhood(self.g, u);
-        candidates.sort_by_key(|&c| {
-            std::cmp::Reverse(
-                usize::from(cover[c] == 0)
-                    + self.g.neighbors_iter(c).filter(|&w| cover[w] == 0).count(),
-            )
-        });
-        for c in candidates {
-            if chosen.contains(&c) {
-                continue;
-            }
-            let newly = self.apply(c, cover);
-            chosen.push(c);
-            let ok = self.run(chosen, cover, uncovered - newly);
-            chosen.pop();
-            self.unapply(c, cover);
-            if !ok {
-                return false;
-            }
-            if self.found.is_some() {
                 return true;
             }
+            return self.chosen.len() >= self.k || self.branch_connector();
         }
-        true
-    }
-
-    /// The chosen set dominates but is disconnected: add a node adjacent
-    /// to ≥ 1 chosen component (it keeps domination trivially) and recurse.
-    fn branch_connector(
-        &mut self,
-        chosen: &mut Vec<usize>,
-        cover: &mut Vec<u32>,
-        uncovered: usize,
-    ) -> bool {
-        let n = self.g.num_nodes();
-        let mask = node_mask(n, chosen);
-        let q = subsets::count_components(self.g, &mask);
-        let remaining = self.k - chosen.len();
-        if q > 1 && remaining == 0 {
+        let remaining = self.k - self.chosen.len();
+        if remaining == 0 || self.bound_exceeds(remaining) {
             return true;
         }
-        // Candidates: nodes adjacent to at least 2 chosen components merge
-        // fastest; fall back to any node adjacent to a component.
-        let mut dsu = subsets::components_dsu(self.g, &mask);
-        let mut cands: Vec<(usize, usize)> = (0..n)
-            .filter(|&w| !mask[w])
-            .map(|w| {
-                let adj = subsets::adjacent_components(self.g, &mask, &mut dsu, w);
-                (adj.len(), w)
-            })
-            .filter(|&(k, _)| k >= 1)
-            .collect();
-        cands.sort_by_key(|&(k, w)| (std::cmp::Reverse(k), w));
+        // Branch on the unsatisfied node with the fewest candidate
+        // dominators; its closed neighbourhood is the candidate set.
+        let u = (0..g.num_nodes())
+            .filter(|&v| self.is_unsatisfied(v))
+            .min_by_key(|&v| g.degree(v))
+            .expect("unsatisfied > 0");
+        let mut candidates = subsets::closed_neighborhood(g, u);
+        candidates.retain(|&c| !self.in_set[c]);
+        candidates.sort_by_key(|&c| {
+            std::cmp::Reverse(
+                self.m * usize::from(self.is_unsatisfied(c)) + self.unsatisfied_neighbours(c),
+            )
+        });
+        self.branch(candidates)
+    }
+
+    /// Whether no `remaining` more nodes can satisfy every node.  At
+    /// m = 1 this is the packing bound.  Above it is the gains bound:
+    /// adding `c` shrinks the total coverage deficit by at most its gain,
+    /// its own outstanding deficit (which vanishes when it joins) plus
+    /// one per still-deficient unchosen neighbour.  Gains computed here
+    /// only shrink deeper in the branch (cover counts only grow), so if
+    /// even the `remaining` largest gains cannot pay off the deficit, no
+    /// completion of this branch can.
+    fn bound_exceeds(&self, remaining: usize) -> bool {
+        if self.m == 1 {
+            return packing_lower_bound(self.g, &self.degree_order, |v| self.is_unsatisfied(v))
+                > remaining;
+        }
+        let mut deficit = 0usize;
+        let mut gains: Vec<usize> = Vec::new();
+        for v in (0..self.g.num_nodes()).filter(|&v| !self.in_set[v]) {
+            let own = self.m.saturating_sub(self.cover[v] as usize);
+            deficit += own;
+            gains.push(own + self.unsatisfied_neighbours(v));
+        }
+        gains.sort_unstable_by(|a, b| b.cmp(a));
+        gains.iter().take(remaining).sum::<usize>() < deficit
+    }
+
+    /// Every node is satisfied but the set is disconnected: add a node
+    /// next to a chosen component (adding never unsatisfies a node), those
+    /// next to the most components first.
+    fn branch_connector(&mut self) -> bool {
+        let g = self.g;
+        let q = subsets::count_components(g, &self.in_set);
         // Sound prune: any added node merges at most (degree − 1) extra
         // components, so `remaining` adds reduce the count by at most
         // remaining · (Δ − 1).  (A *current*-adjacency bound would be
         // unsound: a zero-gain stepping stone can enable later merges when
         // components sit ≥ 3 hops apart.)
-        let delta = self.g.max_degree();
-        if q > 1 && (q - 1) > remaining * delta.saturating_sub(1) {
+        let remaining = self.k - self.chosen.len();
+        if q - 1 > remaining * g.max_degree().saturating_sub(1) {
             return true;
         }
-        for (_, c) in cands {
-            let newly = self.apply(c, cover);
-            debug_assert_eq!(newly, 0);
-            chosen.push(c);
-            let ok = self.run(chosen, cover, uncovered);
-            chosen.pop();
-            self.unapply(c, cover);
-            if !ok {
+        let mut dsu = subsets::components_dsu(g, &self.in_set);
+        let mut cands: Vec<(usize, usize)> = (0..g.num_nodes())
+            .filter(|&w| !self.in_set[w])
+            .map(|w| {
+                let adj = subsets::adjacent_components(g, &self.in_set, &mut dsu, w);
+                (adj.len(), w)
+            })
+            .filter(|&(k, _)| k >= 1)
+            .collect();
+        cands.sort_by_key(|&(k, w)| (std::cmp::Reverse(k), w));
+        self.branch(cands.into_iter().map(|(_, w)| w).collect())
+    }
+
+    /// Tries each candidate in turn, stopping at the first set found.
+    fn branch(&mut self, candidates: Vec<usize>) -> bool {
+        for c in candidates {
+            self.add(c);
+            let finished = self.run();
+            self.remove(c);
+            if !finished {
                 return false;
             }
             if self.found.is_some() {
-                return true;
+                break;
             }
         }
         true
     }
 
-    fn apply(&self, c: usize, cover: &mut [u32]) -> usize {
-        let mut newly = 0usize;
-        if cover[c] == 0 {
-            newly += 1;
+    /// Puts the unchosen `c` in the set, counting it as a chosen
+    /// neighbour of each of its neighbours.
+    fn add(&mut self, c: usize) {
+        if self.is_unsatisfied(c) {
+            self.unsatisfied -= 1;
         }
-        cover[c] += 1;
+        self.in_set[c] = true;
+        self.chosen.push(c);
         for w in self.g.neighbors_iter(c) {
-            if cover[w] == 0 {
-                newly += 1;
+            self.cover[w] += 1;
+            if !self.in_set[w] && self.cover[w] as usize == self.m {
+                self.unsatisfied -= 1;
             }
-            cover[w] += 1;
         }
-        newly
     }
 
-    fn unapply(&self, c: usize, cover: &mut [u32]) {
-        cover[c] -= 1;
+    /// Undoes `add(c)`; `c` must be the last node added.
+    fn remove(&mut self, c: usize) {
+        self.in_set[c] = false;
+        self.chosen.pop();
+        if self.is_unsatisfied(c) {
+            self.unsatisfied += 1;
+        }
         for w in self.g.neighbors_iter(c) {
-            cover[w] -= 1;
+            if !self.in_set[w] && self.cover[w] as usize == self.m {
+                self.unsatisfied += 1;
+            }
+            self.cover[w] -= 1;
         }
     }
 }
@@ -424,6 +448,7 @@ impl CdsSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcds_graph::properties;
 
     #[test]
     fn packing_bound_is_sound_and_useful() {
@@ -435,8 +460,7 @@ mod tests {
             Graph::complete(5),
         ] {
             let order = degree_order(&g);
-            let cover = vec![0u32; g.num_nodes()];
-            let lb = packing_lower_bound(&g, &cover, &order);
+            let lb = packing_lower_bound(&g, &order, |_| true);
             let gamma = domination_number(&g);
             assert!(lb <= gamma, "{g:?}: lb {lb} > gamma {gamma}");
             assert!(lb >= 1 || g.num_nodes() == 0);
@@ -445,8 +469,7 @@ mod tests {
         // (pack every third vertex).
         let p15 = Graph::path(15);
         let order = degree_order(&p15);
-        let cover = vec![0u32; 15];
-        assert_eq!(packing_lower_bound(&p15, &cover, &order), 5);
+        assert_eq!(packing_lower_bound(&p15, &order, |_| true), 5);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`is_biconnected`] — the subgraph induced by a set is 2-connected
 //!   (conventions for tiny sets documented on the function),
 //! * [`try_min_12cds`] — exact minimum (1,2)-CDS (connected, 2-fold
-//!   dominating) by iterative-deepening branch & bound, practical to
-//!   n ≈ 16.
+//!   dominating): the γ_c branch & bound of `crate::domination` run at
+//!   m = 2, practical to n ≈ 16.
 
 use mcds_graph::{node_mask, subsets, Graph};
 
@@ -78,235 +78,7 @@ pub fn min_12cds(g: &Graph) -> Option<Vec<usize>> {
 /// * `Err(())` — budget exhausted before the answer was proven.
 #[allow(clippy::result_unit_err)]
 pub fn try_min_12cds(g: &Graph, max_steps: u64) -> Result<Option<Vec<usize>>, ()> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Ok(Some(Vec::new()));
-    }
-    if !g.is_connected() {
-        return Ok(None);
-    }
-    if n <= 2 {
-        // A non-member needs two distinct dominators; with ≤ 2 nodes the
-        // only (1,2)-CDS is the whole vertex set.
-        return Ok(Some((0..n).collect()));
-    }
-    // Every degree-≤1 node is forced into S (it can never collect two
-    // external dominators).  Pre-applying them shrinks the search tree —
-    // on trees and stars most of the solution is decided before the
-    // first branch — and their count seeds the iterative-deepening depth
-    // alongside the coverage-deficit bound.
-    let forced: Vec<usize> = (0..n).filter(|&v| g.degree(v) < 2).collect();
-    let delta = g.max_degree();
-    let deficit_lb = (2 * n).div_ceil(delta + 2);
-    let mut k = forced.len().max(deficit_lb).max(2);
-    let mut steps = max_steps;
-    loop {
-        if k >= n {
-            // The full vertex set of a connected graph is a (1,2)-CDS:
-            // there are no outside nodes left to cover.
-            return Ok(Some((0..n).collect()));
-        }
-        let mut search = TwoDomSearch {
-            g,
-            k,
-            steps: 0,
-            budget: steps,
-            found: None,
-            chosen_mask: vec![false; n],
-        };
-        let mut chosen = Vec::new();
-        let mut cover = vec![0u32; n];
-        let mut unsat = n;
-        for &v in &forced {
-            unsat -= search.apply(v, &mut cover);
-            chosen.push(v);
-        }
-        let finished = search.run(&mut chosen, &mut cover, unsat);
-        steps = steps.saturating_sub(search.steps);
-        if !finished {
-            return Err(());
-        }
-        if let Some(sol) = search.found {
-            debug_assert!(is_m_dominating(g, &sol, 2));
-            debug_assert!(subsets::is_connected_subset(g, &node_mask(n, &sol)));
-            return Ok(Some(sol));
-        }
-        k += 1;
-    }
-}
-
-/// Depth-bounded search for a connected 2-fold dominating set of size
-/// ≤ k, mirroring the plain CDS search in [`crate::domination`]: branch
-/// on the coverage of an unsatisfied vertex, enforce connectivity at the
-/// leaves by branching over component-adjacent connectors.
-struct TwoDomSearch<'a> {
-    g: &'a Graph,
-    k: usize,
-    steps: u64,
-    budget: u64,
-    found: Option<Vec<usize>>,
-    chosen_mask: Vec<bool>,
-}
-
-impl TwoDomSearch<'_> {
-    /// `unsat` counts nodes that are neither chosen nor 2-covered.
-    /// Returns `false` on budget exhaustion.
-    fn run(&mut self, chosen: &mut Vec<usize>, cover: &mut Vec<u32>, unsat: usize) -> bool {
-        if self.found.is_some() {
-            return true;
-        }
-        self.steps += 1;
-        if self.steps > self.budget {
-            return false;
-        }
-        let n = self.g.num_nodes();
-        if unsat == 0 {
-            let mask = node_mask(n, chosen);
-            if !chosen.is_empty() && subsets::is_connected_subset(self.g, &mask) {
-                let mut sol = chosen.clone();
-                sol.sort_unstable();
-                self.found = Some(sol);
-            } else if chosen.len() < self.k {
-                return self.branch_connector(chosen, cover, unsat);
-            }
-            return true;
-        }
-        let remaining = self.k - chosen.len();
-        if remaining == 0 {
-            return true;
-        }
-        // Gains bound: adding `c` can shrink the total coverage deficit
-        // by at most gain(c) = its own outstanding deficit (which
-        // vanishes when it joins) plus one per still-deficient unchosen
-        // neighbor.  Gains computed *here* only shrink deeper in the
-        // branch (cover counts only grow), so if even the `remaining`
-        // largest gains cannot pay off the deficit, no completion of
-        // this branch can — an admissible bound strictly stronger than
-        // the uniform `remaining · (Δ + 2)` estimate it replaces.
-        let mut deficit = 0usize;
-        let mut gains: Vec<usize> = Vec::with_capacity(n);
-        for v in 0..n {
-            if self.chosen_mask[v] {
-                continue;
-            }
-            let own = (2usize).saturating_sub(cover[v] as usize);
-            deficit += own;
-            gains.push(
-                own + self
-                    .g
-                    .neighbors_iter(v)
-                    .filter(|&w| !self.chosen_mask[w] && cover[w] < 2)
-                    .count(),
-            );
-        }
-        gains.sort_unstable_by(|a, b| b.cmp(a));
-        if gains.iter().take(remaining).sum::<usize>() < deficit {
-            return true;
-        }
-        // Branch on the unsatisfied vertex with the fewest candidate
-        // dominators; its closed neighborhood is the candidate set.
-        let u = (0..n)
-            .filter(|&v| !self.chosen_mask[v] && cover[v] < 2)
-            .min_by_key(|&v| self.g.degree(v))
-            .expect("unsat > 0");
-        let mut candidates: Vec<usize> = subsets::closed_neighborhood(self.g, u);
-        candidates.retain(|&c| !self.chosen_mask[c]);
-        candidates.sort_by_key(|&c| {
-            std::cmp::Reverse(
-                2 * usize::from(!self.chosen_mask[c] && cover[c] < 2)
-                    + self
-                        .g
-                        .neighbors_iter(c)
-                        .filter(|&w| !self.chosen_mask[w] && cover[w] < 2)
-                        .count(),
-            )
-        });
-        for c in candidates {
-            let newly = self.apply(c, cover);
-            chosen.push(c);
-            let ok = self.run(chosen, cover, unsat - newly);
-            chosen.pop();
-            self.unapply(c, cover);
-            if !ok {
-                return false;
-            }
-            if self.found.is_some() {
-                return true;
-            }
-        }
-        true
-    }
-
-    /// The chosen set 2-dominates but is disconnected: add connectors
-    /// (adding a node never *un*satisfies anything) and recurse.  Same
-    /// sound `(q − 1) > remaining·(Δ − 1)` prune as the CDS search.
-    fn branch_connector(
-        &mut self,
-        chosen: &mut Vec<usize>,
-        cover: &mut Vec<u32>,
-        unsat: usize,
-    ) -> bool {
-        let n = self.g.num_nodes();
-        let mask = node_mask(n, chosen);
-        let q = subsets::count_components(self.g, &mask);
-        let remaining = self.k - chosen.len();
-        if q > 1 && remaining == 0 {
-            return true;
-        }
-        let delta = self.g.max_degree();
-        if q > 1 && (q - 1) > remaining * delta.saturating_sub(1) {
-            return true;
-        }
-        let mut dsu = subsets::components_dsu(self.g, &mask);
-        let mut cands: Vec<(usize, usize)> = (0..n)
-            .filter(|&w| !mask[w])
-            .map(|w| {
-                let adj = subsets::adjacent_components(self.g, &mask, &mut dsu, w);
-                (adj.len(), w)
-            })
-            .filter(|&(k, _)| k >= 1)
-            .collect();
-        cands.sort_by_key(|&(k, w)| (std::cmp::Reverse(k), w));
-        for (_, c) in cands {
-            let newly = self.apply(c, cover);
-            debug_assert_eq!(newly, 0);
-            chosen.push(c);
-            let ok = self.run(chosen, cover, unsat);
-            chosen.pop();
-            self.unapply(c, cover);
-            if !ok {
-                return false;
-            }
-            if self.found.is_some() {
-                return true;
-            }
-        }
-        true
-    }
-
-    /// Marks `c` chosen, bumps neighbor cover counts, and returns how
-    /// many nodes just became satisfied.
-    fn apply(&mut self, c: usize, cover: &mut [u32]) -> usize {
-        let mut newly = 0usize;
-        if cover[c] < 2 {
-            newly += 1; // c satisfies itself by joining the set.
-        }
-        self.chosen_mask[c] = true;
-        for w in self.g.neighbors_iter(c) {
-            cover[w] += 1;
-            if !self.chosen_mask[w] && cover[w] == 2 {
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    fn unapply(&mut self, c: usize, cover: &mut [u32]) {
-        self.chosen_mask[c] = false;
-        for w in self.g.neighbors_iter(c) {
-            cover[w] -= 1;
-        }
-    }
+    crate::domination::try_min_connected_m_dominating(g, 2, max_steps)
 }
 
 #[cfg(test)]

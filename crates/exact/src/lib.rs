@@ -14,7 +14,9 @@
 //! * [`min_connected_dominating_set`] — iterative deepening over the CDS
 //!   size with domination-based pruning,
 //! * [`min_12cds`] — exact minimum (1,2)-CDS (connected, 2-fold
-//!   dominating) for the fault-tolerant backbone family (n ≈ 14),
+//!   dominating) for the fault-tolerant backbone family (n ≈ 16): the
+//!   same search as γ_c's, for a connected set every outside node sees
+//!   twice,
 //! * [`is_m_dominating`] / [`is_biconnected`] — the m-fold domination
 //!   and 2-connectivity ground-truth checkers the differential suite
 //!   verifies fault-tolerant backbones against,

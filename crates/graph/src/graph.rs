@@ -265,11 +265,29 @@ impl Graph {
         }
     }
 
-    /// Returns `true` if the graph is connected.
+    /// Returns `true` if the graph is connected: one search from node 0
+    /// reaches every node.
     ///
     /// The empty graph and singletons are connected by convention.
     pub fn is_connected(&self) -> bool {
-        crate::traversal::connected_components(self).len() <= 1
+        let n = self.num_nodes();
+        if n <= 1 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut stack = vec![0];
+        let mut reached = 1;
+        while let Some(v) = stack.pop() {
+            for u in self.neighbors_iter(v) {
+                if !seen[u] {
+                    seen[u] = true;
+                    reached += 1;
+                    stack.push(u);
+                }
+            }
+        }
+        reached == n
     }
 
     /// The subgraph induced by `keep`, together with the mapping from new

@@ -33,6 +33,11 @@ use mcds_obs::trace::json_escape;
 /// be trusted.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Cap on churn events queued for the next admission tick; a `churn`
+/// request that would push the queue past it is refused whole, so a
+/// client that never admits cannot grow the daemon without bound.
+pub const MAX_PENDING_EVENTS: usize = 4096;
+
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

@@ -22,6 +22,7 @@ use mcds_pool::ThreadPool;
 
 use crate::proto::{
     self, ProtoError, QueryRequest, Request, SolveRequest, TickOutcome, MAX_LINE_BYTES,
+    MAX_PENDING_EVENTS,
 };
 
 /// Server tunables.
@@ -441,6 +442,14 @@ fn respond(line: &str, shared: &Shared) -> (String, bool) {
         Ok(Request::Churn { events, admit: run }) => {
             let mut state = shared.lock();
             let queued = events.len();
+            if state.pending.len() + queued > MAX_PENDING_EVENTS {
+                let msg = format!(
+                    "churn queue holds {} events; {queued} more would exceed the \
+                     {MAX_PENDING_EVENTS}-event cap",
+                    state.pending.len()
+                );
+                return (proto::render_error(&msg), false);
+            }
             state.pending.extend(events);
             let outcome = run.then(|| admit(&mut state));
             let pending = state.pending.len();

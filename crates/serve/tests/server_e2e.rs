@@ -9,7 +9,7 @@ use mcds_geom::Point;
 use mcds_obs::json::Value;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
-use mcds_serve::proto::{render_error, Request, MAX_LINE_BYTES};
+use mcds_serve::proto::{render_error, Request, MAX_LINE_BYTES, MAX_PENDING_EVENTS};
 use mcds_serve::{Client, ServeConfig, Server};
 
 /// A connected little line topology: node i at (0.8 i, 0).
@@ -243,6 +243,52 @@ fn oversized_lines_are_rejected_and_close_the_connection() {
         .unwrap()
         .starts_with(r#"{"ok":true"#));
     c2.request(r#"{"op":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread");
+}
+
+/// A client that queues churn and never admits it fills the queue to
+/// `MAX_PENDING_EVENTS`; its next request is refused and queues nothing,
+/// while a second client's reads and solves are still answered.
+#[test]
+fn a_full_churn_queue_refuses_requests_and_serves_other_clients() {
+    let (addr, handle) = spawn_server(test_config(), line_points(8));
+    let churn = |count: usize| {
+        let events = vec![r#"{"kind":"leave","node":99}"#; count].join(",");
+        format!(r#"{{"op":"churn","events":[{events}]}}"#)
+    };
+    let queued = |queued: usize, pending: usize| {
+        format!(r#"{{"ok":true,"op":"churn","queued":{queued},"pending":{pending}}}"#)
+    };
+    let mut filler = Client::connect(&addr).unwrap();
+    let full = MAX_PENDING_EVENTS;
+    assert_eq!(
+        filler.request(&churn(full - 1)).unwrap(),
+        queued(full - 1, full - 1)
+    );
+    assert_eq!(filler.request(&churn(1)).unwrap(), queued(1, full));
+    let refused = filler.request(&churn(1)).unwrap();
+    assert!(
+        refused.starts_with(r#"{"ok":false"#) && refused.contains(&format!("{full}-event cap")),
+        "{refused}"
+    );
+    assert_eq!(filler.request(&churn(0)).unwrap(), queued(0, full));
+
+    let mut other = Client::connect(&addr).unwrap();
+    let stats = other.request(r#"{"op":"query","what":"stats"}"#).unwrap();
+    assert!(stats.starts_with(r#"{"ok":true,"op":"query""#), "{stats}");
+    let solve = other.request(r#"{"op":"solve","alg":"greedy"}"#).unwrap();
+    assert!(solve.starts_with(r#"{"ok":true,"op":"solve""#), "{solve}");
+
+    // Admitting drains the queue (node 99 is dead, so every event is
+    // rejected), and churn is accepted again.
+    let ticked = filler.request(r#"{"op":"churn","admit":true}"#).unwrap();
+    let tp = Value::parse(&ticked).unwrap();
+    assert_eq!(
+        tp.get("rejected").and_then(Value::as_u64),
+        Some(full as u64)
+    );
+    assert_eq!(filler.request(&churn(1)).unwrap(), queued(1, 1));
+    other.request(r#"{"op":"shutdown"}"#).unwrap();
     handle.join().expect("server thread");
 }
 
