@@ -40,7 +40,7 @@ use std::io::Write;
 use mcds_bench::{f2, f3, ExpConfig, Table};
 use mcds_geom::Aabb;
 use mcds_maintain::{
-    waypoint_epoch, ChurnConfig, ChurnGen, MaintainConfig, Maintainer, StabilityMetrics,
+    ChurnConfig, ChurnGen, EventSource, MaintainConfig, Maintainer, StabilityMetrics,
 };
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
@@ -81,21 +81,8 @@ fn main() {
 
     // Sweep 1: synthetic churn over move radius (10% joins, 10% leaves).
     for &radius in &move_radii {
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ radius.to_bits());
-        let pts = gen::uniform_in_square(&mut rng, n, side);
-        let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
-        let mut source = ChurnGen::new(ChurnConfig {
-            region: Aabb::square(side),
-            p_join: 0.1,
-            p_leave: 0.1,
-            move_radius: radius,
-            min_population: 4,
-        });
-        let mut metrics = StabilityMetrics::new();
-        for _ in 0..events {
-            let event = source.next_event(&mut rng, &engine.alive());
-            metrics.record(&engine.apply(event));
-        }
+        let seed = cfg.seed ^ radius.to_bits();
+        let (metrics, engine) = synthetic(seed, n, side, 0.1, radius, events);
         runs.push(Run {
             source: "synthetic",
             knob: "move_radius",
@@ -108,7 +95,7 @@ fn main() {
     // Sweep 2: random-waypoint epochs over speed (fixed population).
     for &speed in &speeds {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ speed.to_bits().rotate_left(17));
-        let mut walk = RandomWaypoint::new(
+        let walk = RandomWaypoint::new(
             &mut rng,
             n,
             Aabb::square(side),
@@ -117,18 +104,9 @@ fn main() {
         );
         let mut engine =
             Maintainer::with_population(MaintainConfig::default(), walk.positions().to_vec());
-        let ids: Vec<usize> = (0..n).collect();
         let mut metrics = StabilityMetrics::new();
-        let mut epochs = 0usize;
-        while metrics.events < events && epochs < events * 50 {
-            epochs += 1;
-            for event in waypoint_epoch(&mut walk, &mut rng, 0.25, &ids) {
-                if metrics.events == events {
-                    break;
-                }
-                metrics.record(&engine.apply(event));
-            }
-        }
+        EventSource::Waypoint(walk, 0.25)
+            .drive(&mut engine, &mut rng, events, |r, _| metrics.record(r));
         runs.push(Run {
             source: "waypoint",
             knob: "speed",
@@ -276,29 +254,42 @@ struct Rung {
 
 /// Runs one rung: `n` uniform points at degree ≈ 10 (side
 /// `√(π n / 10)`), then [`LADDER_EVENTS`] one-move events of at most
-/// half a radius through a default (`m = 1`) engine.
+/// half a radius.
 fn climb(seed: u64, n: usize) -> Rung {
     let side = (std::f64::consts::PI * n as f64 / 10.0).sqrt();
-    let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
-    let pts = gen::uniform_in_square(&mut rng, n, side);
-    let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
-    let mut source = ChurnGen::new(ChurnConfig {
-        region: Aabb::square(side),
-        p_join: 0.0,
-        p_leave: 0.0,
-        move_radius: 0.5,
-        min_population: 4,
-    });
-    let mut metrics = StabilityMetrics::new();
-    for _ in 0..LADDER_EVENTS {
-        let event = source.next_event(&mut rng, &engine.alive());
-        metrics.record(&engine.apply(event));
-    }
+    let (metrics, engine) = synthetic(seed ^ n as u64, n, side, 0.0, 0.5, LADDER_EVENTS);
     Rung {
         n,
         giant: engine.giant(),
         metrics,
     }
+}
+
+/// Drives `events` synthetic churn events (joins and leaves at rate `p`
+/// each, moves of up to `move_radius`) through a default (`m = 1`)
+/// engine over `n` uniform points of the `side`-square, all drawn from
+/// `seed`.
+fn synthetic(
+    seed: u64,
+    n: usize,
+    side: f64,
+    p: f64,
+    move_radius: f64,
+    events: usize,
+) -> (StabilityMetrics, Maintainer) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pts = gen::uniform_in_square(&mut rng, n, side);
+    let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
+    let churn = ChurnGen::new(ChurnConfig {
+        region: Aabb::square(side),
+        p_join: p,
+        p_leave: p,
+        move_radius,
+        min_population: 4,
+    });
+    let mut metrics = StabilityMetrics::new();
+    EventSource::Churn(churn, None).drive(&mut engine, &mut rng, events, |r, _| metrics.record(r));
+    (metrics, engine)
 }
 
 /// `BENCH_churn.json`: the ladder's wall times per event beside its

@@ -4,9 +4,9 @@
 //! experiment injects the malign kind — correlated regional kills and
 //! independent batch failures from [`mcds_maintain::FaultGen`] — and
 //! measures what the `m`-fold backbone family buys: one identical event
-//! trace (synthetic churn with a fault burst every few slots) is
-//! replayed against maintenance engines configured for `m = 1, 2, 3`,
-//! and each arm reports
+//! trace (synthetic churn with a fault burst every few slots) runs
+//! through maintenance engines configured for `m = 1, 2, 3`, and each
+//! arm reports
 //!
 //! * **violations** — nodes of the giant component left undominated by
 //!   the surviving backbone at the moment an event lands, *before*
@@ -18,10 +18,11 @@
 //! * **size cost** — the mean backbone size, i.e. what the added
 //!   redundancy costs in nodes.
 //!
-//! The trace is generated once (seeded `ChurnGen` + alternating
-//! regional/batch `FaultGen` bursts) and replayed verbatim: the alive
-//! population evolves identically in every arm because it depends only
-//! on the applied events, never on the backbone.
+//! The `m = 1` arm draws the trace live ([`mcds_maintain::EventSource`]:
+//! seeded `ChurnGen` churn with alternating regional/batch `FaultGen`
+//! bursts) and records it; the `m = 2` and `m = 3` arms replay it
+//! verbatim.  The alive population evolves identically in every arm
+//! because it depends only on the applied events, never on the backbone.
 //!
 //! The run **fails (exit 1)** unless `m = 2` suffers ≤ half the
 //! violations of `m = 1` and no more recomputes — the robustness claim
@@ -44,14 +45,15 @@ use std::io::Write;
 use mcds_bench::{f2, f3, ExpConfig, Table};
 use mcds_geom::{Aabb, Point};
 use mcds_maintain::{
-    ChurnConfig, ChurnGen, FaultConfig, FaultGen, MaintainConfig, Maintainer, StabilityMetrics,
-    TopologyEvent,
+    ChurnConfig, ChurnGen, EventSource, FaultConfig, FaultGen, MaintainConfig, Maintainer,
+    RepairReport, StabilityMetrics, TopologyEvent,
 };
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::gen;
 
 /// One engine arm's aggregated outcome over the shared trace.
+#[derive(Default)]
 struct Arm {
     m: usize,
     metrics: StabilityMetrics,
@@ -67,6 +69,25 @@ struct Arm {
 }
 
 impl Arm {
+    fn new(m: usize) -> Self {
+        Arm {
+            m,
+            metrics: StabilityMetrics::new(),
+            ..Arm::default()
+        }
+    }
+
+    fn record(&mut self, report: &RepairReport) {
+        self.size_sum += report.cds_size;
+        if matches!(report.event, TopologyEvent::Leave { .. }) {
+            self.death_violations += report.violations;
+            if report.violations > 0 {
+                self.death_violated_events += 1;
+            }
+        }
+        self.metrics.record(report);
+    }
+
     fn mean_size(&self) -> f64 {
         if self.metrics.events == 0 {
             return 0.0;
@@ -97,17 +118,42 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pts = gen::uniform_in_square(&mut rng, n, side);
-    let (trace, fault_deaths) = build_trace(&mut rng, &pts, side, events, fault_every);
+    // Synthetic churn with a fault burst (regional and batch kills
+    // alternating) every `fault_every`-th slot.
+    let churn = ChurnGen::new(ChurnConfig {
+        region: Aabb::square(side),
+        // Joins outpace leaves so the injected deaths do not drain the
+        // population over the run.
+        p_join: 0.2,
+        p_leave: 0.05,
+        move_radius: 0.5,
+        min_population: 4,
+    });
+    let faults = FaultGen::new(FaultConfig {
+        radius: 1.25,
+        batch: 3,
+        min_population: n / 2,
+    });
+    let source = EventSource::Churn(churn, Some((faults, fault_every)));
+    // The m = 1 arm (the default engine) runs live and records the trace
+    // the other arms replay: the alive population, and so every event
+    // drawn, depends only on the applied events, never on the backbone.
+    let mut engine = Maintainer::with_population(MaintainConfig::default(), pts.clone());
+    let mut first = Arm::new(1);
+    let (mut trace, mut fault_deaths) = (Vec::with_capacity(events), 0);
+    source.drive(&mut engine, &mut rng, events, |report, burst| {
+        trace.push(report.event);
+        fault_deaths += usize::from(burst);
+        first.record(report);
+    });
+    first.final_population = engine.population();
     println!(
-        "trace: {} events, {} of them fault-burst deaths\n",
-        trace.len(),
-        fault_deaths
+        "trace: {} events, {fault_deaths} of them fault-burst deaths\n",
+        trace.len()
     );
 
-    let arms: Vec<Arm> = [1usize, 2, 3]
-        .iter()
-        .map(|&m| replay(m, &pts, &trace))
-        .collect();
+    let mut arms = vec![first];
+    arms.extend([2, 3].map(|m| replay(m, &pts, &trace)));
 
     let mut table = Table::new(&[
         "m",
@@ -325,69 +371,6 @@ fn weighted_group(cfg: &ExpConfig, pts: &[Point]) -> bool {
     all_valid
 }
 
-/// Generates the shared event trace: synthetic churn with a fault burst
-/// (regional and batch kills alternating) every `fault_every`-th slot.
-///
-/// The trace is produced by driving a scratch `m = 1` engine, because
-/// event generation needs the evolving alive set — which is a pure
-/// function of the applied events, so the recorded trace replays
-/// identically against any arm.  Returns the trace and the number of
-/// events contributed by fault bursts.
-fn build_trace(
-    rng: &mut StdRng,
-    pts: &[Point],
-    side: f64,
-    events: usize,
-    fault_every: usize,
-) -> (Vec<TopologyEvent>, usize) {
-    let mut engine = Maintainer::with_population(MaintainConfig::default(), pts.to_vec());
-    let mut churn = ChurnGen::new(ChurnConfig {
-        region: Aabb::square(side),
-        // Joins outpace leaves so the injected deaths do not drain the
-        // population over the run.
-        p_join: 0.2,
-        p_leave: 0.05,
-        move_radius: 0.5,
-        min_population: 4,
-    });
-    let mut faults = FaultGen::new(FaultConfig {
-        radius: 1.25,
-        batch: 3,
-        min_population: pts.len() / 2,
-    });
-    let mut trace = Vec::with_capacity(events);
-    let mut fault_deaths = 0usize;
-    let mut slot = 0usize;
-    let mut regional = true;
-    while trace.len() < events {
-        slot += 1;
-        let mut burst = if slot.is_multiple_of(fault_every) {
-            let alive = engine.alive();
-            let b = if regional {
-                faults.regional_kill(rng, &alive)
-            } else {
-                faults.batch_kill(rng, &alive)
-            };
-            regional = !regional;
-            fault_deaths += b.len().min(events - trace.len());
-            b
-        } else {
-            Vec::new()
-        };
-        if burst.is_empty() {
-            burst.push(churn.next_event(rng, &engine.alive()));
-        }
-        for event in burst {
-            if trace.len() == events {
-                break;
-            }
-            engine.apply(event);
-            trace.push(event);
-        }
-    }
-    (trace, fault_deaths)
-}
-
 /// Replays the shared trace against a fresh engine configured for `m`.
 fn replay(m: usize, pts: &[Point], trace: &[TopologyEvent]) -> Arm {
     let cfg = MaintainConfig {
@@ -395,29 +378,12 @@ fn replay(m: usize, pts: &[Point], trace: &[TopologyEvent]) -> Arm {
         ..MaintainConfig::default()
     };
     let mut engine = Maintainer::with_population(cfg, pts.to_vec());
-    let mut metrics = StabilityMetrics::new();
-    let mut size_sum = 0usize;
-    let mut death_violations = 0usize;
-    let mut death_violated_events = 0usize;
+    let mut arm = Arm::new(m);
     for &event in trace {
-        let report = engine.apply(event);
-        size_sum += report.cds_size;
-        if matches!(event, TopologyEvent::Leave { .. }) {
-            death_violations += report.violations;
-            if report.violations > 0 {
-                death_violated_events += 1;
-            }
-        }
-        metrics.record(&report);
+        arm.record(&engine.apply(event));
     }
-    Arm {
-        m,
-        metrics,
-        death_violations,
-        death_violated_events,
-        size_sum,
-        final_population: engine.population(),
-    }
+    arm.final_population = engine.population();
+    arm
 }
 
 /// Hand-rolled JSON (the workspace is hermetic — no serde available).

@@ -30,34 +30,7 @@ use mcds_graph::{node_mask, traversal, Graph};
 pub fn backbone_route_length(g: &Graph, backbone: &[usize], s: usize, t: usize) -> Option<usize> {
     let n = g.num_nodes();
     assert!(s < n && t < n, "endpoint out of range");
-    if s == t {
-        return Some(0);
-    }
-    if g.has_edge(s, t) {
-        return Some(1);
-    }
-    let allowed = {
-        let mut mask = node_mask(n, backbone);
-        mask[s] = true;
-        mask[t] = true;
-        mask
-    };
-    // BFS from s over allowed nodes only.
-    let mut dist = vec![usize::MAX; n];
-    dist[s] = 0;
-    let mut queue = std::collections::VecDeque::from([s]);
-    while let Some(v) = queue.pop_front() {
-        for u in g.neighbors_iter(v) {
-            if allowed[u] && dist[u] == usize::MAX {
-                dist[u] = dist[v] + 1;
-                if u == t {
-                    return Some(dist[u]);
-                }
-                queue.push_back(u);
-            }
-        }
-    }
-    None
+    Some(constrained_distances(g, backbone, s)[t]).filter(|&d| d != usize::MAX)
 }
 
 /// Stretch statistics of backbone routing over all pairs reachable in
@@ -131,15 +104,12 @@ pub fn stretch_stats(g: &Graph, backbone: &[usize]) -> Result<StretchStats, CdsE
 }
 
 /// Distances from `s` to every node where intermediates are confined to
-/// the backbone; direct edges from `s` count, and the final hop may leave
-/// the backbone.
+/// the backbone (`usize::MAX` where no such path exists); direct edges
+/// from `s` count, and the final hop may leave the backbone.
 fn constrained_distances(g: &Graph, backbone: &[usize], s: usize) -> Vec<usize> {
     let n = g.num_nodes();
-    let backbone_mask = {
-        let mut m = node_mask(n, backbone);
-        m[s] = true;
-        m
-    };
+    let mut relay = node_mask(n, backbone);
+    relay[s] = true;
     let mut dist = vec![usize::MAX; n];
     dist[s] = 0;
     let mut queue = std::collections::VecDeque::from([s]);
@@ -148,7 +118,7 @@ fn constrained_distances(g: &Graph, backbone: &[usize], s: usize) -> Vec<usize> 
             if dist[u] == usize::MAX {
                 dist[u] = dist[v] + 1;
                 // Only backbone nodes (or the source) may relay further.
-                if backbone_mask[u] {
+                if relay[u] {
                     queue.push_back(u);
                 }
             }
@@ -165,6 +135,89 @@ mod tests {
     fn greedy(g: &Graph) -> Vec<usize> {
         let solution = Solver::new(Algorithm::GreedyConnect).solve(g).unwrap();
         solution.nodes().to_vec()
+    }
+
+    /// `backbone_route_length` before it read `constrained_distances`:
+    /// a breadth-first search of its own over the backbone and both
+    /// endpoints, stopping at `t`.
+    fn early_exit_route(g: &Graph, backbone: &[usize], s: usize, t: usize) -> Option<usize> {
+        let n = g.num_nodes();
+        assert!(s < n && t < n, "endpoint out of range");
+        if s == t {
+            return Some(0);
+        }
+        if g.has_edge(s, t) {
+            return Some(1);
+        }
+        let allowed = {
+            let mut mask = node_mask(n, backbone);
+            mask[s] = true;
+            mask[t] = true;
+            mask
+        };
+        // BFS from s over allowed nodes only.
+        let mut dist = vec![usize::MAX; n];
+        dist[s] = 0;
+        let mut queue = std::collections::VecDeque::from([s]);
+        while let Some(v) = queue.pop_front() {
+            for u in g.neighbors_iter(v) {
+                if allowed[u] && dist[u] == usize::MAX {
+                    dist[u] = dist[v] + 1;
+                    if u == t {
+                        return Some(dist[u]);
+                    }
+                    queue.push_back(u);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn route_length_matches_the_early_exit_search() {
+        use mcds_rng::rngs::StdRng;
+        use mcds_rng::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2002);
+        let (mut routed, mut unroutable) = (0, 0);
+        for case in 0..120 {
+            let n = 2 + case % 30;
+            let p = rng.gen_range(0.05..=0.4);
+            let edges = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen::<f64>() < p)
+                .collect::<Vec<_>>();
+            let g = Graph::from_edges(n, edges);
+            // The greedy CDS of a connected graph, and subsets that need
+            // not be one (empty, every node, random halves).
+            let mut backbones = vec![Vec::new(), (0..n).collect()];
+            if g.is_connected() {
+                backbones.push(greedy(&g));
+            }
+            for _ in 0..3 {
+                backbones.push((0..n).filter(|_| rng.gen::<bool>()).collect());
+            }
+            for backbone in &backbones {
+                for s in 0..n {
+                    for t in 0..n {
+                        let want = early_exit_route(&g, backbone, s, t);
+                        assert_eq!(
+                            backbone_route_length(&g, backbone, s, t),
+                            want,
+                            "{g:?} via {backbone:?}, {s} -> {t}"
+                        );
+                        if want.is_some() {
+                            routed += 1;
+                        } else {
+                            unroutable += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            routed > 1000 && unroutable > 1000,
+            "{routed} / {unroutable}"
+        );
     }
 
     #[test]

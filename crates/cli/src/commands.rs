@@ -8,8 +8,8 @@ use mcds_cds::{Solver, WeightScheme};
 use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
 use mcds_graph::{dot, properties, traversal};
 use mcds_maintain::{
-    waypoint_epoch, ChurnConfig, ChurnGen, FaultConfig, FaultGen, MaintainConfig, Maintainer,
-    StabilityMetrics, TopologyEvent,
+    ChurnConfig, ChurnGen, EventSource, FaultConfig, FaultGen, MaintainConfig, Maintainer,
+    StabilityMetrics,
 };
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
@@ -73,16 +73,14 @@ pub fn gen(argv: &[String]) -> Result<(), CliError> {
 /// `stats`: summarize an instance.
 pub fn stats(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv, &[], &[])?;
-    let udg = load(&args)?;
-    let g = udg.graph();
-    println!("nodes       {}", g.num_nodes());
-    println!("edges       {}", g.num_edges());
-    println!("avg degree  {:.2}", g.avg_degree());
-    println!("max degree  {}", g.max_degree());
-    let comps = traversal::connected_components(g);
-    println!("components  {}", comps.len());
-    if comps.len() == 1 && g.num_nodes() > 0 {
-        println!("diameter    {}", traversal::diameter(g).expect("connected"));
+    let s = mcds_udg::analysis::instance_stats(&load(&args)?);
+    println!("nodes       {}", s.nodes);
+    println!("edges       {}", s.edges);
+    println!("avg degree  {:.2}", s.avg_degree);
+    println!("max degree  {}", s.max_degree);
+    println!("components  {}", s.components);
+    if let Some(d) = s.diameter {
+        println!("diameter    {d}");
     }
     Ok(())
 }
@@ -168,18 +166,11 @@ pub fn solve(argv: &[String]) -> Result<(), CliError> {
             // function the `mcds-serve` daemon uses — so a daemon seeded
             // with this instance answers `solve` byte-identically
             // (scripts/verify.sh diffs the two).
-            let req = mcds_serve::proto::SolveRequest {
-                alg: *alg,
-                m,
-                biconnect,
-                prune: args.switch("prune"),
-                weights,
-            };
             let cds = solution.cds();
             println!(
                 "{}",
                 mcds_serve::proto::render_solve(
-                    &req,
+                    &solver,
                     g.num_nodes(),
                     weights.total(g, cds.nodes()),
                     cds.dominators(),
@@ -698,92 +689,41 @@ pub fn churn(argv: &[String]) -> Result<(), CliError> {
         m,
         ..MaintainConfig::default()
     };
-    let mut metrics = StabilityMetrics::new();
-
-    let mut engine;
-    if args.switch("waypoint") {
+    let (mut engine, source) = if args.switch("waypoint") {
         // Random-waypoint mode: a fixed population moves; each epoch of
         // length --dt becomes a batch of move events.
-        let mut walk = RandomWaypoint::new(&mut rng, n, region, (speed_min, speed_max), pause);
-        engine = Maintainer::with_population(maintain_cfg, walk.positions().to_vec());
-        let ids: Vec<usize> = (0..n).collect();
-        let mut applied = 0;
-        let mut epochs = 0usize;
-        // A long --pause can make whole epochs eventless; bound the number
-        // of epochs so the loop terminates regardless.
-        let max_epochs = events.saturating_mul(50).max(1000);
-        while applied < events && epochs < max_epochs {
-            epochs += 1;
-            let epoch = waypoint_epoch(&mut walk, &mut rng, dt, &ids);
-            for event in epoch {
-                if applied == events {
-                    break;
-                }
-                let report = engine.apply(event);
-                if verbose {
-                    print_report(&report);
-                }
-                metrics.record(&report);
-                applied += 1;
-            }
-        }
+        let walk = RandomWaypoint::new(&mut rng, n, region, (speed_min, speed_max), pause);
+        let engine = Maintainer::with_population(maintain_cfg, walk.positions().to_vec());
+        (engine, EventSource::Waypoint(walk, dt))
     } else {
-        // Synthetic churn mode: joins, leaves and moves mixed by rate.
-        let churn_cfg = ChurnConfig {
+        // Synthetic churn mode: joins, leaves and moves mixed by rate,
+        // with a fault burst every --fault-every slots.
+        let churn = ChurnGen::new(ChurnConfig {
             region,
             p_join,
             p_leave,
             move_radius,
             min_population: 4,
-        };
-        let mut source = ChurnGen::new(churn_cfg);
-        let mut faults = (fault_every > 0).then(|| {
-            FaultGen::new(FaultConfig {
+        });
+        let faults = (fault_every > 0).then(|| {
+            let cfg = FaultConfig {
                 radius: fault_radius,
                 batch: fault_kill,
                 min_population: 4,
-            })
+            };
+            (FaultGen::new(cfg), fault_every)
         });
         let pts = gen::uniform_in_square(&mut rng, n, side);
-        engine = Maintainer::with_population(maintain_cfg, pts);
-        let mut applied = 0usize;
-        let mut slot = 0usize;
-        // Alternate the two failure models on successive fault slots so a
-        // single run exercises both correlated and independent deaths.
-        let mut regional = true;
-        while applied < events {
-            slot += 1;
-            let mut burst: Vec<TopologyEvent> = Vec::new();
-            if let Some(f) = faults.as_mut() {
-                if slot.is_multiple_of(fault_every) {
-                    let alive = engine.alive();
-                    burst = if regional {
-                        f.regional_kill(&mut rng, &alive)
-                    } else {
-                        f.batch_kill(&mut rng, &alive)
-                    };
-                    regional = !regional;
-                }
-            }
-            if burst.is_empty() {
-                // Ordinary churn slot (or a fault burst suppressed by the
-                // population floor — fall back to churn so the loop always
-                // makes progress).
-                burst.push(source.next_event(&mut rng, &engine.alive()));
-            }
-            for event in burst {
-                if applied == events {
-                    break;
-                }
-                let report = engine.apply(event);
-                if verbose {
-                    print_report(&report);
-                }
-                metrics.record(&report);
-                applied += 1;
-            }
+        let engine = Maintainer::with_population(maintain_cfg, pts);
+        (engine, EventSource::Churn(churn, faults))
+    };
+    let mut metrics = StabilityMetrics::new();
+    source.drive(&mut engine, &mut rng, events, |report, _| {
+        if verbose {
+            print_report(report);
         }
-    }
+        metrics.record(report);
+    });
 
     println!("events            {}", metrics.events);
     println!(

@@ -3,7 +3,8 @@
 //! The maintenance engine consumes a stream of [`TopologyEvent`]s — the
 //! primitive ways a wireless ad hoc topology churns: a node powers on
 //! ([`TopologyEvent::Join`]), crashes or leaves ([`TopologyEvent::Leave`]),
-//! or moves ([`TopologyEvent::Move`]).  Two event sources are provided:
+//! or moves ([`TopologyEvent::Move`]).  Two event sources are provided,
+//! and [`EventSource::drive`] applies them (with [`FaultGen`]'s bursts):
 //!
 //! * [`ChurnGen`] — a synthetic, seeded generator mixing the three kinds
 //!   with configurable rates, for stress tests and experiments,
@@ -14,6 +15,8 @@
 use mcds_geom::{Aabb, Point};
 use mcds_rng::Rng;
 use mcds_udg::mobility::RandomWaypoint;
+
+use crate::engine::{Maintainer, RepairReport};
 
 /// Stable node identity, preserved across events.
 ///
@@ -328,6 +331,75 @@ pub fn waypoint_epoch<R: Rng + ?Sized>(
         .filter(|((now, was), _)| now != was)
         .map(|((now, _), &id)| TopologyEvent::Move { node: id, to: *now })
         .collect()
+}
+
+/// A seeded event stream for a [`Maintainer`]: the one loop that turns
+/// the generators above into applied events ([`EventSource::drive`]).
+#[derive(Debug, Clone)]
+pub enum EventSource {
+    /// Synthetic churn, one event per slot.  With `Some((injector, k))`,
+    /// every `k`-th slot is a fault burst instead, regional and batch
+    /// kills alternating (regional first); a burst the population floor
+    /// leaves empty falls back to a churn event.
+    Churn(ChurnGen, Option<(FaultGen, usize)>),
+    /// A random-waypoint walk sampled every `dt` time units (the `f64`),
+    /// its node `i` reported as engine node `i`: the ids
+    /// [`Maintainer::with_population`] gives the walk's positions.
+    Waypoint(RandomWaypoint, f64),
+}
+
+impl EventSource {
+    /// Draws events from `rng` and applies `events` of them to `engine`,
+    /// handing each [`RepairReport`] (whose `event` is the applied
+    /// event) to `each`, with whether a fault burst produced it.  The
+    /// limit can cut a burst or an epoch short.  A waypoint walk also
+    /// stops after max(50 × `events`, 1 000) epochs, since a long pause
+    /// can leave whole epochs without a move.
+    pub fn drive<R: Rng + ?Sized>(
+        mut self,
+        engine: &mut Maintainer,
+        rng: &mut R,
+        events: usize,
+        mut each: impl FnMut(&RepairReport, bool),
+    ) {
+        let (ids, slots): (Vec<NodeId>, _) = match &self {
+            EventSource::Churn(..) => (Vec::new(), usize::MAX),
+            EventSource::Waypoint(walk, _) => (
+                (0..walk.positions().len()).collect(),
+                events.saturating_mul(50).max(1000),
+            ),
+        };
+        let (mut applied, mut regional) = (0, true);
+        for slot in 1..=slots {
+            if applied == events {
+                break;
+            }
+            let (batch, burst) = match &mut self {
+                EventSource::Churn(churn, faults) => {
+                    let mut batch = Vec::new();
+                    if let Some((kill, _)) = faults.as_mut().filter(|f| slot.is_multiple_of(f.1)) {
+                        let alive = engine.alive();
+                        batch = if regional {
+                            kill.regional_kill(rng, &alive)
+                        } else {
+                            kill.batch_kill(rng, &alive)
+                        };
+                        regional = !regional;
+                    }
+                    let burst = !batch.is_empty();
+                    if !burst {
+                        batch.push(churn.next_event(rng, &engine.alive()));
+                    }
+                    (batch, burst)
+                }
+                EventSource::Waypoint(walk, dt) => (waypoint_epoch(walk, rng, *dt, &ids), false),
+            };
+            for event in batch.into_iter().take(events - applied) {
+                each(&engine.apply(event), burst);
+                applied += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   produced by the seeded synthetic [`ChurnGen`], injected as
 //!   correlated failure bursts by [`FaultGen`] (regional and batch
 //!   kills), or adapted from a [`mcds_udg::mobility::RandomWaypoint`]
-//!   walk via [`waypoint_epoch`];
+//!   walk via [`waypoint_epoch`], and applied by [`EventSource::drive`];
 //! * [`Maintainer`] — the engine: local first-fit MIS re-election
 //!   restricted to the event's 2-hop neighborhood, connector patching
 //!   with the Section-IV max-gain greedy confined to the damaged region
@@ -39,7 +39,7 @@
 //! ```
 //! use mcds_geom::Point;
 //! use mcds_maintain::{
-//!     ChurnConfig, ChurnGen, MaintainConfig, Maintainer, StabilityMetrics,
+//!     ChurnConfig, ChurnGen, EventSource, MaintainConfig, Maintainer, StabilityMetrics,
 //! };
 //! use mcds_rng::{rngs::StdRng, Rng, SeedableRng};
 //!
@@ -54,12 +54,9 @@
 //! let mut engine = Maintainer::with_population(MaintainConfig::default(), pts);
 //!
 //! // Drive 30 churn events through the engine and aggregate stability.
-//! let mut churn = ChurnGen::new(cfg);
 //! let mut metrics = StabilityMetrics::new();
-//! for _ in 0..30 {
-//!     let event = churn.next_event(&mut rng, &engine.alive());
-//!     metrics.record(&engine.apply(event));
-//! }
+//! EventSource::Churn(ChurnGen::new(cfg), None)
+//!     .drive(&mut engine, &mut rng, 30, |report, _| metrics.record(report));
 //! assert_eq!(metrics.invalid_events, 0, "every maintained set is a CDS");
 //! assert!(metrics.mean_survival() > 0.5, "the backbone is mostly stable");
 //! ```
@@ -73,6 +70,7 @@ mod metrics;
 
 pub use engine::{MaintainConfig, Maintainer, RecomputeReason, RepairDecision, RepairReport};
 pub use event::{
-    waypoint_epoch, ChurnConfig, ChurnGen, FaultConfig, FaultGen, NodeId, TopologyEvent,
+    waypoint_epoch, ChurnConfig, ChurnGen, EventSource, FaultConfig, FaultGen, NodeId,
+    TopologyEvent,
 };
 pub use metrics::StabilityMetrics;

@@ -25,7 +25,7 @@
 //! ## The enabled gate
 //!
 //! All instrumentation is off until [`enable`] is called: the disabled
-//! path of a span or a `counter_add` is a single relaxed atomic load, so
+//! path of a span or a [`counter!`] is a single relaxed atomic load, so
 //! library code can stay instrumented unconditionally.  Binaries opt in
 //! (the CLI does so for `--trace`) and flush with
 //! [`trace::flush_to_path`].
@@ -54,9 +54,8 @@ mod span;
 pub mod trace;
 
 pub use registry::{
-    bucket_quantile, counter, counter_add, counter_value, gauge, gauge_set, histogram,
-    metrics_text, observe, observe_duration, percentile, sanitize_metric_name, Counter, Gauge,
-    Histogram,
+    bucket_quantile, counter, counter_value, gauge, gauge_set, histogram, metrics_text, observe,
+    observe_duration, percentile, sanitize_metric_name, Counter, Gauge, Histogram,
 };
 pub use span::{span, thread_id, SpanGuard};
 

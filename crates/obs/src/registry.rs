@@ -270,18 +270,6 @@ pub fn histogram(name: &str) -> Histogram {
     registry().histogram(name)
 }
 
-/// Adds `delta` to counter `name` — but only when the subscriber is
-/// enabled; the disabled path is one relaxed atomic load.
-///
-/// Each call looks the name up under the registry's lock; a fixed name
-/// belongs in [`counter!`](crate::counter!), which keeps its handle.
-/// Call sites in hot loops should accumulate locally and flush once.
-pub fn counter_add(name: &str, delta: u64) {
-    if crate::enabled() {
-        counter(name).add(delta);
-    }
-}
-
 /// Sets gauge `name` when the subscriber is enabled (no-op otherwise).
 pub fn gauge_set(name: &str, value: i64) {
     if crate::enabled() {

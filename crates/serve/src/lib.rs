@@ -5,10 +5,10 @@
 //! One JSON object per line in each direction (see [`proto`] for the
 //! schema).  The daemon's two load-bearing properties:
 //!
-//! * **Byte-identical solves** — the solve handler configures
-//!   [`mcds_cds::Solver`] exactly like the batch CLI and renders through
-//!   the same [`proto::render_solve`], so `scripts/verify.sh` can `diff`
-//!   the daemon's answer against `mcds-cli solve --json`.
+//! * **Byte-identical solves** — a `solve` request parses into the
+//!   [`mcds_cds::Solver`] the batch CLI builds from the same flags, and
+//!   both render through [`proto::render_solve`], so `scripts/verify.sh`
+//!   can `diff` the daemon's answer against `mcds-cli solve --json`.
 //! * **Interleaving-invariant churn** — events queue and are admitted in
 //!   batches per *tick*, sorted into a canonical order first, so the
 //!   resident state after each tick is independent of which client's

@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use mcds_cds::{Algorithm, WeightScheme};
+use mcds_cds::{Algorithm, Solver, WeightScheme};
 use mcds_geom::Point;
 use mcds_maintain::TopologyEvent;
 use mcds_obs::json::Value;
@@ -41,8 +41,9 @@ pub const MAX_PENDING_EVENTS: usize = 4096;
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Solve the resident topology from scratch.
-    Solve(SolveRequest),
+    /// Solve the resident topology from scratch with this solver, whose
+    /// verification is on.
+    Solve(Solver),
     /// Submit churn events; with `admit`, also run an admission tick.
     Churn {
         /// Events to enqueue (validated at admission, not here).
@@ -56,33 +57,6 @@ pub enum Request {
     Metrics,
     /// Stop the server after acknowledging.
     Shutdown,
-}
-
-/// Parameters of a `solve` request (all optional on the wire).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveRequest {
-    /// Construction to run (default `greedy`).
-    pub alg: Algorithm,
-    /// Domination multiplicity `1..=3` (default 1).
-    pub m: usize,
-    /// Augment to 2-connectivity (default false).
-    pub biconnect: bool,
-    /// Run the validity-preserving prune pass (default false).
-    pub prune: bool,
-    /// Node-weight scheme (default unit).
-    pub weights: WeightScheme,
-}
-
-impl Default for SolveRequest {
-    fn default() -> Self {
-        SolveRequest {
-            alg: Algorithm::GreedyConnect,
-            m: 1,
-            biconnect: false,
-            prune: false,
-            weights: WeightScheme::Unit,
-        }
-    }
 }
 
 /// The `query` verbs.
@@ -197,33 +171,46 @@ fn parse_bool(doc: &Value, key: &str) -> Result<bool, ProtoError> {
     }
 }
 
-fn parse_solve(doc: &Value) -> Result<SolveRequest, ProtoError> {
-    let mut req = SolveRequest::default();
-    if let Some(v) = doc.get("alg") {
-        let name = v.as_str().ok_or_else(|| perr("\"alg\" must be a string"))?;
-        req.alg = name.parse().map_err(|e| perr(format!("{e}")))?;
-    }
-    if let Some(v) = doc.get("m") {
-        req.m = v
+/// Builds the [`Solver`] a `solve` request asks for; every field is
+/// optional (`greedy`, `m = 1`, no augmentation, no prune, unit weights).
+fn parse_solve(doc: &Value) -> Result<Solver, ProtoError> {
+    let alg = match doc.get("alg") {
+        None => Algorithm::GreedyConnect,
+        Some(v) => {
+            let name = v.as_str().ok_or_else(|| perr("\"alg\" must be a string"))?;
+            name.parse().map_err(|e| perr(format!("{e}")))?
+        }
+    };
+    let m = match doc.get("m") {
+        None => 1,
+        Some(v) => v
             .as_usize()
             .filter(|m| (1..=3).contains(m))
-            .ok_or_else(|| perr("\"m\" must be 1, 2, or 3"))?;
-    }
-    req.biconnect = parse_bool(doc, "biconnect")?;
-    req.prune = parse_bool(doc, "prune")?;
+            .ok_or_else(|| perr("\"m\" must be 1, 2, or 3"))?,
+    };
+    let biconnect = parse_bool(doc, "biconnect")?;
+    let prune = parse_bool(doc, "prune")?;
     let seed = match doc.get("weight_seed") {
         None => 1,
         Some(v) => v
             .as_u64()
             .ok_or_else(|| perr("\"weight_seed\" must be a non-negative integer"))?,
     };
-    if let Some(v) = doc.get("weights") {
-        let name = v
-            .as_str()
-            .ok_or_else(|| perr("\"weights\" must be a string"))?;
-        req.weights = WeightScheme::parse(name, seed).map_err(|e| perr(format!("{e}")))?;
-    }
-    Ok(req)
+    let weights = match doc.get("weights") {
+        None => WeightScheme::Unit,
+        Some(v) => {
+            let name = v
+                .as_str()
+                .ok_or_else(|| perr("\"weights\" must be a string"))?;
+            WeightScheme::parse(name, seed).map_err(|e| perr(format!("{e}")))?
+        }
+    };
+    Ok(Solver::new(alg)
+        .verify(true)
+        .prune(prune)
+        .m(m)
+        .biconnect(biconnect)
+        .weight_scheme(weights))
 }
 
 fn parse_event(v: &Value) -> Result<TopologyEvent, ProtoError> {
@@ -299,11 +286,11 @@ fn render_ids(ids: &[usize]) -> String {
     out
 }
 
-/// Renders a solve response.  Shared verbatim by the daemon and by
-/// `mcds-cli solve --json`, which is what makes the two answers
+/// Renders the answer of `solver`.  Shared verbatim by the daemon and
+/// by `mcds-cli solve --json`, which is what makes the two answers
 /// byte-identical by construction.
 pub fn render_solve(
-    req: &SolveRequest,
+    solver: &Solver,
     n: usize,
     weight_total: u64,
     dominators: &[usize],
@@ -313,9 +300,9 @@ pub fn render_solve(
         "{{\"ok\":true,\"op\":\"solve\",\"alg\":\"{}\",\"n\":{n},\"size\":{},\
          \"weights\":\"{}\",\"weight_total\":{weight_total},\
          \"dominators\":{},\"connectors\":{}}}",
-        req.alg.name(),
+        solver.algorithm().name(),
         dominators.len() + connectors.len(),
-        req.weights.name(),
+        solver.weights().name(),
         render_ids(dominators),
         render_ids(connectors),
     )
@@ -408,7 +395,7 @@ mod tests {
     fn parses_every_op() {
         assert_eq!(
             Request::parse(r#"{"op":"solve"}"#).unwrap(),
-            Request::Solve(SolveRequest::default())
+            Request::Solve(Solver::new(Algorithm::GreedyConnect).verify(true))
         );
         let r = Request::parse(
             r#"{"op":"solve","alg":"waf","m":2,"biconnect":true,"prune":true,"weights":"random","weight_seed":9}"#,
@@ -416,13 +403,14 @@ mod tests {
         .unwrap();
         assert_eq!(
             r,
-            Request::Solve(SolveRequest {
-                alg: Algorithm::WafTree,
-                m: 2,
-                biconnect: true,
-                prune: true,
-                weights: WeightScheme::Random(9),
-            })
+            Request::Solve(
+                Solver::new(Algorithm::WafTree)
+                    .verify(true)
+                    .prune(true)
+                    .m(2)
+                    .biconnect(true)
+                    .weight_scheme(WeightScheme::Random(9))
+            )
         );
         let r = Request::parse(
             r#"{"op":"churn","events":[{"kind":"join","x":0.5,"y":1.5},{"kind":"leave","node":2},{"kind":"move","node":1,"x":0,"y":0}],"admit":true}"#,
@@ -514,7 +502,8 @@ mod tests {
 
     #[test]
     fn responses_are_fixed_order_json() {
-        let solve = render_solve(&SolveRequest::default(), 5, 3, &[0, 2], &[1]);
+        let solver = Solver::new(Algorithm::GreedyConnect);
+        let solve = render_solve(&solver, 5, 3, &[0, 2], &[1]);
         assert_eq!(
             solve,
             r#"{"ok":true,"op":"solve","alg":"greedy","n":5,"size":3,"weights":"unit","weight_total":3,"dominators":[0,2],"connectors":[1]}"#

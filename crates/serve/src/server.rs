@@ -21,8 +21,7 @@ use mcds_maintain::{MaintainConfig, Maintainer, NodeId, TopologyEvent};
 use mcds_pool::ThreadPool;
 
 use crate::proto::{
-    self, ProtoError, QueryRequest, Request, SolveRequest, TickOutcome, MAX_LINE_BYTES,
-    MAX_PENDING_EVENTS,
+    self, ProtoError, QueryRequest, Request, TickOutcome, MAX_LINE_BYTES, MAX_PENDING_EVENTS,
 };
 
 /// Server tunables.
@@ -438,7 +437,7 @@ fn respond(line: &str, shared: &Shared) -> (String, bool) {
             mcds_obs::counter!("serve.bad_requests");
             (proto::render_error(&msg), false)
         }
-        Ok(Request::Solve(req)) => (handle_solve(shared, &req), false),
+        Ok(Request::Solve(solver)) => (handle_solve(shared, &solver), false),
         Ok(Request::Churn { events, admit: run }) => {
             let mut state = shared.lock();
             let queued = events.len();
@@ -464,12 +463,12 @@ fn respond(line: &str, shared: &Shared) -> (String, bool) {
     }
 }
 
-/// Solves the resident topology from scratch, exactly the way the batch
-/// CLI does (same solver configuration, same renderer), mapping compact
-/// solver indices back to stable node ids.  The graph is the engine's
-/// resident rows relabelled over the live nodes in id order, the graph a
-/// fresh build of the live points gives.
-fn handle_solve(shared: &Shared, req: &SolveRequest) -> String {
+/// Solves the resident topology from scratch with the request's solver,
+/// exactly the way the batch CLI does (same solver, same renderer),
+/// mapping compact solver indices back to stable node ids.  The graph is
+/// the engine's resident rows relabelled over the live nodes in id
+/// order, the graph a fresh build of the live points gives.
+fn handle_solve(shared: &Shared, solver: &mcds_cds::Solver) -> String {
     let _span = mcds_obs::span("serve.solve");
     let state = shared.lock();
     if state.engine.population() == 0 {
@@ -477,21 +476,20 @@ fn handle_solve(shared: &Shared, req: &SolveRequest) -> String {
     }
     let (ids, graph) = state.engine.topology().graph();
     let g = &graph;
-    let solution = mcds_cds::Solver::new(req.alg)
-        .verify(true)
-        .prune(req.prune)
-        .m(req.m)
-        .biconnect(req.biconnect)
-        .weight_scheme(req.weights)
-        .solve(g);
-    let cds = match solution {
+    let cds = match solver.solve(g) {
         Ok(s) => s.into_cds(),
-        Err(e) => return proto::render_error(&format!("{}: {e}", req.alg.name())),
+        Err(e) => return proto::render_error(&format!("{}: {e}", solver.algorithm().name())),
     };
-    let weight_total = req.weights.total(g, cds.nodes());
+    let weight_total = solver.weights().total(g, cds.nodes());
     let dominators: Vec<usize> = cds.dominators().iter().map(|&v| ids[v]).collect();
     let connectors: Vec<usize> = cds.connectors().iter().map(|&v| ids[v]).collect();
-    proto::render_solve(req, g.num_nodes(), weight_total, &dominators, &connectors)
+    proto::render_solve(
+        solver,
+        g.num_nodes(),
+        weight_total,
+        &dominators,
+        &connectors,
+    )
 }
 
 fn handle_query(shared: &Shared, q: QueryRequest) -> String {

@@ -40,8 +40,8 @@ pub struct InstanceStats {
 /// assert_eq!((s.nodes, s.edges, s.components, s.diameter), (2, 1, 1, Some(1)));
 /// ```
 ///
-/// The diameter costs `O(n·m)`; for large disconnected instances it is
-/// skipped (`None`) without extra work.
+/// The diameter is [`traversal::diameter`]'s, a few breadth-first
+/// searches on most instances; a disconnected instance skips it (`None`).
 pub fn instance_stats(udg: &Udg) -> InstanceStats {
     let g = udg.graph();
     let n = g.num_nodes();

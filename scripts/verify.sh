@@ -23,6 +23,10 @@
 # above mcds_pool::MAX_THREADS (1024) must exit 1 naming the flag, before
 # any worker or client thread starts.
 #
+# The `grid` stage times the cell-grid UDG build against the naive one at
+# n = 20k, then runs `stats` and `analyze` on a connected 100 000-node
+# instance (120 s each) and checks that both print the same diameter.
+#
 # Hermetic by design — no network, no external dependencies.  The
 # `kernel` stage runs the three differential suites of the production
 # kernels, `bfs_equiv` (phase 1's BFS tree and first-fit MIS against the
@@ -58,7 +62,9 @@ want() {
 }
 
 det_dir=$(mktemp -d)
-trap 'rm -rf "$det_dir"' EXIT
+# A failing `serve` stage must not leave its daemon listening.
+serve_pid=""
+trap 'rm -rf "$det_dir"; [[ -z "$serve_pid" ]] || kill "$serve_pid" 2> /dev/null || true' EXIT
 
 if want build; then
   echo "== cargo build --release =="
@@ -280,6 +286,9 @@ if want serve; then
     --connected -o "$det_dir/serve.udg" > /dev/null
   cargo run --quiet --release -p mcds-cli -- solve "$det_dir/serve.udg" \
     --alg greedy --json > "$det_dir/solve_batch.json"
+  cargo run --quiet --release -p mcds-cli -- solve "$det_dir/serve.udg" \
+    --alg greedy --m 2 --prune --weights degree --weight-seed 3 --json \
+    > "$det_dir/solve_batch_fields.json"
   cargo run --quiet --release -p mcds-cli -- serve "$det_dir/serve.udg" \
     --addr 127.0.0.1:0 > "$det_dir/serve_out.txt" &
   serve_pid=$!
@@ -292,11 +301,16 @@ if want serve; then
     sleep 0.1
   done
   [[ -n "$addr" ]] || { echo "daemon never reported its address" >&2; exit 1; }
-  # Session 1: JSONL solve before any HTTP traffic.
+  # Session 1: JSONL solves before any HTTP traffic: the default request,
+  # and one whose every field goes into the daemon's solver.
   printf '%s\n' '{"op":"solve","alg":"greedy"}' \
+    '{"op":"solve","alg":"greedy","m":2,"prune":true,"weights":"degree","weight_seed":3}' \
     | cargo run --quiet --release -p mcds-cli -- serve --connect "$addr" \
-    | head -n 1 > "$det_dir/solve_daemon_pre.json"
+    > "$det_dir/solve_daemon_pre.txt"
+  head -n 1 "$det_dir/solve_daemon_pre.txt" > "$det_dir/solve_daemon_pre.json"
   diff "$det_dir/solve_batch.json" "$det_dir/solve_daemon_pre.json"
+  sed -n 2p "$det_dir/solve_daemon_pre.txt" > "$det_dir/solve_daemon_fields.json"
+  diff "$det_dir/solve_batch_fields.json" "$det_dir/solve_daemon_fields.json"
   # Curl-style raw HTTP against the same port (no curl in the image:
   # bash /dev/tcp gives us a plain TCP file descriptor).
   host=${addr%:*}; port=${addr##*:}
@@ -324,13 +338,27 @@ if want serve; then
   head -n 1 "$det_dir/serve_session.txt" > "$det_dir/solve_daemon_post.json"
   diff "$det_dir/solve_batch.json" "$det_dir/solve_daemon_post.json"
   wait "$serve_pid"
-  echo "JSONL solve byte-identical before and after /metrics scrapes; clean shutdown"
+  echo "JSONL solves (default, and m = 2 + prune + degree weights) byte-identical;" \
+    "identical after /metrics scrapes; clean shutdown"
 fi
 
 if want grid; then
   echo "== grid vs naive speedup smoke (n=20k, release) =="
   cargo test --quiet --release -p mcds-udg --test grid_equivalence -- \
     --ignored grid_beats_naive_5x_at_20k
+  echo "== stats and analyze at n = 100 000 (release, 120 s each) =="
+  cargo build --quiet --release -p mcds-cli
+  cli="${CARGO_TARGET_DIR:-target}/release/mcds-cli"
+  "$cli" gen --n 100000 --side 100 --seed 1 --connected -o "$det_dir/big.udg" > /dev/null
+  for cmd in stats analyze; do
+    timeout 120 "$cli" "$cmd" "$det_dir/big.udg" > "$det_dir/big_$cmd.txt" || {
+      echo "$cmd on the n = 100000 instance failed or ran past 120 s" >&2; exit 1; }
+  done
+  big_diameter=$(awk '$1 == "diameter" { print $2 }' "$det_dir/big_stats.txt")
+  [[ -n "$big_diameter" ]] \
+    && [[ "$big_diameter" == $(awk '$1 == "diameter" { print $2 }' "$det_dir/big_analyze.txt") ]] || {
+    echo "stats and analyze disagree on the n = 100000 diameter" >&2; exit 1; }
+  echo "stats and analyze at n = 100000: diameter $big_diameter in both"
 fi
 
 if want kernel; then
